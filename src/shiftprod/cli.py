@@ -87,15 +87,6 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
-def _harness_config(args, cfg) -> HarnessConfig:
-    return HarnessConfig(
-        size_match_factor=Fraction(str(_pick(args, cfg, "size_match_factor", 2))),
-        degeneracy_threshold=Fraction(str(_pick(args, cfg, "degeneracy_threshold", 1))),
-        on_size_mismatch=_pick(args, cfg, "on_size_mismatch", "reject"),
-        skew_e=bool(_pick(args, cfg, "skew_e", False)),
-    )
-
-
 def auto_progression(A: ScalarSet) -> GgpSpec:
     """Powers of two, one generator, length matched to |AA|."""
     n = len(productset(A, A))
@@ -146,7 +137,12 @@ def _reports_text(reports, fmt):
 def cmd_verify_main(args) -> int:
     cfg = _load_config(args)
     seed = _resolve_seed(args, cfg)
-    hcfg = _harness_config(args, cfg)
+    hcfg = HarnessConfig(
+        size_match_factor=Fraction(str(_pick(args, cfg, "size_match_factor", 2))),
+        degeneracy_threshold=Fraction(str(_pick(args, cfg, "degeneracy_threshold", 1))),
+        on_size_mismatch=_pick(args, cfg, "on_size_mismatch", "reject"),
+        skew_e=bool(_pick(args, cfg, "skew_e", False)),
+    )
     delta = Fraction(str(_pick(args, cfg, "delta", None) or
                          _usage("verify-main needs --delta")))
     count = int(_pick(args, cfg, "count", 1))
@@ -207,7 +203,7 @@ def cmd_verify_ff(args) -> int:
         _emit(args, json.dumps(payload, indent=2) + "\n")
         return 1 if rep.hypothesis_ok and not rep.full else 0
 
-    hcfg = _harness_config(args, cfg)
+    hcfg = HarnessConfig(skew_e=bool(_pick(args, cfg, "skew_e", False)))
     eps = Fraction(str(_pick(args, cfg, "epsilon", None) or
                        _usage("verify-ff needs --epsilon")))
     delta = Fraction(str(_pick(args, cfg, "delta", None) or
@@ -380,11 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-main", help="run the rational pipeline")
     p.add_argument("--A", default=None, help="set literal, e.g. '{1, 2, 4}'")
-    p.add_argument("--G", default=None, help="progression text, e.g. 'ggp 2; gap 0;1;13'")
+    p.add_argument("--G", default=None,
+                   help="progression text, e.g. 'ggp 2; gap 0;1;13'; "
+                        "without it, powers of two matched to |AA|")
     p.add_argument("--random-A", dest="random_A", type=int, default=None,
                    help="draw a random integer set of this size")
-    p.add_argument("--auto-G", dest="auto_G", action="store_true",
-                   help="derive the progression from |AA| (default when --G absent)")
     p.add_argument("--delta", default=None, help="rational in (0,1), e.g. 1/2")
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--lo", type=int, default=None)
@@ -408,10 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", default=None)
     p.add_argument("--full-plane", dest="full_plane", action="store_true",
                    help="coverage check with E = F = all nonzero points of F_q^2")
-    p.add_argument("--size-match-factor", dest="size_match_factor", default=None)
-    p.add_argument("--degeneracy-threshold", dest="degeneracy_threshold", default=None)
-    p.add_argument("--on-size-mismatch", dest="on_size_mismatch",
-                   choices=["reject", "warn"], default=None)
     p.add_argument("--skew-e", dest="skew_e", action="store_const", const=True,
                    default=None)
     _add_common(p)

@@ -50,7 +50,6 @@ SCAN_COLUMNS = ["instance_id", "a_size", "aa1_size", "b_size", "c_size",
 class CoverQuery:
     A: ScalarSet
     min_factor_size: int = 2
-    coverage_target: Fraction = Fraction(1)
     search_budget: int = 200_000
     exhaustive_cutoff: int = 12
 
@@ -59,8 +58,6 @@ class CoverQuery:
             raise ValueError("empty A")
         if self.min_factor_size < 1:
             raise ValueError("min_factor_size must be at least 1")
-        if not (0 < Fraction(self.coverage_target) <= 1):
-            raise ValueError("coverage_target must lie in (0, 1]")
         if self.search_budget < 1:
             raise ValueError("search_budget must be at least 1")
         if self.exhaustive_cutoff < 1:
@@ -197,16 +194,18 @@ def conjecture_scan(instances: Iterable[Tuple[str, ScalarSet]],
                     coverage_target: Fraction = Fraction(1),
                     search_budget: int = 200_000,
                     exhaustive_cutoff: int = 12) -> List[ScanRow]:
+    coverage_target = Fraction(coverage_target)
+    if not (0 < coverage_target <= 1):
+        raise ValueError("coverage_target must lie in (0, 1]")
     rows = []
     for instance_id, A in instances:
         T = shift(productset(A, A), _one_for(A.domain))
         res = search_bc(CoverQuery(A=A,
                                    min_factor_size=min_factor_size,
-                                   coverage_target=Fraction(coverage_target),
                                    search_budget=search_budget,
                                    exhaustive_cutoff=exhaustive_cutoff))
         tension = (res.hit_count > 0
-                   and res.coverage_fraction >= Fraction(coverage_target)
+                   and res.coverage_fraction >= coverage_target
                    and min(len(res.best_B), len(res.best_C)) >= min_factor_size)
         rows.append(ScanRow(
             instance_id=str(instance_id),

@@ -12,8 +12,7 @@ enumeration under a hard pair cap.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Tuple
 
@@ -21,6 +20,7 @@ from .harness import (
     DECIMAL_DIGITS,
     HarnessConfig,
     PreconditionError,
+    Report,
     _run_core,
 )
 from .numeric import (
@@ -30,7 +30,7 @@ from .numeric import (
     multiplicative_order,
     power_ratio_decimal,
 )
-from .progressions import GapSpec, GgpSpec, enumerate_ggp, realized_size
+from .progressions import GapSpec, GgpSpec, enumerate_ggp
 from .setalg import PAIR_CAP, PointSet2, ScalarSet, dot_product_set
 
 __all__ = [
@@ -54,7 +54,9 @@ class FfInput:
 
 
 @dataclass(frozen=True)
-class FfReport:
+class FfReport(Report):
+    """One prime-field pipeline run."""
+
     q: int
     a_size: int
     aa_size: int
@@ -78,40 +80,6 @@ class FfReport:
     bound_ratio: str
     constants: dict
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FfReport":
-        return cls(**json.loads(text))
-
-    @classmethod
-    def csv_header(cls):
-        return [f.name for f in fields(cls)]
-
-    def to_csv_row(self):
-        row = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, dict):
-                row.append(json.dumps(v, sort_keys=True))
-            elif isinstance(v, bool):
-                row.append("true" if v else "false")
-            else:
-                row.append(str(v))
-        return row
-
-    def structural_ok(self) -> bool:
-        claim = self.constants.get("claim_bb")
-        proper = self.constants.get("proper") == "true"
-        return (self.identity_ok
-                and self.constants.get("decomposition") == "pass"
-                and not (proper and claim == "fail")
-                and self.constants.get("g_bb_inclusion") != "fail")
-
     def finding(self) -> bool:
         """True when a guaranteed property measured false on this run."""
         if not self.structural_ok():
@@ -131,6 +99,15 @@ class CoverageReport:
     full: bool
 
 
+def _coverage(E: PointSet2, F: PointSet2, dots: ScalarSet,
+              q: int) -> Tuple[bool, int]:
+    """The hypothesis |E| = |F| > q**(3/2), by exact cross powers, and the
+    number of units of F_q that the dot-product set reaches."""
+    hypothesis = (len(E) == len(F)
+                  and compare_power(len(E), q, Fraction(3, 2)) > 0)
+    return hypothesis, sum(1 for x in dots if x.residue != 0)
+
+
 def coverage_check(E: PointSet2, F: PointSet2, q: int) -> CoverageReport:
     """Does the dot-product set of E and F reach every unit of F_q?
 
@@ -143,10 +120,7 @@ def coverage_check(E: PointSet2, F: PointSet2, q: int) -> CoverageReport:
     if len(E) * len(F) > PAIR_CAP:
         raise PreconditionError(
             f"coverage scan needs {len(E) * len(F)} pairs, above the cap {PAIR_CAP}")
-    hypothesis = (len(E) == len(F)
-                  and compare_power(len(E), q, Fraction(3, 2)) > 0)
-    dots = dot_product_set(E, F)
-    covered = sum(1 for x in dots if x.residue != 0)
+    hypothesis, covered = _coverage(E, F, dot_product_set(E, F), q)
     return CoverageReport(q=q, e_size=len(E), f_size=len(F),
                           hypothesis_ok=hypothesis, covered_size=covered,
                           full=covered == q - 1)
@@ -200,10 +174,8 @@ def run_field_pipeline(inp: FfInput) -> FfReport:
     cond2_ok = compare_power(aa, q, 1 - delta) <= 0
     cond2_margin = power_ratio_decimal(aa, q, 1 - delta, DECIMAL_DIGITS)
 
-    hypothesis = (len(core.E) == len(core.F)
-                  and compare_power(len(core.E), q, Fraction(3, 2)) > 0)
+    hypothesis, covered = _coverage(core.E, core.F, core.Pi, q)
     constants["coverage_hypothesis"] = "holds" if hypothesis else "fails"
-    covered = sum(1 for x in core.Pi if x.residue != 0)
     coverage_ok = covered == q - 1
 
     q_delta_bound = compare_power(c, q, delta) >= 0
@@ -216,7 +188,7 @@ def run_field_pipeline(inp: FfInput) -> FfReport:
         a_size=a,
         aa_size=aa,
         g_formal_len=G.formal_length,
-        g_realized_size=realized_size(G),
+        g_realized_size=len(core.Gset),
         b_size=len(core.B),
         e_size=len(core.E),
         pi_size=len(core.Pi),

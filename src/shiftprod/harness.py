@@ -38,7 +38,6 @@ from .progressions import (
     degeneracy_ratio,
     enumerate_ggp,
     ggp_membership,
-    is_degenerate,
     is_proper,
     realized_size,
 )
@@ -60,6 +59,7 @@ __all__ = [
     "MainReport",
     "PipelineInput",
     "PreconditionError",
+    "Report",
     "build_point_sets",
     "dot_identity_check",
     "exceptional_set",
@@ -80,10 +80,13 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """Policy knobs shared by the pipelines.
+    """Policy knobs of the pipelines.
 
-    size_match_factor bounds |G| / |AA| from both sides; on_size_mismatch
-    picks reject (error) or warn (run anyway, ledger the ratio).  skew_e
+    size_match_factor, degeneracy_threshold and on_size_mismatch are
+    preconditions of the rational pipeline only: size_match_factor bounds
+    |G| / |AA| from both sides, degeneracy_threshold caps the degeneracy
+    ratio of G, and on_size_mismatch picks reject (error) or warn (run
+    anyway, ledger the ratio).  skew_e applies to both pipelines: it
     switches the point-set lift to the variant that scales only the first
     coordinate of E, which breaks the exact factorization whenever g1 != 1
     and is kept for comparison runs.
@@ -109,25 +112,12 @@ class PipelineInput:
     config: HarnessConfig = field(default_factory=HarnessConfig)
 
 
-@dataclass(frozen=True)
-class MainReport:
-    """One pipeline run.  Field order is the serialization order."""
+class Report:
+    """Serialization and structural checks shared by the pipeline reports.
 
-    a_size: int
-    aa_size: int
-    g_formal_len: int
-    g_realized_size: int
-    b_size: int
-    e_size: int
-    pi_size: int
-    c_size: int
-    epsilon: str
-    delta: str
-    claim_bb_bound: int
-    identity_ok: bool
-    corollary1_ok: bool
-    bound_ratio: str
-    constants: dict
+    Subclasses are frozen dataclasses whose field order is the
+    serialization order.
+    """
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -136,7 +126,7 @@ class MainReport:
         return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "MainReport":
+    def from_json(cls, text: str):
         return cls(**json.loads(text))
 
     @classmethod
@@ -164,6 +154,27 @@ class MainReport:
                 and self.constants.get("decomposition") == "pass"
                 and not (proper and claim == "fail")
                 and self.constants.get("g_bb_inclusion") != "fail")
+
+
+@dataclass(frozen=True)
+class MainReport(Report):
+    """One rational pipeline run."""
+
+    a_size: int
+    aa_size: int
+    g_formal_len: int
+    g_realized_size: int
+    b_size: int
+    e_size: int
+    pi_size: int
+    c_size: int
+    epsilon: str
+    delta: str
+    claim_bb_bound: int
+    identity_ok: bool
+    corollary1_ok: bool
+    bound_ratio: str
+    constants: dict
 
 
 def _one_for(domain):
@@ -273,13 +284,13 @@ def _run_core(A: ScalarSet, G: GgpSpec, cfg: HarnessConfig,
 
     C = exceptional_set(A, G)
     inter = set_intersect(Gset, AA1)
+    G_inter = productset(Gset, inter)
     lhs_dec = productset(Gset, AA1)
-    rhs_dec = set_union(productset(Gset, inter), productset(Gset, C))
+    rhs_dec = set_union(G_inter, productset(Gset, C))
     constants["decomposition"] = "pass" if lhs_dec == rhs_dec else "fail"
     GG = productset(Gset, Gset)
     constants["gg_over_g"] = str(Fraction(len(GG), len(Gset)))
-    constants["g_inter_le_gg"] = (
-        "pass" if len(productset(Gset, inter)) <= len(GG) else "fail")
+    constants["g_inter_le_gg"] = "pass" if len(G_inter) <= len(GG) else "fail"
 
     return SimpleNamespace(AA=AA, AA1=AA1, g1=g1, Gset=Gset, B=B,
                            bb_bound=bb_bound, E=E, F=F, Pi=Pi,
@@ -306,10 +317,11 @@ def run_main_pipeline(inp: PipelineInput) -> MainReport:
                 f"|G| = {g_realized} vs |AA| = {aa_size} is outside factor "
                 f"{cfg.size_match_factor}")
         constants["size_match"] = "warn"
-    constants["degeneracy_ratio"] = str(degeneracy_ratio(G))
-    if is_degenerate(G, cfg.degeneracy_threshold):
+    degeneracy = degeneracy_ratio(G)
+    constants["degeneracy_ratio"] = str(degeneracy)
+    if degeneracy > cfg.degeneracy_threshold:
         raise PreconditionError(
-            f"degenerate progression: ratio {degeneracy_ratio(G)} above "
+            f"degenerate progression: ratio {degeneracy} above "
             f"threshold {cfg.degeneracy_threshold}")
 
     core = _run_core(A, G, cfg, constants)

@@ -35,6 +35,7 @@ __all__ = [
     "scalar_is_zero",
     "scalar_mul",
     "scalar_pow",
+    "smallest_prime_factor",
     "sort_key",
 ]
 
@@ -55,20 +56,22 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial division up to the square root."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
+def smallest_prime_factor(n: int) -> int:
+    """Least prime factor of n >= 2, by trial division up to the square
+    root; the only factoring loop in the package."""
     if n % 2 == 0:
-        return False
+        return 2
     f = 3
     while f * f <= n:
         if n % f == 0:
-            return False
+            return f
         f += 2
-    return True
+    return n
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic trial division up to the square root."""
+    return n >= 2 and smallest_prime_factor(n) == n
 
 
 @lru_cache(maxsize=None)
@@ -193,18 +196,6 @@ class PrimeField:
     def __call__(self, value: int) -> PrimeFieldElement:
         return PrimeFieldElement(value, self.q)
 
-    def zero(self) -> PrimeFieldElement:
-        return PrimeFieldElement(0, self.q)
-
-    def one(self) -> PrimeFieldElement:
-        return PrimeFieldElement(1, self.q)
-
-    def elements(self):
-        return [PrimeFieldElement(v, self.q) for v in range(self.q)]
-
-    def units(self):
-        return [PrimeFieldElement(v, self.q) for v in range(1, self.q)]
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.q == self.q
 
@@ -305,15 +296,11 @@ def multiplicative_order(g: PrimeFieldElement) -> int:
 
 def _prime_factors(n: int):
     out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
+    while n > 1:
+        p = smallest_prime_factor(n)
+        out.append(p)
+        while n % p == 0:
+            n //= p
     return out
 
 

@@ -30,6 +30,7 @@ from .numeric import (
     multiplicative_order,
     parse_scalar,
     scalar_pow,
+    smallest_prime_factor,
 )
 from .setalg import ScalarSet, productset, sumset
 
@@ -144,15 +145,6 @@ def _valuation(n: int, p: int) -> int:
     return v
 
 
-def _smallest_prime_factor(n: int) -> int:
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 1 if f == 2 else 2
-    return n
-
-
 def _rational_log(g0, x) -> Optional[int]:
     """The integer k with g0**k == x, if one exists (g0 > 0, g0 != 1)."""
     g = Fraction(g0)
@@ -160,7 +152,7 @@ def _rational_log(g0, x) -> Optional[int]:
     if xf <= 0:
         return None
     p, q = g.numerator, g.denominator
-    pi = _smallest_prime_factor(p if p > 1 else q)
+    pi = smallest_prime_factor(p if p > 1 else q)
     vg = _valuation(p, pi) - _valuation(q, pi)
     vx = _valuation(xf.numerator, pi) - _valuation(xf.denominator, pi)
     if vx % vg != 0:
@@ -196,25 +188,19 @@ def ggp_membership(G: GgpSpec, x: Scalar) -> bool:
 
 def is_proper(spec) -> bool:
     """Realized size equals formal length."""
-    if isinstance(spec, GapSpec):
-        return len(_gap_values(spec)) == spec.formal_length
-    if isinstance(spec, GgpSpec):
-        return _realized_size(spec) == spec.formal_length
-    raise TypeError(f"not a progression spec: {spec!r}")
-
-
-def _realized_size(G: GgpSpec) -> int:
-    exps = _gap_values(G.exponents)
-    if G.domain == RATIONAL_DOMAIN:
-        return len(exps)
-    ord_g = multiplicative_order(G.g0)
-    return len({k % ord_g for k in exps})
+    if not isinstance(spec, (GapSpec, GgpSpec)):
+        raise TypeError(f"not a progression spec: {spec!r}")
+    return realized_size(spec) == spec.formal_length
 
 
 def realized_size(spec) -> int:
     if isinstance(spec, GapSpec):
         return len(_gap_values(spec))
-    return _realized_size(spec)
+    exps = _gap_values(spec.exponents)
+    if spec.domain == RATIONAL_DOMAIN:
+        return len(exps)
+    ord_g = multiplicative_order(spec.g0)
+    return len({k % ord_g for k in exps})
 
 
 def degeneracy_ratio(spec) -> Fraction:

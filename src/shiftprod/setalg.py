@@ -2,9 +2,9 @@
 dot-product sets of planar point sets, all exact.
 
 Pairwise operations enumerate O(|A||B|) combinations with a hard desk-scale
-cap; the field-mode dot-product set has a vectorized integer path since it
-is the one hot spot (everything stays exact, residues fit comfortably in
-64-bit words).
+cap; the field-mode dot-product set has a vectorized int64 path since it
+is the one hot spot, taken only while every sum of two residue products
+fits in a signed 64-bit word.
 """
 
 from __future__ import annotations
@@ -196,18 +196,14 @@ def _check_pair_budget(a: int, b: int, what: str):
             f"{what} needs {a * b} pair evaluations, above the cap {PAIR_CAP}")
 
 
-def _join_set_domains(A: ScalarSet, B: ScalarSet):
-    return join_domains(A.domain, B.domain)
-
-
 def sumset(A: ScalarSet, B: ScalarSet) -> ScalarSet:
-    _join_set_domains(A, B)
+    join_domains(A.domain, B.domain)
     _check_pair_budget(len(A), len(B), "sumset")
     return ScalarSet(a + b for a in A for b in B)
 
 
 def productset(A: ScalarSet, B: ScalarSet) -> ScalarSet:
-    _join_set_domains(A, B)
+    join_domains(A.domain, B.domain)
     _check_pair_budget(len(A), len(B), "productset")
     return ScalarSet(a * b for a in A for b in B)
 
@@ -240,17 +236,17 @@ def scale(A: ScalarSet, s: Scalar) -> ScalarSet:
 
 
 def set_minus(A: ScalarSet, B: ScalarSet) -> ScalarSet:
-    _join_set_domains(A, B)
+    join_domains(A.domain, B.domain)
     return ScalarSet(A.elems - B.elems)
 
 
 def set_intersect(A: ScalarSet, B: ScalarSet) -> ScalarSet:
-    _join_set_domains(A, B)
+    join_domains(A.domain, B.domain)
     return ScalarSet(A.elems & B.elems)
 
 
 def set_union(A: ScalarSet, B: ScalarSet) -> ScalarSet:
-    _join_set_domains(A, B)
+    join_domains(A.domain, B.domain)
     return ScalarSet(A.elems | B.elems)
 
 
@@ -261,8 +257,9 @@ def dot_product_set(E: PointSet2, F: PointSet2) -> ScalarSet:
     if len(E) == 0 or len(F) == 0:
         return ScalarSet()
     q = E.domain
-    if q is not None and q != RATIONAL_DOMAIN:
+    if q not in (None, RATIONAL_DOMAIN) and 2 * (q - 1) ** 2 < 2 ** 63:
         return _dot_product_set_field(E, F, q)
+    # exact loop: rationals, and fields whose dot products overflow int64
     out = set()
     for ex, ey in E:
         for fx, fy in F:

@@ -1,11 +1,15 @@
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from shiftprod.numeric import PrimeFieldElement
 from shiftprod.progressions import GapSpec, GgpSpec, is_proper
 from shiftprod.setalg import ScalarSet
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 RATIONAL_BASES = [2, 3, 5, 7, 10, Fraction(1, 2), Fraction(3, 2), Fraction(2, 3)]
 FIELD_PRIMES = [53, 101, 103, 151]
@@ -55,3 +59,13 @@ def make_proper_field_ggp(rng: random.Random, d: int = None, tries: int = 4000) 
 @pytest.fixture
 def rng():
     return random.Random(20260822)
+
+
+@pytest.fixture(autouse=True, scope="session")
+def src_on_child_path():
+    """Child interpreters (``python -m shiftprod.cli``) import the package
+    from this checkout too, also when it is not installed."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", path)
+        yield

@@ -95,6 +95,18 @@ def test_verify_ff_explicit_sets(capsys):
     assert rep["identity_ok"] is True
 
 
+def test_verify_ff_large_q_no_overflow(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "verify-ff", "--q", "4294967291",
+        "--A", "{4294967289, 4294967287, 4294967283}",
+        "--G", "ggp 4294967290; gap 0;1;3",
+        "--epsilon", "1/100", "--delta", "1/10",
+    )
+    assert code == 0
+    assert json.loads(out)["identity_ok"] is True
+
+
 def test_prop_gp(capsys):
     code, out, _ = run_cli(capsys, "prop-gp", "gap 1;2,3;3,3", "ggp 2; gap 0;1,5;3,3")
     assert code == 0

@@ -39,9 +39,9 @@ def test_query_validation():
     with pytest.raises(ValueError):
         CoverQuery(A=A, min_factor_size=0)
     with pytest.raises(ValueError):
-        CoverQuery(A=A, coverage_target=Fraction(0))
+        conjecture_scan([("a", A)], coverage_target=Fraction(0))
     with pytest.raises(ValueError):
-        CoverQuery(A=A, coverage_target=Fraction(3, 2))
+        conjecture_scan([("a", A)], coverage_target=Fraction(3, 2))
     with pytest.raises(ValueError):
         CoverQuery(A=A, search_budget=0)
     CoverQuery(A=A, min_factor_size=1)

@@ -14,7 +14,7 @@ from shiftprod.ffharness import (
 )
 from shiftprod.harness import HarnessConfig, PreconditionError, exceptional_set
 from shiftprod.numeric import PrimeField, PrimeFieldElement
-from shiftprod.progressions import GapSpec, GgpSpec, enumerate_ggp
+from shiftprod.progressions import GapSpec, GgpSpec, enumerate_ggp, realized_size
 from shiftprod.setalg import Point2, PointSet2, ScalarSet
 
 
@@ -91,6 +91,15 @@ def test_field_pipeline_small():
     assert rep.constants["coverage_hypothesis"] == "fails"
     assert rep.structural_ok()
     assert not rep.finding()
+
+
+def test_field_pipeline_realized_size_of_non_proper_g():
+    F7 = PrimeField(7)
+    G = GgpSpec(F7(2), GapSpec(0, (1,), (4,)))
+    rep = run_field_pipeline(FfInput(q=7, A=ScalarSet([F7(1), F7(3)]), G=G,
+                                     epsilon=Fraction(1, 6), delta=Fraction(1, 2)))
+    assert rep.g_formal_len == 4
+    assert rep.g_realized_size == realized_size(G) == 3
 
 
 def test_field_pipeline_subgroup_run():

@@ -27,6 +27,11 @@ def test_is_prime_small():
     assert is_prime(101)
     assert not is_prime(1)
     assert not is_prime(91)
+    sieve = [False, False] + [True] * 9998
+    for n in range(2, 100):
+        if sieve[n]:
+            sieve[n * n::n] = [False] * len(range(n * n, 10000, n))
+    assert [is_prime(n) for n in range(10000)] == sieve
 
 
 def test_field_element_basics():

@@ -104,7 +104,7 @@ def test_dot_product_set_rational():
 
 def test_dot_product_set_field_matches_python():
     rng = random.Random(11)
-    for q in (5, 13, 101):
+    for q in (5, 13, 101, 4294967291):
         F = PrimeField(q)
         pts_e = PointSet2(
             [Point2(F(rng.randrange(q)), F(rng.randrange(q))) for _ in range(12)]
