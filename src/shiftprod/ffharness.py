@@ -31,7 +31,7 @@ from .numeric import (
     power_ratio_decimal,
 )
 from .progressions import GapSpec, GgpSpec, enumerate_ggp
-from .setalg import PAIR_CAP, PointSet2, ScalarSet, dot_product_set
+from .setalg import PAIR_CAP, PointSet2, ScalarSet, dot_product_set, productset
 
 __all__ = [
     "CoverageReport",
@@ -165,7 +165,7 @@ def run_field_pipeline(inp: FfInput) -> FfReport:
         raise PreconditionError("delta must lie strictly between 0 and 1")
 
     constants = {}
-    core = _run_core(A, G, cfg, constants)
+    core = _run_core(A, productset(A, A), G, cfg, constants)
     a, aa, c = len(A), len(core.AA), len(core.C)
 
     cond1_ok = compare_power(a * aa, q, Fraction(3, 2) + eps) >= 0

@@ -5,8 +5,8 @@ comparable size, the pipeline measures how much of the shifted product set
 AA+1 escapes G.  The route:
 
   * normalize G by its first element g1, so the progression starts at 1;
-  * collect the square part B = {g in G' : g*g in G'} and bound it from
-    below by the product of the half lengths;
+  * read the square part B = {g in G' : g*g in G'} off the exponents and
+    bound it from below by the product of the half lengths;
   * lift A and B to planar point sets E = g1*F and F = {(b, b*a)} whose
     dot-product set factors exactly as g1 * BB * (AA+1);
   * verify that factorization and the exact decomposition of G*(AA+1);
@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from math import prod
 from types import SimpleNamespace
 from typing import Optional, Tuple
 
@@ -195,18 +196,18 @@ def normalize(G: GgpSpec) -> GgpSpec:
 
 
 def square_part(Gn: GgpSpec) -> ScalarSet:
-    """B = {g in Gn : g*g in Gn}, by the literal membership predicate."""
-    elems = enumerate_ggp(Gn)
-    return ScalarSet(g for g in elems if ggp_membership(Gn, g * g))
+    """B = {g in Gn : g*g in Gn}, read off the exponents: g0**k is in B
+    exactly when 2k (mod ord(g0) over F_q) is an exponent of Gn."""
+    res, n = Gn.residues, Gn.order
+    return ScalarSet(scalar_pow(Gn.g0, k) for k in res
+                     if (2 * k if n is None else 2 * k % n) in res)
 
 
 def square_part_bound_check(G: GgpSpec, B: ScalarSet) -> Tuple[int, bool]:
     """Lower bound prod(floor(l_j / 2)) for |B|, and the companion check
     that the bound times 3**d still reaches the formal length."""
     lengths = G.exponents.lengths
-    bound = 1
-    for l in lengths:
-        bound *= l // 2
+    bound = prod(l // 2 for l in lengths)
     ok = len(B) >= bound and bound * 3 ** len(lengths) >= G.formal_length
     return bound, ok
 
@@ -243,16 +244,14 @@ def dot_identity_check(A: ScalarSet, B: ScalarSet, g1,
     return lhs, rhs, lhs == rhs
 
 
-def exceptional_set(A: ScalarSet, G: GgpSpec) -> ScalarSet:
-    """C = (AA+1) \\ G, decided pointwise by symbolic membership."""
-    AA1 = shift(productset(A, A), _one_for(A.domain))
+def exceptional_set(AA1: ScalarSet, G: GgpSpec) -> ScalarSet:
+    """C = AA1 \\ G for AA1 = AA+1, decided pointwise by symbolic membership."""
     return ScalarSet(x for x in AA1 if not ggp_membership(G, x))
 
 
-def _run_core(A: ScalarSet, G: GgpSpec, cfg: HarnessConfig,
+def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, cfg: HarnessConfig,
               constants: dict) -> SimpleNamespace:
-    """The mode-independent middle of both pipelines."""
-    AA = productset(A, A)
+    """The mode-independent middle of both pipelines; AA = A*A."""
     AA1 = shift(AA, _one_for(A.domain))
     g1 = first_element(G)
     Gn = normalize(G)
@@ -282,7 +281,7 @@ def _run_core(A: ScalarSet, G: GgpSpec, cfg: HarnessConfig,
     else:
         constants["g_bb_inclusion"] = "skipped"
 
-    C = exceptional_set(A, G)
+    C = exceptional_set(AA1, G)
     inter = set_intersect(Gset, AA1)
     G_inter = productset(Gset, inter)
     lhs_dec = productset(Gset, AA1)
@@ -307,14 +306,14 @@ def run_main_pipeline(inp: PipelineInput) -> MainReport:
         raise PreconditionError("delta must lie strictly between 0 and 1")
 
     constants = {}
-    aa_size = len(productset(A, A))
+    AA = productset(A, A)
     g_realized = realized_size(G)
-    ratio = Fraction(g_realized, aa_size)
+    ratio = Fraction(g_realized, len(AA))
     constants["size_match_ratio"] = str(ratio)
     if max(ratio, 1 / ratio) > cfg.size_match_factor:
         if cfg.on_size_mismatch == "reject":
             raise PreconditionError(
-                f"|G| = {g_realized} vs |AA| = {aa_size} is outside factor "
+                f"|G| = {g_realized} vs |AA| = {len(AA)} is outside factor "
                 f"{cfg.size_match_factor}")
         constants["size_match"] = "warn"
     degeneracy = degeneracy_ratio(G)
@@ -324,7 +323,7 @@ def run_main_pipeline(inp: PipelineInput) -> MainReport:
             f"degenerate progression: ratio {degeneracy} above "
             f"threshold {cfg.degeneracy_threshold}")
 
-    core = _run_core(A, G, cfg, constants)
+    core = _run_core(A, AA, G, cfg, constants)
     eps = delta / 3
     constants["pi_over_e_pow"] = power_ratio_decimal(
         len(core.Pi), max(1, len(core.E)), 1 - eps, DECIMAL_DIGITS)
@@ -333,7 +332,7 @@ def run_main_pipeline(inp: PipelineInput) -> MainReport:
 
     return MainReport(
         a_size=len(A),
-        aa_size=aa_size,
+        aa_size=len(AA),
         g_formal_len=G.formal_length,
         g_realized_size=len(core.Gset),
         b_size=len(core.B),
@@ -363,6 +362,5 @@ def shift_escape_experiment(H: GgpSpec, G: GgpSpec, delta: Fraction,
     inp = PipelineInput(A=A, G=G, delta=Fraction(delta),
                         config=config or HarnessConfig())
     report = run_main_pipeline(inp)
-    H1 = shift(Hset, _one_for(Hset.domain))
-    escape = ScalarSet(x for x in H1 if not ggp_membership(G, x))
+    escape = exceptional_set(shift(Hset, _one_for(Hset.domain)), G)
     return report, escape, len(escape) >= 1

@@ -74,7 +74,7 @@ def is_prime(n: int) -> bool:
     return n >= 2 and smallest_prime_factor(n) == n
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _require_prime(q: int) -> None:
     if not is_prime(q):
         raise ValueError(f"modulus {q} is not prime")

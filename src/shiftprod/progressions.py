@@ -7,6 +7,9 @@ prime-field element.  The formal length prod(l_j) counts exponent vectors;
 the realized size counts distinct values.  A spec is proper when the two
 agree.
 
+Each spec object computes its exponents once, as the cached attributes
+``GapSpec.values``, ``GgpSpec.order`` and ``GgpSpec.residues``.
+
 Membership has two routes: symbolic (exponent recovery, this module) and
 literal enumeration; the acceptance suite holds them equal.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import prod
 from typing import Optional, Tuple
@@ -44,7 +48,6 @@ __all__ = [
     "enumerate_ggp",
     "format_gap_spec",
     "format_ggp_spec",
-    "gap_membership",
     "ggp_membership",
     "growth_check",
     "is_degenerate",
@@ -89,6 +92,11 @@ class GapSpec:
     def value_at(self, vec: ExponentVector) -> int:
         return self.r0 + sum(x * r for x, r in zip(vec, self.generators))
 
+    @cached_property
+    def values(self) -> frozenset:
+        """The distinct integers of the progression."""
+        return frozenset(self.value_at(v) for v in self.vectors())
+
 
 @dataclass(frozen=True)
 class GgpSpec:
@@ -116,25 +124,27 @@ class GgpSpec:
     def formal_length(self) -> int:
         return self.exponents.formal_length
 
+    @cached_property
+    def order(self) -> Optional[int]:
+        """ord(g0) over F_q; None over Q, where g0**k never repeats."""
+        if self.domain == RATIONAL_DOMAIN:
+            return None
+        return multiplicative_order(self.g0)
+
+    @cached_property
+    def residues(self) -> frozenset:
+        """The exponent values, reduced mod ``order`` over F_q."""
+        if self.order is None:
+            return self.exponents.values
+        return frozenset(k % self.order for k in self.exponents.values)
+
 
 def enumerate_gap(R: GapSpec) -> ScalarSet:
-    return ScalarSet(_gap_values(R))
-
-
-def _gap_values(R: GapSpec) -> set:
-    return {R.value_at(v) for v in R.vectors()}
+    return ScalarSet(R.values)
 
 
 def enumerate_ggp(G: GgpSpec) -> ScalarSet:
-    return ScalarSet(scalar_pow(G.g0, k) for k in _gap_values(G.exponents))
-
-
-def gap_membership(R: GapSpec, k: int) -> Optional[ExponentVector]:
-    """Lexicographically smallest exponent vector realizing k, or None."""
-    for vec in R.vectors():
-        if R.value_at(vec) == k:
-            return vec
-    return None
+    return ScalarSet(scalar_pow(G.g0, k) for k in G.residues)
 
 
 def _valuation(n: int, p: int) -> int:
@@ -162,28 +172,23 @@ def _rational_log(g0, x) -> Optional[int]:
 
 
 def ggp_membership(G: GgpSpec, x: Scalar) -> bool:
-    """Symbolic membership: recover the exponent, then test it against the
-    exponent GAP.  Never enumerates the progression."""
+    """Symbolic membership: recover the exponent, then look it up in the
+    exponent set.  Never enumerates the progression."""
     if G.domain == RATIONAL_DOMAIN:
         if isinstance(x, PrimeFieldElement):
             return False
         k = _rational_log(G.g0, x)
-        return k is not None and gap_membership(G.exponents, k) is not None
+        return k is not None and k in G.residues
     q = G.domain
     if not isinstance(x, PrimeFieldElement) or x.modulus != q or x.residue == 0:
         return False
-    g = G.g0
-    ord_g = multiplicative_order(g)
+    g = G.g0.residue
     acc = 1
-    e = None
-    for t in range(ord_g):
+    for e in range(G.order):
         if acc == x.residue:
-            e = t
-            break
-        acc = acc * g.residue % q
-    if e is None:
-        return False
-    return any(k % ord_g == e for k in _gap_values(G.exponents))
+            return e in G.residues
+        acc = acc * g % q
+    return False
 
 
 def is_proper(spec) -> bool:
@@ -195,12 +200,8 @@ def is_proper(spec) -> bool:
 
 def realized_size(spec) -> int:
     if isinstance(spec, GapSpec):
-        return len(_gap_values(spec))
-    exps = _gap_values(spec.exponents)
-    if spec.domain == RATIONAL_DOMAIN:
-        return len(exps)
-    ord_g = multiplicative_order(spec.g0)
-    return len({k % ord_g for k in exps})
+        return len(spec.values)
+    return len(spec.residues)
 
 
 def degeneracy_ratio(spec) -> Fraction:

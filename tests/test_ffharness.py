@@ -14,8 +14,9 @@ from shiftprod.ffharness import (
 )
 from shiftprod.harness import HarnessConfig, PreconditionError, exceptional_set
 from shiftprod.numeric import PrimeField, PrimeFieldElement
+from shiftprod import progressions
 from shiftprod.progressions import GapSpec, GgpSpec, enumerate_ggp, realized_size
-from shiftprod.setalg import Point2, PointSet2, ScalarSet
+from shiftprod.setalg import Point2, PointSet2, ScalarSet, productset, shift
 
 
 def full_unit_plane(q):
@@ -64,7 +65,7 @@ def test_field_exceptional_set():
     A = ScalarSet([F5(1), F5(4)])
     G = GgpSpec(F5(2), GapSpec(0, (1,), (4,)))
     assert enumerate_ggp(G).sorted() == [F5(1), F5(2), F5(3), F5(4)]
-    assert exceptional_set(A, G).sorted() == [F5(0)]
+    assert exceptional_set(shift(productset(A, A), F5(1)), G).sorted() == [F5(0)]
 
 
 def test_field_pipeline_small():
@@ -100,6 +101,19 @@ def test_field_pipeline_realized_size_of_non_proper_g():
                                      epsilon=Fraction(1, 6), delta=Fraction(1, 2)))
     assert rep.g_formal_len == 4
     assert rep.g_realized_size == realized_size(G) == 3
+
+
+def test_field_pipeline_computes_each_order_once(monkeypatch):
+    calls = []
+    order = progressions.multiplicative_order
+    monkeypatch.setattr(progressions, "multiplicative_order",
+                        lambda g: calls.append(g) or order(g))
+    F = PrimeField(101)
+    A = ScalarSet(F(v) for v in (2, 3, 5, 7, 11, 13, 17, 19))
+    G = GgpSpec(F(2), GapSpec(1, (1, 7), (5, 5)))
+    run_field_pipeline(FfInput(q=101, A=A, G=G, epsilon=Fraction(1, 100),
+                               delta=Fraction(1, 10)))
+    assert 1 <= len(calls) <= 2
 
 
 def test_field_pipeline_subgroup_run():

@@ -83,7 +83,7 @@ def test_skew_lift_changes_the_product():
 def test_exceptional_set_known():
     A = ScalarSet([1, 2])
     G = GgpSpec(2, GapSpec(1, (1,), (3,)))
-    assert exceptional_set(A, G).sorted() == [3, 5]
+    assert exceptional_set(shift(productset(A, A), 1), G).sorted() == [3, 5]
 
 
 def test_pipeline_end_to_end():

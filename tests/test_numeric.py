@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from shiftprod.numeric import (
     ParseError,
     PrimeField,
     PrimeFieldElement,
+    _require_prime,
     compare_power,
     format_scalar,
     is_prime,
@@ -132,6 +134,15 @@ def test_multiplicative_order_against_enumeration():
                 steps += 1
             assert multiplicative_order(g) == steps
             assert (q - 1) % steps == 0
+
+
+def test_prime_cache_is_bounded():
+    maxsize = _require_prime.cache_info().maxsize
+    assert maxsize is not None
+    primes = (p for p in itertools.count(2) if is_prime(p))
+    for p in itertools.islice(primes, maxsize + 10):
+        PrimeFieldElement(1, p)
+    assert _require_prime.cache_info().currsize <= maxsize
 
 
 def test_scalar_text_roundtrip():

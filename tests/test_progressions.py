@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from shiftprod.numeric import ParseError, PrimeField
+from shiftprod.harness import square_part
+from shiftprod.numeric import ParseError, PrimeField, PrimeFieldElement, is_prime
 from shiftprod.progressions import (
     GapSpec,
     GgpSpec,
@@ -12,7 +14,6 @@ from shiftprod.progressions import (
     enumerate_ggp,
     format_gap_spec,
     format_ggp_spec,
-    gap_membership,
     ggp_membership,
     growth_check,
     is_degenerate,
@@ -59,17 +60,6 @@ def test_enumerate_gap_known():
     assert enumerate_gap(R2).sorted() == [0, 1, 2, 3, 4, 5, 6]
     assert not is_proper(R2)
     assert realized_size(R2) == 7
-
-
-def test_gap_membership_witness():
-    R = GapSpec(1, (2, 3), (3, 3))
-    assert gap_membership(R, 8) == (2, 1)
-    assert gap_membership(R, 1) == (0, 0)
-    assert gap_membership(R, 2) is None
-    for k in enumerate_gap(R):
-        vec = gap_membership(R, k)
-        assert vec is not None
-        assert R.value_at(vec) == k
 
 
 def test_enumerate_ggp_known():
@@ -186,3 +176,62 @@ def test_random_roundtrip_and_membership(rng):
         assert parse_ggp_spec(format_ggp_spec(G)) == G
         for x in enumerate_ggp(G):
             assert ggp_membership(G, x)
+
+
+# The oracle for the exponent data cached on each spec: the literal set
+# {g0**k : k over every exponent vector}, built without the cached
+# attributes.  Generators of either sign and zero give non-proper specs, and
+# over F_q they wrap mod ord(g0).
+
+def _gap_specs(gen_bound):
+    return st.builds(
+        lambda r0, dims: GapSpec(r0, tuple(g for g, _ in dims),
+                                 tuple(l for _, l in dims)),
+        st.integers(-6, 6),
+        st.lists(st.tuples(st.integers(-gen_bound, gen_bound), st.integers(3, 5)),
+                 min_size=1, max_size=3))
+
+
+RATIONAL_SPECS = st.builds(
+    GgpSpec,
+    st.builds(Fraction, st.integers(1, 7), st.integers(1, 7)).filter(lambda g: g != 1),
+    _gap_specs(6))
+
+FIELD_SPECS = st.sampled_from([q for q in range(3, 102) if is_prime(q)]).flatmap(
+    lambda q: st.builds(GgpSpec,
+                        st.integers(2, q - 1).map(lambda v: PrimeFieldElement(v, q)),
+                        _gap_specs(2 * q)))
+
+
+def _literal(G):
+    R = G.exponents
+    g0 = G.g0 if isinstance(G.g0, PrimeFieldElement) else Fraction(G.g0)
+    return {g0 ** R.value_at(v) for v in R.vectors()}
+
+
+def _check_against_literal(G, probes):
+    L = _literal(G)
+    assert set(enumerate_ggp(G)) == L
+    assert realized_size(G) == len(L)
+    assert is_proper(G) == (len(L) == G.formal_length)
+    assert set(square_part(G)) == {g for g in L if g * g in L}
+    for x in probes:
+        assert ggp_membership(G, x) == (x in L)
+
+
+@settings(deadline=None)
+@given(RATIONAL_SPECS)
+def test_compiled_rational_spec_matches_literal(G):
+    L = _literal(G)
+    g0 = Fraction(G.g0)
+    ks = G.exponents.values
+    probes = (L | {g * g for g in L}
+              | {g0 ** k for k in range(min(ks) - 3, max(ks) + 4)}
+              | {0, -1, Fraction(5, 7), Fraction(-1, 2)})
+    _check_against_literal(G, probes)
+
+
+@settings(deadline=None)
+@given(FIELD_SPECS)
+def test_compiled_field_spec_matches_literal(G):
+    _check_against_literal(G, [PrimeFieldElement(v, G.domain) for v in range(G.domain)])
