@@ -4,13 +4,16 @@ Subcommands: verify-main, verify-ff, prop-gp, conjecture-scan, gen.
 Exit codes: 0 clean, 1 a guaranteed property measured false (finding),
 2 usage or precondition error.  All randomness flows through one seed
 (--seed, else the config file, else SHIFTPROD_SEED, else 0), and repeated
-runs with the same inputs are byte identical.
+runs with the same inputs are byte identical.  Every JSON or CSV output
+goes through _write, the only serializer of report rows; gen's plain-text
+set listing is the one other output.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -18,15 +21,21 @@ import random
 import sys
 from fractions import Fraction
 
-from .explorer import conjecture_scan, scan_csv
-from .ffharness import FfInput, coverage_check, run_field_pipeline, subgroup_ggp
+from .explorer import conjecture_scan
+from .ffharness import (
+    FfInput,
+    _check_coverage_pairs,
+    coverage_check,
+    run_field_pipeline,
+    subgroup_ggp,
+)
 from .harness import (
     HarnessConfig,
     PipelineInput,
     PreconditionError,
     run_main_pipeline,
 )
-from .numeric import ParseError, PrimeField, PrimeFieldElement
+from .numeric import ParseError, PrimeField
 from .progressions import (
     GapSpec,
     GgpSpec,
@@ -87,6 +96,43 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
+def _fraction_text(x):
+    if isinstance(x, Fraction):
+        return str(x)
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
+def _csv_cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, dict):
+        return json.dumps(v, sort_keys=True)
+    return str(v)
+
+
+def _write(args, rows, default_format="json"):
+    """Emit one row, or a list of rows, as JSON or CSV (--format, else
+    default_format).
+
+    A row is a report dataclass or a plain dict; its keys, in order, are
+    the JSON keys and the CSV header.  JSON writes one row as an object
+    and a list as an array, with Fractions as "p/q" text.
+    """
+    dicts = [r if isinstance(r, dict) else dataclasses.asdict(r)
+             for r in (rows if isinstance(rows, list) else [rows])]
+    if (args.format or default_format) == "csv":
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        if dicts:
+            w.writerow(dicts[0])
+        w.writerows([_csv_cell(v) for v in d.values()] for d in dicts)
+        text = buf.getvalue()
+    else:
+        payload = dicts if isinstance(rows, list) else dicts[0]
+        text = json.dumps(payload, indent=2, default=_fraction_text) + "\n"
+    _emit(args, text)
+
+
 def auto_progression(A: ScalarSet) -> GgpSpec:
     """Powers of two, one generator, length matched to |AA|."""
     n = len(productset(A, A))
@@ -119,19 +165,6 @@ def arithmetic_set(start: Fraction, step: Fraction, length: int) -> ScalarSet:
     if step == 0:
         raise PreconditionError("step must be nonzero")
     return ScalarSet(Fraction(start) + i * Fraction(step) for i in range(length))
-
-
-def _reports_text(reports, fmt):
-    if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(reports[0].csv_header())
-        for r in reports:
-            w.writerow(r.to_csv_row())
-        return buf.getvalue()
-    if len(reports) == 1:
-        return reports[0].to_json() + "\n"
-    return json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
 
 
 def cmd_verify_main(args) -> int:
@@ -171,7 +204,7 @@ def cmd_verify_main(args) -> int:
         if not rep.structural_ok() or not rep.corollary1_ok:
             findings.append((A, G, rep))
 
-    _emit(args, _reports_text(reports, args.format or "json"))
+    _write(args, reports[0] if len(reports) == 1 else reports)
     for A, G, rep in findings:
         kind = "empty exceptional set" if rep.c_size == 0 else "structural check failed"
         print(f"finding: {kind} for A={format_scalar_set(A)} "
@@ -183,24 +216,21 @@ def _usage(msg):
     raise PreconditionError(msg)
 
 
-def _full_plane(q: int) -> PointSet2:
-    F = PrimeField(q)
-    return PointSet2(Point2(F(x), F(y))
-                     for x in range(q) for y in range(q) if (x, y) != (0, 0))
+def _full_plane(F: PrimeField) -> PointSet2:
+    return PointSet2(Point2(F(x), F(y)) for x in range(F.q) for y in range(F.q)
+                     if (x, y) != (0, 0))
 
 
 def cmd_verify_ff(args) -> int:
     cfg = _load_config(args)
     q = int(_pick(args, cfg, "q", 0)) or _usage("verify-ff needs --q")
     if args.full_plane:
-        E = _full_plane(q)
+        F = PrimeField(q)
+        # refuse before building the q**2 - 1 points
+        _check_coverage_pairs((q * q - 1) ** 2)
+        E = _full_plane(F)
         rep = coverage_check(E, E, q)
-        payload = {
-            "q": rep.q, "e_size": rep.e_size, "f_size": rep.f_size,
-            "hypothesis_ok": rep.hypothesis_ok,
-            "covered_size": rep.covered_size, "full": rep.full,
-        }
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _write(args, rep)
         return 1 if rep.hypothesis_ok and not rep.full else 0
 
     hcfg = HarnessConfig(skew_e=bool(_pick(args, cfg, "skew_e", False)))
@@ -219,7 +249,7 @@ def cmd_verify_ff(args) -> int:
 
     rep = run_field_pipeline(FfInput(q=q, A=A, G=G, epsilon=eps, delta=delta,
                                      config=hcfg))
-    _emit(args, _reports_text([rep], args.format or "json"))
+    _write(args, rep)
     if rep.finding():
         print(f"finding: q={q} A={format_scalar_set(A)} "
               f"G={format_ggp_spec(G)}", file=sys.stderr)
@@ -248,16 +278,7 @@ def cmd_prop_gp(args) -> int:
             "pass": gc.passed,
         })
         any_fail = any_fail or not gc.passed
-    if (args.format or "json") == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(rows[0].keys())
-        for r in rows:
-            w.writerow(["true" if v is True else "false" if v is False else v
-                        for v in r.values()])
-        _emit(args, buf.getvalue())
-    else:
-        _emit(args, json.dumps(rows, indent=2) + "\n")
+    _write(args, rows)
     return 1 if any_fail else 0
 
 
@@ -308,17 +329,7 @@ def cmd_conjecture_scan(args) -> int:
         search_budget=int(_pick(args, cfg, "budget", 200_000)),
         exhaustive_cutoff=int(_pick(args, cfg, "exhaustive_cutoff", 12)),
     )
-    if (args.format or "csv") == "json":
-        payload = [{
-            "instance_id": r.instance_id, "a_size": r.a_size,
-            "aa1_size": r.aa1_size, "b_size": r.b_size, "c_size": r.c_size,
-            "hit_count": r.hit_count,
-            "coverage_fraction": str(r.coverage_fraction),
-            "exhaustive": r.exhaustive, "tension_flag": r.tension_flag,
-        } for r in rows]
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        _emit(args, scan_csv(rows))
+    _write(args, rows, "csv")
     return 0
 
 
@@ -337,7 +348,7 @@ def cmd_gen(args) -> int:
                 _, G = subgroup_ggp(q, t)
                 entry_row["ggp"] = format_ggp_spec(G)
             payload.append(entry_row)
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _write(args, payload)
     else:
         _emit(args, "".join(format_scalar_set(A) + "\n" for _, A in instances))
     return 0

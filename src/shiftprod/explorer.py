@@ -29,21 +29,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Tuple
 
-from .numeric import PrimeFieldElement, as_rational, sort_key
+from .numeric import PrimeFieldElement, as_rational, scalar_is_zero, sort_key
 from .setalg import ScalarSet, productset, shift
-from .harness import _one_for
 
 __all__ = [
     "CoverQuery",
     "CoverResult",
     "ScanRow",
     "conjecture_scan",
-    "scan_csv",
     "search_bc",
 ]
-
-SCAN_COLUMNS = ["instance_id", "a_size", "aa1_size", "b_size", "c_size",
-                "hit_count", "coverage_fraction", "exhaustive", "tension_flag"]
 
 
 @dataclass(frozen=True)
@@ -73,15 +68,9 @@ class CoverResult:
     exhaustive: bool
 
 
-def _invertible(x) -> bool:
-    if isinstance(x, PrimeFieldElement):
-        return x.residue != 0
-    return x != 0
-
-
 def _div(s, t):
     if isinstance(s, PrimeFieldElement):
-        return s * t.inverse()
+        return s / t
     return as_rational(Fraction(s) / Fraction(t))
 
 
@@ -89,7 +78,7 @@ def _universe(T: ScalarSet) -> List:
     """T together with all pairwise quotients, sorted."""
     U = set(T.elems)
     for t in T:
-        if not _invertible(t):
+        if scalar_is_zero(t):
             continue
         for s in T:
             U.add(_div(s, t))
@@ -140,7 +129,7 @@ def _search_exhaustive(U: List, Tset, m: int, budget: int):
 
 def _search_heuristic(T: ScalarSet, U: List, m: int, budget: int):
     Tset = T.elems
-    pivots = [t for t in T.sorted() if _invertible(t)]
+    pivots = [t for t in T.sorted() if not scalar_is_zero(t)]
     quotients = {t: frozenset(_div(s, t) for s in T) for t in pivots}
     best_hit = -1
     best = (ScalarSet(), ScalarSet())
@@ -165,7 +154,7 @@ def _search_heuristic(T: ScalarSet, U: List, m: int, budget: int):
 
 def search_bc(query: CoverQuery) -> CoverResult:
     A = query.A
-    T = shift(productset(A, A), _one_for(A.domain))
+    T = shift(productset(A, A), 1)
     U = _universe(T)
     m = query.min_factor_size
     if len(U) <= query.exhaustive_cutoff:
@@ -199,7 +188,7 @@ def conjecture_scan(instances: Iterable[Tuple[str, ScalarSet]],
         raise ValueError("coverage_target must lie in (0, 1]")
     rows = []
     for instance_id, A in instances:
-        T = shift(productset(A, A), _one_for(A.domain))
+        T = shift(productset(A, A), 1)
         res = search_bc(CoverQuery(A=A,
                                    min_factor_size=min_factor_size,
                                    search_budget=search_budget,
@@ -220,19 +209,3 @@ def conjecture_scan(instances: Iterable[Tuple[str, ScalarSet]],
         ))
     return rows
 
-
-def scan_csv(rows: List[ScanRow]) -> str:
-    out = [",".join(SCAN_COLUMNS)]
-    for r in rows:
-        out.append(",".join([
-            r.instance_id,
-            str(r.a_size),
-            str(r.aa1_size),
-            str(r.b_size),
-            str(r.c_size),
-            str(r.hit_count),
-            str(r.coverage_fraction),
-            "true" if r.exhaustive else "false",
-            "true" if r.tension_flag else "false",
-        ]))
-    return "\n".join(out) + "\n"

@@ -108,6 +108,12 @@ def _coverage(E: PointSet2, F: PointSet2, dots: ScalarSet,
     return hypothesis, sum(1 for x in dots if x.residue != 0)
 
 
+def _check_coverage_pairs(pairs: int) -> None:
+    if pairs > PAIR_CAP:
+        raise PreconditionError(
+            f"coverage scan needs {pairs} pairs, above the cap {PAIR_CAP}")
+
+
 def coverage_check(E: PointSet2, F: PointSet2, q: int) -> CoverageReport:
     """Does the dot-product set of E and F reach every unit of F_q?
 
@@ -117,9 +123,7 @@ def coverage_check(E: PointSet2, F: PointSet2, q: int) -> CoverageReport:
     """
     if not is_prime(q):
         raise PreconditionError(f"{q} is not prime")
-    if len(E) * len(F) > PAIR_CAP:
-        raise PreconditionError(
-            f"coverage scan needs {len(E) * len(F)} pairs, above the cap {PAIR_CAP}")
+    _check_coverage_pairs(len(E) * len(F))
     hypothesis, covered = _coverage(E, F, dot_product_set(E, F), q)
     return CoverageReport(q=q, e_size=len(E), f_size=len(F),
                           hypothesis_ok=hypothesis, covered_size=covered,
@@ -165,45 +169,23 @@ def run_field_pipeline(inp: FfInput) -> FfReport:
         raise PreconditionError("delta must lie strictly between 0 and 1")
 
     constants = {}
-    core = _run_core(A, productset(A, A), G, cfg, constants)
-    a, aa, c = len(A), len(core.AA), len(core.C)
-
-    cond1_ok = compare_power(a * aa, q, Fraction(3, 2) + eps) >= 0
-    cond1_margin = power_ratio_decimal(a * aa, q, Fraction(3, 2) + eps,
-                                       DECIMAL_DIGITS)
-    cond2_ok = compare_power(aa, q, 1 - delta) <= 0
-    cond2_margin = power_ratio_decimal(aa, q, 1 - delta, DECIMAL_DIGITS)
-
-    hypothesis, covered = _coverage(core.E, core.F, core.Pi, q)
+    shared, E, F, Pi = _run_core(A, productset(A, A), G, eps, delta, cfg,
+                                 constants)
+    aa, c = shared["aa_size"], shared["c_size"]
+    hypothesis, covered = _coverage(E, F, Pi, q)
     constants["coverage_hypothesis"] = "holds" if hypothesis else "fails"
-    coverage_ok = covered == q - 1
-
-    q_delta_bound = compare_power(c, q, delta) >= 0
-    bound_ratio = power_ratio_decimal(c, q, delta, DECIMAL_DIGITS)
     constants["pi_over_e_pow"] = power_ratio_decimal(
-        len(core.Pi), max(1, len(core.E)), 1 - eps, DECIMAL_DIGITS)
-
+        len(Pi), max(1, len(E)), 1 - eps, DECIMAL_DIGITS)
     return FfReport(
         q=q,
-        a_size=a,
-        aa_size=aa,
-        g_formal_len=G.formal_length,
-        g_realized_size=len(core.Gset),
-        b_size=len(core.B),
-        e_size=len(core.E),
-        pi_size=len(core.Pi),
-        c_size=c,
-        epsilon=str(eps),
-        delta=str(delta),
-        claim_bb_bound=core.bb_bound,
-        identity_ok=core.identity_ok,
-        corollary1_ok=c >= 1,
-        cond1_ok=cond1_ok,
-        cond1_margin=cond1_margin,
-        cond2_ok=cond2_ok,
-        cond2_margin=cond2_margin,
-        coverage_ok=coverage_ok,
-        q_delta_bound=q_delta_bound,
-        bound_ratio=bound_ratio,
+        **shared,
+        cond1_ok=compare_power(len(A) * aa, q, Fraction(3, 2) + eps) >= 0,
+        cond1_margin=power_ratio_decimal(len(A) * aa, q, Fraction(3, 2) + eps,
+                                         DECIMAL_DIGITS),
+        cond2_ok=compare_power(aa, q, 1 - delta) <= 0,
+        cond2_margin=power_ratio_decimal(aa, q, 1 - delta, DECIMAL_DIGITS),
+        coverage_ok=covered == q - 1,
+        q_delta_bound=compare_power(c, q, delta) >= 0,
+        bound_ratio=power_ratio_decimal(c, q, delta, DECIMAL_DIGITS),
         constants=constants,
     )

@@ -20,19 +20,12 @@ ledger of the report.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
-from types import SimpleNamespace
 from typing import Optional, Tuple
 
-from .numeric import (
-    PrimeFieldElement,
-    RATIONAL_DOMAIN,
-    power_ratio_decimal,
-    scalar_pow,
-)
+from .numeric import RATIONAL_DOMAIN, power_ratio_decimal, scalar_pow
 from .progressions import (
     GapSpec,
     GgpSpec,
@@ -114,37 +107,11 @@ class PipelineInput:
 
 
 class Report:
-    """Serialization and structural checks shared by the pipeline reports.
+    """Structural checks shared by the pipeline reports.
 
-    Subclasses are frozen dataclasses whose field order is the
-    serialization order.
+    Subclasses are frozen dataclasses whose field order is the output
+    order; the command line's one writer turns them into JSON or CSV.
     """
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str):
-        return cls(**json.loads(text))
-
-    @classmethod
-    def csv_header(cls):
-        return [f.name for f in fields(cls)]
-
-    def to_csv_row(self):
-        row = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, dict):
-                row.append(json.dumps(v, sort_keys=True))
-            elif isinstance(v, bool):
-                row.append("true" if v else "false")
-            else:
-                row.append(str(v))
-        return row
 
     def structural_ok(self) -> bool:
         """All exactness checks a correct run must satisfy.  The square
@@ -176,12 +143,6 @@ class MainReport(Report):
     corollary1_ok: bool
     bound_ratio: str
     constants: dict
-
-
-def _one_for(domain):
-    if domain == RATIONAL_DOMAIN or domain is None:
-        return 1
-    return PrimeFieldElement(1, domain)
 
 
 def first_element(G: GgpSpec):
@@ -239,7 +200,7 @@ def dot_identity_check(A: ScalarSet, B: ScalarSet, g1,
     """Both sides of the factorization, computed independently."""
     E, F = build_point_sets(A, B, g1, skew=skew)
     lhs = dot_product_set(E, F)
-    AA1 = shift(productset(A, A), _one_for(A.domain))
+    AA1 = shift(productset(A, A), 1)
     rhs = scale(productset(productset(B, B), AA1), g1)
     return lhs, rhs, lhs == rhs
 
@@ -249,10 +210,14 @@ def exceptional_set(AA1: ScalarSet, G: GgpSpec) -> ScalarSet:
     return ScalarSet(x for x in AA1 if not ggp_membership(G, x))
 
 
-def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, cfg: HarnessConfig,
-              constants: dict) -> SimpleNamespace:
-    """The mode-independent middle of both pipelines; AA = A*A."""
-    AA1 = shift(AA, _one_for(A.domain))
+def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, eps: Fraction,
+              delta: Fraction, cfg: HarnessConfig, constants: dict):
+    """The mode-independent middle of both pipelines; AA = A*A.
+
+    Returns the report fields both pipelines share, then E, F and their
+    dot-product set Pi.
+    """
+    AA1 = shift(AA, 1)
     g1 = first_element(G)
     Gn = normalize(G)
     Gset = enumerate_ggp(G)
@@ -273,7 +238,6 @@ def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, cfg: HarnessConfig,
     Pi = dot_product_set(E, F)
     BB = productset(B, B)
     rhs = scale(productset(BB, AA1), g1)
-    identity_ok = Pi == rhs
 
     if proper:
         constants["g_bb_inclusion"] = (
@@ -291,9 +255,22 @@ def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, cfg: HarnessConfig,
     constants["gg_over_g"] = str(Fraction(len(GG), len(Gset)))
     constants["g_inter_le_gg"] = "pass" if len(G_inter) <= len(GG) else "fail"
 
-    return SimpleNamespace(AA=AA, AA1=AA1, g1=g1, Gset=Gset, B=B,
-                           bb_bound=bb_bound, E=E, F=F, Pi=Pi,
-                           identity_ok=identity_ok, C=C, proper=proper)
+    shared = dict(
+        a_size=len(A),
+        aa_size=len(AA),
+        g_formal_len=G.formal_length,
+        g_realized_size=len(Gset),
+        b_size=len(B),
+        e_size=len(E),
+        pi_size=len(Pi),
+        c_size=len(C),
+        epsilon=str(eps),
+        delta=str(delta),
+        claim_bb_bound=bb_bound,
+        identity_ok=Pi == rhs,
+        corollary1_ok=len(C) >= 1,
+    )
+    return shared, E, F, Pi
 
 
 def run_main_pipeline(inp: PipelineInput) -> MainReport:
@@ -323,28 +300,14 @@ def run_main_pipeline(inp: PipelineInput) -> MainReport:
             f"degenerate progression: ratio {degeneracy} above "
             f"threshold {cfg.degeneracy_threshold}")
 
-    core = _run_core(A, AA, G, cfg, constants)
     eps = delta / 3
+    shared, E, _, Pi = _run_core(A, AA, G, eps, delta, cfg, constants)
     constants["pi_over_e_pow"] = power_ratio_decimal(
-        len(core.Pi), max(1, len(core.E)), 1 - eps, DECIMAL_DIGITS)
-    bound_ratio = power_ratio_decimal(len(core.C), len(A), 1 - delta,
-                                      DECIMAL_DIGITS)
-
+        len(Pi), max(1, len(E)), 1 - eps, DECIMAL_DIGITS)
     return MainReport(
-        a_size=len(A),
-        aa_size=len(AA),
-        g_formal_len=G.formal_length,
-        g_realized_size=len(core.Gset),
-        b_size=len(core.B),
-        e_size=len(core.E),
-        pi_size=len(core.Pi),
-        c_size=len(core.C),
-        epsilon=str(eps),
-        delta=str(delta),
-        claim_bb_bound=core.bb_bound,
-        identity_ok=core.identity_ok,
-        corollary1_ok=len(core.C) >= 1,
-        bound_ratio=bound_ratio,
+        **shared,
+        bound_ratio=power_ratio_decimal(shared["c_size"], len(A), 1 - delta,
+                                        DECIMAL_DIGITS),
         constants=constants,
     )
 
@@ -358,9 +321,9 @@ def shift_escape_experiment(H: GgpSpec, G: GgpSpec, delta: Fraction,
     Returns (report, escape set, escaped flag).
     """
     Hset = enumerate_ggp(H)
-    A = set_union(Hset, ScalarSet([_one_for(Hset.domain)]))
+    A = ScalarSet([*Hset, 1])
     inp = PipelineInput(A=A, G=G, delta=Fraction(delta),
                         config=config or HarnessConfig())
     report = run_main_pipeline(inp)
-    escape = exceptional_set(shift(Hset, _one_for(Hset.domain)), G)
+    escape = exceptional_set(shift(Hset, 1), G)
     return report, escape, len(escape) >= 1

@@ -31,9 +31,7 @@ __all__ = [
     "nth_root_floor",
     "parse_scalar",
     "power_ratio_decimal",
-    "scalar_add",
     "scalar_is_zero",
-    "scalar_mul",
     "scalar_pow",
     "smallest_prime_factor",
     "sort_key",
@@ -234,16 +232,6 @@ def scalar_is_zero(x: Scalar) -> bool:
     if isinstance(x, PrimeFieldElement):
         return x.residue == 0
     return x == 0
-
-
-def scalar_add(a: Scalar, b: Scalar) -> Scalar:
-    join_domains(domain_of(a), domain_of(b))
-    return _canonical(a + b)
-
-
-def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
-    join_domains(domain_of(a), domain_of(b))
-    return _canonical(a * b)
 
 
 def scalar_pow(g: Scalar, k: int) -> Scalar:

@@ -37,9 +37,7 @@ __all__ = [
     "collinear",
     "dot_product_set",
     "expansion_ratios",
-    "format_point_set",
     "format_scalar_set",
-    "parse_point_set",
     "parse_scalar_set",
     "productset",
     "scale",
@@ -302,7 +300,7 @@ def expansion_ratios(A: ScalarSet) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# text format: "{1, 2, 4/3}" for scalar sets, "{(1,2), (3,4)}" for point sets
+# text format: "{1, 2, 4/3}" for scalar sets
 
 def format_scalar_set(A: ScalarSet) -> str:
     if isinstance(A, ScalarSet) and A.domain not in (None, RATIONAL_DOMAIN):
@@ -326,33 +324,3 @@ def parse_scalar_set(text: str, field: Optional[PrimeField] = None) -> ScalarSet
     toks = _split_brace_list(text, "scalar set")
     return ScalarSet(parse_scalar(tok, field) for tok in toks)
 
-
-def format_point_set(P: PointSet2) -> str:
-    def fmt(v):
-        return str(v.residue) if isinstance(v, PrimeFieldElement) else format_scalar(v)
-    return "{" + ", ".join(f"({fmt(p.x)},{fmt(p.y)})" for p in P.sorted()) + "}"
-
-
-def parse_point_set(text: str, field: Optional[PrimeField] = None) -> PointSet2:
-    s = text.strip()
-    if not s.startswith("{") or not s.endswith("}"):
-        raise ParseError("point set must be wrapped in braces", text, 0)
-    inner = s[1:-1].strip()
-    pts = []
-    pos = 0
-    while pos < len(inner):
-        start = inner.find("(", pos)
-        if start < 0:
-            if inner[pos:].strip(", "):
-                raise ParseError("stray text in point set", text, pos + 1)
-            break
-        end = inner.find(")", start)
-        if end < 0:
-            raise ParseError("unclosed point", text, start + 1)
-        coords = inner[start + 1:end].split(",")
-        if len(coords) != 2:
-            raise ParseError("points need exactly two coordinates", text, start + 1)
-        pts.append(Point2(parse_scalar(coords[0], field),
-                          parse_scalar(coords[1], field)))
-        pos = end + 1
-    return PointSet2(pts)

@@ -254,3 +254,23 @@ def test_module_invocation_byte_identical():
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.endswith("\n")
+
+
+def test_verify_ff_full_plane_csv(capsys):
+    code, out, _ = run_cli(capsys, "verify-ff", "--q", "5", "--full-plane",
+                           "--format", "csv")
+    assert code == 0
+    assert out == ("q,e_size,f_size,hypothesis_ok,covered_size,full\n"
+                   "5,24,24,true,4,true\n")
+
+
+def test_verify_ff_full_plane_refused_before_building(capsys, monkeypatch):
+    def build(*_):
+        raise AssertionError("the plane was built")
+
+    monkeypatch.setattr("shiftprod.cli._full_plane", build)
+    code, out, err = run_cli(capsys, "verify-ff", "--q", "1009", "--full-plane")
+    assert code == 2
+    assert out == ""
+    n = (1009 ** 2 - 1) ** 2
+    assert err == f"error: coverage scan needs {n} pairs, above the cap 10000000\n"

@@ -1,16 +1,15 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
 
 from conftest import make_int_set
+from shiftprod.cli import main
 from shiftprod.explorer import (
-    SCAN_COLUMNS,
     CoverQuery,
-    CoverResult,
     ScanRow,
     conjecture_scan,
-    scan_csv,
     search_bc,
 )
 from shiftprod.explorer import _hit, _universe
@@ -139,18 +138,19 @@ def test_structured_instance_flags_tension():
     assert row.tension_flag
 
 
-def test_scan_csv_layout():
+def test_scan_csv_layout(capsys):
     rows = conjecture_scan([("a", ScalarSet([1, 3]))], min_factor_size=2)
-    text = scan_csv(rows)
-    lines = text.splitlines()
-    assert lines[0] == ",".join(SCAN_COLUMNS)
-    assert lines[1] == "a,2,3,2,2,3,1,true,true"
-    assert text.endswith("\n")
     assert ScanRow(*("a", 2, 3, 2, 2, 3, Fraction(1), True, True)) == rows[0]
+    # the same A = {1, 3} through the command line, as CSV
+    assert main(["conjecture-scan", "--family", "arithmetic", "--count", "1",
+                 "--start", "1", "--step", "2", "--length", "2"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == ",".join(f.name for f in dataclasses.fields(ScanRow))
+    assert row == "arithmetic-000,2,3,2,2,3,1,true,true"
 
 
 def test_scan_determinism(rng):
     instances = [(f"i{k}", make_int_set(rng, 3, hi=25)) for k in range(3)]
-    first = scan_csv(conjecture_scan(instances, min_factor_size=2))
-    second = scan_csv(conjecture_scan(instances, min_factor_size=2))
+    first = conjecture_scan(instances, min_factor_size=2)
+    second = conjecture_scan(instances, min_factor_size=2)
     assert first == second

@@ -1,9 +1,14 @@
+import csv
+import dataclasses
+import io
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from shiftprod.cli import main
 from shiftprod.ffharness import (
     CoverageReport,
     FfInput,
@@ -141,16 +146,18 @@ def test_field_pipeline_subgroup_run():
     assert not rep.finding()
 
 
-def test_field_report_serialization():
+def test_field_report_serialization(capsys):
     S, G = subgroup_ggp(13, 4)
     rep = run_field_pipeline(
         FfInput(q=13, A=S, G=G, epsilon=Fraction(1, 6), delta=Fraction(1, 3))
     )
-    assert FfReport.from_json(rep.to_json()) == rep
-    header = FfReport.csv_header()
-    row = rep.to_csv_row()
-    assert len(row) == len(header)
-    assert header[0] == "q"
+    argv = ["verify-ff", "--q", "13", "--subgroup-t", "4",
+            "--epsilon", "1/6", "--delta", "1/3"]
+    assert main(argv) == 0
+    assert FfReport(**json.loads(capsys.readouterr().out)) == rep
+    assert main([*argv, "--format", "csv"]) == 0
+    header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header == [f.name for f in dataclasses.fields(FfReport)]
     assert row[0] == "13"
 
 
@@ -228,6 +235,6 @@ def test_finding_flag_on_coverage_gap():
     rep = run_field_pipeline(
         FfInput(q=101, A=S, G=G, epsilon=Fraction(1, 100), delta=Fraction(1, 10))
     )
-    forced = FfReport(**{**rep.to_dict(), "coverage_ok": False})
+    forced = dataclasses.replace(rep, coverage_ok=False)
     assert forced.finding()
     assert not rep.finding()

@@ -1,9 +1,13 @@
+import csv
+import dataclasses
+import io
 import json
 from fractions import Fraction
 
 import pytest
 
 from conftest import make_int_set, make_proper_ggp
+from shiftprod.cli import main
 from shiftprod.harness import (
     HarnessConfig,
     MainReport,
@@ -113,16 +117,17 @@ def test_pipeline_end_to_end():
     assert rep.structural_ok()
 
 
-def test_report_serialization():
+def test_report_serialization(capsys):
     A = ScalarSet([1, 2])
     G = GgpSpec(2, GapSpec(1, (1,), (3,)))
     rep = run_main_pipeline(PipelineInput(A=A, G=G, delta=Fraction(1, 2)))
-    assert MainReport.from_json(rep.to_json()) == rep
-    header = MainReport.csv_header()
-    assert header[0] == "a_size"
-    assert header[-1] == "constants"
-    row = rep.to_csv_row()
-    assert len(row) == len(header)
+    argv = ["verify-main", "--A", "{1, 2}", "--G", "ggp 2; gap 1;1;3",
+            "--delta", "1/2"]
+    assert main(argv) == 0
+    assert MainReport(**json.loads(capsys.readouterr().out)) == rep
+    assert main([*argv, "--format", "csv"]) == 0
+    header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header == [f.name for f in dataclasses.fields(MainReport)]
     assert row[header.index("identity_ok")] == "true"
     assert row[header.index("bound_ratio")] == "1.41421356237309504880"
     assert json.loads(row[-1])["claim_bb"] == "pass"

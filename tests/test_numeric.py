@@ -17,8 +17,6 @@ from shiftprod.numeric import (
     nth_root_floor,
     parse_scalar,
     power_ratio_decimal,
-    scalar_add,
-    scalar_mul,
     scalar_pow,
 )
 
@@ -89,16 +87,6 @@ def test_field_axioms_sampled():
             assert a * F(1) == a
             if a.residue != 0:
                 assert a * a.inverse() == F(1)
-
-
-def test_scalar_ops():
-    assert scalar_add(1, Fraction(1, 2)) == Fraction(3, 2)
-    assert scalar_mul(Fraction(2, 3), Fraction(3, 2)) == 1
-    assert isinstance(scalar_mul(Fraction(2, 3), Fraction(3, 2)), int)
-    F = PrimeField(5)
-    assert scalar_add(F(4), F(3)) == F(2)
-    with pytest.raises(DomainMismatchError):
-        scalar_add(F(4), Fraction(1, 3))
 
 
 def test_scalar_pow():

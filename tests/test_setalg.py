@@ -12,9 +12,7 @@ from shiftprod.setalg import (
     collinear,
     dot_product_set,
     expansion_ratios,
-    format_point_set,
     format_scalar_set,
-    parse_point_set,
     parse_scalar_set,
     productset,
     scale,
@@ -156,15 +154,6 @@ def test_scalar_set_text_roundtrip():
         parse_scalar_set("1, 2")
     with pytest.raises(ParseError):
         parse_scalar_set("{1, }")
-
-
-def test_point_set_text_roundtrip():
-    p = PointSet2([Point2(1, 2), Point2(Fraction(1, 2), -3)])
-    text = format_point_set(p)
-    assert text == "{(1/2,-3), (1,2)}"
-    assert parse_point_set(text) == p
-    with pytest.raises(ParseError):
-        parse_point_set("{(1, 2), (3)}")
 
 
 def test_random_algebra_laws():
