@@ -71,7 +71,7 @@ class CoverResult:
 def _div(s, t):
     if isinstance(s, PrimeFieldElement):
         return s / t
-    return as_rational(Fraction(s) / Fraction(t))
+    return as_rational(Fraction(s) / t)
 
 
 def _universe(T: ScalarSet) -> List:

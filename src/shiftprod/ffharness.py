@@ -123,6 +123,8 @@ def coverage_check(E: PointSet2, F: PointSet2, q: int) -> CoverageReport:
     """
     if not is_prime(q):
         raise PreconditionError(f"{q} is not prime")
+    if E.domain != q or F.domain != q:
+        raise PreconditionError(f"E and F must live in F_{q}")
     _check_coverage_pairs(len(E) * len(F))
     hypothesis, covered = _coverage(E, F, dot_product_set(E, F), q)
     return CoverageReport(q=q, e_size=len(E), f_size=len(F),
@@ -165,6 +167,8 @@ def run_field_pipeline(inp: FfInput) -> FfReport:
         raise PreconditionError(f"A and G must live in F_{q}")
     if eps <= 0:
         raise PreconditionError("epsilon must be positive")
+    if eps > 1:
+        raise PreconditionError("epsilon must be at most 1")
     if not (0 < delta < 1):
         raise PreconditionError("delta must lie strictly between 0 and 1")
 

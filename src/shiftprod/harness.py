@@ -174,9 +174,13 @@ def square_part_bound_check(G: GgpSpec, B: ScalarSet) -> Tuple[int, bool]:
 
 
 def _even_part_size(Gn: GgpSpec) -> int:
+    """|{g0**k : k from an exponent vector with every coordinate even}|;
+    distinct exponents give distinct powers over Q, and over F_q exactly
+    when they differ mod ord(g0)."""
     R = Gn.exponents
     exps = {R.value_at(v) for v in R.vectors() if all(x % 2 == 0 for x in v)}
-    return len(ScalarSet(scalar_pow(Gn.g0, k) for k in exps))
+    n = Gn.order
+    return len(exps if n is None else {k % n for k in exps})
 
 
 def build_point_sets(A: ScalarSet, B: ScalarSet, g1,

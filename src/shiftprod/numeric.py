@@ -2,7 +2,9 @@
 
 A scalar is either a rational number (a plain ``int`` or a
 ``fractions.Fraction`` in canonical form) or an element of a prime field
-``Z/qZ`` wrapped in :class:`PrimeFieldElement`.  Everything here is exact:
+``Z/qZ`` wrapped in :class:`PrimeFieldElement`.  Which domain a raw value
+joins is decided in one place, :func:`lift`; every set constructor and
+every scalar combined with a set goes through it.  Everything here is exact:
 no floats enter any computation, and decimal readouts of irrational power
 ratios are produced by integer root extraction at a stated digit count.
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 __all__ = [
     "DomainMismatchError",
@@ -27,6 +29,7 @@ __all__ = [
     "format_scalar",
     "is_prime",
     "join_domains",
+    "lift",
     "multiplicative_order",
     "nth_root_floor",
     "parse_scalar",
@@ -212,11 +215,8 @@ RATIONAL_DOMAIN = "Q"
 
 
 def domain_of(x: Scalar):
-    if isinstance(x, PrimeFieldElement):
-        return x.modulus
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        return RATIONAL_DOMAIN
-    raise TypeError(f"not a scalar: {x!r}")
+    """The domain tag of one scalar, by :func:`lift`'s rule."""
+    return lift([x])[1]
 
 
 def join_domains(a, b):
@@ -242,20 +242,52 @@ def scalar_pow(g: Scalar, k: int) -> Scalar:
         raise ZeroDivisionError("0 to a negative power")
     if isinstance(g, int):
         return g ** k if k >= 0 else Fraction(1, g ** (-k))
-    return _canonical(g ** k)
-
-
-def _canonical(x):
-    # Integer-valued Fractions collapse to int: same value, hash and
-    # equality, but much faster downstream arithmetic.
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return x.numerator
-    return x
+    return as_rational(g ** k)
 
 
 def as_rational(x) -> Union[int, Fraction]:
-    y = _canonical(Fraction(x) if not isinstance(x, int) else x)
-    return y
+    """x as an exact rational in canonical form.  Integer-valued values
+    collapse to int: same value, hash and equality, but much faster
+    downstream arithmetic."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def lift(values, domain=None) -> Tuple[list, object]:
+    """The domain rule: put raw scalars into one ground domain.
+
+    Returns the values as a list, in order, and the domain tag they share.
+    ``domain`` pins the tag in advance (None leaves it open).  A
+    PrimeFieldElement pins the domain to its modulus, and a second modulus
+    or a rational domain raises DomainMismatchError.  Over F_q plain ints
+    become residues and a Fraction raises DomainMismatchError; over Q
+    integer-valued Fractions collapse to int.  ``bool`` and non-scalars
+    raise TypeError.  An empty input keeps ``domain``.
+    """
+    out = list(values)
+    ints = fracs = False
+    for x in out:
+        if isinstance(x, PrimeFieldElement):
+            if x.modulus != domain:
+                domain = join_domains(domain, x.modulus)
+        elif isinstance(x, Fraction):
+            fracs = True
+        elif isinstance(x, int) and not isinstance(x, bool):
+            ints = True
+        else:
+            raise TypeError(f"not a scalar: {x!r}")
+    if domain in (None, RATIONAL_DOMAIN):
+        if fracs:
+            # as_rational inlined (ints have denominator 1): a hot path
+            out = [x.numerator if x.denominator == 1 else x for x in out]
+        return out, (RATIONAL_DOMAIN if out else domain)
+    if fracs:
+        raise DomainMismatchError("cannot mix rational and field scalars")
+    if ints:
+        out = [x if isinstance(x, PrimeFieldElement) else PrimeFieldElement(x, domain)
+               for x in out]
+    return out, domain
 
 
 def sort_key(x: Scalar):
@@ -321,7 +353,7 @@ def parse_scalar(text: str, field: Optional[PrimeField] = None) -> Scalar:
             raise ParseError("malformed field element", text, text.find("mod")) from None
         return PrimeFieldElement(r, q)
     try:
-        value = _canonical(Fraction(s))
+        value = as_rational(s)
     except (ValueError, ZeroDivisionError):
         raise ParseError("malformed rational", text, 0) from None
     if field is not None:

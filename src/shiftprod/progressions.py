@@ -28,6 +28,7 @@ from .numeric import (
     PrimeField,
     PrimeFieldElement,
     Scalar,
+    as_rational,
     domain_of,
     RATIONAL_DOMAIN,
     format_scalar,
@@ -111,10 +112,10 @@ class GgpSpec:
             if self.g0.residue in (0, 1 % self.g0.modulus):
                 raise ValueError("field base must be nonzero and != 1")
         else:
-            g = Fraction(self.g0)
+            g = as_rational(self.g0)
             if g <= 0 or g == 1:
                 raise ValueError("rational base must be positive and != 1")
-            object.__setattr__(self, "g0", g.numerator if g.denominator == 1 else g)
+            object.__setattr__(self, "g0", g)
 
     @property
     def domain(self):

@@ -5,6 +5,10 @@ Pairwise operations enumerate O(|A||B|) combinations with a hard desk-scale
 cap; the field-mode dot-product set has a vectorized int64 path since it
 is the one hot spot, taken only while every sum of two residue products
 fits in a signed 64-bit word.
+
+Both set types take their elements through :func:`numeric.lift`, the only
+place the domain rule lives, and so do the scalars of ``shift`` and
+``scale``, which join the domain of their set.
 """
 
 from __future__ import annotations
@@ -15,15 +19,14 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from .numeric import (
-    DomainMismatchError,
     ParseError,
     PrimeField,
     PrimeFieldElement,
     RATIONAL_DOMAIN,
     Scalar,
-    domain_of,
     format_scalar,
     join_domains,
+    lift,
     parse_scalar,
     scalar_is_zero,
     sort_key,
@@ -52,52 +55,18 @@ __all__ = [
 PAIR_CAP = 10 ** 7
 
 
-def _normalize_elems(elements):
-    """Coerce plain ints into a field when field elements are present and
-    collapse integer-valued Fractions; returns (frozenset, domain tag)."""
-    elems = list(elements)
-    domain = None
-    for x in elems:
-        if isinstance(x, PrimeFieldElement):
-            domain = join_domains(domain, x.modulus)
-        elif isinstance(x, Fraction) or (isinstance(x, int) and not isinstance(x, bool)):
-            pass
-        else:
-            raise TypeError(f"not a scalar: {x!r}")
-    if domain is None:
-        out = set()
-        for x in elems:
-            if isinstance(x, Fraction):
-                domain = RATIONAL_DOMAIN
-                out.add(x.numerator if x.denominator == 1 else x)
-            else:
-                domain = RATIONAL_DOMAIN
-                out.add(x)
-        return frozenset(out), (RATIONAL_DOMAIN if out else None)
-    q = domain
-    out = set()
-    for x in elems:
-        if isinstance(x, PrimeFieldElement):
-            out.add(x)
-        elif isinstance(x, int):
-            out.add(PrimeFieldElement(x, q))
-        else:
-            raise DomainMismatchError("cannot mix rational and field scalars")
-    return frozenset(out), q
-
-
-class ScalarSet:
-    """Immutable finite set of scalars from one domain."""
+class _DomainSet:
+    """Immutable finite set over one domain; ``elems`` is a frozenset and
+    ``domain`` its tag from :func:`numeric.lift`."""
 
     __slots__ = ("elems", "domain")
 
-    def __init__(self, elements: Iterable[Scalar] = ()):
-        elems, domain = _normalize_elems(elements)
+    def __init__(self, elems: frozenset, domain):
         object.__setattr__(self, "elems", elems)
         object.__setattr__(self, "domain", domain)
 
     def __setattr__(self, name, value):
-        raise AttributeError("ScalarSet is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __len__(self):
         return len(self.elems)
@@ -109,16 +78,26 @@ class ScalarSet:
         return x in self.elems
 
     def __eq__(self, other):
-        return isinstance(other, ScalarSet) and self.elems == other.elems
+        return type(other) is type(self) and self.elems == other.elems
 
     def __hash__(self):
         return hash(self.elems)
 
+    def __repr__(self):
+        return f"{type(self).__name__}({self.sorted()!r})"
+
+
+class ScalarSet(_DomainSet):
+    """Immutable finite set of scalars from one domain."""
+
+    __slots__ = ()
+
+    def __init__(self, elements: Iterable[Scalar] = ()):
+        elems, domain = lift(elements)
+        super().__init__(frozenset(elems), domain)
+
     def sorted(self):
         return sorted(self.elems, key=sort_key)
-
-    def __repr__(self):
-        return f"ScalarSet({self.sorted()!r})"
 
 
 class Point2(NamedTuple):
@@ -126,66 +105,19 @@ class Point2(NamedTuple):
     y: Scalar
 
 
-class PointSet2:
+class PointSet2(_DomainSet):
     """Immutable finite set of exact points in the plane over one domain."""
 
-    __slots__ = ("elems", "domain")
+    __slots__ = ()
 
     def __init__(self, points: Iterable = ()):
-        pts = []
-        field_mod = None
-        for p in points:
-            px, py = p
-            for v in (px, py):
-                if isinstance(v, PrimeFieldElement):
-                    field_mod = join_domains(field_mod, v.modulus)
-                else:
-                    domain_of(v)
-            pts.append((px, py))
-        if field_mod is None:
-            domain = RATIONAL_DOMAIN if pts else None
-        else:
-            # plain ints ride along into the field; Fractions do not
-            q = field_mod
-            coerced = []
-            for px, py in pts:
-                if isinstance(px, int) and not isinstance(px, bool):
-                    px = PrimeFieldElement(px, q)
-                if isinstance(py, int) and not isinstance(py, bool):
-                    py = PrimeFieldElement(py, q)
-                if not (isinstance(px, PrimeFieldElement)
-                        and isinstance(py, PrimeFieldElement)):
-                    raise DomainMismatchError(
-                        "cannot mix rational and field coordinates")
-                coerced.append((px, py))
-            pts = coerced
-            domain = q
-        object.__setattr__(self, "elems", frozenset(Point2(*p) for p in pts))
-        object.__setattr__(self, "domain", domain)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PointSet2 is immutable")
-
-    def __len__(self):
-        return len(self.elems)
-
-    def __iter__(self):
-        return iter(self.elems)
-
-    def __contains__(self, p):
-        return p in self.elems
-
-    def __eq__(self, other):
-        return isinstance(other, PointSet2) and self.elems == other.elems
-
-    def __hash__(self):
-        return hash(self.elems)
+        # each point unpacks to exactly two coordinates; map(Point2, it, it) re-pairs them
+        coords, domain = lift(c for px, py in points for c in (px, py))
+        it = iter(coords)
+        super().__init__(frozenset(map(Point2, it, it)), domain)
 
     def sorted(self):
         return sorted(self.elems, key=lambda p: (sort_key(p.x), sort_key(p.y)))
-
-    def __repr__(self):
-        return f"PointSet2({self.sorted()!r})"
 
 
 def _check_pair_budget(a: int, b: int, what: str):
@@ -206,28 +138,15 @@ def productset(A: ScalarSet, B: ScalarSet) -> ScalarSet:
     return ScalarSet(a * b for a in A for b in B)
 
 
-def _coerce_into(c, domain):
-    """Plain ints follow a field set's domain, everything else must match."""
-    if (domain not in (None, RATIONAL_DOMAIN)
-            and isinstance(c, int) and not isinstance(c, bool)):
-        return PrimeFieldElement(c, domain)
-    join_domains(domain, domain_of(c))
-    return c
-
-
 def shift(A: ScalarSet, c: Scalar) -> ScalarSet:
-    if len(A) == 0:
-        return A
-    c = _coerce_into(c, A.domain)
+    if len(A):
+        (c,), _ = lift([c], A.domain)
     return ScalarSet(a + c for a in A)
 
 
 def scale(A: ScalarSet, s: Scalar) -> ScalarSet:
-    if len(A) == 0:
-        if scalar_is_zero(s):
-            raise ValueError("scaling by zero collapses the set")
-        return A
-    s = _coerce_into(s, A.domain)
+    if len(A):
+        (s,), _ = lift([s], A.domain)
     if scalar_is_zero(s):
         raise ValueError("scaling by zero collapses the set")
     return ScalarSet(a * s for a in A)

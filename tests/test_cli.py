@@ -239,6 +239,14 @@ def test_usage_errors(capsys):
         assert err.strip() != ""
 
 
+def test_verify_ff_epsilon_above_one(capsys):
+    argv = ["verify-ff", "--q", "101", "--subgroup-t", "50", "--delta", "1/10"]
+    code, out, err = run_cli(capsys, *argv, "--epsilon", "2")
+    assert (code, out, err) == (2, "", "error: epsilon must be at most 1\n")
+    code, _, err = run_cli(capsys, *argv, "--epsilon", "1")
+    assert (code, err) == (0, "")
+
+
 def test_bad_env_seed(capsys, monkeypatch):
     monkeypatch.setenv("SHIFTPROD_SEED", "ten")
     code, _, err = run_cli(capsys, "gen", "--family", "random-integer", "--count", "1")

@@ -179,6 +179,11 @@ def test_field_pipeline_preconditions():
         run_field_pipeline(FfInput(q=5, A=A, G=G, epsilon=Fraction(0), delta=Fraction(1, 2)))
     with pytest.raises(PreconditionError):
         run_field_pipeline(FfInput(q=5, A=A, G=G, epsilon=Fraction(1, 6), delta=Fraction(1)))
+    # q**(1 - epsilon) in the ledger needs epsilon <= 1
+    with pytest.raises(PreconditionError, match="epsilon"):
+        run_field_pipeline(FfInput(q=5, A=A, G=G, epsilon=Fraction(2), delta=Fraction(1, 2)))
+    assert run_field_pipeline(
+        FfInput(q=5, A=A, G=G, epsilon=Fraction(1), delta=Fraction(1, 2))).identity_ok
 
 
 def test_coverage_check_full_plane():
@@ -211,6 +216,15 @@ def test_coverage_check_preconditions():
     E = full_unit_plane(5)
     with pytest.raises(PreconditionError):
         coverage_check(E, E, 6)
+    # point sets from another field, or from the rationals, are refused
+    E7 = full_unit_plane(7)
+    with pytest.raises(PreconditionError, match="F_11"):
+        coverage_check(E7, E7, 11)
+    with pytest.raises(PreconditionError):
+        coverage_check(E, E7, 5)
+    R = PointSet2([Point2(1, 2), Point2(3, 4)])
+    with pytest.raises(PreconditionError):
+        coverage_check(R, R, 5)
 
 
 def test_skew_lift_breaks_field_identity():

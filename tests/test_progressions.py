@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftprod.harness import square_part
+from shiftprod.harness import _even_part_size, square_part
 from shiftprod.numeric import ParseError, PrimeField, PrimeFieldElement, is_prime
 from shiftprod.progressions import (
     GapSpec,
@@ -179,7 +179,8 @@ def test_random_roundtrip_and_membership(rng):
 
 
 # The oracle for the exponent data cached on each spec: the literal set
-# {g0**k : k over every exponent vector}, built without the cached
+# {g0**k : k over every exponent vector} (over the all-even vectors, for
+# the b_even_size ledger entry), built without the cached
 # attributes.  Generators of either sign and zero give non-proper specs, and
 # over F_q they wrap mod ord(g0).
 
@@ -203,10 +204,11 @@ FIELD_SPECS = st.sampled_from([q for q in range(3, 102) if is_prime(q)]).flatmap
                         _gap_specs(2 * q)))
 
 
-def _literal(G):
+def _literal(G, even_only=False):
     R = G.exponents
     g0 = G.g0 if isinstance(G.g0, PrimeFieldElement) else Fraction(G.g0)
-    return {g0 ** R.value_at(v) for v in R.vectors()}
+    return {g0 ** R.value_at(v) for v in R.vectors()
+            if not even_only or all(x % 2 == 0 for x in v)}
 
 
 def _check_against_literal(G, probes):
@@ -215,6 +217,7 @@ def _check_against_literal(G, probes):
     assert realized_size(G) == len(L)
     assert is_proper(G) == (len(L) == G.formal_length)
     assert set(square_part(G)) == {g for g in L if g * g in L}
+    assert _even_part_size(G) == len(_literal(G, even_only=True))
     for x in probes:
         assert ggp_membership(G, x) == (x in L)
 

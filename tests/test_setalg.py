@@ -2,8 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from shiftprod.numeric import DomainMismatchError, ParseError, PrimeField
+from shiftprod.numeric import (
+    DomainMismatchError,
+    ParseError,
+    PrimeField,
+    PrimeFieldElement,
+)
 from shiftprod.setalg import (
     PAIR_CAP,
     Point2,
@@ -166,3 +172,92 @@ def test_random_algebra_laws():
         c = rng.randint(1, 5)
         assert shift(shift(xs, c), -c) == xs
         assert scale(scale(xs, c), Fraction(1, c)) == xs
+
+
+# The domain rule as the set constructors spelled it out before it moved
+# into numeric.lift, the oracle for the lift: returns the domain tag and the
+# elements as (type, value) pairs, or raises.
+def _domain_rule(values):
+    domain = None
+    for x in values:
+        if isinstance(x, PrimeFieldElement):
+            if domain not in (None, x.modulus):
+                raise DomainMismatchError("two moduli")
+            domain = x.modulus
+        elif isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise TypeError("not a scalar")
+    if domain is None:
+        out = [x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+               for x in values]
+        return ("Q" if out else None), out
+    if any(isinstance(x, Fraction) for x in values):
+        raise DomainMismatchError("rational in a field")
+    return domain, [PrimeFieldElement(x, domain) if isinstance(x, int) else x
+                    for x in values]
+
+
+SCALARS = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    st.integers(-9, 9).map(Fraction),
+    st.booleans(),
+    st.builds(PrimeFieldElement, st.integers(0, 12), st.sampled_from([5, 7])),
+    st.just(0.5),
+)
+
+
+def _typed(x):
+    """(type, value), coordinatewise for points: Fraction(2) == 2, so
+    equality alone cannot see whether a value collapsed to int."""
+    return tuple(map(_typed, x)) if isinstance(x, tuple) else (type(x), x)
+
+
+def _built(make, values):
+    try:
+        S = make(values)
+    except (TypeError, ValueError) as e:
+        return type(e)
+    return S.domain, {_typed(x) for x in S}
+
+
+def _expected(values, points=False):
+    try:
+        domain, out = _domain_rule(values)
+    except (TypeError, ValueError) as e:
+        return type(e)
+    if points:
+        out = zip(out[::2], out[1::2])
+    return domain, {_typed(x) for x in out}
+
+
+@settings(deadline=None)
+@given(st.lists(SCALARS, max_size=6))
+def test_scalar_set_lift_matches_domain_rule(values):
+    assert _built(ScalarSet, values) == _expected(values)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(SCALARS, SCALARS), max_size=4))
+def test_point_set_lift_matches_domain_rule(points):
+    flat = [c for p in points for c in p]
+    assert _built(PointSet2, points) == _expected(flat, points=True)
+
+
+def test_lift_explicit_cases():
+    F7, F11 = PrimeField(7), PrimeField(11)
+    with pytest.raises(ValueError):
+        PointSet2([(1, 2, 3)])
+    with pytest.raises(DomainMismatchError):
+        PointSet2([Point2(F7(1), F7(2)), Point2(F11(1), F11(2))])
+    with pytest.raises(DomainMismatchError):
+        PointSet2([Point2(F7(1), 2), Point2(Fraction(1, 2), 3)])
+    # the scalar of shift and scale joins the domain of its set
+    assert shift(ScalarSet([F7(1)]), 8) == ScalarSet([F7(2)])
+    with pytest.raises(DomainMismatchError):
+        shift(ScalarSet([1]), F7(1))
+    with pytest.raises(DomainMismatchError):
+        scale(ScalarSet([F7(1)]), Fraction(1, 2))
+    with pytest.raises(TypeError):
+        shift(ScalarSet([1]), True)
+    with pytest.raises(ValueError):
+        scale(ScalarSet([F7(1)]), 7)
