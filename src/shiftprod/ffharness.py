@@ -30,7 +30,7 @@ from .numeric import (
     multiplicative_order,
     power_ratio_decimal,
 )
-from .progressions import GapSpec, GgpSpec, enumerate_ggp
+from .progressions import GapSpec, GgpSpec, enumerate_ggp, require_bounded_log
 from .setalg import PAIR_CAP, PointSet2, ScalarSet, dot_product_set, productset
 
 __all__ = [
@@ -171,6 +171,7 @@ def run_field_pipeline(inp: FfInput) -> FfReport:
         raise PreconditionError("epsilon must be at most 1")
     if not (0 < delta < 1):
         raise PreconditionError("delta must lie strictly between 0 and 1")
+    require_bounded_log(G)
 
     constants = {}
     shared, E, F, Pi = _run_core(A, productset(A, A), G, eps, delta, cfg,

@@ -25,7 +25,12 @@ from fractions import Fraction
 from math import prod
 from typing import Optional, Tuple
 
-from .numeric import RATIONAL_DOMAIN, power_ratio_decimal, scalar_pow
+from .numeric import (
+    RATIONAL_DOMAIN,
+    PreconditionError,
+    power_ratio_decimal,
+    scalar_pow,
+)
 from .progressions import (
     GapSpec,
     GgpSpec,
@@ -66,10 +71,6 @@ __all__ = [
 ]
 
 DECIMAL_DIGITS = 20
-
-
-class PreconditionError(ValueError):
-    """Input rejected before any pipeline work ran."""
 
 
 @dataclass(frozen=True)

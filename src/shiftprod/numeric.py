@@ -8,6 +8,14 @@ every scalar combined with a set goes through it.  Everything here is exact:
 no floats enter any computation, and decimal readouts of irrational power
 ratios are produced by integer root extraction at a stated digit count.
 
+Primality is deterministic Miller-Rabin on the first 13 prime bases, exact
+below ``MR_EXACT_BELOW`` (about 3.3e24) and refused above it.  Factoring is
+one cached :func:`factor`: trial division up to ``TRIAL_DIVISION_BOUND``,
+then Pollard-Brent rho on the cofactor, refused when a cofactor does not
+split within ``RHO_STEP_CAP`` steps.  It serves :func:`multiplicative_order`,
+the generator search of the field pipeline and the discrete log of
+progression membership.  Refusals raise :class:`PreconditionError`.
+
 All values are immutable and all functions are pure.
 """
 
@@ -15,17 +23,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Tuple, Union
+from itertools import count
+from math import gcd
+from types import MappingProxyType
+from typing import Mapping, Optional, Tuple, Union
 
 __all__ = [
     "DomainMismatchError",
     "ParseError",
+    "PreconditionError",
     "PrimeField",
     "PrimeFieldElement",
     "RATIONAL_DOMAIN",
     "Scalar",
     "compare_power",
     "domain_of",
+    "factor",
     "format_scalar",
     "is_prime",
     "join_domains",
@@ -36,7 +49,6 @@ __all__ = [
     "power_ratio_decimal",
     "scalar_is_zero",
     "scalar_pow",
-    "smallest_prime_factor",
     "sort_key",
 ]
 
@@ -57,22 +69,106 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-def smallest_prime_factor(n: int) -> int:
-    """Least prime factor of n >= 2, by trial division up to the square
-    root; the only factoring loop in the package."""
-    if n % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return n
+class PreconditionError(ValueError):
+    """Input rejected before any pipeline work ran."""
+
+
+# Miller-Rabin on the first 13 prime bases has no strong pseudoprime below
+# this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3317044064679887385961981
+
+TRIAL_DIVISION_BOUND = 2 ** 10
+RHO_STEP_CAP = 2 ** 20
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial division up to the square root."""
-    return n >= 2 and smallest_prime_factor(n) == n
+    """Deterministic Miller-Rabin on the first 13 prime bases.
+
+    Exact below MR_EXACT_BELOW; an n above it with no factor among the
+    bases raises PreconditionError instead of risking a wrong answer.
+    """
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= MR_EXACT_BELOW:
+        raise PreconditionError(
+            f"{n} is above the deterministic primality bound {MR_EXACT_BELOW}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_split(n: int) -> int:
+    """A proper factor of the odd composite n by Brent's variant of
+    Pollard rho, x -> x*x + c, with gcds batched over 128 steps."""
+    budget = RHO_STEP_CAP
+    for c in count(1):
+        y, r, acc, d = 2, 1, 1, 1
+        while d == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * abs(x - y) % n
+                d = gcd(acc, n)
+                k += 128
+            budget -= 2 * r
+            if d == 1 and budget < 0:
+                raise PreconditionError(
+                    f"cannot factor {n}: no split within {RHO_STEP_CAP} rho steps")
+            r *= 2
+        if d == n:
+            # the batch overshot: replay it one step at a time
+            d = 1
+            while d == 1:
+                ys = (ys * ys + c) % n
+                d = gcd(abs(x - ys), n)
+        if d != n:
+            return d
+
+
+@lru_cache(maxsize=256)
+def factor(n: int) -> Mapping[int, int]:
+    """The prime factorization {p: e} of n >= 1, keys ascending.
+
+    Trial division up to TRIAL_DIVISION_BOUND, then Pollard-Brent rho on
+    the cofactor.  The result is read-only, since the cache shares it.
+    """
+    if n < 1:
+        raise ValueError(f"cannot factor {n}")
+    out = {}
+    f = 2
+    while f <= TRIAL_DIVISION_BOUND and f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1 if f == 2 else 2
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _rho_split(m)
+            rest += [d, m // d]
+    return MappingProxyType(dict(sorted(out.items())))
 
 
 @lru_cache(maxsize=256)
@@ -240,9 +336,9 @@ def scalar_pow(g: Scalar, k: int) -> Scalar:
         return g ** k
     if g == 0 and k < 0:
         raise ZeroDivisionError("0 to a negative power")
-    if isinstance(g, int):
-        return g ** k if k >= 0 else Fraction(1, g ** (-k))
-    return as_rational(g ** k)
+    if isinstance(g, int) and k >= 0:
+        return g ** k
+    return as_rational(Fraction(g) ** k)
 
 
 def as_rational(x) -> Union[int, Fraction]:
@@ -300,28 +396,18 @@ def sort_key(x: Scalar):
 def multiplicative_order(g: PrimeFieldElement) -> int:
     """Order of g in the unit group of its field.
 
-    Computed by stripping prime factors of q-1; the test suite checks it
-    against direct power enumeration.
+    Computed by stripping the prime factors of q-1, read from the cached
+    :func:`factor`; the test suite checks it against direct power
+    enumeration.
     """
     if g.residue == 0:
         raise ValueError("0 has no multiplicative order")
     q = g.modulus
-    n = q - 1
-    t = n
-    for p in _prime_factors(n):
+    t = q - 1
+    for p in factor(q - 1):
         while t % p == 0 and pow(g.residue, t // p, q) == 1:
             t //= p
     return t
-
-
-def _prime_factors(n: int):
-    out = []
-    while n > 1:
-        p = smallest_prime_factor(n)
-        out.append(p)
-        while n % p == 0:
-            n //= p
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +442,12 @@ def parse_scalar(text: str, field: Optional[PrimeField] = None) -> Scalar:
         value = as_rational(s)
     except (ValueError, ZeroDivisionError):
         raise ParseError("malformed rational", text, 0) from None
-    if field is not None:
-        if isinstance(value, int):
-            return field(value)
-        raise ParseError("non-integer text for a field scalar", text, 0)
-    return value
+    if field is None:
+        return value
+    try:
+        return lift([value], field.q)[0][0]
+    except DomainMismatchError:
+        raise ParseError("non-integer text for a field scalar", text, 0) from None
 
 
 # ---------------------------------------------------------------------------

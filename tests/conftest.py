@@ -4,12 +4,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from shiftprod.numeric import PrimeFieldElement
 from shiftprod.progressions import GapSpec, GgpSpec, is_proper
 from shiftprod.setalg import ScalarSet
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# Every property test runs without a per-example deadline: the oracles build
+# literal sets, and a wall-clock limit per example only measures host load.
+settings.register_profile("shiftprod", deadline=None)
+settings.load_profile("shiftprod")
 
 RATIONAL_BASES = [2, 3, 5, 7, 10, Fraction(1, 2), Fraction(3, 2), Fraction(2, 3)]
 FIELD_PRIMES = [53, 101, 103, 151]

@@ -282,3 +282,30 @@ def test_verify_ff_full_plane_refused_before_building(capsys, monkeypatch):
     assert out == ""
     n = (1009 ** 2 - 1) ** 2
     assert err == f"error: coverage scan needs {n} pairs, above the cap 10000000\n"
+
+
+FULL_ORDER_ARGS = ("--A", "{2, 3, 5}", "--G", "ggp 2; gap 0;1;3",
+                   "--epsilon", "1/100", "--delta", "1/10")
+
+
+@pytest.mark.parametrize("q", ["4294967291", "1000000000000000003"])
+def test_verify_ff_full_order_base_large_q(capsys, q):
+    # 2 has full order mod both primes, so membership is a discrete log over
+    # the whole unit group (largest prime factors 22605091 and 52445056723)
+    code, out, _ = run_cli(capsys, "verify-ff", "--q", q, *FULL_ORDER_ARGS)
+    assert code == 0
+    assert json.loads(out)["identity_ok"] is True
+
+
+def test_verify_ff_log_table_refused_before_building(capsys, monkeypatch):
+    def build(*_):
+        raise AssertionError("a baby-step table was built")
+
+    monkeypatch.setattr("shiftprod.progressions._baby_steps", build)
+    # the safe prime q = 2p + 1 with p = 137438954063: 2 has order p or 2p
+    code, out, err = run_cli(capsys, "verify-ff", "--q", "274877908127",
+                             *FULL_ORDER_ARGS)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: membership in powers of 2 mod 274877908127 needs a "
+                   "baby-step table of 370728 entries, above the cap 262144\n")

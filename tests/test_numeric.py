@@ -1,16 +1,21 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from shiftprod import numeric
 from shiftprod.numeric import (
+    MR_EXACT_BELOW,
     DomainMismatchError,
     ParseError,
+    PreconditionError,
     PrimeField,
     PrimeFieldElement,
     _require_prime,
     compare_power,
+    factor,
     format_scalar,
     is_prime,
     multiplicative_order,
@@ -21,17 +26,76 @@ from shiftprod.numeric import (
 )
 
 
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
 def test_is_prime_small():
     primes = [n for n in range(60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
-    assert is_prime(101)
     assert not is_prime(1)
     assert not is_prime(91)
-    sieve = [False, False] + [True] * 9998
-    for n in range(2, 100):
+
+
+def test_is_prime_matches_sieve_below_a_million():
+    N = 10 ** 6
+    sieve = bytearray([0, 0]) + bytearray([1]) * (N - 2)
+    for n in range(2, math.isqrt(N) + 1):
         if sieve[n]:
-            sieve[n * n::n] = [False] * len(range(n * n, 10000, n))
-    assert [is_prime(n) for n in range(10000)] == sieve
+            sieve[n * n::n] = bytes(len(range(n * n, N, n)))
+    assert [is_prime(n) for n in range(N)] == [bool(b) for b in sieve]
+    assert all(is_prime(n) == _trial_division_is_prime(n) for n in range(2000))
+
+
+def test_is_prime_on_pseudoprimes():
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841,
+                  29341, 41041, 46657, 52633, 62745, 63973, 75361]
+    # the smallest strong pseudoprime to the bases 2, 3, 5 and 7
+    for n in carmichael + [3215031751]:
+        assert not _trial_division_is_prime(n)
+        assert not is_prime(n)
+    for p in (2 ** 31 - 1, 2 ** 61 - 1, 10 ** 18 + 3, 4294967291):
+        assert is_prime(p)
+    assert not is_prime((2 ** 31 - 1) * 4294967291)
+
+
+def test_is_prime_refuses_above_its_bound():
+    n = MR_EXACT_BELOW | 1
+    while any(n % p == 0 for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)):
+        n += 2
+    with pytest.raises(PreconditionError, match="primality bound"):
+        is_prime(n)
+    assert not is_prime(MR_EXACT_BELOW * 2)
+
+
+def test_factor_multiplies_back():
+    rng = random.Random(11)
+    cases = [1, 2, 1024, 1025, 2 ** 64 - 1, 10 ** 18 + 2, 4294967290,
+             1000003 ** 2, 1000003 * 1000033, (2 ** 31 - 1) ** 2 * 6,
+             (2 ** 31 - 1) * 4294967291]
+    cases += [rng.randrange(1, 10 ** 24) for _ in range(40)]
+    for n in cases:
+        f = factor(n)
+        assert math.prod(p ** e for p, e in f.items()) == n
+        assert list(f) == sorted(f)
+        assert all(is_prime(p) and e >= 1 for p, e in f.items())
+    assert dict(factor(360)) == {2: 3, 3: 2, 5: 1}
+    with pytest.raises(TypeError):
+        factor(360)[7] = 1
+
+
+def test_factor_refuses_without_a_split(monkeypatch):
+    monkeypatch.setattr(numeric, "RHO_STEP_CAP", 4)
+    with pytest.raises(PreconditionError, match="rho steps"):
+        factor(1000037 * 1000039)
+
+
+def test_factor_cache_is_bounded():
+    maxsize = factor.cache_info().maxsize
+    assert maxsize is not None
+    for n in range(10 ** 6, 10 ** 6 + maxsize + 10):
+        factor(n)
+    assert factor.cache_info().currsize <= maxsize
 
 
 def test_field_element_basics():
@@ -94,6 +158,9 @@ def test_scalar_pow():
     assert scalar_pow(2, -2) == Fraction(1, 4)
     assert scalar_pow(Fraction(2, 3), -2) == Fraction(9, 4)
     assert scalar_pow(Fraction(3, 2), 0) == 1
+    # integer-valued results come back as int, the canonical form
+    for g, k, v in ((1, -2, 1), (-1, -3, -1), (Fraction(1, 2), -3, 8)):
+        assert scalar_pow(g, k) == v and type(scalar_pow(g, k)) is int
     F = PrimeField(7)
     assert scalar_pow(F(3), -1) == F(5)
     with pytest.raises(ZeroDivisionError):
@@ -149,7 +216,7 @@ def test_parse_scalar_errors():
         parse_scalar("x/y")
     with pytest.raises(ParseError):
         parse_scalar("3 mod abc")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="non-integer text for a field scalar"):
         parse_scalar("1/2", PrimeField(5))
 
 

@@ -1,12 +1,22 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
+from shiftprod import progressions
 from shiftprod.harness import _even_part_size, square_part
-from shiftprod.numeric import ParseError, PrimeField, PrimeFieldElement, is_prime
+from shiftprod.numeric import (
+    ParseError,
+    PreconditionError,
+    PrimeField,
+    PrimeFieldElement,
+    is_prime,
+    multiplicative_order,
+)
 from shiftprod.progressions import (
+    BSGS_TABLE_CAP,
     GapSpec,
     GgpSpec,
     degeneracy_ratio,
@@ -22,6 +32,7 @@ from shiftprod.progressions import (
     parse_ggp_spec,
     realized_size,
 )
+from shiftprod.progressions import _baby_steps, _discrete_log
 from conftest import make_proper_gap, make_proper_ggp
 
 
@@ -222,7 +233,6 @@ def _check_against_literal(G, probes):
         assert ggp_membership(G, x) == (x in L)
 
 
-@settings(deadline=None)
 @given(RATIONAL_SPECS)
 def test_compiled_rational_spec_matches_literal(G):
     L = _literal(G)
@@ -234,7 +244,68 @@ def test_compiled_rational_spec_matches_literal(G):
     _check_against_literal(G, probes)
 
 
-@settings(deadline=None)
 @given(FIELD_SPECS)
 def test_compiled_field_spec_matches_literal(G):
     _check_against_literal(G, [PrimeFieldElement(v, G.domain) for v in range(G.domain)])
+    _check_walk(G.g0.residue, G.order, G.domain)
+
+
+# The oracle for the discrete log: the power walk, one multiplication per
+# exponent up to ord(g).
+
+def _walk_logs(g, q):
+    logs, acc = {}, 1
+    while acc not in logs:
+        logs[acc] = len(logs)
+        acc = acc * g % q
+    return logs
+
+
+def _check_walk(g, n, q):
+    logs = _walk_logs(g, q)
+    assert len(logs) == n
+    for x in range(1, q):
+        assert (pow(x, n, q) == 1) == (x in logs)
+        if x in logs:
+            assert _discrete_log(g, x, n, q) == logs[x]
+
+
+def test_discrete_log_matches_walk_for_every_base():
+    for q in (q for q in range(3, 102) if is_prime(q)):
+        for g in range(2, q):
+            _check_walk(g, multiplicative_order(PrimeFieldElement(g, q)), q)
+
+
+def test_discrete_log_large_orders():
+    # q - 1 = 2 * 5 * 19 * 22605091 and 2 * 3 * 17 * 131 * 1427 * 52445056723;
+    # 2 has full order mod both, so every prime-power digit is exercised
+    for q in (4294967291, 10 ** 18 + 3):
+        n = multiplicative_order(PrimeFieldElement(2, q))
+        for k in (0, 1, 12345, n // 2 + 7, n - 1):
+            assert _discrete_log(2, pow(2, k, q), n, q) == k
+
+
+def test_membership_refused_above_table_cap(monkeypatch):
+    # a safe prime q = 2p + 1: the table for p has isqrt(p - 1) + 1 entries
+    q, p = 274877908127, 137438954063
+
+    def build(*_):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(progressions, "_baby_steps", build)
+    G = GgpSpec(PrimeFieldElement(2, q), GapSpec(0, (1,), (3,)))
+    m = isqrt(p - 1) + 1
+    assert m > BSGS_TABLE_CAP
+    with pytest.raises(PreconditionError,
+                       match=f"table of {m} entries, above the cap {BSGS_TABLE_CAP}"):
+        ggp_membership(G, PrimeFieldElement(3, q))
+
+
+def test_baby_step_cache_is_bounded():
+    maxsize = _baby_steps.cache_info().maxsize
+    assert maxsize is not None
+    primes = [q for q in range(3, 2000) if is_prime(q)][:maxsize + 10]
+    for q in primes:
+        # -1 has order 2 in F_q
+        assert _baby_steps(q - 1, 2, q)[0] == {1: 0, q - 1: 1}
+    assert _baby_steps.cache_info().currsize <= maxsize

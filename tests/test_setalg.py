@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from shiftprod.numeric import (
     DomainMismatchError,
@@ -230,13 +230,11 @@ def _expected(values, points=False):
     return domain, {_typed(x) for x in out}
 
 
-@settings(deadline=None)
 @given(st.lists(SCALARS, max_size=6))
 def test_scalar_set_lift_matches_domain_rule(values):
     assert _built(ScalarSet, values) == _expected(values)
 
 
-@settings(deadline=None)
 @given(st.lists(st.tuples(SCALARS, SCALARS), max_size=4))
 def test_point_set_lift_matches_domain_rule(points):
     flat = [c for p in points for c in p]
