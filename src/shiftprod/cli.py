@@ -35,7 +35,7 @@ from .harness import (
     PreconditionError,
     run_main_pipeline,
 )
-from .numeric import ParseError, PrimeField
+from .numeric import PrimeField
 from .progressions import (
     GapSpec,
     GgpSpec,
@@ -233,7 +233,6 @@ def cmd_verify_ff(args) -> int:
         _write(args, rep)
         return 1 if rep.hypothesis_ok and not rep.full else 0
 
-    hcfg = HarnessConfig(skew_e=bool(_pick(args, cfg, "skew_e", False)))
     eps = Fraction(str(_pick(args, cfg, "epsilon", None) or
                        _usage("verify-ff needs --epsilon")))
     delta = Fraction(str(_pick(args, cfg, "delta", None) or
@@ -247,8 +246,9 @@ def cmd_verify_ff(args) -> int:
     else:
         _usage("verify-ff needs --subgroup-t or both --A and --G")
 
-    rep = run_field_pipeline(FfInput(q=q, A=A, G=G, epsilon=eps, delta=delta,
-                                     config=hcfg))
+    rep = run_field_pipeline(FfInput(
+        q=q, A=A, G=G, epsilon=eps, delta=delta,
+        skew_e=bool(_pick(args, cfg, "skew_e", False))))
     _write(args, rep)
     if rep.finding():
         print(f"finding: q={q} A={format_scalar_set(A)} "
@@ -283,6 +283,8 @@ def cmd_prop_gp(args) -> int:
 
 
 def _family_instances(args, cfg, seed):
+    """(instance_id, A, G) triples; G is the progression of a subgroup
+    instance and None for the other families."""
     family = args.family
     count = int(_pick(args, cfg, "count", 10))
     rng = random.Random(seed)
@@ -295,24 +297,24 @@ def _family_instances(args, cfg, seed):
         for i in range(count):
             size = rng.randint(smin, smax)
             out.append((f"{family}-{i:03d}",
-                        random_integer_set(rng, size, lo, hi)))
+                        random_integer_set(rng, size, lo, hi), None))
     elif family == "geometric":
         base = Fraction(str(_pick(args, cfg, "base", 2)))
         length = int(_pick(args, cfg, "length", 5))
         for i in range(count):
-            out.append((f"{family}-{i:03d}", geometric_set(base, length + i)))
+            out.append((f"{family}-{i:03d}",
+                        geometric_set(base, length + i), None))
     elif family == "arithmetic":
         start = Fraction(str(_pick(args, cfg, "start", 1)))
         step = Fraction(str(_pick(args, cfg, "step", 1)))
         length = int(_pick(args, cfg, "length", 5))
         for i in range(count):
             out.append((f"{family}-{i:03d}",
-                        arithmetic_set(start, step, length + i)))
+                        arithmetic_set(start, step, length + i), None))
     elif family == "subgroup":
         q = int(_pick(args, cfg, "q", 0)) or _usage("subgroup family needs --q")
         t = int(_pick(args, cfg, "t", 0)) or _usage("subgroup family needs --t")
-        A, _ = subgroup_ggp(q, t)
-        out.append((f"{family}-q{q}-t{t}", A))
+        out.append((f"{family}-q{q}-t{t}", *subgroup_ggp(q, t)))
     else:
         _usage(f"unknown family {family!r}")
     return out
@@ -323,7 +325,7 @@ def cmd_conjecture_scan(args) -> int:
     seed = _resolve_seed(args, cfg)
     instances = _family_instances(args, cfg, seed)
     rows = conjecture_scan(
-        instances,
+        [(iid, A) for iid, A, _ in instances],
         min_factor_size=int(_pick(args, cfg, "min_factor_size", 2)),
         coverage_target=Fraction(str(_pick(args, cfg, "coverage_target", 1))),
         search_budget=int(_pick(args, cfg, "budget", 200_000)),
@@ -339,18 +341,16 @@ def cmd_gen(args) -> int:
     instances = _family_instances(args, cfg, seed)
     if (args.format or "json") == "json":
         payload = []
-        for iid, A in instances:
+        for iid, A, G in instances:
             entry_row = {"instance_id": iid, "seed": seed,
                          "set": format_scalar_set(A)}
-            if args.family == "subgroup":
-                q = int(_pick(args, cfg, "q", 0))
-                t = int(_pick(args, cfg, "t", 0))
-                _, G = subgroup_ggp(q, t)
+            if G is not None:
                 entry_row["ggp"] = format_ggp_spec(G)
             payload.append(entry_row)
         _write(args, payload)
     else:
-        _emit(args, "".join(format_scalar_set(A) + "\n" for _, A in instances))
+        _emit(args, "".join(format_scalar_set(A) + "\n"
+                            for _, A, _ in instances))
     return 0
 
 
@@ -452,9 +452,6 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (ParseError, PreconditionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -7,13 +7,15 @@ large are the interesting rows: the guiding expectation is that one factor
 always stays small, so such rows are flagged as tension findings in scan
 tables.  Tables are evidence, never claimed proofs.
 
-Candidates are drawn from the quotient universe U = T union {s/t}.  Two
-tiers:
+T is built once per query.  Two tiers:
 
-  * exhaustive: when |U| is small, every admissible subset pair of U is
+  * exhaustive: when the quotient universe U = T union {s/t} has at most
+    exhaustive_cutoff elements, every admissible subset pair of U is
     scanned in deterministic bitmask order (with a prune that only skips
     pairs which provably cannot improve the running best, so the outcome
-    equals the plain double loop);
+    equals the plain double loop).  U contains T, so it is built only
+    when |T| is within the cutoff; its 2**|U| subsets are listed up
+    front, so the cutoff is capped at EXHAUSTIVE_CUTOFF_CAP;
   * heuristic: pivot sets S of size min_factor_size drawn from T, paired
     with B = {x : x*s in T for every s in S}, the largest set whose
     products with S all land inside T.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, List, Tuple
 
@@ -33,12 +36,15 @@ from .numeric import PrimeFieldElement, as_rational, scalar_is_zero, sort_key
 from .setalg import ScalarSet, productset, shift
 
 __all__ = [
+    "EXHAUSTIVE_CUTOFF_CAP",
     "CoverQuery",
     "CoverResult",
     "ScanRow",
     "conjecture_scan",
     "search_bc",
 ]
+
+EXHAUSTIVE_CUTOFF_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -55,8 +61,14 @@ class CoverQuery:
             raise ValueError("min_factor_size must be at least 1")
         if self.search_budget < 1:
             raise ValueError("search_budget must be at least 1")
-        if self.exhaustive_cutoff < 1:
-            raise ValueError("exhaustive_cutoff must be at least 1")
+        if not 1 <= self.exhaustive_cutoff <= EXHAUSTIVE_CUTOFF_CAP:
+            raise ValueError(f"exhaustive_cutoff must lie in [1, "
+                             f"{EXHAUSTIVE_CUTOFF_CAP}]")
+
+    @cached_property
+    def T(self) -> ScalarSet:
+        """The target AA+1, built once per query."""
+        return shift(productset(self.A, self.A), 1)
 
 
 @dataclass(frozen=True)
@@ -77,11 +89,7 @@ def _div(s, t):
 def _universe(T: ScalarSet) -> List:
     """T together with all pairwise quotients, sorted."""
     U = set(T.elems)
-    for t in T:
-        if scalar_is_zero(t):
-            continue
-        for s in T:
-            U.add(_div(s, t))
+    U.update(_div(s, t) for t in T if not scalar_is_zero(t) for s in T)
     return sorted(U, key=sort_key)
 
 
@@ -91,53 +99,31 @@ def _hit(B, C, Tset) -> int:
 
 def _search_exhaustive(U: List, Tset, m: int, budget: int):
     n = len(U)
-    subsets = [tuple(U[i] for i in range(n) if mask >> i & 1)
-               for mask in range(1 << n)]
-    best_hit = -1
-    best = (ScalarSet(), ScalarSet())
-    evals = 0
-    complete = True
-    full = subsets[-1]
-    for bmask in range(1, 1 << n):
-        B = subsets[bmask]
-        if len(B) < m:
-            continue
+    admissible = [S for S in (tuple(U[i] for i in range(n) if mask >> i & 1)
+                              for mask in range(1, 1 << n)) if len(S) >= m]
+    best_hit, best, evals = -1, (ScalarSet(), ScalarSet()), 0
+    for B in admissible:
         # an upper bound over every possible C; skipping cannot change
         # which pair first attains each strict improvement
-        if _hit(B, full, Tset) <= best_hit:
+        if _hit(B, U, Tset) <= best_hit:
             continue
-        stop = False
-        for cmask in range(1, 1 << n):
-            C = subsets[cmask]
-            if len(C) < m:
-                continue
+        for C in admissible:
             evals += 1
             if evals > budget:
-                complete = False
-                stop = True
-                break
+                return best[0], best[1], max(best_hit, 0), False
             h = _hit(B, C, Tset)
             if h > best_hit:
-                best_hit = h
-                best = (ScalarSet(B), ScalarSet(C))
-        if stop:
-            break
-    if best_hit < 0:
-        return ScalarSet(), ScalarSet(), 0, complete
-    return best[0], best[1], best_hit, complete
+                best_hit, best = h, (ScalarSet(B), ScalarSet(C))
+    return best[0], best[1], max(best_hit, 0), True
 
 
-def _search_heuristic(T: ScalarSet, U: List, m: int, budget: int):
+def _search_heuristic(T: ScalarSet, m: int, budget: int):
     Tset = T.elems
     pivots = [t for t in T.sorted() if not scalar_is_zero(t)]
     quotients = {t: frozenset(_div(s, t) for s in T) for t in pivots}
-    best_hit = -1
-    best = (ScalarSet(), ScalarSet())
-    evals = 0
+    best_hit, best, evals = -1, (ScalarSet(), ScalarSet()), 0
     for S in itertools.combinations(pivots, m):
-        B = quotients[S[0]]
-        for t in S[1:]:
-            B = B & quotients[t]
+        B = frozenset.intersection(*(quotients[t] for t in S))
         if len(B) < m:
             continue
         evals += 1
@@ -145,23 +131,19 @@ def _search_heuristic(T: ScalarSet, U: List, m: int, budget: int):
             break
         h = _hit(B, S, Tset)
         if h > best_hit:
-            best_hit = h
-            best = (ScalarSet(B), ScalarSet(S))
-    if best_hit < 0:
-        return ScalarSet(), ScalarSet(), 0
-    return best[0], best[1], best_hit
+            best_hit, best = h, (ScalarSet(B), ScalarSet(S))
+    return best[0], best[1], max(best_hit, 0)
 
 
 def search_bc(query: CoverQuery) -> CoverResult:
-    A = query.A
-    T = shift(productset(A, A), 1)
-    U = _universe(T)
-    m = query.min_factor_size
-    if len(U) <= query.exhaustive_cutoff:
-        B, C, hit, complete = _search_exhaustive(
-            U, T.elems, m, query.search_budget)
-        return CoverResult(B, C, hit, Fraction(hit, len(T)), complete)
-    B, C, hit = _search_heuristic(T, U, m, query.search_budget)
+    T, m, budget = query.T, query.min_factor_size, query.search_budget
+    # U contains T, so a T above the cutoff already means the heuristic tier
+    if len(T) <= query.exhaustive_cutoff:
+        U = _universe(T)
+        if len(U) <= query.exhaustive_cutoff:
+            B, C, hit, complete = _search_exhaustive(U, T.elems, m, budget)
+            return CoverResult(B, C, hit, Fraction(hit, len(T)), complete)
+    B, C, hit = _search_heuristic(T, m, budget)
     return CoverResult(B, C, hit, Fraction(hit, len(T)), False)
 
 
@@ -188,18 +170,17 @@ def conjecture_scan(instances: Iterable[Tuple[str, ScalarSet]],
         raise ValueError("coverage_target must lie in (0, 1]")
     rows = []
     for instance_id, A in instances:
-        T = shift(productset(A, A), 1)
-        res = search_bc(CoverQuery(A=A,
-                                   min_factor_size=min_factor_size,
-                                   search_budget=search_budget,
-                                   exhaustive_cutoff=exhaustive_cutoff))
+        query = CoverQuery(A=A, min_factor_size=min_factor_size,
+                           search_budget=search_budget,
+                           exhaustive_cutoff=exhaustive_cutoff)
+        res = search_bc(query)
         tension = (res.hit_count > 0
                    and res.coverage_fraction >= coverage_target
                    and min(len(res.best_B), len(res.best_C)) >= min_factor_size)
         rows.append(ScanRow(
             instance_id=str(instance_id),
             a_size=len(A),
-            aa1_size=len(T),
+            aa1_size=len(query.T),
             b_size=len(res.best_B),
             c_size=len(res.best_C),
             hit_count=res.hit_count,

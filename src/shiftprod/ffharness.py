@@ -12,13 +12,12 @@ enumeration under a hard pair cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
 from .harness import (
     DECIMAL_DIGITS,
-    HarnessConfig,
     PreconditionError,
     Report,
     _run_core,
@@ -50,7 +49,7 @@ class FfInput:
     G: GgpSpec
     epsilon: Fraction
     delta: Fraction
-    config: HarnessConfig = field(default_factory=HarnessConfig)
+    skew_e: bool = False
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,7 @@ def subgroup_ggp(q: int, t: int) -> Tuple[ScalarSet, GgpSpec]:
 
 def run_field_pipeline(inp: FfInput) -> FfReport:
     q, A, G = inp.q, inp.A, inp.G
-    eps, delta, cfg = Fraction(inp.epsilon), Fraction(inp.delta), inp.config
+    eps, delta = Fraction(inp.epsilon), Fraction(inp.delta)
     if not is_prime(q):
         raise PreconditionError(f"{q} is not prime")
     if len(A) < 2:
@@ -174,8 +173,8 @@ def run_field_pipeline(inp: FfInput) -> FfReport:
     require_bounded_log(G)
 
     constants = {}
-    shared, E, F, Pi = _run_core(A, productset(A, A), G, eps, delta, cfg,
-                                 constants)
+    shared, E, F, Pi = _run_core(A, productset(A, A), G, eps, delta,
+                                 inp.skew_e, constants)
     aa, c = shared["aa_size"], shared["c_size"]
     hypothesis, covered = _coverage(E, F, Pi, q)
     constants["coverage_hypothesis"] = "holds" if hypothesis else "fails"

@@ -75,16 +75,15 @@ DECIMAL_DIGITS = 20
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """Policy knobs of the pipelines.
+    """Policy knobs of the rational pipeline.
 
-    size_match_factor, degeneracy_threshold and on_size_mismatch are
-    preconditions of the rational pipeline only: size_match_factor bounds
-    |G| / |AA| from both sides, degeneracy_threshold caps the degeneracy
-    ratio of G, and on_size_mismatch picks reject (error) or warn (run
-    anyway, ledger the ratio).  skew_e applies to both pipelines: it
-    switches the point-set lift to the variant that scales only the first
-    coordinate of E, which breaks the exact factorization whenever g1 != 1
-    and is kept for comparison runs.
+    size_match_factor bounds |G| / |AA| from both sides,
+    degeneracy_threshold caps the degeneracy ratio of G, and
+    on_size_mismatch picks reject (error) or warn (run anyway, ledger the
+    ratio).  skew_e switches the point-set lift to the variant that scales
+    only the first coordinate of E, which breaks the exact factorization
+    whenever g1 != 1 and is kept for comparison runs; the field pipeline
+    takes the same switch as FfInput.skew_e.
     """
 
     size_match_factor: Fraction = Fraction(2)
@@ -216,7 +215,7 @@ def exceptional_set(AA1: ScalarSet, G: GgpSpec) -> ScalarSet:
 
 
 def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, eps: Fraction,
-              delta: Fraction, cfg: HarnessConfig, constants: dict):
+              delta: Fraction, skew_e: bool, constants: dict):
     """The mode-independent middle of both pipelines; AA = A*A.
 
     Returns the report fields both pipelines share, then E, F and their
@@ -233,7 +232,7 @@ def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, eps: Fraction,
     constants["claim_bb"] = "pass" if bb_ok else "fail"
     constants["b_even_size"] = str(_even_part_size(Gn))
 
-    E, F = build_point_sets(A, B, g1, skew=cfg.skew_e)
+    E, F = build_point_sets(A, B, g1, skew=skew_e)
     if len(A) >= 2 and len(B) >= 2:
         constants["ef_non_collinear"] = (
             "pass" if not collinear(E) and not collinear(F) else "fail")
@@ -306,7 +305,7 @@ def run_main_pipeline(inp: PipelineInput) -> MainReport:
             f"threshold {cfg.degeneracy_threshold}")
 
     eps = delta / 3
-    shared, E, _, Pi = _run_core(A, AA, G, eps, delta, cfg, constants)
+    shared, E, _, Pi = _run_core(A, AA, G, eps, delta, cfg.skew_e, constants)
     constants["pi_over_e_pow"] = power_ratio_decimal(
         len(Pi), max(1, len(E)), 1 - eps, DECIMAL_DIGITS)
     return MainReport(

@@ -2,9 +2,11 @@
 dot-product sets of planar point sets, all exact.
 
 Pairwise operations enumerate O(|A||B|) combinations with a hard desk-scale
-cap; the field-mode dot-product set has a vectorized int64 path since it
-is the one hot spot, taken only while every sum of two residue products
-fits in a signed 64-bit word.
+cap.  The field-mode dot-product set, the one hot spot, is one residue
+kernel for every prime: blockwise numpy outer products over int64 while
+every sum of two residue products fits in 63 bits, over exact Python ints
+(object arrays) above that, each block's distinct values gathered in one
+Python set.  Its cost follows the pair count; there is no table of size q.
 
 Both set types take their elements through :func:`numeric.lift`, the only
 place the domain rule lives, and so do the scalars of ``shift`` and
@@ -174,27 +176,20 @@ def dot_product_set(E: PointSet2, F: PointSet2) -> ScalarSet:
     if len(E) == 0 or len(F) == 0:
         return ScalarSet()
     q = E.domain
-    if q not in (None, RATIONAL_DOMAIN) and 2 * (q - 1) ** 2 < 2 ** 63:
-        return _dot_product_set_field(E, F, q)
-    # exact loop: rationals, and fields whose dot products overflow int64
-    out = set()
-    for ex, ey in E:
-        for fx, fy in F:
-            out.add(ex * fx + ey * fy)
-    return ScalarSet(out)
-
-
-def _dot_product_set_field(E: PointSet2, F: PointSet2, q: int) -> ScalarSet:
-    ea = np.array([(p.x.residue, p.y.residue) for p in E.elems], dtype=np.int64)
-    fa = np.array([(p.x.residue, p.y.residue) for p in F.elems], dtype=np.int64)
-    seen = np.zeros(q, dtype=bool)
+    if q == RATIONAL_DOMAIN:
+        return ScalarSet({ex * fx + ey * fy for ex, ey in E for fx, fy in F})
+    # int64 while every sum of two residue products fits, else exact ints
+    dtype = np.int64 if 2 * (q - 1) ** 2 < 2 ** 63 else object
+    ea, fa = (np.array([(x.residue, y.residue) for x, y in P.elems], dtype=dtype)
+              for P in (E, F))
+    seen = set()
     # blockwise outer products keep peak memory modest
-    step = max(1, PAIR_CAP // (8 * max(1, len(fa))))
+    step = max(1, PAIR_CAP // (8 * len(fa)))
     for i in range(0, len(ea), step):
         blk = ea[i:i + step]
         dots = (np.outer(blk[:, 0], fa[:, 0]) + np.outer(blk[:, 1], fa[:, 1])) % q
-        seen[np.unique(dots)] = True
-    return ScalarSet(PrimeFieldElement(int(v), q) for v in np.nonzero(seen)[0])
+        seen.update(np.unique(dots).tolist())
+    return ScalarSet(PrimeFieldElement(v, q) for v in seen)
 
 
 def collinear(P: PointSet2) -> bool:

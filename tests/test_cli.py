@@ -1,10 +1,16 @@
+import dataclasses
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from shiftprod.cli import main
+from shiftprod.ffharness import FfInput, run_field_pipeline
+from shiftprod.numeric import PrimeField
+from shiftprod.progressions import parse_ggp_spec
+from shiftprod.setalg import parse_scalar_set
 
 
 @pytest.fixture(autouse=True)
@@ -171,6 +177,14 @@ def test_gen_subgroup(capsys):
     ]
 
 
+def test_gen_csv_lists_one_set_per_line(capsys):
+    code, out, err = run_cli(capsys, "gen", "--family", "random-integer",
+                             "--count", "3", "--seed", "5", "--format", "csv")
+    assert code == 0
+    assert err == ""
+    assert out == "{17, 23, 42, 45, 48}\n{2, 16, 30, 42, 50}\n{8, 11, 24}\n"
+
+
 def test_gen_random_integer_seeded(capsys):
     code, out, _ = run_cli(
         capsys, "gen", "--family", "random-integer", "--count", "2", "--seed", "5"
@@ -309,3 +323,19 @@ def test_verify_ff_log_table_refused_before_building(capsys, monkeypatch):
     assert out == ""
     assert err == ("error: membership in powers of 2 mod 274877908127 needs a "
                    "baby-step table of 370728 entries, above the cap 262144\n")
+
+
+def test_verify_ff_finding_exit(capsys):
+    # the skew lift with g1 = 2 != 1 breaks the dot identity over F_5
+    code, out, err = run_cli(capsys, "verify-ff", "--q", "5", "--A", "{1, 4}",
+                             "--G", "ggp 2; gap 1;1;4", "--epsilon", "1/6",
+                             "--delta", "1/2", "--skew-e")
+    assert code == 1
+    assert json.loads(out)["identity_ok"] is False
+    assert err == "finding: q=5 A={1, 4} G=ggp 2 mod 5; gap 1;1;4\n"
+    F5 = PrimeField(5)
+    inp = FfInput(q=5, A=parse_scalar_set("{1, 4}", F5),
+                  G=parse_ggp_spec("ggp 2; gap 1;1;4", F5),
+                  epsilon=Fraction(1, 6), delta=Fraction(1, 2))
+    assert run_field_pipeline(dataclasses.replace(inp, skew_e=True)).finding()
+    assert not run_field_pipeline(inp).finding()

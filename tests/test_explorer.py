@@ -3,17 +3,20 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_int_set
+from shiftprod import explorer
 from shiftprod.cli import main
 from shiftprod.explorer import (
+    EXHAUSTIVE_CUTOFF_CAP,
     CoverQuery,
     ScanRow,
     conjecture_scan,
     search_bc,
 )
-from shiftprod.explorer import _hit, _universe
-from shiftprod.numeric import PrimeField
+from shiftprod.explorer import _div, _hit, _universe
+from shiftprod.numeric import PrimeField, scalar_is_zero
 from shiftprod.setalg import ScalarSet, productset, shift
 
 
@@ -29,6 +32,151 @@ def brute_best_hit(U, Tset, m):
                     if h > best:
                         best = h
     return max(best, 0)
+
+
+# The two tiers as they were written before the search shared one T and
+# skipped the universe above the cutoff: nested loops with a stop flag and
+# two size filters, and a heuristic that took U without reading it.  They
+# are the reference for the search as it stands.
+def ref_search_exhaustive(U, Tset, m, budget):
+    n = len(U)
+    subsets = [tuple(U[i] for i in range(n) if mask >> i & 1)
+               for mask in range(1 << n)]
+    best_hit = -1
+    best = (ScalarSet(), ScalarSet())
+    evals = 0
+    complete = True
+    full = subsets[-1]
+    for bmask in range(1, 1 << n):
+        B = subsets[bmask]
+        if len(B) < m:
+            continue
+        if _hit(B, full, Tset) <= best_hit:
+            continue
+        stop = False
+        for cmask in range(1, 1 << n):
+            C = subsets[cmask]
+            if len(C) < m:
+                continue
+            evals += 1
+            if evals > budget:
+                complete = False
+                stop = True
+                break
+            h = _hit(B, C, Tset)
+            if h > best_hit:
+                best_hit = h
+                best = (ScalarSet(B), ScalarSet(C))
+        if stop:
+            break
+    if best_hit < 0:
+        return ScalarSet(), ScalarSet(), 0, complete
+    return best[0], best[1], best_hit, complete
+
+
+def ref_search_heuristic(T, U, m, budget):
+    Tset = T.elems
+    pivots = [t for t in T.sorted() if not scalar_is_zero(t)]
+    quotients = {t: frozenset(_div(s, t) for s in T) for t in pivots}
+    best_hit = -1
+    best = (ScalarSet(), ScalarSet())
+    evals = 0
+    for S in itertools.combinations(pivots, m):
+        B = quotients[S[0]]
+        for t in S[1:]:
+            B = B & quotients[t]
+        if len(B) < m:
+            continue
+        evals += 1
+        if evals > budget:
+            break
+        h = _hit(B, S, Tset)
+        if h > best_hit:
+            best_hit = h
+            best = (ScalarSet(B), ScalarSet(S))
+    if best_hit < 0:
+        return ScalarSet(), ScalarSet(), 0
+    return best[0], best[1], best_hit
+
+
+def ref_search_bc(A, m, budget, cutoff):
+    T = shift(productset(A, A), 1)
+    U = _universe(T)
+    if len(U) <= cutoff:
+        return ref_search_exhaustive(U, T.elems, m, budget)
+    return (*ref_search_heuristic(T, U, m, budget), False)
+
+
+@st.composite
+def _cover_queries(draw):
+    kind = draw(st.sampled_from(["int", "fraction", 5, 7, 11, 13]))
+    if kind == "int":
+        elem = st.integers(-6, 9)
+    elif kind == "fraction":
+        elem = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    else:
+        elem = st.integers(0, kind - 1).map(PrimeField(kind))
+    A = ScalarSet(draw(st.lists(elem, min_size=1, max_size=4)))
+    return CoverQuery(A=A, min_factor_size=draw(st.integers(1, 3)),
+                      search_budget=draw(st.sampled_from([1, 2, 7, 60, 900, 4000])),
+                      exhaustive_cutoff=draw(st.integers(1, 10)))
+
+
+@settings(max_examples=150)
+@given(_cover_queries())
+def test_search_matches_reference_tiers(query):
+    res = search_bc(query)
+    expected = ref_search_bc(query.A, query.min_factor_size,
+                             query.search_budget, query.exhaustive_cutoff)
+    assert (res.best_B, res.best_C, res.hit_count, res.exhaustive) == expected
+    T = shift(productset(query.A, query.A), 1)
+    assert res.coverage_fraction == Fraction(res.hit_count, len(T))
+
+
+def test_universe_not_built_above_cutoff(monkeypatch):
+    def refuse(T):
+        raise AssertionError("universe built")
+
+    monkeypatch.setattr(explorer, "_universe", refuse)
+    A = ScalarSet([2, 3, 7, 11, 19])
+    # |T| = 15 is above the cutoff, so U cannot be within it
+    res = search_bc(CoverQuery(A=A, min_factor_size=2, exhaustive_cutoff=12))
+    assert (res.hit_count, res.exhaustive) == (4, False)
+
+
+def test_scan_builds_one_target_per_instance(monkeypatch):
+    calls = []
+
+    def counted(A, B):
+        calls.append((A, B))
+        return productset(A, B)
+
+    monkeypatch.setattr(explorer, "productset", counted)
+    instances = [("a", ScalarSet([1, 3])), ("b", ScalarSet([2, 3, 7, 11, 19])),
+                 ("c", ScalarSet([PrimeField(5)(1), PrimeField(5)(4)]))]
+    rows = conjecture_scan(instances, min_factor_size=1)
+    assert len(calls) == len(instances)
+    assert [r.aa1_size for r in rows] == [3, 15, 2]
+
+
+def test_exhaustive_cutoff_cap(capsys, monkeypatch):
+    A = ScalarSet([1, 2, 4])
+    CoverQuery(A=A, exhaustive_cutoff=EXHAUSTIVE_CUTOFF_CAP)
+    with pytest.raises(ValueError, match="exhaustive_cutoff"):
+        CoverQuery(A=A, exhaustive_cutoff=EXHAUSTIVE_CUTOFF_CAP + 1)
+
+    def refuse(*_):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr(explorer, "_universe", refuse)
+    # A = {1, 2, 4} has |U| = 25: a cutoff of 25 would list 2**25 subsets
+    code = main(["conjecture-scan", "--family", "geometric", "--count", "1",
+                 "--base", "2", "--length", "3", "--exhaustive-cutoff", "25"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: exhaustive_cutoff must lie in "
+                            f"[1, {EXHAUSTIVE_CUTOFF_CAP}]\n")
 
 
 def test_query_validation():

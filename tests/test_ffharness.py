@@ -17,7 +17,7 @@ from shiftprod.ffharness import (
     run_field_pipeline,
     subgroup_ggp,
 )
-from shiftprod.harness import HarnessConfig, PreconditionError, exceptional_set
+from shiftprod.harness import PreconditionError, exceptional_set
 from shiftprod.numeric import PrimeField, PrimeFieldElement
 from shiftprod import progressions
 from shiftprod.progressions import GapSpec, GgpSpec, enumerate_ggp, realized_size
@@ -236,7 +236,7 @@ def test_skew_lift_breaks_field_identity():
             G=G,
             epsilon=Fraction(1, 6),
             delta=Fraction(1, 3),
-            config=HarnessConfig(skew_e=True),
+            skew_e=True,
         )
     )
     # g1 = 1 for subgroup progressions, so the skew variant degenerates

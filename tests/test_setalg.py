@@ -1,8 +1,9 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from shiftprod.numeric import (
     DomainMismatchError,
@@ -119,6 +120,59 @@ def test_dot_product_set_field_matches_python():
         fast = dot_product_set(pts_e, pts_f).sorted()
         slow = sorted({p.x * r.x + p.y * r.y for p in pts_e for r in pts_f})
         assert fast == slow
+
+
+# both sides of the int64 bound 2(q-1)**2 < 2**63: 2**31 - 1 is the largest
+# prime the int64 path takes, 2**31 + 11 the smallest it leaves
+FIELD_DOT_PRIMES = [5, 13, 101, 2 ** 31 - 1, 2 ** 31 + 11, 4294967291,
+                    10 ** 18 + 3]
+
+
+@st.composite
+def _field_point_pair(draw):
+    q = draw(st.sampled_from(FIELD_DOT_PRIMES))
+    F = PrimeField(q)
+    coord = st.one_of(st.integers(0, q - 1), st.sampled_from([0, 1, q - 2, q - 1]))
+    points = st.lists(st.tuples(coord, coord), max_size=6)
+    E, Fp = (PointSet2([Point2(F(x), F(y)) for x, y in draw(points)])
+             for _ in range(2))
+    return q, E, Fp
+
+
+@settings(max_examples=200)
+@given(_field_point_pair())
+def test_field_dot_kernel_matches_element_loop(case):
+    q, E, F = case
+    slow = {e.x * f.x + e.y * f.y for e in E for f in F}
+    fast = dot_product_set(E, F)
+    assert fast == ScalarSet(slow)
+    assert all(x.modulus == q for x in fast)
+
+
+@pytest.mark.parametrize("q", FIELD_DOT_PRIMES)
+def test_field_dot_kernel_edge_sizes(q):
+    F = PrimeField(q)
+    one = PointSet2([Point2(F(q - 1), F(q - 1))])
+    assert dot_product_set(one, PointSet2()) == ScalarSet()
+    assert dot_product_set(PointSet2(), one) == ScalarSet()
+    # (-1)(-1) + (-1)(-1) = 2, the largest residue products of the field
+    assert dot_product_set(one, one) == ScalarSet([F(2)])
+
+
+def test_field_dot_kernel_has_no_q_sized_table():
+    q = 2 ** 31 - 1
+    F = PrimeField(q)
+    E = PointSet2([Point2(F(1), F(2)), Point2(F(3), F(q - 1))])
+    G = PointSet2([Point2(F(5), F(7)), Point2(F(q - 2), F(11))])
+    tracemalloc.start()
+    try:
+        dots = dot_product_set(E, G)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dots == ScalarSet(e.x * f.x + e.y * f.y for e in E for f in G)
+    # a table of q booleans alone would be 2 GiB
+    assert peak < 16 * 2 ** 20
 
 
 def test_pair_budget():
