@@ -35,7 +35,7 @@ from .harness import (
     PreconditionError,
     run_main_pipeline,
 )
-from .numeric import PrimeField
+from .numeric import ParseError, PrimeField
 from .progressions import (
     GapSpec,
     GgpSpec,
@@ -88,10 +88,30 @@ def _pick(args, cfg, name, default):
     return default
 
 
+def _given(args, cfg, **convert):
+    """Keyword arguments for the names that a flag or the config set, each
+    through its converter; the library type keeps every other default."""
+    return {name: conv(_pick(args, cfg, name, None))
+            for name, conv in convert.items()
+            if getattr(args, name, None) is not None or name in cfg}
+
+
+def _fraction(v) -> Fraction:
+    """A rational from flag or config text; a zero denominator is a
+    ParseError, like any other malformed number."""
+    try:
+        return Fraction(str(v))
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {v!r}") from None
+
+
 def _emit(args, text):
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise PreconditionError(f"cannot write output: {e}")
     else:
         sys.stdout.write(text)
 
@@ -170,14 +190,11 @@ def arithmetic_set(start: Fraction, step: Fraction, length: int) -> ScalarSet:
 def cmd_verify_main(args) -> int:
     cfg = _load_config(args)
     seed = _resolve_seed(args, cfg)
-    hcfg = HarnessConfig(
-        size_match_factor=Fraction(str(_pick(args, cfg, "size_match_factor", 2))),
-        degeneracy_threshold=Fraction(str(_pick(args, cfg, "degeneracy_threshold", 1))),
-        on_size_mismatch=_pick(args, cfg, "on_size_mismatch", "reject"),
-        skew_e=bool(_pick(args, cfg, "skew_e", False)),
-    )
-    delta = Fraction(str(_pick(args, cfg, "delta", None) or
-                         _usage("verify-main needs --delta")))
+    hcfg = HarnessConfig(**_given(args, cfg, size_match_factor=_fraction,
+                                  degeneracy_threshold=_fraction,
+                                  on_size_mismatch=str, skew_e=bool))
+    delta = _fraction(_pick(args, cfg, "delta", None) or
+                      _usage("verify-main needs --delta"))
     count = int(_pick(args, cfg, "count", 1))
 
     instances = []
@@ -233,10 +250,10 @@ def cmd_verify_ff(args) -> int:
         _write(args, rep)
         return 1 if rep.hypothesis_ok and not rep.full else 0
 
-    eps = Fraction(str(_pick(args, cfg, "epsilon", None) or
-                       _usage("verify-ff needs --epsilon")))
-    delta = Fraction(str(_pick(args, cfg, "delta", None) or
-                         _usage("verify-ff needs --delta")))
+    eps = _fraction(_pick(args, cfg, "epsilon", None) or
+                    _usage("verify-ff needs --epsilon"))
+    delta = _fraction(_pick(args, cfg, "delta", None) or
+                      _usage("verify-ff needs --delta"))
     if args.subgroup_t is not None:
         A, G = subgroup_ggp(q, args.subgroup_t)
     elif args.A is not None and args.G is not None:
@@ -246,9 +263,8 @@ def cmd_verify_ff(args) -> int:
     else:
         _usage("verify-ff needs --subgroup-t or both --A and --G")
 
-    rep = run_field_pipeline(FfInput(
-        q=q, A=A, G=G, epsilon=eps, delta=delta,
-        skew_e=bool(_pick(args, cfg, "skew_e", False))))
+    rep = run_field_pipeline(FfInput(q=q, A=A, G=G, epsilon=eps, delta=delta,
+                                     **_given(args, cfg, skew_e=bool)))
     _write(args, rep)
     if rep.finding():
         print(f"finding: q={q} A={format_scalar_set(A)} "
@@ -299,14 +315,14 @@ def _family_instances(args, cfg, seed):
             out.append((f"{family}-{i:03d}",
                         random_integer_set(rng, size, lo, hi), None))
     elif family == "geometric":
-        base = Fraction(str(_pick(args, cfg, "base", 2)))
+        base = _fraction(_pick(args, cfg, "base", 2))
         length = int(_pick(args, cfg, "length", 5))
         for i in range(count):
             out.append((f"{family}-{i:03d}",
                         geometric_set(base, length + i), None))
     elif family == "arithmetic":
-        start = Fraction(str(_pick(args, cfg, "start", 1)))
-        step = Fraction(str(_pick(args, cfg, "step", 1)))
+        start = _fraction(_pick(args, cfg, "start", 1))
+        step = _fraction(_pick(args, cfg, "step", 1))
         length = int(_pick(args, cfg, "length", 5))
         for i in range(count):
             out.append((f"{family}-{i:03d}",
@@ -324,13 +340,11 @@ def cmd_conjecture_scan(args) -> int:
     cfg = _load_config(args)
     seed = _resolve_seed(args, cfg)
     instances = _family_instances(args, cfg, seed)
-    rows = conjecture_scan(
-        [(iid, A) for iid, A, _ in instances],
-        min_factor_size=int(_pick(args, cfg, "min_factor_size", 2)),
-        coverage_target=Fraction(str(_pick(args, cfg, "coverage_target", 1))),
-        search_budget=int(_pick(args, cfg, "budget", 200_000)),
-        exhaustive_cutoff=int(_pick(args, cfg, "exhaustive_cutoff", 12)),
-    )
+    knobs = _given(args, cfg, min_factor_size=int, coverage_target=_fraction,
+                   budget=int, exhaustive_cutoff=int)
+    if "budget" in knobs:
+        knobs["search_budget"] = knobs.pop("budget")
+    rows = conjecture_scan([(iid, A) for iid, A, _ in instances], **knobs)
     _write(args, rows, "csv")
     return 0
 

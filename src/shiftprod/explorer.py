@@ -10,18 +10,23 @@ tables.  Tables are evidence, never claimed proofs.
 T is built once per query.  Two tiers:
 
   * exhaustive: when the quotient universe U = T union {s/t} has at most
-    exhaustive_cutoff elements, every admissible subset pair of U is
-    scanned in deterministic bitmask order (with a prune that only skips
-    pairs which provably cannot improve the running best, so the outcome
-    equals the plain double loop).  U contains T, so it is built only
-    when |T| is within the cutoff; its 2**|U| subsets are listed up
-    front, so the cutoff is capped at EXHAUSTIVE_CUTOFF_CAP;
+    exhaustive_cutoff elements, the admissible subsets of U (size at least
+    min_factor_size, in ascending bitmask order) are read with two
+    first-match scans.  hit(B, C) = |B*C & T| only grows with C, and every
+    C lies inside U, so hit(B, C) <= hit(B, U) <= hit(U, U).  The first B
+    with hit(B, U) == hit(U, U), paired with the first C that reaches the
+    same count, is the pair the plain double loop over all subset pairs
+    keeps (it replaces its best only on a strict improvement).  At most
+    2N + 1 hit counts are made for N admissible subsets.  U contains T, so
+    it is built only when |T| is within the cutoff; its 2**|U| subsets are
+    listed up front, so the cutoff is capped at EXHAUSTIVE_CUTOFF_CAP;
   * heuristic: pivot sets S of size min_factor_size drawn from T, paired
     with B = {x : x*s in T for every s in S}, the largest set whose
-    products with S all land inside T.
+    products with S all land inside T.  search_budget bounds the number of
+    pivot sets it evaluates.
 
-Both tiers are budgeted; the exhaustive flag reports whether the scan
-finished.
+The exhaustive flag marks exact rows: it is true exactly when the
+exhaustive tier ran.
 """
 
 from __future__ import annotations
@@ -97,24 +102,18 @@ def _hit(B, C, Tset) -> int:
     return len({b * c for b in B for c in C} & Tset)
 
 
-def _search_exhaustive(U: List, Tset, m: int, budget: int):
+def _search_exhaustive(U: List, Tset, m: int):
     n = len(U)
     admissible = [S for S in (tuple(U[i] for i in range(n) if mask >> i & 1)
                               for mask in range(1, 1 << n)) if len(S) >= m]
-    best_hit, best, evals = -1, (ScalarSet(), ScalarSet()), 0
-    for B in admissible:
-        # an upper bound over every possible C; skipping cannot change
-        # which pair first attains each strict improvement
-        if _hit(B, U, Tset) <= best_hit:
-            continue
-        for C in admissible:
-            evals += 1
-            if evals > budget:
-                return best[0], best[1], max(best_hit, 0), False
-            h = _hit(B, C, Tset)
-            if h > best_hit:
-                best_hit, best = h, (ScalarSet(B), ScalarSet(C))
-    return best[0], best[1], max(best_hit, 0), True
+    if not admissible:
+        return ScalarSet(), ScalarSet(), 0, True
+    # hit(B, C) <= hit(B, U) <= hit(U, U), and U is the last admissible
+    # subset, so both scans stop
+    top = _hit(U, U, Tset)
+    B = next(S for S in admissible if _hit(S, U, Tset) == top)
+    C = next(S for S in admissible if _hit(B, S, Tset) == top)
+    return ScalarSet(B), ScalarSet(C), top, True
 
 
 def _search_heuristic(T: ScalarSet, m: int, budget: int):
@@ -141,7 +140,7 @@ def search_bc(query: CoverQuery) -> CoverResult:
     if len(T) <= query.exhaustive_cutoff:
         U = _universe(T)
         if len(U) <= query.exhaustive_cutoff:
-            B, C, hit, complete = _search_exhaustive(U, T.elems, m, budget)
+            B, C, hit, complete = _search_exhaustive(U, T.elems, m)
             return CoverResult(B, C, hit, Fraction(hit, len(T)), complete)
     B, C, hit = _search_heuristic(T, m, budget)
     return CoverResult(B, C, hit, Fraction(hit, len(T)), False)
@@ -161,22 +160,21 @@ class ScanRow:
 
 
 def conjecture_scan(instances: Iterable[Tuple[str, ScalarSet]],
-                    min_factor_size: int = 2,
                     coverage_target: Fraction = Fraction(1),
-                    search_budget: int = 200_000,
-                    exhaustive_cutoff: int = 12) -> List[ScanRow]:
+                    **query_knobs) -> List[ScanRow]:
+    """One row per instance; query_knobs are CoverQuery's fields other
+    than A, with CoverQuery's defaults."""
     coverage_target = Fraction(coverage_target)
     if not (0 < coverage_target <= 1):
         raise ValueError("coverage_target must lie in (0, 1]")
     rows = []
     for instance_id, A in instances:
-        query = CoverQuery(A=A, min_factor_size=min_factor_size,
-                           search_budget=search_budget,
-                           exhaustive_cutoff=exhaustive_cutoff)
+        query = CoverQuery(A=A, **query_knobs)
         res = search_bc(query)
         tension = (res.hit_count > 0
                    and res.coverage_fraction >= coverage_target
-                   and min(len(res.best_B), len(res.best_C)) >= min_factor_size)
+                   and min(len(res.best_B), len(res.best_C))
+                   >= query.min_factor_size)
         rows.append(ScanRow(
             instance_id=str(instance_id),
             a_size=len(A),

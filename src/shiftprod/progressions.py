@@ -45,7 +45,7 @@ from .numeric import (
     parse_scalar,
     scalar_pow,
 )
-from .setalg import ScalarSet, productset, sumset
+from .setalg import PAIR_CAP, ScalarSet, productset, sumset
 
 __all__ = [
     "BSGS_TABLE_CAP",
@@ -105,7 +105,11 @@ class GapSpec:
 
     @cached_property
     def values(self) -> frozenset:
-        """The distinct integers of the progression."""
+        """The distinct integers of the progression; more than PAIR_CAP
+        exponent vectors are refused before any is enumerated."""
+        if self.formal_length > PAIR_CAP:
+            raise ValueError(f"progression has {self.formal_length} exponent "
+                             f"vectors, above the cap {PAIR_CAP}")
         return frozenset(self.value_at(v) for v in self.vectors())
 
 

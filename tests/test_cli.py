@@ -2,6 +2,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from shiftprod.cli import main
 from shiftprod.ffharness import FfInput, run_field_pipeline
 from shiftprod.numeric import PrimeField
-from shiftprod.progressions import parse_ggp_spec
+from shiftprod.progressions import GapSpec, parse_ggp_spec
 from shiftprod.setalg import parse_scalar_set
 
 
@@ -259,6 +260,63 @@ def test_verify_ff_epsilon_above_one(capsys):
     assert (code, out, err) == (2, "", "error: epsilon must be at most 1\n")
     code, _, err = run_cli(capsys, *argv, "--epsilon", "1")
     assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-main", "--A", "{1, 2}", "--G", "ggp 2; gap 1;1;3", "--delta", "1/0"),
+    ("verify-ff", "--q", "13", "--subgroup-t", "4", "--epsilon", "1/0",
+     "--delta", "1/3"),
+    ("conjecture-scan", "--family", "geometric", "--count", "1", "--base", "1/0"),
+])
+def test_zero_denominator_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: zero denominator in '1/0'\n")
+
+
+def test_zero_denominator_from_config(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"size_match_factor": "3/0"}))
+    code, out, err = run_cli(
+        capsys,
+        "verify-main", "--A", "{1, 2}", "--G", "ggp 2; gap 1;1;3",
+        "--delta", "1/2", "--config", str(cfg),
+    )
+    assert (code, out, err) == (2, "", "error: zero denominator in '3/0'\n")
+    # non-numeric text keeps its own message
+    code, _, err = run_cli(capsys, "conjecture-scan", "--family", "geometric",
+                           "--count", "1", "--base", "two")
+    assert (code, err) == (2, "error: Invalid literal for Fraction: 'two'\n")
+
+
+def test_unwritable_out(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(
+        capsys,
+        "verify-main", "--A", "{1, 2}", "--G", "ggp 2; gap 1;1;3",
+        "--delta", "1/2", "--out", str(target),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write output: ")
+    assert len(err.splitlines()) == 1
+    assert not target.exists()
+
+
+def test_prop_gp_refuses_before_enumerating(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("exponent vectors enumerated")
+
+    # without the cap, 10**8 values would need tens of GB
+    monkeypatch.setattr(GapSpec, "vectors", refuse)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "prop-gp", "gap 0;1;100000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == ("error: progression has 100000000 exponent vectors, "
+                   "above the cap 10000000\n")
+    assert peak < 16 * 2 ** 20
 
 
 def test_bad_env_seed(capsys, monkeypatch):

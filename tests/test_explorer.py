@@ -37,7 +37,8 @@ def brute_best_hit(U, Tset, m):
 # The two tiers as they were written before the search shared one T and
 # skipped the universe above the cutoff: nested loops with a stop flag and
 # two size filters, and a heuristic that took U without reading it.  They
-# are the reference for the search as it stands.
+# are the reference for the search as it stands; the exact tier spends no
+# budget, so its reference runs to completion.
 def ref_search_exhaustive(U, Tset, m, budget):
     n = len(U)
     subsets = [tuple(U[i] for i in range(n) if mask >> i & 1)
@@ -103,7 +104,7 @@ def ref_search_bc(A, m, budget, cutoff):
     T = shift(productset(A, A), 1)
     U = _universe(T)
     if len(U) <= cutoff:
-        return ref_search_exhaustive(U, T.elems, m, budget)
+        return ref_search_exhaustive(U, T.elems, m, float("inf"))
     return (*ref_search_heuristic(T, U, m, budget), False)
 
 
@@ -179,6 +180,22 @@ def test_exhaustive_cutoff_cap(capsys, monkeypatch):
                             f"[1, {EXHAUSTIVE_CUTOFF_CAP}]\n")
 
 
+def test_scan_knobs_reach_query(monkeypatch, tmp_path):
+    queries = []
+    search = explorer.search_bc
+    monkeypatch.setattr(explorer, "search_bc",
+                        lambda query: queries.append(query) or search(query))
+    argv = ["conjecture-scan", "--family", "arithmetic", "--count", "1",
+            "--length", "2", "--out", str(tmp_path / "rows.csv")]
+    assert main(argv) == 0
+    assert queries[-1] == CoverQuery(A=ScalarSet([1, 2]))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"budget": 5, "exhaustive_cutoff": 3}')
+    assert main(argv + ["--config", str(cfg), "--min-factor-size", "1"]) == 0
+    assert queries[-1] == CoverQuery(A=ScalarSet([1, 2]), min_factor_size=1,
+                                     search_budget=5, exhaustive_cutoff=3)
+
+
 def test_query_validation():
     A = ScalarSet([1, 2])
     with pytest.raises(ValueError):
@@ -233,10 +250,47 @@ def test_single_factor_cover_is_always_full():
         assert res.coverage_fraction == 1
 
 
-def test_budget_exhaustion_reported():
-    res = search_bc(CoverQuery(A=ScalarSet([1, -1]), min_factor_size=1, search_budget=3))
-    assert not res.exhaustive
-    assert res.hit_count >= 1
+def test_budget_leaves_exact_tier_whole():
+    A = ScalarSet([1, -1])
+    T = shift(productset(A, A), 1)
+    res = search_bc(CoverQuery(A=A, min_factor_size=1, search_budget=1))
+    assert res.exhaustive
+    assert res.hit_count == brute_best_hit(_universe(T), T.elems, 1) == 2
+
+
+@pytest.mark.parametrize("elems", [[1, 3], [2, 5]])
+def test_exact_tier_hit_counts(monkeypatch, elems):
+    A = ScalarSet(elems)
+    T = shift(productset(A, A), 1)
+    n = len(_universe(T))
+    admissible = 2 ** n - 1 - n
+    calls = []
+
+    def counted(B, C, Tset):
+        calls.append(None)
+        return _hit(B, C, Tset)
+
+    monkeypatch.setattr(explorer, "_hit", counted)
+    res = search_bc(CoverQuery(A=A, min_factor_size=2))
+    assert res.exhaustive
+    # hit(U, U), then two first-match scans of at most N subsets each
+    assert len(calls) <= 2 * admissible + 1
+
+
+@pytest.mark.parametrize("m, B, C", [
+    (1, [1], [2, 3, 4, 5, 7, 10]),
+    (2, [1, 2], [2, 3, 5, 7]),
+    (4, [1, 2, 3, 4], [1, 2, 5, 6]),
+])
+def test_exact_tier_at_cutoff_cap(m, B, C):
+    # |U| = 16: the pairs the double loop keeps, found by the two scans
+    F = PrimeField(17)
+    A = ScalarSet([F(1), F(2), F(3)])
+    res = search_bc(CoverQuery(A=A, min_factor_size=m,
+                               exhaustive_cutoff=EXHAUSTIVE_CUTOFF_CAP))
+    assert res.best_B == ScalarSet(map(F, B))
+    assert res.best_C == ScalarSet(map(F, C))
+    assert (res.hit_count, res.exhaustive) == (6, True)
 
 
 def test_heuristic_tier_known_instance():

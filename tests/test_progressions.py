@@ -33,6 +33,7 @@ from shiftprod.progressions import (
     realized_size,
 )
 from shiftprod.progressions import _baby_steps, _discrete_log
+from shiftprod.setalg import PAIR_CAP
 from conftest import make_proper_gap, make_proper_ggp
 
 
@@ -123,6 +124,19 @@ def test_field_properness():
     wrapped = GgpSpec(F(2), GapSpec(0, (1,), (4,)))
     assert realized_size(wrapped) == 3
     assert not is_proper(wrapped)
+
+
+def test_enumeration_refused_above_pair_cap(monkeypatch):
+    def refuse(self):
+        raise AssertionError("exponent vectors enumerated")
+
+    # without the cap, the first call would build PAIR_CAP + 1 values
+    monkeypatch.setattr(GapSpec, "vectors", refuse)
+    R = GapSpec(0, (1,), (PAIR_CAP + 1,))
+    with pytest.raises(ValueError, match=f"{PAIR_CAP + 1} exponent vectors"):
+        R.values
+    with pytest.raises(ValueError, match="above the cap"):
+        realized_size(GgpSpec(2, R))
 
 
 def test_degeneracy_ratio():
