@@ -54,7 +54,7 @@ def _resolve_seed(args, cfg):
     if getattr(args, "seed", None) is not None:
         return args.seed
     if "seed" in cfg:
-        return int(cfg["seed"])
+        return _int(cfg["seed"])
     env = os.environ.get("SHIFTPROD_SEED")
     if env is not None:
         try:
@@ -94,6 +94,17 @@ def _given(args, cfg, **convert):
     return {name: conv(_pick(args, cfg, name, None))
             for name, conv in convert.items()
             if getattr(args, name, None) is not None or name in cfg}
+
+
+def _int(v) -> int:
+    """An int, an integral JSON number or integer text from a flag or the
+    config; anything else, bool included, is a ParseError (exit 2)."""
+    if type(v) in (int, str) or type(v) is float and v.is_integer():
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    raise ParseError(f"expected an integer, got {v!r}")
 
 
 def _fraction(v) -> Fraction:
@@ -195,7 +206,7 @@ def cmd_verify_main(args) -> int:
                                   on_size_mismatch=str, skew_e=bool))
     delta = _fraction(_pick(args, cfg, "delta", None) or
                       _usage("verify-main needs --delta"))
-    count = int(_pick(args, cfg, "count", 1))
+    count = _int(_pick(args, cfg, "count", 1))
 
     instances = []
     if args.A is not None:
@@ -204,8 +215,8 @@ def cmd_verify_main(args) -> int:
         instances.append((A, G))
     elif args.random_A is not None:
         rng = random.Random(seed)
-        lo = int(_pick(args, cfg, "lo", 1))
-        hi = int(_pick(args, cfg, "hi", 50))
+        lo = _int(_pick(args, cfg, "lo", 1))
+        hi = _int(_pick(args, cfg, "hi", 50))
         for _ in range(count):
             A = random_integer_set(rng, args.random_A, lo, hi)
             G = parse_ggp_spec(args.G) if args.G else auto_progression(A)
@@ -240,7 +251,7 @@ def _full_plane(F: PrimeField) -> PointSet2:
 
 def cmd_verify_ff(args) -> int:
     cfg = _load_config(args)
-    q = int(_pick(args, cfg, "q", 0)) or _usage("verify-ff needs --q")
+    q = _int(_pick(args, cfg, "q", 0)) or _usage("verify-ff needs --q")
     if args.full_plane:
         F = PrimeField(q)
         # refuse before building the q**2 - 1 points
@@ -302,34 +313,34 @@ def _family_instances(args, cfg, seed):
     """(instance_id, A, G) triples; G is the progression of a subgroup
     instance and None for the other families."""
     family = args.family
-    count = int(_pick(args, cfg, "count", 10))
+    count = _int(_pick(args, cfg, "count", 10))
     rng = random.Random(seed)
     out = []
     if family == "random-integer":
-        lo = int(_pick(args, cfg, "lo", 1))
-        hi = int(_pick(args, cfg, "hi", 50))
-        smin = int(_pick(args, cfg, "size_min", 3))
-        smax = int(_pick(args, cfg, "size_max", 5))
+        lo = _int(_pick(args, cfg, "lo", 1))
+        hi = _int(_pick(args, cfg, "hi", 50))
+        smin = _int(_pick(args, cfg, "size_min", 3))
+        smax = _int(_pick(args, cfg, "size_max", 5))
         for i in range(count):
             size = rng.randint(smin, smax)
             out.append((f"{family}-{i:03d}",
                         random_integer_set(rng, size, lo, hi), None))
     elif family == "geometric":
         base = _fraction(_pick(args, cfg, "base", 2))
-        length = int(_pick(args, cfg, "length", 5))
+        length = _int(_pick(args, cfg, "length", 5))
         for i in range(count):
             out.append((f"{family}-{i:03d}",
                         geometric_set(base, length + i), None))
     elif family == "arithmetic":
         start = _fraction(_pick(args, cfg, "start", 1))
         step = _fraction(_pick(args, cfg, "step", 1))
-        length = int(_pick(args, cfg, "length", 5))
+        length = _int(_pick(args, cfg, "length", 5))
         for i in range(count):
             out.append((f"{family}-{i:03d}",
                         arithmetic_set(start, step, length + i), None))
     elif family == "subgroup":
-        q = int(_pick(args, cfg, "q", 0)) or _usage("subgroup family needs --q")
-        t = int(_pick(args, cfg, "t", 0)) or _usage("subgroup family needs --t")
+        q = _int(_pick(args, cfg, "q", 0)) or _usage("subgroup family needs --q")
+        t = _int(_pick(args, cfg, "t", 0)) or _usage("subgroup family needs --t")
         out.append((f"{family}-q{q}-t{t}", *subgroup_ggp(q, t)))
     else:
         _usage(f"unknown family {family!r}")
@@ -340,8 +351,8 @@ def cmd_conjecture_scan(args) -> int:
     cfg = _load_config(args)
     seed = _resolve_seed(args, cfg)
     instances = _family_instances(args, cfg, seed)
-    knobs = _given(args, cfg, min_factor_size=int, coverage_target=_fraction,
-                   budget=int, exhaustive_cutoff=int)
+    knobs = _given(args, cfg, min_factor_size=_int, coverage_target=_fraction,
+                   budget=_int, exhaustive_cutoff=_int)
     if "budget" in knobs:
         knobs["search_budget"] = knobs.pop("budget")
     rows = conjecture_scan([(iid, A) for iid, A, _ in instances], **knobs)

@@ -49,6 +49,7 @@ from .setalg import (
     productset,
     scale,
     set_intersect,
+    set_minus,
     set_union,
     shift,
 )
@@ -245,7 +246,7 @@ def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, eps: Fraction,
 
     if proper:
         constants["g_bb_inclusion"] = (
-            "pass" if scale(BB, g1).elems <= Gset.elems else "fail")
+            "fail" if set_minus(scale(BB, g1), Gset) else "pass")
     else:
         constants["g_bb_inclusion"] = "skipped"
 

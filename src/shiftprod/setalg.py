@@ -2,7 +2,11 @@
 dot-product sets of planar point sets, all exact.
 
 Pairwise operations enumerate O(|A||B|) combinations with a hard desk-scale
-cap.  The field-mode dot-product set, the one hot spot, is one residue
+cap.  A rational set lives on an integer lattice: the numerators of its
+elements over their least common denominator d, reduced so that
+gcd(d, *nums) == 1.  Every operation over Q, the dot-product set included,
+runs on those ints, and Fractions are built only when a caller iterates,
+sorts or reads ``elems``.  The field-mode dot-product set is one residue
 kernel for every prime: blockwise numpy outer products over int64 while
 every sum of two residue products fits in 63 bits, over exact Python ints
 (object arrays) above that, each block's distinct values gathered in one
@@ -15,7 +19,9 @@ place the domain rule lives, and so do the scalars of ``shift`` and
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -59,7 +65,9 @@ PAIR_CAP = 10 ** 7
 
 class _DomainSet:
     """Immutable finite set over one domain; ``elems`` is a frozenset and
-    ``domain`` its tag from :func:`numeric.lift`."""
+    ``domain`` its tag from :func:`numeric.lift`.  Point sets and field sets
+    hold ``elems``; a lattice-backed :class:`ScalarSet` builds it on first
+    read and caches it."""
 
     __slots__ = ("elems", "domain")
 
@@ -90,16 +98,58 @@ class _DomainSet:
 
 
 class ScalarSet(_DomainSet):
-    """Immutable finite set of scalars from one domain."""
+    """Immutable finite set of scalars from one domain.
 
-    __slots__ = ()
+    A rational set, and the empty set, holds ``lat = (nums, d)``: the
+    frozenset of integer numerators of its elements over ``d``, their least
+    common denominator, so ``gcd(d, *nums) == 1`` and equal sets have equal
+    ``lat``.  Its ``elems`` holds an int for each integral value and a
+    reduced Fraction otherwise.  A field set has ``lat = None``.
+    """
+
+    __slots__ = ("lat",)
 
     def __init__(self, elements: Iterable[Scalar] = ()):
-        elems, domain = lift(elements)
-        super().__init__(frozenset(elems), domain)
+        vals, domain = lift(elements)
+        if domain in (None, RATIONAL_DOMAIN):
+            d = lcm(*{x.denominator for x in vals})
+            _lattice([x.numerator * (d // x.denominator) for x in vals], d, self)
+        else:
+            super().__init__(frozenset(vals), domain)
+            object.__setattr__(self, "lat", None)
+
+    def __getattr__(self, name):
+        # reached only for the unset elems of a lattice
+        if name != "elems":
+            raise AttributeError(name)
+        nums, d = self.lat
+        elems = frozenset(n // d if n % d == 0 else Fraction(n, d) for n in nums)
+        object.__setattr__(self, "elems", elems)
+        return elems
+
+    def __len__(self):
+        return len(self.lat[0] if self.lat else self.elems)
+
+    def __eq__(self, other):
+        return (type(other) is type(self)
+                and (self.lat or self.elems) == (other.lat or other.elems))
+
+    def __hash__(self):
+        return hash(self.lat or self.elems)
 
     def sorted(self):
         return sorted(self.elems, key=sort_key)
+
+
+def _lattice(nums, d: int, S: Optional[ScalarSet] = None) -> ScalarSet:
+    """{n/d : n in nums} in canonical form, stored in S or a new set."""
+    S = object.__new__(ScalarSet) if S is None else S
+    g = gcd(d, *nums)
+    if g > 1:
+        nums, d = [n // g for n in nums], d // g
+    object.__setattr__(S, "lat", (frozenset(nums), d))
+    object.__setattr__(S, "domain", RATIONAL_DOMAIN if nums else None)
+    return S
 
 
 class Point2(NamedTuple):
@@ -128,22 +178,32 @@ def _check_pair_budget(a: int, b: int, what: str):
             f"{what} needs {a * b} pair evaluations, above the cap {PAIR_CAP}")
 
 
+def _set_op(A: ScalarSet, B: ScalarSet, op) -> ScalarSet:
+    """op on the element sets of A and B; two lattices enter it as their
+    numerators over lcm(da, db)."""
+    if join_domains(A.domain, B.domain) != RATIONAL_DOMAIN:
+        return ScalarSet(op(A.elems, B.elems))
+    (na, da), (nb, db) = A.lat, B.lat
+    d = lcm(da, db)
+    return _lattice(op({n * (d // da) for n in na}, {n * (d // db) for n in nb}), d)
+
+
 def sumset(A: ScalarSet, B: ScalarSet) -> ScalarSet:
-    join_domains(A.domain, B.domain)
     _check_pair_budget(len(A), len(B), "sumset")
-    return ScalarSet(a + b for a in A for b in B)
+    return _set_op(A, B, lambda X, Y: {x + y for x in X for y in Y})
 
 
 def productset(A: ScalarSet, B: ScalarSet) -> ScalarSet:
-    join_domains(A.domain, B.domain)
+    domain = join_domains(A.domain, B.domain)
     _check_pair_budget(len(A), len(B), "productset")
+    if domain == RATIONAL_DOMAIN:
+        (na, da), (nb, db) = A.lat, B.lat
+        return _lattice({a * b for a in na for b in nb}, da * db)
     return ScalarSet(a * b for a in A for b in B)
 
 
 def shift(A: ScalarSet, c: Scalar) -> ScalarSet:
-    if len(A):
-        (c,), _ = lift([c], A.domain)
-    return ScalarSet(a + c for a in A)
+    return sumset(A, ScalarSet(lift([c], A.domain)[0])) if len(A) else A
 
 
 def scale(A: ScalarSet, s: Scalar) -> ScalarSet:
@@ -151,22 +211,26 @@ def scale(A: ScalarSet, s: Scalar) -> ScalarSet:
         (s,), _ = lift([s], A.domain)
     if scalar_is_zero(s):
         raise ValueError("scaling by zero collapses the set")
-    return ScalarSet(a * s for a in A)
+    return productset(A, ScalarSet([s])) if len(A) else A
 
 
 def set_minus(A: ScalarSet, B: ScalarSet) -> ScalarSet:
-    join_domains(A.domain, B.domain)
-    return ScalarSet(A.elems - B.elems)
+    return _set_op(A, B, operator.sub)
 
 
 def set_intersect(A: ScalarSet, B: ScalarSet) -> ScalarSet:
-    join_domains(A.domain, B.domain)
-    return ScalarSet(A.elems & B.elems)
+    return _set_op(A, B, operator.and_)
 
 
 def set_union(A: ScalarSet, B: ScalarSet) -> ScalarSet:
-    join_domains(A.domain, B.domain)
-    return ScalarSet(A.elems | B.elems)
+    return _set_op(A, B, operator.or_)
+
+
+def _integral(P: PointSet2):
+    """The points of a rational P scaled to int pairs by the lcm d of their
+    coordinate denominators, and d."""
+    d = lcm(*{c.denominator for p in P.elems for c in p})
+    return [tuple(c.numerator * (d // c.denominator) for c in p) for p in P.elems], d
 
 
 def dot_product_set(E: PointSet2, F: PointSet2) -> ScalarSet:
@@ -177,7 +241,9 @@ def dot_product_set(E: PointSet2, F: PointSet2) -> ScalarSet:
         return ScalarSet()
     q = E.domain
     if q == RATIONAL_DOMAIN:
-        return ScalarSet({ex * fx + ey * fy for ex, ey in E for fx, fy in F})
+        (ea, de), (fa, df) = _integral(E), _integral(F)
+        return _lattice({ex * fx + ey * fy for ex, ey in ea for fx, fy in fa},
+                        de * df)
     # int64 while every sum of two residue products fits, else exact ints
     dtype = np.int64 if 2 * (q - 1) ** 2 < 2 ** 63 else object
     ea, fa = (np.array([(x.residue, y.residue) for x, y in P.elems], dtype=dtype)

@@ -1,0 +1,129 @@
+"""Slow reference for the rational pipeline, straight from the definitions.
+
+Every set is a plain Python set of int/Fraction values built by literal
+loops: G by powers of its base, B by a literal ``g*g in Gn``, Pi by the
+double loop over the point sets, C as AA+1 minus G and the decomposition
+of G*(AA+1) by literal products.  No shiftprod set type, kernel or
+membership test is used; the decimal strings still come from
+``power_ratio_decimal``, which is exact and tested on its own.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from math import prod
+
+from shiftprod.harness import DECIMAL_DIGITS, MainReport
+from shiftprod.numeric import PreconditionError, power_ratio_decimal
+
+
+def _floor_log2(n: int) -> int:
+    k = 0
+    while 2 ** (k + 1) <= n:
+        k += 1
+    return k
+
+
+def _collinear(points) -> bool:
+    """Every point on the line through the first two."""
+    pts = list(points)
+    if len(pts) <= 2:
+        return True
+    (px, py), (qx, qy) = pts[0], pts[1]
+    return all((qx - px) * (ry - py) == (qy - py) * (rx - px) for rx, ry in pts[2:])
+
+
+def reference_main_report(A_values, G, delta, config) -> MainReport:
+    """The MainReport of ``run_main_pipeline`` for rational A and G,
+    computed element by element; raises PreconditionError where the
+    pipeline refuses."""
+    A = {Fraction(a) for a in A_values}
+    delta = Fraction(delta)
+    if len(A) < 2:
+        raise PreconditionError("need |A| >= 2")
+    if not 0 < delta < 1:
+        raise PreconditionError("delta out of range")
+    g0, R = Fraction(G.g0), G.exponents
+    vectors = list(itertools.product(*(range(l) for l in R.lengths)))
+    offsets = [sum(x * r for x, r in zip(v, R.generators)) for v in vectors]
+    formal = len(vectors)
+
+    AA = {a * b for a in A for b in A}
+    Gset = {g0 ** (R.r0 + k) for k in offsets}
+    constants = {}
+    ratio = Fraction(len(Gset), len(AA))
+    constants["size_match_ratio"] = str(ratio)
+    if max(ratio, 1 / ratio) > config.size_match_factor:
+        if config.on_size_mismatch == "reject":
+            raise PreconditionError("size mismatch")
+        constants["size_match"] = "warn"
+    degeneracy = Fraction(len(R.lengths), _floor_log2(formal))
+    constants["degeneracy_ratio"] = str(degeneracy)
+    if degeneracy > config.degeneracy_threshold:
+        raise PreconditionError("degenerate progression")
+
+    eps = delta / 3
+    AA1 = {x + 1 for x in AA}
+    g1 = g0 ** R.r0
+    Gn = {g0 ** k for k in offsets}
+    B = {g for g in Gn if g * g in Gn}
+    bound = prod(l // 2 for l in R.lengths)
+    proper = len(Gset) == formal
+    constants["proper"] = "true" if proper else "false"
+    constants["claim_bb"] = ("pass" if len(B) >= bound
+                             and bound * 3 ** len(R.lengths) >= formal else "fail")
+    constants["b_even_size"] = str(len({g0 ** k for v, k in zip(vectors, offsets)
+                                        if all(x % 2 == 0 for x in v)}))
+
+    F = {(b, b * a) for b in B for a in A}
+    if config.skew_e:
+        E = {(b * g1, b * a) for b in B for a in A}
+    else:
+        E = {(g1 * b, g1 * b * a) for b in B for a in A}
+    if len(A) >= 2 and len(B) >= 2:
+        constants["ef_non_collinear"] = (
+            "pass" if not _collinear(E) and not _collinear(F) else "fail")
+    else:
+        constants["ef_non_collinear"] = "skipped"
+
+    Pi = set()
+    for ex, ey in E:
+        for fx, fy in F:
+            Pi.add(ex * fx + ey * fy)
+    BB = {b * c for b in B for c in B}
+    rhs = {g1 * x * y for x in BB for y in AA1}
+    if proper:
+        constants["g_bb_inclusion"] = (
+            "pass" if all(g1 * x in Gset for x in BB) else "fail")
+    else:
+        constants["g_bb_inclusion"] = "skipped"
+
+    C = AA1 - Gset
+    G_inter = {g * x for g in Gset for x in AA1 if x in Gset}
+    lhs_dec = {g * x for g in Gset for x in AA1}
+    rhs_dec = G_inter | {g * c for g in Gset for c in C}
+    constants["decomposition"] = "pass" if lhs_dec == rhs_dec else "fail"
+    GG = {g * h for g in Gset for h in Gset}
+    constants["gg_over_g"] = str(Fraction(len(GG), len(Gset)))
+    constants["g_inter_le_gg"] = "pass" if len(G_inter) <= len(GG) else "fail"
+    constants["pi_over_e_pow"] = power_ratio_decimal(
+        len(Pi), max(1, len(E)), 1 - eps, DECIMAL_DIGITS)
+
+    return MainReport(
+        a_size=len(A),
+        aa_size=len(AA),
+        g_formal_len=formal,
+        g_realized_size=len(Gset),
+        b_size=len(B),
+        e_size=len(E),
+        pi_size=len(Pi),
+        c_size=len(C),
+        epsilon=str(eps),
+        delta=str(delta),
+        claim_bb_bound=bound,
+        identity_ok=Pi == rhs,
+        corollary1_ok=len(C) >= 1,
+        bound_ratio=power_ratio_decimal(len(C), len(A), 1 - delta, DECIMAL_DIGITS),
+        constants=constants,
+    )

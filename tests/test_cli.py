@@ -288,6 +288,39 @@ def test_zero_denominator_from_config(capsys, tmp_path):
     assert (code, err) == (2, "error: Invalid literal for Fraction: 'two'\n")
 
 
+# each integer config key goes through one converter: wrong JSON types and
+# non-integral numbers exit 2 with one error line, never a traceback (exit 1
+# is the findings code) or a silent truncation
+@pytest.mark.parametrize("argv,key", [
+    (("conjecture-scan", "--family", "arithmetic", "--count", "1"), "budget"),
+    (("conjecture-scan", "--family", "arithmetic", "--count", "1"), "min_factor_size"),
+    (("gen", "--family", "arithmetic"), "count"),
+    (("gen", "--family", "arithmetic"), "length"),
+    (("gen", "--family", "random-integer"), "seed"),
+    (("gen", "--family", "random-integer"), "size_max"),
+    (("verify-ff", "--subgroup-t", "4", "--delta", "1/3"), "q"),
+])
+@pytest.mark.parametrize("value", [None, True, [1], {"n": 1}, 2.9, "2.5", "two"])
+def test_config_integer_of_wrong_type_exits_2(capsys, tmp_path, argv, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert (code, out, err) == (2, "", f"error: expected an integer, got {value!r}\n")
+
+
+def test_config_integer_forms_accepted(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    outs = []
+    for value in (2, 2.0, "2", " 2 "):
+        cfg.write_text(json.dumps({"count": value}))
+        code, out, _ = run_cli(capsys, "gen", "--family", "arithmetic",
+                               "--config", str(cfg))
+        assert code == 0
+        outs.append(out)
+    assert len(json.loads(outs[0])) == 2
+    assert outs == outs[:1] * 4
+
+
 def test_unwritable_out(capsys, tmp_path):
     target = tmp_path / "missing" / "report.json"
     code, out, err = run_cli(

@@ -5,8 +5,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_int_set, make_proper_ggp
+from reference import reference_main_report
 from shiftprod.cli import main
 from shiftprod.harness import (
     HarnessConfig,
@@ -204,3 +206,38 @@ def test_pipeline_random_instances(rng):
         AA1 = shift(productset(A, A), 1)
         inside = [x for x in AA1 if ggp_membership(G, x)]
         assert rep.c_size + len(inside) == rep.aa_size
+
+
+REFERENCE_BASES = [2, 3, Fraction(1, 2), Fraction(3, 2), Fraction(2, 3)]
+
+
+@st.composite
+def _pipeline_case(draw):
+    """Small rational A (ints and fractions, negatives and zero included)
+    and any G over the reference bases, proper or not."""
+    elem = st.one_of(st.fractions(min_value=-3, max_value=6, max_denominator=4),
+                     st.integers(-4, 12))
+    A = draw(st.sets(elem, min_size=2, max_size=6))
+    d = draw(st.integers(1, 2))
+    gap = GapSpec(draw(st.integers(-2, 2)),
+                  tuple(draw(st.integers(-3, 4)) for _ in range(d)),
+                  tuple(draw(st.integers(3, 4)) for _ in range(d)))
+    G = GgpSpec(draw(st.sampled_from(REFERENCE_BASES)), gap)
+    delta = draw(st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(9, 10)]))
+    cfg = HarnessConfig(on_size_mismatch=draw(st.sampled_from(["warn", "warn", "reject"])),
+                        skew_e=draw(st.booleans()))
+    return A, G, delta, cfg
+
+
+@settings(max_examples=100)
+@given(_pipeline_case())
+def test_main_report_matches_reference(case):
+    A, G, delta, cfg = case
+    inp = PipelineInput(A=ScalarSet(A), G=G, delta=delta, config=cfg)
+    try:
+        expected = reference_main_report(A, G, delta, cfg)
+    except PreconditionError:
+        with pytest.raises(PreconditionError):
+            run_main_pipeline(inp)
+        return
+    assert dataclasses.asdict(run_main_pipeline(inp)) == dataclasses.asdict(expected)

@@ -10,12 +10,14 @@ from shiftprod.numeric import (
     ParseError,
     PrimeField,
     PrimeFieldElement,
+    as_rational,
 )
 from shiftprod.setalg import (
     PAIR_CAP,
     Point2,
     PointSet2,
     ScalarSet,
+    _DomainSet,
     collinear,
     dot_product_set,
     expansion_ratios,
@@ -313,3 +315,77 @@ def test_lift_explicit_cases():
         shift(ScalarSet([1]), True)
     with pytest.raises(ValueError):
         scale(ScalarSet([F7(1)]), 7)
+
+
+# Rational sets are stored as integer numerators over one denominator; every
+# operation and query below is held against the same computation on plain
+# int/Fraction elements.
+RATIONALS = st.one_of(
+    st.integers(-12, 12),
+    st.fractions(min_value=-6, max_value=6, max_denominator=7),
+    st.sampled_from([0, Fraction(-3, 7), Fraction(-1, 2), Fraction(5, 6)]),
+)
+NONZERO = RATIONALS.filter(lambda x: x != 0)
+PROBES = st.one_of(
+    RATIONALS,
+    st.booleans(),
+    st.builds(PrimeFieldElement, st.integers(0, 6), st.just(7)),
+    st.sampled_from([0.5, 1.0, -2.0, "1", None]),
+)
+
+
+def _check_plain(S, values, probes):
+    plain = frozenset(as_rational(x) for x in values)
+    assert len(S) == len(plain)
+    assert S.domain == ("Q" if plain else None)
+    assert {_typed(x) for x in S} == {_typed(x) for x in plain}
+    assert [_typed(x) for x in S.sorted()] == [_typed(x) for x in sorted(plain)]
+    assert S.elems == plain
+    same = ScalarSet(plain)
+    assert S == same and hash(S) == hash(same)
+    for p in probes:
+        assert (p in S) == (p in plain)
+        if isinstance(p, (int, Fraction)) and not isinstance(p, bool) and p not in plain:
+            assert S != ScalarSet([*plain, p])
+
+
+@settings(max_examples=200)
+@given(st.lists(RATIONALS, max_size=6), st.lists(RATIONALS, max_size=6),
+       RATIONALS, NONZERO, st.lists(PROBES, max_size=4))
+def test_rational_set_operations_match_plain_sets(xs, ys, c, s, probes):
+    A, B = ScalarSet(xs), ScalarSet(ys)
+    probes = [*probes, *xs[:2], *ys[:2], c, s]
+    for S, plain in [
+        (A, xs),
+        (sumset(A, B), [a + b for a in xs for b in ys]),
+        (productset(A, B), [a * b for a in xs for b in ys]),
+        (shift(A, c), [a + c for a in xs]),
+        (scale(A, s), [a * s for a in xs]),
+        (set_minus(A, B), set(xs) - set(ys)),
+        (set_intersect(A, B), set(xs) & set(ys)),
+        (set_union(A, B), set(xs) | set(ys)),
+    ]:
+        _check_plain(S, plain, probes)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(RATIONALS, RATIONALS), max_size=5),
+       st.lists(st.tuples(RATIONALS, RATIONALS), max_size=5),
+       st.lists(PROBES, max_size=4))
+def test_rational_dot_product_set_matches_plain_loop(e, f, probes):
+    dots = [ex * fx + ey * fy for ex, ey in e for fx, fy in f]
+    _check_plain(dot_product_set(PointSet2(e), PointSet2(f)), dots, [*probes, *dots[:3]])
+
+
+def test_rational_elems_built_once_field_elems_stored():
+    held = _DomainSet.elems  # the slot itself, without the lazy fallback
+    F = PrimeField(7)
+    assert held.__get__(ScalarSet([F(1), F(3)])) == {F(1), F(3)}
+    S = productset(ScalarSet([Fraction(1, 2), 3]), ScalarSet([3, -4]))
+    assert S.lat == (frozenset({3, -4, 18, -24}), 2)
+    with pytest.raises(AttributeError):
+        held.__get__(S)
+    first = S.elems
+    assert {_typed(x) for x in first} == {
+        (Fraction, Fraction(3, 2)), (int, -2), (int, 9), (int, -12)}
+    assert S.elems is first and held.__get__(S) is first
