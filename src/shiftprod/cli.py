@@ -107,6 +107,13 @@ def _int(v) -> int:
     raise ParseError(f"expected an integer, got {v!r}")
 
 
+def _bool(v) -> bool:
+    """JSON true or false, or a switch flag's value; else a ParseError (exit 2)."""
+    if type(v) is not bool:
+        raise ParseError(f"expected true or false, got {v!r}")
+    return v
+
+
 def _fraction(v) -> Fraction:
     """A rational from flag or config text; a zero denominator is a
     ParseError, like any other malformed number."""
@@ -203,7 +210,7 @@ def cmd_verify_main(args) -> int:
     seed = _resolve_seed(args, cfg)
     hcfg = HarnessConfig(**_given(args, cfg, size_match_factor=_fraction,
                                   degeneracy_threshold=_fraction,
-                                  on_size_mismatch=str, skew_e=bool))
+                                  on_size_mismatch=str, skew_e=_bool))
     delta = _fraction(_pick(args, cfg, "delta", None) or
                       _usage("verify-main needs --delta"))
     count = _int(_pick(args, cfg, "count", 1))
@@ -275,7 +282,7 @@ def cmd_verify_ff(args) -> int:
         _usage("verify-ff needs --subgroup-t or both --A and --G")
 
     rep = run_field_pipeline(FfInput(q=q, A=A, G=G, epsilon=eps, delta=delta,
-                                     **_given(args, cfg, skew_e=bool)))
+                                     **_given(args, cfg, skew_e=_bool)))
     _write(args, rep)
     if rep.finding():
         print(f"finding: q={q} A={format_scalar_set(A)} "

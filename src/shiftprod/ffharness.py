@@ -104,7 +104,7 @@ def _coverage(E: PointSet2, F: PointSet2, dots: ScalarSet,
     number of units of F_q that the dot-product set reaches."""
     hypothesis = (len(E) == len(F)
                   and compare_power(len(E), q, Fraction(3, 2)) > 0)
-    return hypothesis, sum(1 for x in dots if x.residue != 0)
+    return hypothesis, len(dots.lat[0] - {0})
 
 
 def _check_coverage_pairs(pairs: int) -> None:
@@ -143,13 +143,9 @@ def subgroup_ggp(q: int, t: int) -> Tuple[ScalarSet, GgpSpec]:
         raise PreconditionError("subgroup order must be at least 3 for a progression")
     if (q - 1) % t != 0:
         raise PreconditionError(f"{t} does not divide {q - 1}")
-    gamma = None
-    for g in range(2, q):
-        if multiplicative_order(PrimeFieldElement(g, q)) == q - 1:
-            gamma = g
-            break
-    if gamma is None:
-        raise PreconditionError(f"no generator found for F_{q}*")
+    # every prime field has a generator
+    gamma = next(g for g in range(2, q)
+                 if multiplicative_order(PrimeFieldElement(g, q)) == q - 1)
     G = GgpSpec(PrimeFieldElement(gamma, q),
                 GapSpec(0, ((q - 1) // t,), (t,)))
     return enumerate_ggp(G), G

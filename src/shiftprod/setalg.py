@@ -1,16 +1,17 @@
 """Finite set arithmetic: sum sets, product sets, shifts, scalings and
 dot-product sets of planar point sets, all exact.
 
-Pairwise operations enumerate O(|A||B|) combinations with a hard desk-scale
-cap.  A rational set lives on an integer lattice: the numerators of its
-elements over their least common denominator d, reduced so that
-gcd(d, *nums) == 1.  Every operation over Q, the dot-product set included,
-runs on those ints, and Fractions are built only when a caller iterates,
-sorts or reads ``elems``.  The field-mode dot-product set is one residue
-kernel for every prime: blockwise numpy outer products over int64 while
-every sum of two residue products fits in 63 bits, over exact Python ints
-(object arrays) above that, each block's distinct values gathered in one
-Python set.  Its cost follows the pair count; there is no table of size q.
+Pairwise operations enumerate O(|A||B|) combinations under PAIR_CAP, and
+rational ones under LATTICE_BIT_CAP numerator bits.  A scalar set lives on
+ints, the residues of a field set or the numerators of a rational set over
+their least common denominator d (gcd(d, *nums) == 1), and every operation
+runs on them; Fractions and field elements are built only when a caller
+iterates, sorts or reads ``elems``.  The field dot-product set takes
+blockwise numpy outer products over int64 while every sum of two residue
+products fits in 63 bits, over exact Python ints above that.  An int64
+input of at least q pairs is scattered into a table of q booleans in blocks
+of max(4q, 2**16) pairs until every residue is seen; a smaller one builds
+no table.
 
 Both set types take their elements through :func:`numeric.lift`, the only
 place the domain rule lives, and so do the scalars of ``shift`` and
@@ -41,6 +42,7 @@ from .numeric import (
 )
 
 __all__ = [
+    "LATTICE_BIT_CAP",
     "PAIR_CAP",
     "Point2",
     "PointSet2",
@@ -61,19 +63,16 @@ __all__ = [
 
 # pairwise enumeration budget; beyond this the operation refuses to run
 PAIR_CAP = 10 ** 7
+# pairs times the bit length of da*db that a rational pairwise kernel may take
+LATTICE_BIT_CAP = 2 ** 30
 
 
 class _DomainSet:
-    """Immutable finite set over one domain; ``elems`` is a frozenset and
-    ``domain`` its tag from :func:`numeric.lift`.  Point sets and field sets
-    hold ``elems``; a lattice-backed :class:`ScalarSet` builds it on first
-    read and caches it."""
+    """Immutable finite set over one domain: ``elems``, a frozenset that a
+    ScalarSet builds from its ints on first read, and ``domain``, its tag
+    from :func:`numeric.lift`."""
 
     __slots__ = ("elems", "domain")
-
-    def __init__(self, elems: frozenset, domain):
-        object.__setattr__(self, "elems", elems)
-        object.__setattr__(self, "domain", domain)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -98,14 +97,12 @@ class _DomainSet:
 
 
 class ScalarSet(_DomainSet):
-    """Immutable finite set of scalars from one domain.
-
-    A rational set, and the empty set, holds ``lat = (nums, d)``: the
-    frozenset of integer numerators of its elements over ``d``, their least
-    common denominator, so ``gcd(d, *nums) == 1`` and equal sets have equal
-    ``lat``.  Its ``elems`` holds an int for each integral value and a
-    reduced Fraction otherwise.  A field set has ``lat = None``.
-    """
+    """Immutable finite set of scalars from one domain, held as
+    ``lat = (ints, m)`` so that equal sets have equal ``lat``: over Q the
+    numerators of its elements over ``m``, their least common denominator
+    (``gcd(m, *ints) == 1``), over F_q their residues and ``m = q``, and
+    ``(frozenset(), 1)`` when empty.  ``elems`` holds ints and reduced
+    Fractions, or PrimeFieldElements."""
 
     __slots__ = ("lat",)
 
@@ -113,42 +110,49 @@ class ScalarSet(_DomainSet):
         vals, domain = lift(elements)
         if domain in (None, RATIONAL_DOMAIN):
             d = lcm(*{x.denominator for x in vals})
-            _lattice([x.numerator * (d // x.denominator) for x in vals], d, self)
+            _lattice([x.numerator * (d // x.denominator) for x in vals], d, S=self)
         else:
-            super().__init__(frozenset(vals), domain)
-            object.__setattr__(self, "lat", None)
+            _lattice([x.residue for x in vals], domain, domain, self)
 
     def __getattr__(self, name):
-        # reached only for the unset elems of a lattice
+        # reached only for the unset elems
         if name != "elems":
             raise AttributeError(name)
-        nums, d = self.lat
-        elems = frozenset(n // d if n % d == 0 else Fraction(n, d) for n in nums)
+        nums, m = self.lat
+        if self.domain in (None, RATIONAL_DOMAIN):
+            elems = frozenset(n // m if n % m == 0 else Fraction(n, m) for n in nums)
+        else:
+            elems = frozenset(PrimeFieldElement(r, m) for r in nums)
         object.__setattr__(self, "elems", elems)
         return elems
 
     def __len__(self):
-        return len(self.lat[0] if self.lat else self.elems)
+        return len(self.lat[0])
 
     def __eq__(self, other):
-        return (type(other) is type(self)
-                and (self.lat or self.elems) == (other.lat or other.elems))
+        return (type(other) is type(self) and self.lat == other.lat
+                and self.domain == other.domain)
 
     def __hash__(self):
-        return hash(self.lat or self.elems)
+        return hash(self.lat)
 
     def sorted(self):
         return sorted(self.elems, key=sort_key)
 
 
-def _lattice(nums, d: int, S: Optional[ScalarSet] = None) -> ScalarSet:
-    """{n/d : n in nums} in canonical form, stored in S or a new set."""
+def _lattice(nums, d: int, domain=None, S: Optional[ScalarSet] = None) -> ScalarSet:
+    """{n/d : n in nums} in canonical form, or over F_q (domain q) the
+    residues {n mod q}, whatever d; stored in S or a new set."""
     S = object.__new__(ScalarSet) if S is None else S
-    g = gcd(d, *nums)
-    if g > 1:
-        nums, d = [n // g for n in nums], d // g
-    object.__setattr__(S, "lat", (frozenset(nums), d))
-    object.__setattr__(S, "domain", RATIONAL_DOMAIN if nums else None)
+    if domain in (None, RATIONAL_DOMAIN):
+        domain, g = RATIONAL_DOMAIN, gcd(d, *nums)
+        if g > 1:
+            nums, d = [n // g for n in nums], d // g
+    else:
+        nums, d = {n % domain for n in nums}, domain
+    nums = frozenset(nums)
+    object.__setattr__(S, "lat", (nums, d) if nums else (nums, 1))
+    object.__setattr__(S, "domain", domain if nums else None)
     return S
 
 
@@ -166,7 +170,8 @@ class PointSet2(_DomainSet):
         # each point unpacks to exactly two coordinates; map(Point2, it, it) re-pairs them
         coords, domain = lift(c for px, py in points for c in (px, py))
         it = iter(coords)
-        super().__init__(frozenset(map(Point2, it, it)), domain)
+        object.__setattr__(self, "elems", frozenset(map(Point2, it, it)))
+        object.__setattr__(self, "domain", domain)
 
     def sorted(self):
         return sorted(self.elems, key=lambda p: (sort_key(p.x), sort_key(p.y)))
@@ -178,28 +183,34 @@ def _check_pair_budget(a: int, b: int, what: str):
             f"{what} needs {a * b} pair evaluations, above the cap {PAIR_CAP}")
 
 
+def _check_lattice_bits(A: ScalarSet, B: ScalarSet, what: str):
+    bits = len(A) * len(B) * (A.lat[1] * B.lat[1]).bit_length()
+    if A.domain == B.domain == RATIONAL_DOMAIN and bits > LATTICE_BIT_CAP:
+        raise ValueError(f"{what} needs about {bits} numerator bits, above "
+                         f"the cap {LATTICE_BIT_CAP}")
+
+
 def _set_op(A: ScalarSet, B: ScalarSet, op) -> ScalarSet:
-    """op on the element sets of A and B; two lattices enter it as their
-    numerators over lcm(da, db)."""
-    if join_domains(A.domain, B.domain) != RATIONAL_DOMAIN:
-        return ScalarSet(op(A.elems, B.elems))
+    """op on the ints of A and B over lcm(da, db), which is q over F_q."""
+    domain = join_domains(A.domain, B.domain)
     (na, da), (nb, db) = A.lat, B.lat
     d = lcm(da, db)
-    return _lattice(op({n * (d // da) for n in na}, {n * (d // db) for n in nb}), d)
+    return _lattice(op({n * (d // da) for n in na}, {n * (d // db) for n in nb}),
+                    d, domain)
 
 
 def sumset(A: ScalarSet, B: ScalarSet) -> ScalarSet:
     _check_pair_budget(len(A), len(B), "sumset")
+    _check_lattice_bits(A, B, "sumset")
     return _set_op(A, B, lambda X, Y: {x + y for x in X for y in Y})
 
 
 def productset(A: ScalarSet, B: ScalarSet) -> ScalarSet:
     domain = join_domains(A.domain, B.domain)
     _check_pair_budget(len(A), len(B), "productset")
-    if domain == RATIONAL_DOMAIN:
-        (na, da), (nb, db) = A.lat, B.lat
-        return _lattice({a * b for a in na for b in nb}, da * db)
-    return ScalarSet(a * b for a in A for b in B)
+    _check_lattice_bits(A, B, "productset")
+    (na, da), (nb, db) = A.lat, B.lat
+    return _lattice({a * b for a in na for b in nb}, da * db, domain)
 
 
 def shift(A: ScalarSet, c: Scalar) -> ScalarSet:
@@ -248,14 +259,21 @@ def dot_product_set(E: PointSet2, F: PointSet2) -> ScalarSet:
     dtype = np.int64 if 2 * (q - 1) ** 2 < 2 ** 63 else object
     ea, fa = (np.array([(x.residue, y.residue) for x, y in P.elems], dtype=dtype)
               for P in (E, F))
-    seen = set()
-    # blockwise outer products keep peak memory modest
-    step = max(1, PAIR_CAP // (8 * len(fa)))
+    # a table of q booleans pays only when the pairs outnumber it; blocks of
+    # 4q pairs or more keep its all() check a small share of each scatter
+    table = dtype is np.int64 and q <= len(ea) * len(fa)
+    seen = np.zeros(q, dtype=bool) if table else set()
+    step = max(1, (max(4 * q, 2 ** 16) if table else PAIR_CAP // 8) // len(fa))
     for i in range(0, len(ea), step):
         blk = ea[i:i + step]
         dots = (np.outer(blk[:, 0], fa[:, 0]) + np.outer(blk[:, 1], fa[:, 1])) % q
-        seen.update(np.unique(dots).tolist())
-    return ScalarSet(PrimeFieldElement(v, q) for v in seen)
+        if table:
+            seen[dots.ravel()] = True
+            if seen.all():
+                break
+        else:
+            seen.update(dots.ravel().tolist())
+    return _lattice(np.flatnonzero(seen).tolist() if table else seen, q, q)
 
 
 def collinear(P: PointSet2) -> bool:
@@ -283,11 +301,9 @@ def expansion_ratios(A: ScalarSet) -> tuple:
 # text format: "{1, 2, 4/3}" for scalar sets
 
 def format_scalar_set(A: ScalarSet) -> str:
-    if isinstance(A, ScalarSet) and A.domain not in (None, RATIONAL_DOMAIN):
-        body = ", ".join(str(x.residue) for x in A.sorted())
-    else:
-        body = ", ".join(format_scalar(x) for x in A.sorted())
-    return "{" + body + "}"
+    if A.domain in (None, RATIONAL_DOMAIN):
+        return "{" + ", ".join(map(format_scalar, A.sorted())) + "}"
+    return "{" + ", ".join(map(str, sorted(A.lat[0]))) + "}"
 
 
 def _split_brace_list(text: str, what: str):

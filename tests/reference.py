@@ -1,11 +1,12 @@
-"""Slow reference for the rational pipeline, straight from the definitions.
+"""Slow reference for both pipelines, straight from the definitions.
 
-Every set is a plain Python set of int/Fraction values built by literal
-loops: G by powers of its base, B by a literal ``g*g in Gn``, Pi by the
-double loop over the point sets, C as AA+1 minus G and the decomposition
-of G*(AA+1) by literal products.  No shiftprod set type, kernel or
-membership test is used; the decimal strings still come from
-``power_ratio_decimal``, which is exact and tested on its own.
+Every set is a plain Python set of scalars built by literal loops: int and
+Fraction values over Q, PrimeFieldElement values over F_q.  G comes from
+powers of its base, B from a literal ``g*g in Gn``, Pi from the double loop
+over the point sets, C as AA+1 minus G and the decomposition of G*(AA+1)
+from literal products.  No shiftprod set type, kernel or membership test is
+used; the decimal strings still come from ``power_ratio_decimal``, which is
+exact and tested on its own.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import itertools
 from fractions import Fraction
 from math import prod
 
+from shiftprod.ffharness import FfReport
 from shiftprod.harness import DECIMAL_DIGITS, MainReport
-from shiftprod.numeric import PreconditionError, power_ratio_decimal
+from shiftprod.numeric import PreconditionError, PrimeFieldElement, power_ratio_decimal
 
 
 def _floor_log2(n: int) -> int:
@@ -23,6 +25,12 @@ def _floor_log2(n: int) -> int:
     while 2 ** (k + 1) <= n:
         k += 1
     return k
+
+
+def _power_sign(x: int, base: int, exp: Fraction) -> int:
+    """The sign of x - base**exp, by cross powers."""
+    lhs, rhs = x ** exp.denominator, base ** exp.numerator
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def _collinear(points) -> bool:
@@ -34,37 +42,20 @@ def _collinear(points) -> bool:
     return all((qx - px) * (ry - py) == (qy - py) * (rx - px) for rx, ry in pts[2:])
 
 
-def reference_main_report(A_values, G, delta, config) -> MainReport:
-    """The MainReport of ``run_main_pipeline`` for rational A and G,
-    computed element by element; raises PreconditionError where the
-    pipeline refuses."""
-    A = {Fraction(a) for a in A_values}
-    delta = Fraction(delta)
-    if len(A) < 2:
-        raise PreconditionError("need |A| >= 2")
-    if not 0 < delta < 1:
-        raise PreconditionError("delta out of range")
-    g0, R = Fraction(G.g0), G.exponents
+def _progression(g0, R):
+    """G as {g0**(r0 + k)} over the exponent vectors, with the vectors, the
+    offsets k and the formal length."""
     vectors = list(itertools.product(*(range(l) for l in R.lengths)))
     offsets = [sum(x * r for x, r in zip(v, R.generators)) for v in vectors]
-    formal = len(vectors)
+    return {g0 ** (R.r0 + k) for k in offsets}, vectors, offsets, len(vectors)
 
+
+def _core(A, g0, R, one, eps, delta, skew_e, constants):
+    """The fields both reports share, then E, F and Pi; ``one`` is the
+    unit of the domain."""
+    Gset, vectors, offsets, formal = _progression(g0, R)
     AA = {a * b for a in A for b in A}
-    Gset = {g0 ** (R.r0 + k) for k in offsets}
-    constants = {}
-    ratio = Fraction(len(Gset), len(AA))
-    constants["size_match_ratio"] = str(ratio)
-    if max(ratio, 1 / ratio) > config.size_match_factor:
-        if config.on_size_mismatch == "reject":
-            raise PreconditionError("size mismatch")
-        constants["size_match"] = "warn"
-    degeneracy = Fraction(len(R.lengths), _floor_log2(formal))
-    constants["degeneracy_ratio"] = str(degeneracy)
-    if degeneracy > config.degeneracy_threshold:
-        raise PreconditionError("degenerate progression")
-
-    eps = delta / 3
-    AA1 = {x + 1 for x in AA}
+    AA1 = {x + one for x in AA}
     g1 = g0 ** R.r0
     Gn = {g0 ** k for k in offsets}
     B = {g for g in Gn if g * g in Gn}
@@ -77,7 +68,7 @@ def reference_main_report(A_values, G, delta, config) -> MainReport:
                                         if all(x % 2 == 0 for x in v)}))
 
     F = {(b, b * a) for b in B for a in A}
-    if config.skew_e:
+    if skew_e:
         E = {(b * g1, b * a) for b in B for a in A}
     else:
         E = {(g1 * b, g1 * b * a) for b in B for a in A}
@@ -110,7 +101,7 @@ def reference_main_report(A_values, G, delta, config) -> MainReport:
     constants["pi_over_e_pow"] = power_ratio_decimal(
         len(Pi), max(1, len(E)), 1 - eps, DECIMAL_DIGITS)
 
-    return MainReport(
+    shared = dict(
         a_size=len(A),
         aa_size=len(AA),
         g_formal_len=formal,
@@ -124,6 +115,65 @@ def reference_main_report(A_values, G, delta, config) -> MainReport:
         claim_bb_bound=bound,
         identity_ok=Pi == rhs,
         corollary1_ok=len(C) >= 1,
-        bound_ratio=power_ratio_decimal(len(C), len(A), 1 - delta, DECIMAL_DIGITS),
+    )
+    return shared, E, F, Pi
+
+
+def reference_main_report(A_values, G, delta, config) -> MainReport:
+    """The MainReport of ``run_main_pipeline`` for rational A and G,
+    computed element by element; raises PreconditionError where the
+    pipeline refuses."""
+    A = {Fraction(a) for a in A_values}
+    delta = Fraction(delta)
+    if len(A) < 2:
+        raise PreconditionError("need |A| >= 2")
+    if not 0 < delta < 1:
+        raise PreconditionError("delta out of range")
+    g0, R = Fraction(G.g0), G.exponents
+    Gset, _, _, formal = _progression(g0, R)
+    constants = {}
+    ratio = Fraction(len(Gset), len({a * b for a in A for b in A}))
+    constants["size_match_ratio"] = str(ratio)
+    if max(ratio, 1 / ratio) > config.size_match_factor:
+        if config.on_size_mismatch == "reject":
+            raise PreconditionError("size mismatch")
+        constants["size_match"] = "warn"
+    degeneracy = Fraction(len(R.lengths), _floor_log2(formal))
+    constants["degeneracy_ratio"] = str(degeneracy)
+    if degeneracy > config.degeneracy_threshold:
+        raise PreconditionError("degenerate progression")
+
+    shared, _, _, _ = _core(A, g0, R, 1, delta / 3, delta, config.skew_e, constants)
+    return MainReport(
+        **shared,
+        bound_ratio=power_ratio_decimal(shared["c_size"], len(A), 1 - delta,
+                                        DECIMAL_DIGITS),
+        constants=constants,
+    )
+
+
+def reference_ff_report(q, A_values, G, epsilon, delta, skew_e) -> FfReport:
+    """The FfReport of ``run_field_pipeline`` for A (ints, read mod q) and
+    G over F_q, computed element by element, for inputs the pipeline
+    accepts."""
+    A = {PrimeFieldElement(a, q) for a in A_values}
+    eps, delta = Fraction(epsilon), Fraction(delta)
+    constants = {}
+    shared, E, F, Pi = _core(A, G.g0, G.exponents, PrimeFieldElement(1, q),
+                             eps, delta, skew_e, constants)
+    hypothesis = len(E) == len(F) and len(E) ** 2 > q ** 3
+    constants["coverage_hypothesis"] = "holds" if hypothesis else "fails"
+    a_aa, aa, c = len(A) * shared["aa_size"], shared["aa_size"], shared["c_size"]
+    return FfReport(
+        q=q,
+        **shared,
+        cond1_ok=_power_sign(a_aa, q, Fraction(3, 2) + eps) >= 0,
+        cond1_margin=power_ratio_decimal(a_aa, q, Fraction(3, 2) + eps,
+                                         DECIMAL_DIGITS),
+        cond2_ok=_power_sign(aa, q, 1 - delta) <= 0,
+        cond2_margin=power_ratio_decimal(aa, q, 1 - delta, DECIMAL_DIGITS),
+        coverage_ok=Pi >= {PrimeFieldElement(u, q) for u in range(1, q)},
+        q_delta_bound=_power_sign(c, q, delta) >= 0,
+        bound_ratio=power_ratio_decimal(c, q, delta, DECIMAL_DIGITS),
         constants=constants,
     )

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from shiftprod import setalg
 from shiftprod.cli import main
 from shiftprod.ffharness import FfInput, run_field_pipeline
 from shiftprod.numeric import PrimeField
@@ -319,6 +320,44 @@ def test_config_integer_forms_accepted(capsys, tmp_path):
         outs.append(out)
     assert len(json.loads(outs[0])) == 2
     assert outs == outs[:1] * 4
+
+
+# skew_e takes JSON true or false and the --skew-e switch, nothing else: the
+# text "false" once switched the skewed lift on, a false finding with exit 1
+SKEW_E_COMMANDS = [
+    ("verify-main", "--A", "{1, 2}", "--G", "ggp 3; gap 1;1;3", "--delta", "1/2"),
+    ("verify-ff", "--q", "101", "--A", "{2, 3, 5}", "--G", "ggp 2; gap 1;1;3",
+     "--epsilon", "1/100", "--delta", "1/10"),
+]
+
+
+@pytest.mark.parametrize("argv", SKEW_E_COMMANDS)
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [], [False]])
+def test_config_skew_e_of_wrong_type_exits_2(capsys, tmp_path, argv, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"skew_e": value}))
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert (code, out, err) == (2, "", f"error: expected true or false, got {value!r}\n")
+
+
+@pytest.mark.parametrize("argv", SKEW_E_COMMANDS)
+def test_config_skew_e_forms_accepted(capsys, tmp_path, argv):
+    plain = run_cli(capsys, *argv)
+    skewed = run_cli(capsys, *argv, "--skew-e")
+    assert plain[0] == 0 and skewed[0] == 1
+    cfg = tmp_path / "cfg.json"
+    for value, expected in ((False, plain), (True, skewed)):
+        cfg.write_text(json.dumps({"skew_e": value}))
+        assert run_cli(capsys, *argv, "--config", str(cfg)) == expected
+
+
+def test_lattice_bit_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(setalg, "LATTICE_BIT_CAP", 10)
+    code, out, err = run_cli(capsys, "verify-main", "--A", "{1/2, 1/3}",
+                             "--G", "ggp 2; gap 1;1;3", "--delta", "1/2")
+    # A*A: 2 * 2 pairs over 6 * 6, whose bit length is 6
+    assert (code, out) == (2, "")
+    assert err == "error: productset needs about 24 numerator bits, above the cap 10\n"
 
 
 def test_unwritable_out(capsys, tmp_path):

@@ -7,7 +7,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from reference import reference_ff_report
 from shiftprod.cli import main
 from shiftprod.ffharness import (
     CoverageReport,
@@ -18,7 +20,7 @@ from shiftprod.ffharness import (
     subgroup_ggp,
 )
 from shiftprod.harness import PreconditionError, exceptional_set
-from shiftprod.numeric import PrimeField, PrimeFieldElement
+from shiftprod.numeric import PrimeField, PrimeFieldElement, is_prime, multiplicative_order
 from shiftprod import progressions
 from shiftprod.progressions import GapSpec, GgpSpec, enumerate_ggp, realized_size
 from shiftprod.setalg import Point2, PointSet2, ScalarSet, productset, shift
@@ -252,3 +254,35 @@ def test_finding_flag_on_coverage_gap():
     forced = dataclasses.replace(rep, coverage_ok=False)
     assert forced.finding()
     assert not rep.finding()
+
+
+REFERENCE_PRIMES = [p for p in range(3, 102) if is_prime(p)]
+
+
+@st.composite
+def _field_pipeline_case(draw):
+    """Small A over a prime q <= 101 and any G over F_q, proper or not: the
+    base is a generator, -1 (order 2) or any other residue."""
+    q = draw(st.sampled_from(REFERENCE_PRIMES))
+    generator = next(g for g in range(2, q)
+                     if multiplicative_order(PrimeFieldElement(g, q)) == q - 1)
+    g0 = draw(st.one_of(st.sampled_from([generator, q - 1]), st.integers(2, q - 1)))
+    A = draw(st.sets(st.integers(0, q - 1), min_size=2, max_size=min(6, q)))
+    d = draw(st.integers(1, 2))
+    gap = GapSpec(draw(st.integers(-2, 2)),
+                  tuple(draw(st.integers(-3, 4)) for _ in range(d)),
+                  tuple(draw(st.integers(3, 4)) for _ in range(d)))
+    G = GgpSpec(PrimeFieldElement(g0, q), gap)
+    eps = draw(st.sampled_from([Fraction(1, 100), Fraction(1, 2), Fraction(1)]))
+    delta = draw(st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(9, 10)]))
+    return q, A, G, eps, delta, draw(st.booleans())
+
+
+@settings(max_examples=200)
+@given(_field_pipeline_case())
+def test_field_report_matches_reference(case):
+    q, A, G, eps, delta, skew_e = case
+    inp = FfInput(q=q, A=ScalarSet(PrimeFieldElement(a, q) for a in A), G=G,
+                  epsilon=eps, delta=delta, skew_e=skew_e)
+    expected = reference_ff_report(q, A, G, eps, delta, skew_e)
+    assert dataclasses.asdict(run_field_pipeline(inp)) == dataclasses.asdict(expected)

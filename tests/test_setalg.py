@@ -2,17 +2,21 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from shiftprod import setalg
 from shiftprod.numeric import (
     DomainMismatchError,
     ParseError,
     PrimeField,
     PrimeFieldElement,
     as_rational,
+    is_prime,
 )
 from shiftprod.setalg import (
+    LATTICE_BIT_CAP,
     PAIR_CAP,
     Point2,
     PointSet2,
@@ -135,14 +139,40 @@ def _field_point_pair(draw):
     q = draw(st.sampled_from(FIELD_DOT_PRIMES))
     F = PrimeField(q)
     coord = st.one_of(st.integers(0, q - 1), st.sampled_from([0, 1, q - 2, q - 1]))
-    points = st.lists(st.tuples(coord, coord), max_size=6)
-    E, Fp = (PointSet2([Point2(F(x), F(y)) for x, y in draw(points)])
-             for _ in range(2))
-    return q, E, Fp
+    # dense draws take 11-14 distinct points a side: at q <= 101 their pairs
+    # outnumber q, and the kernel scatters into its table of q booleans
+    sizes = st.integers(11, 14) if draw(st.booleans()) else st.integers(0, 6)
+
+    def points():
+        n = draw(sizes)
+        pairs = st.lists(st.tuples(coord, coord), min_size=n, max_size=n, unique=True)
+        return PointSet2([Point2(F(x), F(y)) for x, y in draw(pairs)])
+
+    return q, points(), points()
+
+
+def _points(q, pairs):
+    return PointSet2(Point2(PrimeFieldElement(x, q), PrimeFieldElement(y, q))
+                     for x, y in pairs)
+
+
+def _punctured_plane(q):
+    return _points(q, ((x, y) for x in range(q) for y in range(q) if (x, y) != (0, 0)))
+
+
+def _axis(q):
+    """The nonzero points of the x-axis: their dot products miss 0."""
+    return _points(q, ((x, 0) for x in range(1, q)))
 
 
 @settings(max_examples=200)
 @given(_field_point_pair())
+# every residue is reached, so the table scan stops early
+@example((5, _punctured_plane(5), _punctured_plane(5)))
+@example((13, _punctured_plane(13), _punctured_plane(13)))
+# 0 is never reached, so the scan runs to the end
+@example((13, _axis(13), _axis(13)))
+@example((13, _axis(13), _punctured_plane(13)))
 def test_field_dot_kernel_matches_element_loop(case):
     q, E, F = case
     slow = {e.x * f.x + e.y * f.y for e in E for f in F}
@@ -159,6 +189,35 @@ def test_field_dot_kernel_edge_sizes(q):
     assert dot_product_set(PointSet2(), one) == ScalarSet()
     # (-1)(-1) + (-1)(-1) = 2, the largest residue products of the field
     assert dot_product_set(one, one) == ScalarSet([F(2)])
+
+
+def _count_blocks(monkeypatch):
+    """A list that gains one entry per block of the dot kernel (two outer
+    products each)."""
+    calls, outer = [], np.outer
+    monkeypatch.setattr(np, "outer", lambda a, b: calls.append(1) or outer(a, b))
+    return calls
+
+
+def test_field_dot_kernel_table_stops_once_full(monkeypatch):
+    q = 53
+    plane = _punctured_plane(q)
+    calls = _count_blocks(monkeypatch)
+    dots = dot_product_set(plane, plane)
+    # 7.9 M pairs, but one block already reaches every residue
+    assert dots == ScalarSet(PrimeFieldElement(r, q) for r in range(q))
+    assert len(calls) == 2
+
+
+def test_field_dot_kernel_table_scans_every_block(monkeypatch):
+    q = 10007
+    # each row of E reaches only its own residue x, so every block counts
+    E = _points(q, ((x, 0) for x in range(1, 2001)))
+    F = _points(q, ((1, y) for y in range(64)))
+    calls = _count_blocks(monkeypatch)
+    dots = dot_product_set(E, F)
+    assert dots == ScalarSet(PrimeFieldElement(x, q) for x in range(1, 2001))
+    assert len(calls) > 2
 
 
 def test_field_dot_kernel_has_no_q_sized_table():
@@ -334,10 +393,10 @@ PROBES = st.one_of(
 )
 
 
-def _check_plain(S, values, probes):
-    plain = frozenset(as_rational(x) for x in values)
+def _check_plain(S, values, probes, domain="Q"):
+    plain = frozenset(map(as_rational, values) if domain == "Q" else values)
     assert len(S) == len(plain)
-    assert S.domain == ("Q" if plain else None)
+    assert S.domain == (domain if plain else None)
     assert {_typed(x) for x in S} == {_typed(x) for x in plain}
     assert [_typed(x) for x in S.sorted()] == [_typed(x) for x in sorted(plain)]
     assert S.elems == plain
@@ -345,14 +404,17 @@ def _check_plain(S, values, probes):
     assert S == same and hash(S) == hash(same)
     for p in probes:
         assert (p in S) == (p in plain)
-        if isinstance(p, (int, Fraction)) and not isinstance(p, bool) and p not in plain:
+        if p not in plain and _in_domain(p, domain):
             assert S != ScalarSet([*plain, p])
 
 
-@settings(max_examples=200)
-@given(st.lists(RATIONALS, max_size=6), st.lists(RATIONALS, max_size=6),
-       RATIONALS, NONZERO, st.lists(PROBES, max_size=4))
-def test_rational_set_operations_match_plain_sets(xs, ys, c, s, probes):
+def _in_domain(p, domain) -> bool:
+    if domain == "Q":
+        return isinstance(p, (int, Fraction)) and not isinstance(p, bool)
+    return isinstance(p, PrimeFieldElement) and p.modulus == domain
+
+
+def _set_operations_match_plain_sets(xs, ys, c, s, probes, domain="Q"):
     A, B = ScalarSet(xs), ScalarSet(ys)
     probes = [*probes, *xs[:2], *ys[:2], c, s]
     for S, plain in [
@@ -365,7 +427,33 @@ def test_rational_set_operations_match_plain_sets(xs, ys, c, s, probes):
         (set_intersect(A, B), set(xs) & set(ys)),
         (set_union(A, B), set(xs) | set(ys)),
     ]:
-        _check_plain(S, plain, probes)
+        _check_plain(S, plain, probes, domain)
+
+
+@settings(max_examples=200)
+@given(st.lists(RATIONALS, max_size=6), st.lists(RATIONALS, max_size=6),
+       RATIONALS, NONZERO, st.lists(PROBES, max_size=4))
+def test_rational_set_operations_match_plain_sets(xs, ys, c, s, probes):
+    _set_operations_match_plain_sets(xs, ys, c, s, probes)
+
+
+# Field sets are stored as residues; the same operations and queries are held
+# against plain PrimeFieldElement sets.
+@st.composite
+def _field_set_case(draw):
+    q = draw(st.sampled_from([5, 7, 101, 2 ** 31 - 1]))
+    elem = st.one_of(st.integers(0, q - 1), st.sampled_from([0, 1, q - 1])).map(
+        lambda r: PrimeFieldElement(r, q))
+    xs, ys = (draw(st.lists(elem, max_size=6)) for _ in range(2))
+    c, s = draw(elem), draw(elem.filter(lambda x: x.residue != 0))
+    probes = draw(st.lists(st.one_of(elem, PROBES), max_size=4))
+    return xs, ys, c, s, probes, q
+
+
+@settings(max_examples=200)
+@given(_field_set_case())
+def test_field_set_operations_match_plain_sets(case):
+    _set_operations_match_plain_sets(*case)
 
 
 @settings(max_examples=150)
@@ -377,15 +465,48 @@ def test_rational_dot_product_set_matches_plain_loop(e, f, probes):
     _check_plain(dot_product_set(PointSet2(e), PointSet2(f)), dots, [*probes, *dots[:3]])
 
 
-def test_rational_elems_built_once_field_elems_stored():
+def test_rational_and_field_elems_built_once():
     held = _DomainSet.elems  # the slot itself, without the lazy fallback
     F = PrimeField(7)
-    assert held.__get__(ScalarSet([F(1), F(3)])) == {F(1), F(3)}
-    S = productset(ScalarSet([Fraction(1, 2), 3]), ScalarSet([3, -4]))
-    assert S.lat == (frozenset({3, -4, 18, -24}), 2)
-    with pytest.raises(AttributeError):
-        held.__get__(S)
-    first = S.elems
-    assert {_typed(x) for x in first} == {
-        (Fraction, Fraction(3, 2)), (int, -2), (int, 9), (int, -12)}
-    assert S.elems is first and held.__get__(S) is first
+    for S, lat, elems in [
+        (productset(ScalarSet([Fraction(1, 2), 3]), ScalarSet([3, -4])),
+         (frozenset({3, -4, 18, -24}), 2),
+         {(Fraction, Fraction(3, 2)), (int, -2), (int, 9), (int, -12)}),
+        (productset(ScalarSet([F(1), F(3)]), ScalarSet([F(5), 4])),
+         (frozenset({1, 4, 5}), 7),
+         {(PrimeFieldElement, F(5)), (PrimeFieldElement, F(4)),
+          (PrimeFieldElement, F(1))}),
+    ]:
+        assert S.lat == lat
+        with pytest.raises(AttributeError):
+            held.__get__(S)
+        first = S.elems
+        assert {_typed(x) for x in first} == elems
+        assert S.elems is first and held.__get__(S) is first
+    # one lattice, two domains: {1/5} over Q is not {1} over F_5
+    assert ScalarSet([Fraction(1, 5)]).lat == ScalarSet([PrimeField(5)(1)]).lat
+    assert ScalarSet([Fraction(1, 5)]) != ScalarSet([PrimeField(5)(1)])
+    assert ScalarSet() == set_minus(ScalarSet([F(2)]), ScalarSet([F(2)]))
+
+
+# the first 303 primes
+SMALL_PRIMES = [k for k in range(2, 2000) if is_prime(k)]
+
+
+def test_lattice_bit_cap(monkeypatch):
+    A = ScalarSet(Fraction(1, p) for p in SMALL_PRIMES[:6])
+    bits = 36 * (A.lat[1] ** 2).bit_length()
+    monkeypatch.setattr(setalg, "LATTICE_BIT_CAP", bits - 1)
+    for kernel in (productset, sumset):
+        with pytest.raises(ValueError, match="numerator bits, above the cap"):
+            kernel(A, A)
+    # not pairwise, or not over Q: no lattice cap
+    assert set_union(A, A) == A
+    F = PrimeField(2 ** 31 - 1)
+    big = ScalarSet(F(x) for x in range(2, 200))
+    assert len(productset(big, big)) > 0
+    monkeypatch.setattr(setalg, "LATTICE_BIT_CAP", bits)
+    assert len(productset(A, A)) == 21
+    # {1/p} over the first 300 primes stays under the stated cap
+    primes = ScalarSet(Fraction(1, p) for p in SMALL_PRIMES[:300])
+    assert 300 ** 2 * (primes.lat[1] ** 2).bit_length() <= LATTICE_BIT_CAP
