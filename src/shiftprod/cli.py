@@ -45,7 +45,7 @@ from .progressions import (
     parse_gap_spec,
     parse_ggp_spec,
 )
-from .setalg import Point2, PointSet2, ScalarSet, format_scalar_set, parse_scalar_set, productset
+from .setalg import PointSet2, ScalarSet, format_scalar_set, parse_scalar_set, productset
 
 __all__ = ["entry", "main"]
 
@@ -252,8 +252,8 @@ def _usage(msg):
 
 
 def _full_plane(F: PrimeField) -> PointSet2:
-    return PointSet2(Point2(F(x), F(y)) for x in range(F.q) for y in range(F.q)
-                     if (x, y) != (0, 0))
+    return PointSet2.from_lattice([(x, y) for x in range(F.q) for y in range(F.q)
+                                   if (x, y) != (0, 0)], F.q, F.q)
 
 
 def cmd_verify_ff(args) -> int:

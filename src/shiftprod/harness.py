@@ -23,11 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .numeric import (
     RATIONAL_DOMAIN,
     PreconditionError,
+    join_domains,
+    lift,
     power_ratio_decimal,
     scalar_pow,
 )
@@ -41,7 +43,6 @@ from .progressions import (
     realized_size,
 )
 from .setalg import (
-    Point2,
     PointSet2,
     ScalarSet,
     collinear,
@@ -66,7 +67,6 @@ __all__ = [
     "first_element",
     "normalize",
     "run_main_pipeline",
-    "shift_escape_experiment",
     "square_part",
     "square_part_bound_check",
 ]
@@ -191,13 +191,19 @@ def build_point_sets(A: ScalarSet, B: ScalarSet, g1,
     F = {(b, b*a)} and E = g1 * F, so every dot product expands to
     g1 * b * b' * (a*a' + 1).  With skew=True only the first coordinate of
     E is scaled; the products then expand to b * b' * (g1 + a*a') instead.
+    Both are built on the int lattices of A and B: over Q, F is
+    {(b * da, b * a)} over da * db and E scales it by g1 = gn / gd.
     """
-    F = PointSet2(Point2(b, b * a) for b in B for a in A)
-    if skew:
-        E = PointSet2(Point2(b * g1, b * a) for b in B for a in A)
-    else:
-        E = PointSet2(Point2(g1 * b, g1 * b * a) for b in B for a in A)
-    return E, F
+    (g1,), domain = lift([g1], join_domains(A.domain, B.domain))
+    (na, da), (nb, db) = A.lat, B.lat
+    if domain != RATIONAL_DOMAIN:
+        # residues carry no denominators
+        g1, da, db = g1.residue, 1, 1
+    gn, gd = g1.numerator, g1.denominator
+    F = [(b * da, b * a) for b in nb for a in na]
+    E = [(gn * x, (gd if skew else gn) * y) for x, y in F]
+    return (PointSet2.from_lattice(E, gd * da * db, domain),
+            PointSet2.from_lattice(F, da * db, domain))
 
 
 def dot_identity_check(A: ScalarSet, B: ScalarSet, g1,
@@ -315,20 +321,3 @@ def run_main_pipeline(inp: PipelineInput) -> MainReport:
                                         DECIMAL_DIGITS),
         constants=constants,
     )
-
-
-def shift_escape_experiment(H: GgpSpec, G: GgpSpec, delta: Fraction,
-                            config: Optional[HarnessConfig] = None):
-    """Shift escape for progressions themselves.
-
-    H is lifted to A = H union {1}, so that A*A covers H and the pipeline
-    applies; the experiment then checks directly that H+1 leaves G.
-    Returns (report, escape set, escaped flag).
-    """
-    Hset = enumerate_ggp(H)
-    A = ScalarSet([*Hset, 1])
-    inp = PipelineInput(A=A, G=G, delta=Fraction(delta),
-                        config=config or HarnessConfig())
-    report = run_main_pipeline(inp)
-    escape = exceptional_set(shift(Hset, 1), G)
-    return report, escape, len(escape) >= 1

@@ -60,7 +60,6 @@ __all__ = [
     "format_ggp_spec",
     "ggp_membership",
     "growth_check",
-    "is_degenerate",
     "is_proper",
     "parse_gap_spec",
     "parse_ggp_spec",
@@ -298,11 +297,6 @@ def degeneracy_ratio(spec) -> Fraction:
     if n < 2:
         raise ValueError("formal length below 2 has no degeneracy ratio")
     return Fraction(R.dimension, n.bit_length() - 1)
-
-
-def is_degenerate(spec, threshold: Fraction = Fraction(1)) -> bool:
-    """Dimension too large for the length: ratio strictly above threshold."""
-    return degeneracy_ratio(spec) > threshold
 
 
 @dataclass(frozen=True)

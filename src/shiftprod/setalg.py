@@ -2,16 +2,17 @@
 dot-product sets of planar point sets, all exact.
 
 Pairwise operations enumerate O(|A||B|) combinations under PAIR_CAP, and
-rational ones under LATTICE_BIT_CAP numerator bits.  A scalar set lives on
-ints, the residues of a field set or the numerators of a rational set over
-their least common denominator d (gcd(d, *nums) == 1), and every operation
-runs on them; Fractions and field elements are built only when a caller
-iterates, sorts or reads ``elems``.  The field dot-product set takes
-blockwise numpy outer products over int64 while every sum of two residue
-products fits in 63 bits, over exact Python ints above that.  An int64
-input of at least q pairs is scattered into a table of q booleans in blocks
-of max(4q, 2**16) pairs until every residue is seen; a smaller one builds
-no table.
+rational ones, the dot-product set included, under LATTICE_BIT_CAP
+numerator bits.  A scalar set lives on ints and a point set on int pairs:
+the residues of a field set, or the numerators of a rational set's
+coordinates over their least common denominator d (gcd(d, *nums) == 1).
+Every operation runs on them; Fractions, field elements and Point2s are
+built only when a caller iterates, sorts or reads ``elems``.  The field
+dot-product set takes blockwise numpy outer products over int64 while every
+sum of two residue products fits in 63 bits, over exact Python ints above
+that.  An int64 input of at least q pairs is scattered into a table of q
+booleans in blocks of max(4q, 2**16) pairs until every residue is seen; a
+smaller one builds no table.
 
 Both set types take their elements through :func:`numeric.lift`, the only
 place the domain rule lives, and so do the scalars of ``shift`` and
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional
 
@@ -38,7 +40,6 @@ from .numeric import (
     lift,
     parse_scalar,
     scalar_is_zero,
-    sort_key,
 )
 
 __all__ = [
@@ -49,7 +50,6 @@ __all__ = [
     "ScalarSet",
     "collinear",
     "dot_product_set",
-    "expansion_ratios",
     "format_scalar_set",
     "parse_scalar_set",
     "productset",
@@ -68,17 +68,77 @@ LATTICE_BIT_CAP = 2 ** 30
 
 
 class _DomainSet:
-    """Immutable finite set over one domain: ``elems``, a frozenset that a
-    ScalarSet builds from its ints on first read, and ``domain``, its tag
-    from :func:`numeric.lift`."""
+    """Immutable finite set over one domain, held as ``lat = (items, m)`` so
+    that equal sets have equal ``lat``: the items are ints for a ScalarSet
+    and int pairs for a PointSet2, over Q the numerators of the coordinates
+    over ``m``, their least common denominator (``gcd(m, *coordinates) ==
+    1``), over F_q their residues and ``m = q``, and ``(frozenset(), 1)``
+    when empty.  ``domain`` is the tag from :func:`numeric.lift`, and
+    ``elems``, the frozenset of ints and reduced Fractions or of
+    PrimeFieldElements (in Point2s for a PointSet2), is built on first
+    read."""
 
-    __slots__ = ("elems", "domain")
+    __slots__ = ("lat", "domain", "elems")
+
+    def __new__(cls, values: Iterable = ()):
+        pts = cls is PointSet2
+        if pts:
+            # each point unpacks to exactly two coordinates; zip(it, it) re-pairs them
+            values = (c for px, py in values for c in (px, py))
+        vals, domain = lift(values)
+        if domain in (None, RATIONAL_DOMAIN):
+            d = lcm(*{x.denominator for x in vals})
+            nums = [x.numerator * (d // x.denominator) for x in vals]
+        else:
+            d, nums = domain, [x.residue for x in vals]
+        it = iter(nums)
+        return cls.from_lattice(list(zip(it, it)) if pts else nums, d, domain)
+
+    @classmethod
+    def from_lattice(cls, items, d: int, domain=None):
+        """The set of ``items`` over ``d`` in canonical form, or over F_q
+        (domain q) their residues mod q, whatever d."""
+        S, pts = object.__new__(cls), cls is PointSet2
+        if domain in (None, RATIONAL_DOMAIN):
+            g = gcd(d, *(chain.from_iterable(items) if pts else items))
+            domain = RATIONAL_DOMAIN
+            if g > 1:
+                d //= g
+                items = ([(x // g, y // g) for x, y in items] if pts
+                         else [n // g for n in items])
+        else:
+            q = d = domain
+            items = ({(x % q, y % q) for x, y in items} if pts
+                     else {n % q for n in items})
+        items = frozenset(items)
+        object.__setattr__(S, "lat", (items, d) if items else (items, 1))
+        object.__setattr__(S, "domain", domain if items else None)
+        return S
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __getattr__(self, name):
+        # reached only for the unset elems
+        if name != "elems":
+            raise AttributeError(name)
+        items, m = self.lat
+        if self.domain in (None, RATIONAL_DOMAIN):
+            def el(n):
+                return n // m if n % m == 0 else Fraction(n, m)
+        else:
+            def el(n):
+                return PrimeFieldElement(n, m)
+        elems = frozenset((Point2(el(x), el(y)) for x, y in items)
+                          if type(self) is PointSet2 else map(el, items))
+        object.__setattr__(self, "elems", elems)
+        return elems
+
+    def sorted(self) -> list:
+        return sorted(self.elems)
+
     def __len__(self):
-        return len(self.elems)
+        return len(self.lat[0])
 
     def __iter__(self):
         return iter(self.elems)
@@ -87,73 +147,20 @@ class _DomainSet:
         return x in self.elems
 
     def __eq__(self, other):
-        return type(other) is type(self) and self.elems == other.elems
-
-    def __hash__(self):
-        return hash(self.elems)
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.sorted()!r})"
-
-
-class ScalarSet(_DomainSet):
-    """Immutable finite set of scalars from one domain, held as
-    ``lat = (ints, m)`` so that equal sets have equal ``lat``: over Q the
-    numerators of its elements over ``m``, their least common denominator
-    (``gcd(m, *ints) == 1``), over F_q their residues and ``m = q``, and
-    ``(frozenset(), 1)`` when empty.  ``elems`` holds ints and reduced
-    Fractions, or PrimeFieldElements."""
-
-    __slots__ = ("lat",)
-
-    def __init__(self, elements: Iterable[Scalar] = ()):
-        vals, domain = lift(elements)
-        if domain in (None, RATIONAL_DOMAIN):
-            d = lcm(*{x.denominator for x in vals})
-            _lattice([x.numerator * (d // x.denominator) for x in vals], d, S=self)
-        else:
-            _lattice([x.residue for x in vals], domain, domain, self)
-
-    def __getattr__(self, name):
-        # reached only for the unset elems
-        if name != "elems":
-            raise AttributeError(name)
-        nums, m = self.lat
-        if self.domain in (None, RATIONAL_DOMAIN):
-            elems = frozenset(n // m if n % m == 0 else Fraction(n, m) for n in nums)
-        else:
-            elems = frozenset(PrimeFieldElement(r, m) for r in nums)
-        object.__setattr__(self, "elems", elems)
-        return elems
-
-    def __len__(self):
-        return len(self.lat[0])
-
-    def __eq__(self, other):
         return (type(other) is type(self) and self.lat == other.lat
                 and self.domain == other.domain)
 
     def __hash__(self):
         return hash(self.lat)
 
-    def sorted(self):
-        return sorted(self.elems, key=sort_key)
+    def __repr__(self):
+        return f"{type(self).__name__}({self.sorted()!r})"
 
 
-def _lattice(nums, d: int, domain=None, S: Optional[ScalarSet] = None) -> ScalarSet:
-    """{n/d : n in nums} in canonical form, or over F_q (domain q) the
-    residues {n mod q}, whatever d; stored in S or a new set."""
-    S = object.__new__(ScalarSet) if S is None else S
-    if domain in (None, RATIONAL_DOMAIN):
-        domain, g = RATIONAL_DOMAIN, gcd(d, *nums)
-        if g > 1:
-            nums, d = [n // g for n in nums], d // g
-    else:
-        nums, d = {n % domain for n in nums}, domain
-    nums = frozenset(nums)
-    object.__setattr__(S, "lat", (nums, d) if nums else (nums, 1))
-    object.__setattr__(S, "domain", domain if nums else None)
-    return S
+class ScalarSet(_DomainSet):
+    """Immutable finite set of scalars from one domain."""
+
+    __slots__ = ()
 
 
 class Point2(NamedTuple):
@@ -166,16 +173,6 @@ class PointSet2(_DomainSet):
 
     __slots__ = ()
 
-    def __init__(self, points: Iterable = ()):
-        # each point unpacks to exactly two coordinates; map(Point2, it, it) re-pairs them
-        coords, domain = lift(c for px, py in points for c in (px, py))
-        it = iter(coords)
-        object.__setattr__(self, "elems", frozenset(map(Point2, it, it)))
-        object.__setattr__(self, "domain", domain)
-
-    def sorted(self):
-        return sorted(self.elems, key=lambda p: (sort_key(p.x), sort_key(p.y)))
-
 
 def _check_pair_budget(a: int, b: int, what: str):
     if a * b > PAIR_CAP:
@@ -183,7 +180,7 @@ def _check_pair_budget(a: int, b: int, what: str):
             f"{what} needs {a * b} pair evaluations, above the cap {PAIR_CAP}")
 
 
-def _check_lattice_bits(A: ScalarSet, B: ScalarSet, what: str):
+def _check_lattice_bits(A: _DomainSet, B: _DomainSet, what: str):
     bits = len(A) * len(B) * (A.lat[1] * B.lat[1]).bit_length()
     if A.domain == B.domain == RATIONAL_DOMAIN and bits > LATTICE_BIT_CAP:
         raise ValueError(f"{what} needs about {bits} numerator bits, above "
@@ -195,8 +192,8 @@ def _set_op(A: ScalarSet, B: ScalarSet, op) -> ScalarSet:
     domain = join_domains(A.domain, B.domain)
     (na, da), (nb, db) = A.lat, B.lat
     d = lcm(da, db)
-    return _lattice(op({n * (d // da) for n in na}, {n * (d // db) for n in nb}),
-                    d, domain)
+    return ScalarSet.from_lattice(
+        op({n * (d // da) for n in na}, {n * (d // db) for n in nb}), d, domain)
 
 
 def sumset(A: ScalarSet, B: ScalarSet) -> ScalarSet:
@@ -210,7 +207,7 @@ def productset(A: ScalarSet, B: ScalarSet) -> ScalarSet:
     _check_pair_budget(len(A), len(B), "productset")
     _check_lattice_bits(A, B, "productset")
     (na, da), (nb, db) = A.lat, B.lat
-    return _lattice({a * b for a in na for b in nb}, da * db, domain)
+    return ScalarSet.from_lattice({a * b for a in na for b in nb}, da * db, domain)
 
 
 def shift(A: ScalarSet, c: Scalar) -> ScalarSet:
@@ -237,28 +234,21 @@ def set_union(A: ScalarSet, B: ScalarSet) -> ScalarSet:
     return _set_op(A, B, operator.or_)
 
 
-def _integral(P: PointSet2):
-    """The points of a rational P scaled to int pairs by the lcm d of their
-    coordinate denominators, and d."""
-    d = lcm(*{c.denominator for p in P.elems for c in p})
-    return [tuple(c.numerator * (d // c.denominator) for c in p) for p in P.elems], d
-
-
 def dot_product_set(E: PointSet2, F: PointSet2) -> ScalarSet:
     """{e . f : e in E, f in F} where . is the planar dot product."""
     join_domains(E.domain, F.domain)
     _check_pair_budget(len(E), len(F), "dot_product_set")
+    _check_lattice_bits(E, F, "dot_product_set")
     if len(E) == 0 or len(F) == 0:
         return ScalarSet()
+    (ea, de), (fa, df) = E.lat, F.lat
     q = E.domain
     if q == RATIONAL_DOMAIN:
-        (ea, de), (fa, df) = _integral(E), _integral(F)
-        return _lattice({ex * fx + ey * fy for ex, ey in ea for fx, fy in fa},
-                        de * df)
+        return ScalarSet.from_lattice(
+            {ex * fx + ey * fy for ex, ey in ea for fx, fy in fa}, de * df)
     # int64 while every sum of two residue products fits, else exact ints
     dtype = np.int64 if 2 * (q - 1) ** 2 < 2 ** 63 else object
-    ea, fa = (np.array([(x.residue, y.residue) for x, y in P.elems], dtype=dtype)
-              for P in (E, F))
+    ea, fa = np.array(list(ea), dtype=dtype), np.array(list(fa), dtype=dtype)
     # a table of q booleans pays only when the pairs outnumber it; blocks of
     # 4q pairs or more keep its all() check a small share of each scatter
     table = dtype is np.int64 and q <= len(ea) * len(fa)
@@ -273,28 +263,21 @@ def dot_product_set(E: PointSet2, F: PointSet2) -> ScalarSet:
                 break
         else:
             seen.update(dots.ravel().tolist())
-    return _lattice(np.flatnonzero(seen).tolist() if table else seen, q, q)
+    return ScalarSet.from_lattice(
+        np.flatnonzero(seen).tolist() if table else seen, q, q)
 
 
 def collinear(P: PointSet2) -> bool:
-    """True when every point of P lies on one affine line (exact test)."""
-    pts = P.sorted()
+    """True when every point of P lies on one affine line (exact test, on
+    the int pairs of P, mod q over F_q); any two of its points fix the line."""
+    pts = list(P.lat[0])
     if len(pts) <= 2:
         return True
     (x0, y0), (x1, y1) = pts[0], pts[1]
     dx, dy = x1 - x0, y1 - y0
-    for (x, y) in pts[2:]:
-        if not scalar_is_zero(dx * (y - y0) - dy * (x - x0)):
-            return False
-    return True
-
-
-def expansion_ratios(A: ScalarSet) -> tuple:
-    """(|A+A|/|A|, |AA|/|A|) as exact Fractions."""
-    if len(A) == 0:
-        raise ValueError("expansion ratios of the empty set")
-    return (Fraction(len(sumset(A, A)), len(A)),
-            Fraction(len(productset(A, A)), len(A)))
+    dets = (dx * (y - y0) - dy * (x - x0) for x, y in pts[2:])
+    q = P.domain
+    return not any(dets if q == RATIONAL_DOMAIN else (v % q for v in dets))
 
 
 # ---------------------------------------------------------------------------

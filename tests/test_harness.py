@@ -21,12 +21,21 @@ from shiftprod.harness import (
     first_element,
     normalize,
     run_main_pipeline,
-    shift_escape_experiment,
     square_part,
     square_part_bound_check,
 )
 from shiftprod.progressions import GapSpec, GgpSpec, enumerate_ggp, ggp_membership
-from shiftprod.setalg import ScalarSet, productset, shift
+from shiftprod.numeric import PrimeField, PrimeFieldElement
+from shiftprod.setalg import (
+    Point2,
+    PointSet2,
+    ScalarSet,
+    _DomainSet,
+    collinear,
+    dot_product_set,
+    productset,
+    shift,
+)
 
 
 def test_first_element_and_normalize():
@@ -62,6 +71,65 @@ def test_point_set_lift_shapes():
     E, F = build_point_sets(A, B, 3)
     assert len(F) == 6
     assert all((3 * p.x, 3 * p.y) in E.elems for p in F)
+
+
+# The lift as the pipeline spelled it on elements before point sets moved to
+# int pairs: the oracle for build_point_sets.
+def _lift_on_elements(A, B, g1, skew):
+    F = PointSet2(Point2(b, b * a) for b in B for a in A)
+    if skew:
+        return PointSet2(Point2(b * g1, b * a) for b in B for a in A), F
+    return PointSet2(Point2(g1 * b, g1 * b * a) for b in B for a in A), F
+
+
+@st.composite
+def _lift_case(draw):
+    q = draw(st.sampled_from([None, 5, 7, 101, 2 ** 31 - 1]))
+    if q is None:
+        elem = st.one_of(st.integers(-9, 9), st.sampled_from([0, Fraction(-3, 7)]),
+                         st.fractions(min_value=-6, max_value=6, max_denominator=7))
+        g1 = elem.filter(lambda x: x != 0)
+    else:
+        elem = st.integers(0, q - 1).map(lambda r: PrimeFieldElement(r, q))
+        # a bare int g1 joins the field of A and B
+        g1 = st.one_of(elem, st.integers(1, q - 1))
+    A, B = (draw(st.lists(elem, max_size=5)) for _ in range(2))
+    return A, B, draw(g1), draw(st.booleans())
+
+
+def _typed_points(P):
+    return {tuple((type(c), c) for c in p) for p in P}
+
+
+@settings(max_examples=200)
+@given(_lift_case())
+def test_point_set_lift_matches_element_formulas(case):
+    A, B, g1, skew = case
+    A, B = ScalarSet(A), ScalarSet(B)
+    lattice = build_point_sets(A, B, g1, skew=skew)
+    for got, want in zip(lattice, _lift_on_elements(A, B, g1, skew)):
+        assert got == want and hash(got) == hash(want)
+        assert got.domain == want.domain
+        assert _typed_points(got) == _typed_points(want)
+
+
+def test_point_sets_stay_on_the_lattice():
+    """The pipeline's lift, collinearity test and dot-product set read only
+    the int pairs: no set along the way builds its element objects."""
+    held = _DomainSet.elems  # the slot itself, without the lazy fallback
+    F7 = PrimeField(7)
+    for A, B, g1 in [
+        (ScalarSet([1, Fraction(1, 2), -3]), ScalarSet([1, Fraction(2, 3), 4]),
+         Fraction(4, 9)),
+        (ScalarSet([F7(1), F7(2), F7(6)]), ScalarSet([F7(1), F7(4)]), F7(3)),
+    ]:
+        for skew in (False, True):
+            E, F = build_point_sets(A, B, g1, skew=skew)
+            assert not collinear(E) and not collinear(F)
+            dots = dot_product_set(E, F)
+            for S in (A, B, E, F, dots):
+                with pytest.raises(AttributeError):
+                    held.__get__(S)
 
 
 def test_dot_identity_exact():
@@ -178,16 +246,6 @@ def test_degeneracy_rejection():
         )
     rep = run_main_pipeline(PipelineInput(A=A, G=thin, delta=Fraction(1, 2)))
     assert rep.constants["degeneracy_ratio"] == "1"
-
-
-def test_shift_escape_experiment():
-    H = GgpSpec(2, GapSpec(0, (1,), (3,)))
-    G = GgpSpec(2, GapSpec(0, (1,), (3,)))
-    rep, escape, escaped = shift_escape_experiment(H, G, Fraction(1, 2))
-    assert rep.a_size == 3
-    assert rep.c_size == 4
-    assert escape.sorted() == [3, 5]
-    assert escaped
 
 
 def test_pipeline_random_instances(rng):

@@ -26,7 +26,6 @@ from shiftprod.progressions import (
     format_ggp_spec,
     ggp_membership,
     growth_check,
-    is_degenerate,
     is_proper,
     parse_gap_spec,
     parse_ggp_spec,
@@ -144,9 +143,6 @@ def test_degeneracy_ratio():
     assert degeneracy_ratio(GapSpec(0, (1, 10, 100), (3, 3, 3))) == Fraction(3, 4)
     thin = GapSpec(0, (1,), (3,))
     assert degeneracy_ratio(thin) == 1
-    # threshold is strict, a ratio equal to it does not trip the flag
-    assert not is_degenerate(thin)
-    assert is_degenerate(thin, threshold=Fraction(1, 2))
 
 
 def test_growth_check():

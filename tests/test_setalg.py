@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -14,6 +15,8 @@ from shiftprod.numeric import (
     PrimeFieldElement,
     as_rational,
     is_prime,
+    scalar_is_zero,
+    sort_key,
 )
 from shiftprod.setalg import (
     LATTICE_BIT_CAP,
@@ -24,7 +27,6 @@ from shiftprod.setalg import (
     _DomainSet,
     collinear,
     dot_product_set,
-    expansion_ratios,
     format_scalar_set,
     parse_scalar_set,
     productset,
@@ -252,12 +254,6 @@ def test_collinear():
     assert collinear(
         PointSet2([Point2(F(0), F(1)), Point2(F(1), F(2)), Point2(F(2), F(3))])
     )
-
-
-def test_expansion_ratios():
-    add_ratio, mul_ratio = expansion_ratios(ScalarSet([1, 2, 3]))
-    assert add_ratio == Fraction(5, 3)
-    assert mul_ratio == Fraction(2, 1)
 
 
 def test_scalar_set_text_roundtrip():
@@ -495,18 +491,107 @@ SMALL_PRIMES = [k for k in range(2, 2000) if is_prime(k)]
 
 def test_lattice_bit_cap(monkeypatch):
     A = ScalarSet(Fraction(1, p) for p in SMALL_PRIMES[:6])
+    # six points over the same least common denominator as A
+    P = PointSet2((x, x) for x in A)
+    assert P.lat[1] == A.lat[1]
     bits = 36 * (A.lat[1] ** 2).bit_length()
     monkeypatch.setattr(setalg, "LATTICE_BIT_CAP", bits - 1)
-    for kernel in (productset, sumset):
+    for kernel, X in ((productset, A), (sumset, A), (dot_product_set, P)):
         with pytest.raises(ValueError, match="numerator bits, above the cap"):
-            kernel(A, A)
+            kernel(X, X)
     # not pairwise, or not over Q: no lattice cap
     assert set_union(A, A) == A
     F = PrimeField(2 ** 31 - 1)
     big = ScalarSet(F(x) for x in range(2, 200))
     assert len(productset(big, big)) > 0
+    plane = PointSet2((F(x), F(x + 1)) for x in range(2, 200))
+    assert len(dot_product_set(plane, plane)) > 0
     monkeypatch.setattr(setalg, "LATTICE_BIT_CAP", bits)
     assert len(productset(A, A)) == 21
+    # 1/p * 1/r + 1/p * 1/r = 2/(p*r)
+    assert len(dot_product_set(P, P)) == 21
     # {1/p} over the first 300 primes stays under the stated cap
     primes = ScalarSet(Fraction(1, p) for p in SMALL_PRIMES[:300])
     assert 300 ** 2 * (primes.lat[1] ** 2).bit_length() <= LATTICE_BIT_CAP
+
+
+def test_point_set_lattice_form():
+    F5 = PrimeField(5)
+    P = PointSet2([(Fraction(1, 2), -3), (Fraction(5, 6), 0), (1, Fraction(-1, 3))])
+    assert P.lat == (frozenset({(3, -18), (5, 0), (6, -2)}), 6)
+    assert PointSet2([(2, 4), (6, 8)]).lat == (frozenset({(2, 4), (6, 8)}), 1)
+    assert PointSet2([(F5(1), 7), (F5(3), F5(4))]).lat == (frozenset({(1, 2), (3, 4)}), 5)
+    assert PointSet2().lat == (frozenset(), 1)
+    # one lattice, two domains, and two set types with one empty lattice
+    fifths = PointSet2([(Fraction(1, 5), Fraction(2, 5))])
+    assert fifths.lat == PointSet2([(F5(1), F5(2))]).lat
+    assert fifths != PointSet2([(F5(1), F5(2))])
+    assert PointSet2() != ScalarSet()
+
+
+# Point sets are stored as int pairs on the same lattice; every query is held
+# against a plain frozenset of Point2s of int/Fraction or PrimeFieldElement
+# coordinates, and collinear against a determinant over every triple.
+def _collinear_plain(points) -> bool:
+    return all(scalar_is_zero((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x))
+               for p, q, r in itertools.combinations(points, 3))
+
+
+def _check_plain_points(P, points, probes, domain):
+    plain = frozenset(Point2(*(as_rational(c) if domain == "Q" else c for c in p))
+                      for p in points)
+    assert len(P) == len(plain)
+    assert P.domain == (domain if plain else None)
+    assert {_typed(p) for p in P} == {_typed(p) for p in plain}
+    order = sorted(plain, key=lambda p: (sort_key(p.x), sort_key(p.y)))
+    assert [_typed(p) for p in P.sorted()] == [_typed(p) for p in order]
+    assert P.elems == plain
+    same = PointSet2(plain)
+    assert P == same and hash(P) == hash(same)
+    for p in probes:
+        assert (p in P) == (p in plain)
+        if p not in plain and isinstance(p, Point2) and all(
+                _in_domain(c, domain) for c in p):
+            assert P != PointSet2([*plain, p])
+    assert collinear(P) == _collinear_plain(plain)
+
+
+@st.composite
+def _point_lists(draw, coord):
+    """Lists of points of three shapes: arbitrary, the cross product of two
+    coordinate lists, and points p + t*v on one line."""
+    shape = draw(st.sampled_from(["any", "grid", "line"]))
+    if shape == "any":
+        return draw(st.lists(st.tuples(coord, coord), max_size=6))
+    if shape == "grid":
+        xs, ys = (draw(st.lists(coord, min_size=1, max_size=3)) for _ in range(2))
+        return [(x, y) for x in xs for y in ys]
+    (px, py), (vx, vy) = draw(st.tuples(coord, coord)), draw(st.tuples(coord, coord))
+    return [(px + t * vx, py + t * vy) for t in draw(st.lists(coord, max_size=5))]
+
+
+def _point_probes(coord):
+    return st.lists(st.one_of(st.builds(Point2, coord, coord), PROBES,
+                              st.tuples(PROBES, PROBES)), max_size=4)
+
+
+@settings(max_examples=200)
+@given(_point_lists(RATIONALS), st.data())
+def test_rational_point_sets_match_plain_sets(points, data):
+    probes = data.draw(_point_probes(RATIONALS))
+    _check_plain_points(PointSet2(points), points, [*probes, *points[:2]], "Q")
+
+
+@st.composite
+def _field_point_case(draw):
+    q = draw(st.sampled_from([5, 7, 101, 2 ** 31 - 1]))
+    coord = st.one_of(st.integers(0, q - 1), st.sampled_from([0, 1, q - 1])).map(
+        lambda r: PrimeFieldElement(r, q))
+    return q, draw(_point_lists(coord)), draw(_point_probes(coord))
+
+
+@settings(max_examples=200)
+@given(_field_point_case())
+def test_field_point_sets_match_plain_sets(case):
+    q, points, probes = case
+    _check_plain_points(PointSet2(points), points, [*probes, *points[:2]], q)
