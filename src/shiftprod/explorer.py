@@ -7,23 +7,35 @@ large are the interesting rows: the guiding expectation is that one factor
 always stays small, so such rows are flagged as tension findings in scan
 tables.  Tables are evidence, never claimed proofs.
 
-T is built once per query.  Two tiers:
+T is built once per query and read on its int lattice (see setalg).  A
+quotient s/t of two lattice items is keyed by ints: a reduced (num, den)
+pair with den > 0 over Q, s * t^-1 mod q over F_q.  Scalars are built only
+for the universe and the returned factors.  Two tiers:
 
   * exhaustive: when the quotient universe U = T union {s/t} has at most
-    exhaustive_cutoff elements, the admissible subsets of U (size at least
-    min_factor_size, in ascending bitmask order) are read with two
-    first-match scans.  hit(B, C) = |B*C & T| only grows with C, and every
-    C lies inside U, so hit(B, C) <= hit(B, U) <= hit(U, U).  The first B
-    with hit(B, U) == hit(U, U), paired with the first C that reaches the
-    same count, is the pair the plain double loop over all subset pairs
-    keeps (it replaces its best only on a strict improvement).  At most
-    2N + 1 hit counts are made for N admissible subsets.  U contains T, so
-    it is built only when |T| is within the cutoff; its 2**|U| subsets are
-    listed up front, so the cutoff is capped at EXHAUSTIVE_CUTOFF_CAP;
-  * heuristic: pivot sets S of size min_factor_size drawn from T, paired
-    with B = {x : x*s in T for every s in S}, the largest set whose
-    products with S all land inside T.  search_budget bounds the number of
-    pivot sets it evaluates.
+    exhaustive_cutoff elements, its admissible subsets (size at least
+    min_factor_size, in ascending bitmask order over U in sort_key order)
+    are read with two first-match scans.  hit(B, C) = |B*C & T| only grows
+    with C, and every C lies inside U, so hit(B, C) <= hit(B, U) <=
+    hit(U, U).  The first B with hit(B, U) == hit(U, U), paired with the
+    first C that reaches the same count, is the pair the plain double loop
+    over all subset pairs keeps (it replaces its best only on a strict
+    improvement).  One |U| x |U| table holds the T bit of each product, and
+    a scan ORs rows into a table of 2**|U| T-masks, each mask's from the
+    mask without its lowest bit, so hit counts are popcounts.  U contains
+    T, so it is built only when |T| is within the cutoff, and that mask
+    table caps the cutoff at EXHAUSTIVE_CUTOFF_CAP;
+  * heuristic: pivot sets S of size min_factor_size drawn from the nonzero
+    elements of T, paired with B = {x : x*s in T for every s in S}, the
+    largest set whose products with S all land inside T.  Each pivot holds
+    its quotient set T/s as an int bitmask, and the pivot sets are walked
+    depth first in the order of itertools.combinations over sorted T,
+    ANDing the masks on the way down.  A prefix whose AND has fewer than
+    min_factor_size bits is dropped uncounted with every set below it, so
+    the walk ANDs at most |T| masks per kept prefix.  search_budget bounds the number of pivot sets with |B| >=
+    min_factor_size; the hit is the number of distinct elements of T that
+    B*S reaches, and the first strict maximum is kept; the walk stops once
+    that maximum is |T|.
 
 The exhaustive flag marks exact rows: it is true exactly when the
 exhaustive tier ran.
@@ -31,14 +43,16 @@ exhaustive tier ran.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
+from math import gcd, lcm
+from operator import or_
 from typing import Iterable, List, Tuple
 
-from .numeric import PrimeFieldElement, as_rational, scalar_is_zero, sort_key
-from .setalg import ScalarSet, productset, shift
+from .numeric import RATIONAL_DOMAIN
+from .setalg import ScalarSet, productset, set_union, shift
 
 __all__ = [
     "EXHAUSTIVE_CUTOFF_CAP",
@@ -85,53 +99,133 @@ class CoverResult:
     exhaustive: bool
 
 
-def _div(s, t):
-    if isinstance(s, PrimeFieldElement):
-        return s / t
-    return as_rational(Fraction(s) / t)
+def _quotient_keys(T: ScalarSet) -> Tuple[List[int], List[List]]:
+    """The lattice items of T in sorted order, and for each nonzero one t,
+    in that order, the keys of s/t for the items s in that order: a reduced
+    (num, den) pair with den > 0 over Q, s * t^-1 mod q over F_q."""
+    items, d = T.lat
+    ts = sorted(items)
+    if T.domain == RATIONAL_DOMAIN:
+        def row(t):
+            out = []
+            for s in ts:
+                g = gcd(s, t) if t > 0 else -gcd(s, t)
+                out.append((s // g, t // g))
+            return out
+    else:
+        def row(t):
+            inv = pow(t, -1, d)
+            return [s * inv % d for s in ts]
+    return ts, [row(t) for t in ts if t]
+
+
+def _key_set(keys, domain) -> ScalarSet:
+    """The ScalarSet of quotient keys over ``domain``."""
+    if domain == RATIONAL_DOMAIN:
+        d = lcm(*(den for _, den in keys))
+        return ScalarSet.from_lattice([n * (d // den) for n, den in keys], d)
+    return ScalarSet.from_lattice(keys, domain, domain)
 
 
 def _universe(T: ScalarSet) -> List:
     """T together with all pairwise quotients, sorted."""
-    U = set(T.elems)
-    U.update(_div(s, t) for t in T if not scalar_is_zero(t) for s in T)
-    return sorted(U, key=sort_key)
+    _, rows = _quotient_keys(T)
+    quotients = _key_set({k for row in rows for k in row}, T.domain)
+    return set_union(T, quotients).sorted()
 
 
-def _hit(B, C, Tset) -> int:
-    return len({b * c for b in B for c in C} & Tset)
+def _first_cover(rows: List[int], top: int, m: int) -> int:
+    """The least mask with at least m bits whose rows OR to ``top`` bits,
+    if any.  acc[mask] is the OR of the rows of mask's bits, built in
+    ascending mask order from the mask without its lowest bit."""
+    acc = [0]
+    for mask in range(1, 1 << len(rows)):
+        low = mask & -mask
+        hit = acc[mask ^ low] | rows[low.bit_length() - 1]
+        acc.append(hit)
+        if hit.bit_count() == top and mask.bit_count() >= m:
+            return mask
 
 
 def _search_exhaustive(U: List, Tset, m: int):
     n = len(U)
-    admissible = [S for S in (tuple(U[i] for i in range(n) if mask >> i & 1)
-                              for mask in range(1, 1 << n)) if len(S) >= m]
-    if not admissible:
+    if m > n:
         return ScalarSet(), ScalarSet(), 0, True
-    # hit(B, C) <= hit(B, U) <= hit(U, U), and U is the last admissible
-    # subset, so both scans stop
-    top = _hit(U, U, Tset)
-    B = next(S for S in admissible if _hit(S, U, Tset) == top)
-    C = next(S for S in admissible if _hit(B, S, Tset) == top)
+    tbit = {t: 1 << k for k, t in enumerate(Tset)}
+    # table[i][j] is the T bit of U[i]*U[j], 0 when the product is off T
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            table[i][j] = table[j][i] = tbit.get(U[i] * U[j], 0)
+
+    def rows(mask):
+        # row j: the T bits of U[i]*U[j] over the i in mask
+        return [reduce(or_, (table[i][j] for i in range(n) if mask >> i & 1), 0)
+                for j in range(n)]
+
+    # hit(B, C) <= hit(B, U) <= hit(U, U), and the full mask reaches
+    # hit(U, U), so both scans stop
+    full = (1 << n) - 1
+    on_u = rows(full)
+    top = reduce(or_, on_u).bit_count()
+    b = _first_cover(on_u, top, m)
+    c = _first_cover(rows(b), top, m)
+    B, C = ([U[i] for i in range(n) if mask >> i & 1] for mask in (b, c))
     return ScalarSet(B), ScalarSet(C), top, True
 
 
-def _search_heuristic(T: ScalarSet, m: int, budget: int):
-    Tset = T.elems
-    pivots = [t for t in T.sorted() if not scalar_is_zero(t)]
-    quotients = {t: frozenset(_div(s, t) for s in T) for t in pivots}
-    best_hit, best, evals = -1, (ScalarSet(), ScalarSet()), 0
-    for S in itertools.combinations(pivots, m):
-        B = frozenset.intersection(*(quotients[t] for t in S))
-        if len(B) < m:
+def _pivot_sets(masks: List[int], m: int):
+    """(S, M) for each m-subset S of pivot indices, in the lexicographic
+    order of itertools.combinations, whose AND M of masks has at least m
+    bits.  A prefix whose AND has fewer than m bits is dropped whole: every
+    set below it has fewer too."""
+    n = len(masks)
+    stack = [((), -1)]
+    while stack:
+        S, M = stack.pop()
+        if len(S) == m:
+            yield S, M
             continue
+        # pushed in reverse, so the least index is walked first
+        for j in range(n - m + len(S), S[-1] if S else -1, -1):
+            Mj = M & masks[j]
+            if Mj.bit_count() >= m:
+                stack.append((S + (j,), Mj))
+
+
+def _search_heuristic(T: ScalarSet, m: int, budget: int):
+    ts, rows = _quotient_keys(T)
+    pivots = [t for t in ts if t]
+    # B for m pivots is the intersection of their rows, so a quotient in
+    # fewer than m rows lies in no B and takes no bit
+    seen = Counter(k for row in rows for k in row)
+    bit = {k: 1 << i for i, k in enumerate(k for k, c in seen.items() if c >= m)}
+    # images[j] maps the bit of b to the index in ts of b * pivots[j]
+    images = [{bit[k]: i for i, k in enumerate(row) if k in bit} for row in rows]
+    # the bits of one row are distinct, so their sum is their OR
+    masks = [sum(img) for img in images]
+    best_hit, best, evals = 0, None, 0
+    for S, M in _pivot_sets(masks, m):
         evals += 1
         if evals > budget:
             break
-        h = _hit(B, S, Tset)
+        bits = []
+        while M:
+            bits.append(M & -M)
+            M &= M - 1
+        h = len({images[j][b] for j in S for b in bits})
         if h > best_hit:
-            best_hit, best = h, (ScalarSet(B), ScalarSet(S))
-    return best[0], best[1], max(best_hit, 0)
+            best_hit, best = h, (S, bits)
+            # only a strict gain replaces the best, and no hit exceeds |T|
+            if h == len(ts):
+                break
+    if best is None:
+        return ScalarSet(), ScalarSet(), 0
+    S, bits = best
+    key = {b: k for k, b in bit.items()}
+    B = _key_set([key[b] for b in bits], T.domain)
+    C = ScalarSet.from_lattice([pivots[j] for j in S], T.lat[1], T.domain)
+    return B, C, best_hit
 
 
 def search_bc(query: CoverQuery) -> CoverResult:

@@ -136,6 +136,13 @@ def subgroup_ggp(q: int, t: int) -> Tuple[ScalarSet, GgpSpec]:
 
     The base is the smallest generator of F_q*; exponents run through
     0, (q-1)/t, ..., (t-1)(q-1)/t.  Requires t | q-1 and t >= 3.
+
+    The scan for the base tries g = 2, 3, ... within range(2, q), and it
+    ends there: F_q* is cyclic, so it has a generator, and 1 is none, since
+    the preconditions admit only q >= 5.  Each step is one
+    multiplicative_order call, which reads the cached factorization of q-1
+    and makes at most one modular power per prime factor of q-1, counted
+    with multiplicity.
     """
     if not is_prime(q):
         raise PreconditionError(f"{q} is not prime")
@@ -143,7 +150,6 @@ def subgroup_ggp(q: int, t: int) -> Tuple[ScalarSet, GgpSpec]:
         raise PreconditionError("subgroup order must be at least 3 for a progression")
     if (q - 1) % t != 0:
         raise PreconditionError(f"{t} does not divide {q - 1}")
-    # every prime field has a generator
     gamma = next(g for g in range(2, q)
                  if multiplicative_order(PrimeFieldElement(g, q)) == q - 1)
     G = GgpSpec(PrimeFieldElement(gamma, q),

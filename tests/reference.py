@@ -7,6 +7,9 @@ over the point sets, C as AA+1 minus G and the decomposition of G*(AA+1)
 from literal products.  No shiftprod set type, kernel or membership test is
 used; the decimal strings still come from ``power_ratio_decimal``, which is
 exact and tested on its own.
+
+The cover search's element-level helpers live here too: ``_div`` for one
+quotient and ``_hit`` for |B*C & T| by the literal double loop.
 """
 
 from __future__ import annotations
@@ -17,7 +20,12 @@ from math import prod
 
 from shiftprod.ffharness import FfReport
 from shiftprod.harness import DECIMAL_DIGITS, MainReport
-from shiftprod.numeric import PreconditionError, PrimeFieldElement, power_ratio_decimal
+from shiftprod.numeric import (
+    PreconditionError,
+    PrimeFieldElement,
+    as_rational,
+    power_ratio_decimal,
+)
 
 
 def _floor_log2(n: int) -> int:
@@ -177,3 +185,13 @@ def reference_ff_report(q, A_values, G, epsilon, delta, skew_e) -> FfReport:
         bound_ratio=power_ratio_decimal(c, q, delta, DECIMAL_DIGITS),
         constants=constants,
     )
+
+
+def _div(s, t):
+    if isinstance(s, PrimeFieldElement):
+        return s / t
+    return as_rational(Fraction(s) / t)
+
+
+def _hit(B, C, Tset) -> int:
+    return len({b * c for b in B for c in C} & Tset)

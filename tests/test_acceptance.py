@@ -17,7 +17,8 @@ from conftest import (
     make_proper_ggp,
 )
 from shiftprod.cli import auto_progression
-from shiftprod.explorer import CoverQuery, _hit, _universe, conjecture_scan, search_bc
+from reference import _hit
+from shiftprod.explorer import CoverQuery, _universe, conjecture_scan, search_bc
 from shiftprod.ffharness import FfInput, coverage_check, run_field_pipeline, subgroup_ggp
 from shiftprod.harness import (
     PipelineInput,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_int_set
+from reference import _div, _hit
 from shiftprod import explorer
 from shiftprod.cli import main
 from shiftprod.explorer import (
@@ -15,8 +16,8 @@ from shiftprod.explorer import (
     conjecture_scan,
     search_bc,
 )
-from shiftprod.explorer import _div, _hit, _universe
-from shiftprod.numeric import PrimeField, scalar_is_zero
+from shiftprod.explorer import _universe
+from shiftprod.numeric import PrimeField, PrimeFieldElement, scalar_is_zero, sort_key
 from shiftprod.setalg import ScalarSet, productset, shift
 
 
@@ -117,7 +118,7 @@ def _cover_queries(draw):
         elem = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     else:
         elem = st.integers(0, kind - 1).map(PrimeField(kind))
-    A = ScalarSet(draw(st.lists(elem, min_size=1, max_size=4)))
+    A = ScalarSet(draw(st.lists(elem, min_size=1, max_size=7)))
     return CoverQuery(A=A, min_factor_size=draw(st.integers(1, 3)),
                       search_budget=draw(st.sampled_from([1, 2, 7, 60, 900, 4000])),
                       exhaustive_cutoff=draw(st.integers(1, 10)))
@@ -132,6 +133,16 @@ def test_search_matches_reference_tiers(query):
     assert (res.best_B, res.best_C, res.hit_count, res.exhaustive) == expected
     T = shift(productset(query.A, query.A), 1)
     assert res.coverage_fraction == Fraction(res.hit_count, len(T))
+
+
+@settings(max_examples=60)
+@given(_cover_queries())
+def test_universe_matches_element_quotients(query):
+    # the universe from int keys is the one from element quotients
+    T = query.T
+    U = set(T.elems)
+    U.update(_div(s, t) for t in T if not scalar_is_zero(t) for s in T)
+    assert _universe(T) == sorted(U, key=sort_key)
 
 
 def test_universe_not_built_above_cutoff(monkeypatch):
@@ -258,23 +269,25 @@ def test_budget_leaves_exact_tier_whole():
     assert res.hit_count == brute_best_hit(_universe(T), T.elems, 1) == 2
 
 
-@pytest.mark.parametrize("elems", [[1, 3], [2, 5]])
-def test_exact_tier_hit_counts(monkeypatch, elems):
-    A = ScalarSet(elems)
+def test_exact_tier_product_count(monkeypatch):
+    # the universe build plus one product table: no product per subset
+    F = PrimeField(17)
+    A = ScalarSet([F(1), F(2), F(3)])
     T = shift(productset(A, A), 1)
     n = len(_universe(T))
-    admissible = 2 ** n - 1 - n
+    assert n == EXHAUSTIVE_CUTOFF_CAP
     calls = []
+    mul = PrimeFieldElement.__mul__
 
-    def counted(B, C, Tset):
+    def counted(x, y):
         calls.append(None)
-        return _hit(B, C, Tset)
+        return mul(x, y)
 
-    monkeypatch.setattr(explorer, "_hit", counted)
-    res = search_bc(CoverQuery(A=A, min_factor_size=2))
+    monkeypatch.setattr(PrimeFieldElement, "__mul__", counted)
+    res = search_bc(CoverQuery(A=A, min_factor_size=2,
+                               exhaustive_cutoff=EXHAUSTIVE_CUTOFF_CAP))
     assert res.exhaustive
-    # hit(U, U), then two first-match scans of at most N subsets each
-    assert len(calls) <= 2 * admissible + 1
+    assert len(calls) <= len(T) ** 2 + n ** 2
 
 
 @pytest.mark.parametrize("m, B, C", [
@@ -305,6 +318,17 @@ def test_heuristic_tier_known_instance():
     assert res.best_C.sorted() == [5, 10]
     products = {b * c for b in res.best_B for c in res.best_C}
     assert len(products & T.elems) == 4
+
+
+def test_heuristic_pivots_of_both_signs():
+    # T = {-2, 2, 10}: only the pivots -2 and 2 share two quotients, 1 and
+    # -1, each keyed once whatever the sign of the pivot
+    A = ScalarSet([-1, 3])
+    res = search_bc(CoverQuery(A=A, min_factor_size=2, exhaustive_cutoff=1))
+    assert not res.exhaustive
+    assert res.best_B == ScalarSet([-1, 1])
+    assert res.best_C == ScalarSet([-2, 2])
+    assert res.hit_count == 2
 
 
 def test_heuristic_factors_stay_inside_claim(rng):
