@@ -269,6 +269,32 @@ def test_budget_leaves_exact_tier_whole():
     assert res.hit_count == brute_best_hit(_universe(T), T.elems, 1) == 2
 
 
+@pytest.mark.parametrize("elems", [[1, 3], [2, 5]])
+def test_exact_tier_hit_counts(monkeypatch, elems):
+    A = ScalarSet(elems)
+    T = shift(productset(A, A), 1)
+    n = len(_universe(T))
+    scans = []
+    first_cover = explorer._first_cover
+
+    def counted(rows, top, m):
+        mask = first_cover(rows, top, m)
+        # a first-match scan walks the masks 1, 2, ... up to its answer
+        scans.append((len(rows), mask))
+        return mask
+
+    monkeypatch.setattr(explorer, "_first_cover", counted)
+    res = search_bc(CoverQuery(A=A, min_factor_size=2))
+    assert res.exhaustive
+    # one scan for B, one for C, each over the n rows of U
+    assert [size for size, _ in scans] == [n, n]
+    assert all(mask is not None and mask.bit_count() >= 2 for _, mask in scans)
+    # hit(U, U), then two first-match scans of at most 2^n - 1 masks each
+    assert 1 + sum(mask for _, mask in scans) <= 2 * (2 ** n - 1) + 1
+    assert min(len(res.best_B), len(res.best_C)) >= 2
+    assert _hit(res.best_B, res.best_C, T.elems) == res.hit_count
+
+
 def test_exact_tier_product_count(monkeypatch):
     # the universe build plus one product table: no product per subset
     F = PrimeField(17)
