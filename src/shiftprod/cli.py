@@ -359,7 +359,7 @@ def cmd_conjecture_scan(args) -> int:
     seed = _resolve_seed(args, cfg)
     instances = _family_instances(args, cfg, seed)
     knobs = _given(args, cfg, min_factor_size=_int, coverage_target=_fraction,
-                   budget=_int, exhaustive_cutoff=_int)
+                   budget=_int)
     if "budget" in knobs:
         knobs["search_budget"] = knobs.pop("budget")
     rows = conjecture_scan([(iid, A) for iid, A, _ in instances], **knobs)
@@ -462,8 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-factor-size", dest="min_factor_size", type=int, default=None)
     p.add_argument("--coverage-target", dest="coverage_target", default=None)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--exhaustive-cutoff", dest="exhaustive_cutoff", type=int,
-                   default=None)
     _add_common(p)
     p.set_defaults(func=cmd_conjecture_scan)
 

@@ -1,61 +1,51 @@
-"""Search for two-factor covers of a shifted product set.
+"""Search for products of two sets inside a shifted product set.
 
 Given A, let T = AA+1.  The explorer looks for pairs of sets (B, C), both
-of size at least min_factor_size, whose product B*C hits as much of T as
-possible.  Instances where high coverage is achievable with both factors
-large are the interesting rows: the guiding expectation is that one factor
-always stays small, so such rows are flagged as tension findings in scan
+of size at least min_factor_size, with B*C inside T, and maximises the hit
+|B*C|.  Rows where such a product covers much of T with both factors large
+are the interesting ones: the guiding expectation is that AA+1 holds no
+large product set, so such rows are flagged as tension findings in scan
 tables.  Tables are evidence, never claimed proofs.
+
+One exact search answers the question.  A pair with B*C inside T and a
+nonzero c0 in C rescales into (B*c0, C/c0), so the factor C can be taken
+inside T.  The best B for a given C is then the largest one, the set of b
+with b*s in T for every s in C: the intersection of the quotient sets T/s.
+B is drawn from the quotients s/t with t nonzero, so T = {0} (A = {a}
+with a*a = -1 over F_q) has no pair.
 
 T is built once per query and read on its int lattice (see setalg).  A
 quotient s/t of two lattice items is keyed by ints: a reduced (num, den)
-pair with den > 0 over Q, s * t^-1 mod q over F_q.  Scalars are built only
-for the universe and the returned factors.  Two tiers:
+pair with den > 0 over Q, s * t^-1 mod q over F_q.  Each pivot s of T
+holds its quotient set T/s as an int bitmask; when -1 lies in AA, 0 lies
+in T, and the pivot 0 holds every quotient, since 0*b = 0.  The pivot sets
+C are walked depth first in the lexicographic order of sorted T, ANDing
+the masks on the way down.  Every C of size at least min_factor_size is
+scored by the number of distinct elements of T that B*C reaches, and the
+first strict maximum is kept.  A prefix is dropped with every set below it
+once its AND has fewer than min_factor_size bits, or once |AND| times the
+size of the largest pivot set below it cannot beat the best hit; a pivot
+dropped below a prefix is not tried again further down.  The walk stops
+when the hit is |T|.
 
-  * exhaustive: when the quotient universe U = T union {s/t} has at most
-    exhaustive_cutoff elements, its admissible subsets (size at least
-    min_factor_size, in ascending bitmask order over U in sort_key order)
-    are read with two first-match scans.  hit(B, C) = |B*C & T| only grows
-    with C, and every C lies inside U, so hit(B, C) <= hit(B, U) <=
-    hit(U, U).  The first B with hit(B, U) == hit(U, U), paired with the
-    first C that reaches the same count, is the pair the plain double loop
-    over all subset pairs keeps (it replaces its best only on a strict
-    improvement).  One |U| x |U| table holds the T bit of each product, and
-    a scan ORs rows into a table of 2**|U| T-masks, each mask's from the
-    mask without its lowest bit, so hit counts are popcounts.  U contains
-    T, so it is built only when |T| is within the cutoff, and that mask
-    table caps the cutoff at EXHAUSTIVE_CUTOFF_CAP;
-  * heuristic: pivot sets S of size min_factor_size drawn from the nonzero
-    elements of T, paired with B = {x : x*s in T for every s in S}, the
-    largest set whose products with S all land inside T.  Each pivot holds
-    its quotient set T/s as an int bitmask, and the pivot sets are walked
-    depth first in the order of itertools.combinations over sorted T,
-    ANDing the masks on the way down.  A prefix whose AND has fewer than
-    min_factor_size bits is dropped uncounted with every set below it, so
-    the walk ANDs at most |T| masks per kept prefix.  search_budget bounds the number of pivot sets with |B| >=
-    min_factor_size; the hit is the number of distinct elements of T that
-    B*S reaches, and the first strict maximum is kept; the walk stops once
-    that maximum is |T|.
-
-The exhaustive flag marks exact rows: it is true exactly when the
-exhaustive tier ran.
+search_budget counts walk nodes.  The exhaustive flag marks exact rows: it
+is true exactly when the walk finishes within the budget.  Scalars are
+built only for the returned factors.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
-from operator import or_
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .numeric import RATIONAL_DOMAIN
-from .setalg import ScalarSet, productset, set_union, shift
+from .setalg import ScalarSet, productset, shift
 
 __all__ = [
-    "EXHAUSTIVE_CUTOFF_CAP",
     "CoverQuery",
     "CoverResult",
     "ScanRow",
@@ -63,15 +53,12 @@ __all__ = [
     "search_bc",
 ]
 
-EXHAUSTIVE_CUTOFF_CAP = 16
-
 
 @dataclass(frozen=True)
 class CoverQuery:
     A: ScalarSet
     min_factor_size: int = 2
     search_budget: int = 200_000
-    exhaustive_cutoff: int = 12
 
     def __post_init__(self):
         if len(self.A) == 0:
@@ -80,9 +67,6 @@ class CoverQuery:
             raise ValueError("min_factor_size must be at least 1")
         if self.search_budget < 1:
             raise ValueError("search_budget must be at least 1")
-        if not 1 <= self.exhaustive_cutoff <= EXHAUSTIVE_CUTOFF_CAP:
-            raise ValueError(f"exhaustive_cutoff must lie in [1, "
-                             f"{EXHAUSTIVE_CUTOFF_CAP}]")
 
     @cached_property
     def T(self) -> ScalarSet:
@@ -99,10 +83,11 @@ class CoverResult:
     exhaustive: bool
 
 
-def _quotient_keys(T: ScalarSet) -> Tuple[List[int], List[List]]:
-    """The lattice items of T in sorted order, and for each nonzero one t,
-    in that order, the keys of s/t for the items s in that order: a reduced
-    (num, den) pair with den > 0 over Q, s * t^-1 mod q over F_q."""
+def _quotient_keys(T: ScalarSet) -> Tuple[List[int], List[Optional[List]]]:
+    """The lattice items of T in sorted order, and for each one t, in that
+    order, the keys of s/t for the items s in that order: a reduced
+    (num, den) pair with den > 0 over Q, s * t^-1 mod q over F_q; None for
+    t = 0."""
     items, d = T.lat
     ts = sorted(items)
     if T.domain == RATIONAL_DOMAIN:
@@ -116,7 +101,7 @@ def _quotient_keys(T: ScalarSet) -> Tuple[List[int], List[List]]:
         def row(t):
             inv = pow(t, -1, d)
             return [s * inv % d for s in ts]
-    return ts, [row(t) for t in ts if t]
+    return ts, [row(t) if t else None for t in ts]
 
 
 def _key_set(keys, domain) -> ScalarSet:
@@ -127,117 +112,87 @@ def _key_set(keys, domain) -> ScalarSet:
     return ScalarSet.from_lattice(keys, domain, domain)
 
 
-def _universe(T: ScalarSet) -> List:
-    """T together with all pairwise quotients, sorted."""
-    _, rows = _quotient_keys(T)
-    quotients = _key_set({k for row in rows for k in row}, T.domain)
-    return set_union(T, quotients).sorted()
+def _bits(M: int) -> List[int]:
+    out = []
+    while M:
+        out.append(M & -M)
+        M &= M - 1
+    return out
 
 
-def _first_cover(rows: List[int], top: int, m: int) -> int:
-    """The least mask with at least m bits whose rows OR to ``top`` bits,
-    if any.  acc[mask] is the OR of the rows of mask's bits, built in
-    ascending mask order from the mask without its lowest bit."""
-    acc = [0]
-    for mask in range(1, 1 << len(rows)):
-        low = mask & -mask
-        hit = acc[mask ^ low] | rows[low.bit_length() - 1]
-        acc.append(hit)
-        if hit.bit_count() == top and mask.bit_count() >= m:
-            return mask
-
-
-def _search_exhaustive(U: List, Tset, m: int):
-    n = len(U)
-    if m > n:
-        return ScalarSet(), ScalarSet(), 0, True
-    tbit = {t: 1 << k for k, t in enumerate(Tset)}
-    # table[i][j] is the T bit of U[i]*U[j], 0 when the product is off T
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            table[i][j] = table[j][i] = tbit.get(U[i] * U[j], 0)
-
-    def rows(mask):
-        # row j: the T bits of U[i]*U[j] over the i in mask
-        return [reduce(or_, (table[i][j] for i in range(n) if mask >> i & 1), 0)
-                for j in range(n)]
-
-    # hit(B, C) <= hit(B, U) <= hit(U, U), and the full mask reaches
-    # hit(U, U), so both scans stop
-    full = (1 << n) - 1
-    on_u = rows(full)
-    top = reduce(or_, on_u).bit_count()
-    b = _first_cover(on_u, top, m)
-    c = _first_cover(rows(b), top, m)
-    B, C = ([U[i] for i in range(n) if mask >> i & 1] for mask in (b, c))
-    return ScalarSet(B), ScalarSet(C), top, True
-
-
-def _pivot_sets(masks: List[int], m: int):
-    """(S, M) for each m-subset S of pivot indices, in the lexicographic
-    order of itertools.combinations, whose AND M of masks has at least m
-    bits.  A prefix whose AND has fewer than m bits is dropped whole: every
-    set below it has fewer too."""
-    n = len(masks)
-    stack = [((), -1)]
-    while stack:
-        S, M = stack.pop()
-        if len(S) == m:
-            yield S, M
-            continue
-        # pushed in reverse, so the least index is walked first
-        for j in range(n - m + len(S), S[-1] if S else -1, -1):
-            Mj = M & masks[j]
-            if Mj.bit_count() >= m:
-                stack.append((S + (j,), Mj))
-
-
-def _search_heuristic(T: ScalarSet, m: int, budget: int):
+def _search_exhaustive(T: ScalarSet, m: int, budget: int):
+    """(B, C, hit, complete): the first pair with the most hits among the
+    pivot sets C that the walk reaches within ``budget`` nodes, and
+    whether it finished."""
     ts, rows = _quotient_keys(T)
-    pivots = [t for t in ts if t]
-    # B for m pivots is the intersection of their rows, so a quotient in
-    # fewer than m rows lies in no B and takes no bit
-    seen = Counter(k for row in rows for k in row)
-    bit = {k: 1 << i for i, k in enumerate(k for k, c in seen.items() if c >= m)}
-    # images[j] maps the bit of b to the index in ts of b * pivots[j]
-    images = [{bit[k]: i for i, k in enumerate(row) if k in bit} for row in rows]
+    n = len(ts)
+    # B for pivots C is the intersection of their rows, so a quotient in
+    # fewer than m rows lies in no B and takes no bit; the pivot 0, if
+    # any, holds every quotient
+    seen = Counter(k for row in rows if row for k in row)
+    zero = 0 in ts
+    bit = {k: 1 << i
+           for i, k in enumerate(k for k, c in seen.items() if c + zero >= m)}
+    # images[j] maps the bit of b to the index in ts of b * ts[j]
+    images = [dict.fromkeys(bit.values(), j) if row is None
+              else {bit[k]: i for i, k in enumerate(row) if k in bit}
+              for j, row in enumerate(rows)]
     # the bits of one row are distinct, so their sum is their OR
     masks = [sum(img) for img in images]
-    best_hit, best, evals = 0, None, 0
-    for S, M in _pivot_sets(masks, m):
-        evals += 1
-        if evals > budget:
+    best_hit, best, nodes = 0, None, 0
+
+    def below(S, M, after):
+        # the sets S + (j,) for the pivots j in ``after`` whose AND keeps
+        # m bits, each with the pivots that may follow it and the most
+        # hits of any set at or below it, in the order the walk pops them;
+        # a pivot dropped here keeps fewer than m bits below S as well
+        kept = [(j, Mj) for j in after if (Mj := M & masks[j]).bit_count() >= m]
+        js = [j for j, _ in kept]
+        out = []
+        for i, (j, Mj) in enumerate(kept):
+            # no set at or below S + (j,) holds more than this many pivots
+            bound = Mj.bit_count() * (len(S) + len(kept) - i)
+            if bound > best_hit:
+                out.append((S + (j,), Mj, js[i + 1:], bound))
+        return reversed(out)
+
+    stack = list(below((), (1 << len(bit)) - 1, range(n)))
+    while stack:
+        S, M, after, bound = stack.pop()
+        if bound <= best_hit:
+            continue
+        nodes += 1
+        if nodes > budget:
             break
-        bits = []
-        while M:
-            bits.append(M & -M)
-            M &= M - 1
-        h = len({images[j][b] for j in S for b in bits})
-        if h > best_hit:
-            best_hit, best = h, (S, bits)
-            # only a strict gain replaces the best, and no hit exceeds |T|
-            if h == len(ts):
-                break
+        if len(S) >= m:
+            bits = _bits(M)
+            h = len({images[j][b] for j in S for b in bits})
+            if h > best_hit:
+                best_hit, best = h, (S, M)
+                # only a strict gain replaces the best, and no hit exceeds |T|
+                if h == n:
+                    break
+        stack.extend(below(S, M, after))
+    complete = nodes <= budget
     if best is None:
-        return ScalarSet(), ScalarSet(), 0
-    S, bits = best
+        return ScalarSet(), ScalarSet(), 0, complete
+    S, M = best
     key = {b: k for k, b in bit.items()}
-    B = _key_set([key[b] for b in bits], T.domain)
-    C = ScalarSet.from_lattice([pivots[j] for j in S], T.lat[1], T.domain)
-    return B, C, best_hit
+    B = _key_set([key[b] for b in _bits(M)], T.domain)
+    C = ScalarSet.from_lattice([ts[j] for j in S], T.lat[1], T.domain)
+    return B, C, best_hit, complete
+
+
+# bench/spans.py wraps this second name; it stays bound only until the
+# benchmark renames its cover-search spans
+_search_heuristic = _search_exhaustive
 
 
 def search_bc(query: CoverQuery) -> CoverResult:
-    T, m, budget = query.T, query.min_factor_size, query.search_budget
-    # U contains T, so a T above the cutoff already means the heuristic tier
-    if len(T) <= query.exhaustive_cutoff:
-        U = _universe(T)
-        if len(U) <= query.exhaustive_cutoff:
-            B, C, hit, complete = _search_exhaustive(U, T.elems, m)
-            return CoverResult(B, C, hit, Fraction(hit, len(T)), complete)
-    B, C, hit = _search_heuristic(T, m, budget)
-    return CoverResult(B, C, hit, Fraction(hit, len(T)), False)
+    T = query.T
+    B, C, hit, complete = _search_exhaustive(T, query.min_factor_size,
+                                             query.search_budget)
+    return CoverResult(B, C, hit, Fraction(hit, len(T)), complete)
 
 
 @dataclass(frozen=True)

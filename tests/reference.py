@@ -8,8 +8,11 @@ from literal products.  No shiftprod set type, kernel or membership test is
 used; the decimal strings still come from ``power_ratio_decimal``, which is
 exact and tested on its own.
 
-The cover search's element-level helpers live here too: ``_div`` for one
-quotient and ``_hit`` for |B*C & T| by the literal double loop.
+The cover search's oracles live here too.  Both return the most hits
+|B*C| over pairs with B inside T, C inside the quotients T/T = {s/t : s, t
+in T, t != 0}, both of size at least m and B*C inside T: ``ref_cover_pairs``
+by the double loop over both subset families, ``ref_cover_maximal`` by
+taking for each B the largest C, the quotients c with B*c inside T.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from shiftprod.numeric import (
     PrimeFieldElement,
     as_rational,
     power_ratio_decimal,
+    scalar_is_zero,
 )
 
 
@@ -193,5 +197,36 @@ def _div(s, t):
     return as_rational(Fraction(s) / t)
 
 
-def _hit(B, C, Tset) -> int:
-    return len({b * c for b in B for c in C} & Tset)
+def _quotients(T) -> list:
+    return list({_div(s, t) for t in T if not scalar_is_zero(t) for s in T})
+
+
+def _subsets(items, m):
+    for size in range(m, len(items) + 1):
+        yield from itertools.combinations(items, size)
+
+
+def ref_cover_pairs(T, m) -> int:
+    """The most hits, by the double loop over every B inside T and every C
+    inside T/T: 2**|T| * 2**|T/T| pairs, so for |T| <= 4."""
+    T, Q = set(T), _quotients(T)
+    best = 0
+    for B in _subsets(list(T), m):
+        for C in _subsets(Q, m):
+            if all(b * c in T for b in B for c in C):
+                best = max(best, len({b * c for b in B for c in C}))
+    return best
+
+
+def ref_cover_maximal(T, m) -> int:
+    """The most hits, by taking for each B inside T the largest C, the
+    quotients c with B*c inside T; for |T| <= 10."""
+    T = set(T)
+    # fits[c]: the b in T with b*c in T
+    fits = {c: {b for b in T if b * c in T} for c in _quotients(T)}
+    best = 0
+    for B in _subsets(list(T), m):
+        C = [c for c, bs in fits.items() if bs.issuperset(B)]
+        if len(C) >= m:
+            best = max(best, len({b * c for b in B for c in C}))
+    return best

@@ -1,7 +1,6 @@
 """Acceptance gate: each test exercises one headline guarantee end to end,
 prints a single PASS/FAIL line, and enforces a wall-clock budget."""
 
-import itertools
 import json
 import math
 import random
@@ -17,8 +16,8 @@ from conftest import (
     make_proper_ggp,
 )
 from shiftprod.cli import auto_progression
-from reference import _hit
-from shiftprod.explorer import CoverQuery, _universe, conjecture_scan, search_bc
+from reference import ref_cover_maximal, ref_cover_pairs
+from shiftprod.explorer import CoverQuery, conjecture_scan, search_bc
 from shiftprod.ffharness import FfInput, coverage_check, run_field_pipeline, subgroup_ggp
 from shiftprod.harness import (
     PipelineInput,
@@ -202,19 +201,6 @@ def test_acceptance_7_membership_oracle(capsys):
             ok, time.perf_counter() - t0, 10.0)
 
 
-def _brute_best_hit(U, Tset, m):
-    best = 0
-    n = len(U)
-    for bsz in range(m, n + 1):
-        for B in itertools.combinations(U, bsz):
-            for csz in range(m, n + 1):
-                for C in itertools.combinations(U, csz):
-                    h = _hit(B, C, Tset)
-                    if h > best:
-                        best = h
-    return best
-
-
 def test_acceptance_8_cover_search(capsys):
     rng = random.Random(108)
     t0 = time.perf_counter()
@@ -222,7 +208,7 @@ def test_acceptance_8_cover_search(capsys):
     instances = [(f"r{k}", make_int_set(rng, rng.randint(2, 4), hi=30))
                  for k in range(10)]
     for row in conjecture_scan(instances, min_factor_size=1):
-        ok = ok and row.coverage_fraction == 1
+        ok = ok and row.coverage_fraction == 1 and row.exhaustive
     tiny = [
         ScalarSet([3]),
         ScalarSet([1, -1]),
@@ -233,13 +219,17 @@ def test_acceptance_8_cover_search(capsys):
     ]
     for A in tiny:
         T = shift(productset(A, A), 1)
-        U = _universe(T)
-        ok = ok and len(U) <= 8
-        for m in (1, 2):
+        ok = ok and len(T) <= 4
+        for m in (1, 2, 3):
             res = search_bc(CoverQuery(A=A, min_factor_size=m))
-            ok = ok and res.exhaustive
-            ok = ok and res.hit_count == _brute_best_hit(U, T.elems, m)
-    _report(capsys, 8, "cover search is full-coverage at one pivot and brute-exact on small universes",
+            products = {b * c for b in res.best_B for c in res.best_C}
+            ok = ok and res.exhaustive and products <= T.elems
+            ok = ok and res.hit_count == len(products)
+            ok = ok and (res.hit_count == 0
+                         or min(len(res.best_B), len(res.best_C)) >= m)
+            ok = ok and (res.hit_count == ref_cover_pairs(T.elems, m)
+                         == ref_cover_maximal(T.elems, m))
+    _report(capsys, 8, "cover search is full-coverage at one pivot and brute-exact on small targets",
             ok, time.perf_counter() - t0, 60.0)
 
 

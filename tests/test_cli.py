@@ -149,8 +149,8 @@ def test_conjecture_scan_csv(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0].startswith("instance_id,a_size,aa1_size")
-    assert lines[1] == "geometric-000,3,5,5,1,5,1,false,true"
-    assert lines[2] == "geometric-001,4,7,7,1,7,1,false,true"
+    assert lines[1] == "geometric-000,3,5,5,1,5,1,true,true"
+    assert lines[2] == "geometric-001,4,7,7,1,7,1,true,true"
 
 
 def test_conjecture_scan_json(capsys):
