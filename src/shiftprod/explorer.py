@@ -29,8 +29,9 @@ dropped below a prefix is not tried again further down.  The walk stops
 when the hit is |T|.
 
 search_budget counts walk nodes.  The exhaustive flag marks exact rows: it
-is true exactly when the walk finishes within the budget.  Scalars are
-built only for the returned factors.
+is true exactly when the walk finishes within the budget.  A T whose
+|T|**2 quotient keys exceed PAIR_CAP is refused before any key is built.
+Scalars are built only for the returned factors.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from math import gcd, lcm
 from typing import Iterable, List, Optional, Tuple
 
 from .numeric import RATIONAL_DOMAIN
-from .setalg import ScalarSet, productset, shift
+from .setalg import ScalarSet, _check_pair_budget, productset, shift
 
 __all__ = [
     "CoverQuery",
@@ -190,6 +191,7 @@ _search_heuristic = _search_exhaustive
 
 def search_bc(query: CoverQuery) -> CoverResult:
     T = query.T
+    _check_pair_budget(len(T), len(T), "cover search")
     B, C, hit, complete = _search_exhaustive(T, query.min_factor_size,
                                              query.search_budget)
     return CoverResult(B, C, hit, Fraction(hit, len(T)), complete)

@@ -10,8 +10,8 @@ AA+1 escapes G.  The route:
   * lift A and B to planar point sets E = g1*F and F = {(b, b*a)} whose
     dot-product set factors exactly as g1 * BB * (AA+1);
   * verify that factorization and the exact decomposition of G*(AA+1);
-  * collect the exceptional set C = (AA+1) \\ G by symbolic membership and
-    read off |C| / |A|**(1-delta) to a fixed number of digits.
+  * collect the exceptional set C = (AA+1) \\ G by symbolic membership of
+    its int lattice items; read off |C| / |A|**(1-delta) to fixed digits.
 
 Every check is exact; measured stand-ins for asymptotic constants are
 reported as rational or fixed-digit decimal strings in the constants
@@ -39,6 +39,7 @@ from .progressions import (
     degeneracy_ratio,
     enumerate_ggp,
     ggp_membership,
+    ggp_powers,
     is_proper,
     realized_size,
 )
@@ -161,8 +162,8 @@ def square_part(Gn: GgpSpec) -> ScalarSet:
     """B = {g in Gn : g*g in Gn}, read off the exponents: g0**k is in B
     exactly when 2k (mod ord(g0) over F_q) is an exponent of Gn."""
     res, n = Gn.residues, Gn.order
-    return ScalarSet(scalar_pow(Gn.g0, k) for k in res
-                     if (2 * k if n is None else 2 * k % n) in res)
+    return ggp_powers(Gn, [k for k in res
+                           if (2 * k if n is None else 2 * k % n) in res])
 
 
 def square_part_bound_check(G: GgpSpec, B: ScalarSet) -> Tuple[int, bool]:
@@ -217,8 +218,11 @@ def dot_identity_check(A: ScalarSet, B: ScalarSet, g1,
 
 
 def exceptional_set(AA1: ScalarSet, G: GgpSpec) -> ScalarSet:
-    """C = AA1 \\ G for AA1 = AA+1, decided pointwise by symbolic membership."""
-    return ScalarSet(x for x in AA1 if not ggp_membership(G, x))
+    """C = AA1 \\ G for AA1 = AA+1, decided by symbolic membership of each
+    int lattice item of AA1; AA1 and G must share a domain."""
+    (items, d), domain = AA1.lat, join_domains(AA1.domain, G.domain)
+    return ScalarSet.from_lattice(
+        [n for n in items if not ggp_membership(G, n, d)], d, domain)
 
 
 def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, eps: Fraction,

@@ -37,7 +37,6 @@ __all__ = [
     "RATIONAL_DOMAIN",
     "Scalar",
     "compare_power",
-    "domain_of",
     "factor",
     "format_scalar",
     "is_prime",
@@ -49,7 +48,6 @@ __all__ = [
     "power_ratio_decimal",
     "scalar_is_zero",
     "scalar_pow",
-    "sort_key",
 ]
 
 
@@ -310,11 +308,6 @@ Scalar = Union[int, Fraction, PrimeFieldElement]
 RATIONAL_DOMAIN = "Q"
 
 
-def domain_of(x: Scalar):
-    """The domain tag of one scalar, by :func:`lift`'s rule."""
-    return lift([x])[1]
-
-
 def join_domains(a, b):
     """Unify two domain tags; None is neutral."""
     if a is None:
@@ -384,13 +377,6 @@ def lift(values, domain=None) -> Tuple[list, object]:
         out = [x if isinstance(x, PrimeFieldElement) else PrimeFieldElement(x, domain)
                for x in out]
     return out, domain
-
-
-def sort_key(x: Scalar):
-    """Total order inside one domain; used for all deterministic output."""
-    if isinstance(x, PrimeFieldElement):
-        return x.residue
-    return x
 
 
 def multiplicative_order(g: PrimeFieldElement) -> int:

@@ -10,15 +10,17 @@ agree.
 Each spec object computes its exponents once, as the cached attributes
 ``GapSpec.values``, ``GgpSpec.order`` and ``GgpSpec.residues``.
 
-Membership has two routes: symbolic (exponent recovery, this module) and
-literal enumeration; the acceptance suite holds them equal.  Over Q the
-exponent is read off a prime valuation.  Over F_q, x is in <g0> exactly
-when x**ord(g0) == 1, and its exponent mod ord(g0) is a bounded discrete
-log: Pohlig-Hellman over the cached factorization of ord(g0), with Shanks'
-baby-step giant-step in each prime-order subgroup.  Its cost is about
-sqrt(p) steps for the largest prime p dividing ord(g0); a spec whose
-baby-step table would exceed ``BSGS_TABLE_CAP`` entries is refused with
-PreconditionError (:func:`require_bounded_log`).
+Powers and membership run on the int lattice items of ``setalg`` sets.
+Membership has two routes: symbolic (exponent recovery from one item n
+over d, this module) and literal enumeration; the acceptance suite holds
+them equal.  Over Q the exponent of n/d is read off a prime valuation.
+Over F_q, a residue x is in <g0> exactly when x**ord(g0) == 1, and its
+exponent mod ord(g0) is a bounded discrete log: Pohlig-Hellman over the
+cached factorization of ord(g0), with Shanks' baby-step giant-step in each
+prime-order subgroup.  Its cost is about sqrt(p) steps for the largest
+prime p dividing ord(g0); a spec whose baby-step table would exceed
+``BSGS_TABLE_CAP`` entries is refused with PreconditionError
+(:func:`require_bounded_log`).
 """
 
 from __future__ import annotations
@@ -37,10 +39,9 @@ from .numeric import (
     PrimeFieldElement,
     Scalar,
     as_rational,
-    domain_of,
-    RATIONAL_DOMAIN,
     factor,
     format_scalar,
+    lift,
     multiplicative_order,
     parse_scalar,
     scalar_pow,
@@ -59,6 +60,7 @@ __all__ = [
     "format_gap_spec",
     "format_ggp_spec",
     "ggp_membership",
+    "ggp_powers",
     "growth_check",
     "is_proper",
     "parse_gap_spec",
@@ -130,9 +132,9 @@ class GgpSpec:
                 raise ValueError("rational base must be positive and != 1")
             object.__setattr__(self, "g0", g)
 
-    @property
+    @cached_property
     def domain(self):
-        return domain_of(self.g0)
+        return lift([self.g0])[1]
 
     @property
     def formal_length(self) -> int:
@@ -141,9 +143,9 @@ class GgpSpec:
     @cached_property
     def order(self) -> Optional[int]:
         """ord(g0) over F_q; None over Q, where g0**k never repeats."""
-        if self.domain == RATIONAL_DOMAIN:
-            return None
-        return multiplicative_order(self.g0)
+        if isinstance(self.g0, PrimeFieldElement):
+            return multiplicative_order(self.g0)
+        return None
 
     @cached_property
     def residues(self) -> frozenset:
@@ -157,8 +159,16 @@ def enumerate_gap(R: GapSpec) -> ScalarSet:
     return ScalarSet(R.values)
 
 
+def ggp_powers(G: GgpSpec, ks) -> ScalarSet:
+    """{g0**k : k in ks}: residues pow(g0, k, q) over F_q, scalar_pow over Q."""
+    if G.order is None:
+        return ScalarSet(scalar_pow(G.g0, k) for k in ks)
+    q = G.domain
+    return ScalarSet.from_lattice([pow(G.g0.residue, k, q) for k in ks], q, q)
+
+
 def enumerate_ggp(G: GgpSpec) -> ScalarSet:
-    return ScalarSet(scalar_pow(G.g0, k) for k in G.residues)
+    return ggp_powers(G, G.residues)
 
 
 def _valuation(n: int, p: int) -> int:
@@ -169,20 +179,20 @@ def _valuation(n: int, p: int) -> int:
     return v
 
 
-def _rational_log(g0, x) -> Optional[int]:
-    """The integer k with g0**k == x, if one exists (g0 > 0, g0 != 1)."""
-    g = Fraction(g0)
-    xf = Fraction(x)
-    if xf <= 0:
+def _rational_log(g0, n: int, d: int) -> Optional[int]:
+    """The integer k with g0**k == n/d, if one exists (g0 > 0, g0 != 1,
+    d > 0, n/d not necessarily reduced)."""
+    if n <= 0:
         return None
-    p, q = g.numerator, g.denominator
+    p, q = g0.numerator, g0.denominator
     pi = min(factor(p if p > 1 else q))
     vg = _valuation(p, pi) - _valuation(q, pi)
-    vx = _valuation(xf.numerator, pi) - _valuation(xf.denominator, pi)
+    vx = _valuation(n, pi) - _valuation(d, pi)
     if vx % vg != 0:
         return None
     k = vx // vg
-    return k if g ** k == xf else None
+    num, den = (p ** k, q ** k) if k >= 0 else (q ** -k, p ** -k)
+    return k if num * d == den * n else None
 
 
 # The largest prime factor of ord(g0) may reach 2**36.  A table at the cap
@@ -256,21 +266,18 @@ def _discrete_log(g: int, x: int, n: int, q: int) -> int:
     return k
 
 
-def ggp_membership(G: GgpSpec, x: Scalar) -> bool:
-    """Symbolic membership: recover the exponent, then look it up in the
-    exponent set.  Never enumerates the progression."""
-    if G.domain == RATIONAL_DOMAIN:
-        if isinstance(x, PrimeFieldElement):
-            return False
-        k = _rational_log(G.g0, x)
+def ggp_membership(G: GgpSpec, n: int, d: int) -> bool:
+    """Symbolic membership of one lattice item of a set over G's domain,
+    n/d over Q (d > 0, maybe unreduced) or n mod q over F_q (d = q): recover
+    the exponent, then look it up.  Never enumerates the progression."""
+    if G.order is None:
+        k = _rational_log(G.g0, n, d)
         return k is not None and k in G.residues
-    q, n = G.domain, G.order
-    if not isinstance(x, PrimeFieldElement) or x.modulus != q or x.residue == 0:
-        return False
     require_bounded_log(G)
-    if pow(x.residue, n, q) != 1:
-        return False
-    return _discrete_log(G.g0.residue, x.residue, n, q) in G.residues
+    q, order = G.domain, G.order
+    # both reduce n mod q, and pow(0, order, q) == 0: zero is no member
+    return (pow(n, order, q) == 1
+            and _discrete_log(G.g0.residue, n, order, q) in G.residues)
 
 
 def is_proper(spec) -> bool:

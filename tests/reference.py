@@ -13,6 +13,9 @@ The cover search's oracles live here too.  Both return the most hits
 in T, t != 0}, both of size at least m and B*C inside T: ``ref_cover_pairs``
 by the double loop over both subset families, ``ref_cover_maximal`` by
 taking for each B the largest C, the quotients c with B*c inside T.
+
+``lattice_item`` turns one scalar into the int lattice item (n, d) that
+``ggp_membership`` reads, by way of a one-element ScalarSet.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from shiftprod.numeric import (
     power_ratio_decimal,
     scalar_is_zero,
 )
+from shiftprod.setalg import ScalarSet
 
 
 def _floor_log2(n: int) -> int:
@@ -230,3 +234,10 @@ def ref_cover_maximal(T, m) -> int:
         if len(C) >= m:
             best = max(best, len({b * c for b in B for c in C}))
     return best
+
+
+def lattice_item(x):
+    """(n, d) for the scalar x as a ScalarSet stores it: the residue and q
+    over F_q, the reduced numerator and denominator over Q."""
+    (n,), d = ScalarSet([x]).lat
+    return n, d

@@ -16,8 +16,8 @@ from shiftprod.explorer import (
     conjecture_scan,
     search_bc,
 )
-from shiftprod.numeric import PrimeField, PrimeFieldElement, sort_key
-from shiftprod.setalg import ScalarSet, productset, shift
+from shiftprod.numeric import PrimeField, PrimeFieldElement, is_prime
+from shiftprod.setalg import PAIR_CAP, ScalarSet, productset, shift
 
 
 def _check_pair(res, T, m):
@@ -70,7 +70,7 @@ def test_search_matches_oracle(query):
 def test_universe_matches_element_quotients(query):
     # the quotients from int keys are the ones from element quotients
     T = query.T
-    assert _universe(T) == sorted(_quotients(T.elems), key=sort_key)
+    assert _universe(T) == sorted(_quotients(T.elems))
 
 
 def test_scan_builds_one_target_per_instance(monkeypatch):
@@ -126,6 +126,32 @@ def test_retired_cutoff_config_key_is_ignored(capsys, tmp_path):
     cfg.write_text('{"exhaustive_cutoff": 3}')
     assert main(argv + ["--config", str(cfg)]) == 0
     assert capsys.readouterr() == plain
+
+
+def _refuse_keys(T):
+    raise AssertionError("quotient keys built")
+
+
+def test_cover_search_refused_above_pair_cap(monkeypatch):
+    # the products of two of the first 80 primes are distinct: |T| = 80 * 81 / 2
+    primes = [p for p in range(2, 420) if is_prime(p)][:80]
+    query = CoverQuery(A=ScalarSet(primes))
+    assert len(query.T) == 3240 and 3240 ** 2 > PAIR_CAP
+    monkeypatch.setattr(explorer, "_quotient_keys", _refuse_keys)
+    with pytest.raises(ValueError, match=f"cover search needs {3240 ** 2} pair "
+                                         f"evaluations, above the cap {PAIR_CAP}"):
+        search_bc(query)
+
+
+def test_cover_search_refusal_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(explorer, "_quotient_keys", _refuse_keys)
+    code = main(["conjecture-scan", "--family", "random-integer", "--count", "1",
+                 "--size-min", "80", "--size-max", "80", "--hi", "1000000",
+                 "--seed", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: cover search needs ")
+    assert captured.err.endswith(f" pair evaluations, above the cap {PAIR_CAP}\n")
 
 
 def test_query_validation():

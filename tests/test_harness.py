@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_int_set, make_proper_ggp
-from reference import reference_main_report
+from reference import lattice_item, reference_main_report
 from shiftprod.cli import main
 from shiftprod.harness import (
     HarnessConfig,
@@ -25,7 +25,7 @@ from shiftprod.harness import (
     square_part_bound_check,
 )
 from shiftprod.progressions import GapSpec, GgpSpec, enumerate_ggp, ggp_membership
-from shiftprod.numeric import PrimeField, PrimeFieldElement
+from shiftprod.numeric import DomainMismatchError, PrimeField, PrimeFieldElement
 from shiftprod.setalg import (
     Point2,
     PointSet2,
@@ -160,6 +160,43 @@ def test_exceptional_set_known():
     assert exceptional_set(shift(productset(A, A), 1), G).sorted() == [3, 5]
 
 
+def test_exceptional_set_refuses_mixed_domains():
+    F7, F11 = PrimeField(7), PrimeField(11)
+    R = GapSpec(0, (1,), (3,))
+    Gq, G7 = GgpSpec(2, R), GgpSpec(F7(3), R)
+    for AA1, G in ((ScalarSet([2, 5]), G7), (ScalarSet([F7(2), F7(5)]), Gq),
+                   (ScalarSet([F11(2)]), G7)):
+        with pytest.raises(DomainMismatchError):
+            exceptional_set(AA1, G)
+
+
+def test_field_progression_stages_build_no_field_elements(monkeypatch):
+    q = 100003
+    F = PrimeField(q)
+    G = GgpSpec(F(2), GapSpec(3, (1, 40), (5, 6)))
+    Gn = normalize(G)
+    # 1*7+1 = 2**3 and 3*5+1 = 2**4 lie in G; 2*2+1 = 5 does not
+    A = ScalarSet(map(F, [1, 2, 3, 5, 7, 11]))
+    AA1 = shift(productset(A, A), 1)
+    built = []
+    init = PrimeFieldElement.__init__
+
+    def counted(self, value, modulus):
+        built.append(value)
+        init(self, value, modulus)
+
+    monkeypatch.setattr(PrimeFieldElement, "__init__", counted)
+    Gset, B, C = enumerate_ggp(G), square_part(Gn), exceptional_set(AA1, G)
+    assert built == []
+    monkeypatch.undo()
+    ks = Gn.exponents.values
+    assert set(Gset) == {F(2) ** (3 + k) for k in ks}
+    L = {F(2) ** k for k in ks}
+    assert set(B) == {g for g in L if g * g in L}
+    assert set(C) == set(AA1) - set(Gset)
+    assert F(8) not in C and F(16) not in C and F(5) in C
+
+
 def test_pipeline_end_to_end():
     A = ScalarSet([1, 2])
     G = GgpSpec(2, GapSpec(1, (1,), (3,)))
@@ -262,7 +299,7 @@ def test_pipeline_random_instances(rng):
         assert rep.identity_ok
         assert rep.structural_ok()
         AA1 = shift(productset(A, A), 1)
-        inside = [x for x in AA1 if ggp_membership(G, x)]
+        inside = [x for x in AA1 if ggp_membership(G, *lattice_item(x))]
         assert rep.c_size + len(inside) == rep.aa_size
 
 

@@ -34,6 +34,7 @@ from shiftprod.progressions import (
 from shiftprod.progressions import _baby_steps, _discrete_log
 from shiftprod.setalg import PAIR_CAP
 from conftest import make_proper_gap, make_proper_ggp
+from reference import lattice_item
 
 
 def test_gap_spec_validation():
@@ -86,17 +87,21 @@ def test_enumerate_ggp_known():
     ]
 
 
+def _member(G, x):
+    return ggp_membership(G, *lattice_item(x))
+
+
 def test_ggp_membership_rational():
     G = GgpSpec(3, GapSpec(1, (2,), (3,)))
-    assert ggp_membership(G, 27)
-    assert not ggp_membership(G, 81)
-    assert not ggp_membership(G, 5)
+    assert _member(G, 27)
+    assert not _member(G, 81)
+    assert not _member(G, 5)
     Gh = GgpSpec(Fraction(1, 2), GapSpec(0, (1,), (4,)))
-    assert ggp_membership(Gh, Fraction(1, 8))
-    assert not ggp_membership(Gh, Fraction(1, 16))
+    assert _member(Gh, Fraction(1, 8))
+    assert not _member(Gh, Fraction(1, 16))
     Gm = GgpSpec(Fraction(3, 2), GapSpec(0, (2,), (3,)))
-    assert ggp_membership(Gm, Fraction(81, 16))
-    assert not ggp_membership(Gm, Fraction(3, 2))
+    assert _member(Gm, Fraction(81, 16))
+    assert not _member(Gm, Fraction(3, 2))
 
 
 def test_ggp_membership_matches_enumeration():
@@ -105,16 +110,16 @@ def test_ggp_membership_matches_enumeration():
     probes = [Fraction(n, d) for n in range(1, 600) for d in (1, 2, 4, 8)]
     for x in probes:
         arg = x.numerator if x.denominator == 1 else x
-        assert ggp_membership(Gx, arg) == (arg in values)
+        assert _member(Gx, arg) == (arg in values)
 
 
 def test_ggp_membership_field():
     F = PrimeField(7)
     G = GgpSpec(F(3), GapSpec(0, (1,), (3,)))
     assert enumerate_ggp(G).sorted() == [F(1), F(2), F(3)]
-    assert ggp_membership(G, F(2))
-    assert not ggp_membership(G, F(5))
-    assert not ggp_membership(G, F(6))
+    assert _member(G, F(2))
+    assert not _member(G, F(5))
+    assert not _member(G, F(6))
 
 
 def test_field_properness():
@@ -196,7 +201,7 @@ def test_random_roundtrip_and_membership(rng):
         G = make_proper_ggp(rng)
         assert parse_ggp_spec(format_ggp_spec(G)) == G
         for x in enumerate_ggp(G):
-            assert ggp_membership(G, x)
+            assert _member(G, x)
 
 
 # The oracle for the exponent data cached on each spec: the literal set
@@ -240,7 +245,15 @@ def _check_against_literal(G, probes):
     assert set(square_part(G)) == {g for g in L if g * g in L}
     assert _even_part_size(G) == len(_literal(G, even_only=True))
     for x in probes:
-        assert ggp_membership(G, x) == (x in L)
+        n, d = lattice_item(x)
+        # the reduced item, and items the lattice may hold for the same
+        # value: unreduced over Q, unreduced residues over F_q
+        if G.order is None:
+            items = [(n, d), (2 * n, 2 * d), (6 * n, 6 * d)]
+        else:
+            items = [(n, d), (n + d, d), (n - d, d)]
+        for item in items:
+            assert ggp_membership(G, *item) == (x in L)
 
 
 @given(RATIONAL_SPECS)
@@ -308,7 +321,7 @@ def test_membership_refused_above_table_cap(monkeypatch):
     assert m > BSGS_TABLE_CAP
     with pytest.raises(PreconditionError,
                        match=f"table of {m} entries, above the cap {BSGS_TABLE_CAP}"):
-        ggp_membership(G, PrimeFieldElement(3, q))
+        _member(G, PrimeFieldElement(3, q))
 
 
 def test_baby_step_cache_is_bounded():

@@ -16,7 +16,6 @@ from shiftprod.numeric import (
     as_rational,
     is_prime,
     scalar_is_zero,
-    sort_key,
 )
 from shiftprod.setalg import (
     LATTICE_BIT_CAP,
@@ -543,7 +542,7 @@ def _check_plain_points(P, points, probes, domain):
     assert len(P) == len(plain)
     assert P.domain == (domain if plain else None)
     assert {_typed(p) for p in P} == {_typed(p) for p in plain}
-    order = sorted(plain, key=lambda p: (sort_key(p.x), sort_key(p.y)))
+    order = sorted(plain)
     assert [_typed(p) for p in P.sorted()] == [_typed(p) for p in order]
     assert P.elems == plain
     same = PointSet2(plain)
