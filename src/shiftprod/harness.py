@@ -74,6 +74,22 @@ __all__ = [
 
 DECIMAL_DIGITS = 20
 
+# A decimal readout of num / base**(a/b) raises num to the b-th power and
+# takes a b-th root, so its cost grows about quadratically in b.  At this
+# cap the slowest readout seen, |A||AA| = 2**35 against q**(9999/10000)
+# at q = 2**50, took 0.7-0.8 s on 2 vCPUs.
+READOUT_DEGREE_CAP = 10000
+
+
+def require_readout_degree(exponents: dict) -> None:
+    """Refuse, before any pipeline work, a readout exponent (named by the
+    key) whose denominator is above READOUT_DEGREE_CAP."""
+    for name, e in exponents.items():
+        if e.denominator > READOUT_DEGREE_CAP:
+            raise PreconditionError(
+                f"readout exponent {name} = {e} has denominator "
+                f"{e.denominator}, above READOUT_DEGREE_CAP = {READOUT_DEGREE_CAP}")
+
 
 @dataclass(frozen=True)
 class HarnessConfig:
@@ -296,6 +312,9 @@ def run_main_pipeline(inp: PipelineInput) -> MainReport:
         raise PreconditionError("this pipeline runs over the rationals")
     if not (0 < delta < 1):
         raise PreconditionError("delta must lie strictly between 0 and 1")
+    eps = delta / 3
+    # the denominator of 1 - delta divides that of 1 - eps
+    require_readout_degree({"1 - delta/3": 1 - eps})
 
     constants = {}
     AA = productset(A, A)
@@ -315,7 +334,6 @@ def run_main_pipeline(inp: PipelineInput) -> MainReport:
             f"degenerate progression: ratio {degeneracy} above "
             f"threshold {cfg.degeneracy_threshold}")
 
-    eps = delta / 3
     shared, E, _, Pi = _run_core(A, AA, G, eps, delta, cfg.skew_e, constants)
     constants["pi_over_e_pow"] = power_ratio_decimal(
         len(Pi), max(1, len(E)), 1 - eps, DECIMAL_DIGITS)

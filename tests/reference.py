@@ -5,8 +5,10 @@ Fraction values over Q, PrimeFieldElement values over F_q.  G comes from
 powers of its base, B from a literal ``g*g in Gn``, Pi from the double loop
 over the point sets, C as AA+1 minus G and the decomposition of G*(AA+1)
 from literal products.  No shiftprod set type, kernel or membership test is
-used; the decimal strings still come from ``power_ratio_decimal``, which is
-exact and tested on its own.
+used.  The decimal strings come from ``ref_power_ratio_decimal``, the same
+formula on ``ref_nth_root_floor``: integer Newton from 2**ceil(bits/k)
+down to the floor, one step at a time, without the seeded start of
+``numeric.nth_root_floor``.
 
 The cover search's oracles live here too.  Both return the most hits
 |B*C| over pairs with B inside T, C inside the quotients T/T = {s/t : s, t
@@ -25,15 +27,39 @@ from fractions import Fraction
 from math import prod
 
 from shiftprod.ffharness import FfReport
-from shiftprod.harness import DECIMAL_DIGITS, MainReport
+from shiftprod.harness import DECIMAL_DIGITS, READOUT_DEGREE_CAP, MainReport
 from shiftprod.numeric import (
     PreconditionError,
     PrimeFieldElement,
     as_rational,
-    power_ratio_decimal,
     scalar_is_zero,
 )
 from shiftprod.setalg import ScalarSet
+
+
+def ref_nth_root_floor(x: int, k: int) -> int:
+    """floor(x ** (1/k)) by integer Newton from 2**ceil(bits/k), which can
+    be twice the root, so at large k it crawls down by a factor of about
+    1 - 1/k a step."""
+    if x < 2 or k == 1:
+        return x
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        nr = ((k - 1) * r + x // r ** (k - 1)) // k
+        if nr >= r:
+            break
+        r = nr
+    while r ** k > x:
+        r -= 1
+    return r
+
+
+def ref_power_ratio_decimal(num: int, base: int, exp: Fraction,
+                            digits: int = DECIMAL_DIGITS) -> str:
+    """num / base**exp floor-rounded to ``digits`` fractional digits."""
+    d = exp.denominator
+    r = ref_nth_root_floor(num ** d * 10 ** (digits * d) // base ** exp.numerator, d)
+    return f"{r // 10 ** digits}.{r % 10 ** digits:0{digits}d}"
 
 
 def _floor_log2(n: int) -> int:
@@ -114,8 +140,8 @@ def _core(A, g0, R, one, eps, delta, skew_e, constants):
     GG = {g * h for g in Gset for h in Gset}
     constants["gg_over_g"] = str(Fraction(len(GG), len(Gset)))
     constants["g_inter_le_gg"] = "pass" if len(G_inter) <= len(GG) else "fail"
-    constants["pi_over_e_pow"] = power_ratio_decimal(
-        len(Pi), max(1, len(E)), 1 - eps, DECIMAL_DIGITS)
+    constants["pi_over_e_pow"] = ref_power_ratio_decimal(
+        len(Pi), max(1, len(E)), 1 - eps)
 
     shared = dict(
         a_size=len(A),
@@ -145,6 +171,8 @@ def reference_main_report(A_values, G, delta, config) -> MainReport:
         raise PreconditionError("need |A| >= 2")
     if not 0 < delta < 1:
         raise PreconditionError("delta out of range")
+    if (delta / 3).denominator > READOUT_DEGREE_CAP:
+        raise PreconditionError("readout degree above the cap")
     g0, R = Fraction(G.g0), G.exponents
     Gset, _, _, formal = _progression(g0, R)
     constants = {}
@@ -162,8 +190,7 @@ def reference_main_report(A_values, G, delta, config) -> MainReport:
     shared, _, _, _ = _core(A, g0, R, 1, delta / 3, delta, config.skew_e, constants)
     return MainReport(
         **shared,
-        bound_ratio=power_ratio_decimal(shared["c_size"], len(A), 1 - delta,
-                                        DECIMAL_DIGITS),
+        bound_ratio=ref_power_ratio_decimal(shared["c_size"], len(A), 1 - delta),
         constants=constants,
     )
 
@@ -184,13 +211,12 @@ def reference_ff_report(q, A_values, G, epsilon, delta, skew_e) -> FfReport:
         q=q,
         **shared,
         cond1_ok=_power_sign(a_aa, q, Fraction(3, 2) + eps) >= 0,
-        cond1_margin=power_ratio_decimal(a_aa, q, Fraction(3, 2) + eps,
-                                         DECIMAL_DIGITS),
+        cond1_margin=ref_power_ratio_decimal(a_aa, q, Fraction(3, 2) + eps),
         cond2_ok=_power_sign(aa, q, 1 - delta) <= 0,
-        cond2_margin=power_ratio_decimal(aa, q, 1 - delta, DECIMAL_DIGITS),
+        cond2_margin=ref_power_ratio_decimal(aa, q, 1 - delta),
         coverage_ok=Pi >= {PrimeFieldElement(u, q) for u in range(1, q)},
         q_delta_bound=_power_sign(c, q, delta) >= 0,
-        bound_ratio=power_ratio_decimal(c, q, delta, DECIMAL_DIGITS),
+        bound_ratio=ref_power_ratio_decimal(c, q, delta),
         constants=constants,
     )
 

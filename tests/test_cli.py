@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from shiftprod import setalg
+from shiftprod import ffharness, harness, setalg
 from shiftprod.cli import main
 from shiftprod.ffharness import FfInput, run_field_pipeline
 from shiftprod.numeric import PrimeField
@@ -358,6 +358,32 @@ def test_lattice_bit_cap_exits_2(capsys, monkeypatch):
     # A*A: 2 * 2 pairs over 6 * 6, whose bit length is 6
     assert (code, out) == (2, "")
     assert err == "error: productset needs about 24 numerator bits, above the cap 10\n"
+
+
+@pytest.mark.parametrize("argv,key,value,exponent", [
+    (("verify-ff", "--q", "101", "--subgroup-t", "50", "--delta", "1/10"),
+     "epsilon", "1/10001", "3/2 + epsilon = 30005/20002 has denominator 20002"),
+    (("verify-ff", "--q", "101", "--subgroup-t", "50", "--delta", "1/10"),
+     "epsilon", "0.3333333333",
+     "3/2 + epsilon = 18333333333/10000000000 has denominator 10000000000"),
+    (("verify-ff", "--q", "101", "--subgroup-t", "50", "--epsilon", "1/100"),
+     "delta", "1/10001", "delta = 1/10001 has denominator 10001"),
+    (("verify-main", "--A", "{1, 2}", "--G", "ggp 2; gap 1;1;3"),
+     "delta", "1/3334", "1 - delta/3 = 10001/10002 has denominator 10002"),
+])
+def test_readout_degree_above_cap_exits_2(capsys, monkeypatch, tmp_path, argv, key,
+                                          value, exponent):
+    def ran(*args):
+        raise AssertionError("readout ran")
+
+    monkeypatch.setattr(ffharness, "power_ratio_decimal", ran)
+    monkeypatch.setattr(harness, "power_ratio_decimal", ran)
+    expected = (2, "", f"error: readout exponent {exponent}, above "
+                       f"READOUT_DEGREE_CAP = {harness.READOUT_DEGREE_CAP}\n")
+    assert run_cli(capsys, *argv, f"--{key}", value) == expected
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert run_cli(capsys, *argv, "--config", str(cfg)) == expected
 
 
 def test_unwritable_out(capsys, tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import reference_ff_report
+from shiftprod import ffharness
 from shiftprod.cli import main
 from shiftprod.ffharness import (
     CoverageReport,
@@ -19,7 +20,7 @@ from shiftprod.ffharness import (
     run_field_pipeline,
     subgroup_ggp,
 )
-from shiftprod.harness import PreconditionError, exceptional_set
+from shiftprod.harness import READOUT_DEGREE_CAP, PreconditionError, exceptional_set
 from shiftprod.numeric import PrimeField, PrimeFieldElement, is_prime, multiplicative_order
 from shiftprod import progressions
 from shiftprod.progressions import GapSpec, GgpSpec, enumerate_ggp, realized_size
@@ -186,6 +187,29 @@ def test_field_pipeline_preconditions():
         run_field_pipeline(FfInput(q=5, A=A, G=G, epsilon=Fraction(2), delta=Fraction(1, 2)))
     assert run_field_pipeline(
         FfInput(q=5, A=A, G=G, epsilon=Fraction(1), delta=Fraction(1, 2))).identity_ok
+
+
+def test_field_pipeline_refuses_readout_degree_above_cap(monkeypatch):
+    def ran(*args):
+        raise AssertionError("pipeline work ran")
+
+    monkeypatch.setattr(ffharness, "_run_core", ran)
+    monkeypatch.setattr(ffharness, "power_ratio_decimal", ran)
+    F5 = PrimeField(5)
+    A = ScalarSet([F5(1), F5(4)])
+    G = GgpSpec(F5(2), GapSpec(0, (1,), (4,)))
+    cap = READOUT_DEGREE_CAP
+    # 3/2 + 1/cap has denominator cap; 3/2 + 1/(cap - 1) has 2*(cap - 1)
+    for eps, delta in ((Fraction(1, cap + 1), Fraction(1, 2)),
+                       (Fraction(1, cap - 1), Fraction(1, 2)),
+                       (Fraction(1, 10 ** 10), Fraction(1, 2)),
+                       (Fraction(1, 2), Fraction(1, cap + 1)),
+                       (Fraction(1, 2), Fraction(cap, cap + 1))):
+        with pytest.raises(PreconditionError, match=f"READOUT_DEGREE_CAP = {cap}"):
+            run_field_pipeline(FfInput(q=5, A=A, G=G, epsilon=eps, delta=delta))
+    with pytest.raises(AssertionError, match="pipeline work ran"):
+        run_field_pipeline(FfInput(q=5, A=A, G=G, epsilon=Fraction(1, cap),
+                                   delta=Fraction(1, cap)))
 
 
 def test_coverage_check_full_plane():

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_int_set, make_proper_ggp
 from reference import lattice_item, reference_main_report
+from shiftprod import harness
 from shiftprod.cli import main
 from shiftprod.harness import (
+    READOUT_DEGREE_CAP,
     HarnessConfig,
     MainReport,
     PipelineInput,
@@ -248,6 +250,27 @@ def test_pipeline_preconditions():
     for bad_delta in (Fraction(0), Fraction(1), Fraction(3, 2)):
         with pytest.raises(PreconditionError):
             run_main_pipeline(PipelineInput(A=A, G=G, delta=bad_delta))
+
+
+def test_pipeline_refuses_readout_degree_above_cap(monkeypatch):
+    def ran(*args):
+        raise AssertionError("pipeline work ran")
+
+    monkeypatch.setattr(harness, "productset", ran)
+    monkeypatch.setattr(harness, "power_ratio_decimal", ran)
+    A = ScalarSet([1, 2])
+    G = GgpSpec(2, GapSpec(1, (1,), (3,)))
+    cap = READOUT_DEGREE_CAP
+    # epsilon = delta/3, so 1 - epsilon can have three times delta's denominator
+    for delta in (Fraction(1, cap // 3 + 1), Fraction(1, cap + 1), Fraction(3, cap + 1),
+                  Fraction(1, 10 ** 10)):
+        assert (delta / 3).denominator > cap
+        with pytest.raises(PreconditionError, match=f"READOUT_DEGREE_CAP = {cap}"):
+            run_main_pipeline(PipelineInput(A=A, G=G, delta=delta))
+        with pytest.raises(PreconditionError):
+            reference_main_report([1, 2], G, delta, HarnessConfig())
+    with pytest.raises(AssertionError, match="pipeline work ran"):
+        run_main_pipeline(PipelineInput(A=A, G=G, delta=Fraction(1, cap // 3)))
 
 
 def test_size_mismatch_policy():

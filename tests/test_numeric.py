@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from reference import ref_nth_root_floor, ref_power_ratio_decimal
 from shiftprod import numeric
 from shiftprod.numeric import (
     MR_EXACT_BELOW,
@@ -234,6 +236,46 @@ def test_nth_root_floor():
         f = nth_root_floor(x, k)
         assert f ** k <= x < (f + 1) ** k
         assert nth_root_floor(r ** k, k) == r
+
+
+# nth_root_floor starts Newton at 2**ceil(bits/k) for k < 10, reads roots
+# below 2**9 off bit by bit for larger k, and seeds the rest from the root
+# of the top bits; every r**k - 1, r**k, r**k + 1 is a floor boundary
+@st.composite
+def _root_cases(draw):
+    k = draw(st.integers(1, 200))
+    bits = draw(st.integers(0, 10000 // k))
+    r = draw(st.integers(0, 2 ** bits))
+    x = draw(st.one_of(st.integers(-1, 1).map(lambda c: max(0, r ** k + c)),
+                       st.integers(0, 2 ** (k * bits + 1))))
+    return x, k
+
+
+@settings(max_examples=400)
+@given(_root_cases())
+def test_nth_root_floor_matches_reference(case):
+    x, k = case
+    r = nth_root_floor(x, k)
+    assert r ** k <= x < (r + 1) ** k
+    assert r == ref_nth_root_floor(x, k)
+
+
+@pytest.mark.parametrize("k", [3, 9, 10, 11, 100, 200])
+def test_nth_root_floor_at_route_boundaries(k):
+    for r in (1, 2, 2 ** 9 - 1, 2 ** 9, 2 ** 9 + 1, 2 ** 10, 2 ** 64 + 1, 3 ** 50):
+        for x in (r ** k - 1, r ** k, r ** k + 1):
+            assert nth_root_floor(x, k) == ref_nth_root_floor(x, k)
+
+
+# the readout exponents of the field and rational pipelines at the bench's
+# epsilon and delta, with |A||AA| up to q**2
+@settings(max_examples=150)
+@given(st.sampled_from([Fraction(99, 100), Fraction(151, 100), Fraction(9, 10),
+                        Fraction(1, 10), Fraction(29, 30), Fraction(8, 9),
+                        Fraction(2, 3)]),
+       st.integers(1, 1000003), st.integers(0, 1000003 ** 2))
+def test_power_ratio_decimal_matches_reference(exp, base, num):
+    assert power_ratio_decimal(num, base, exp) == ref_power_ratio_decimal(num, base, exp)
 
 
 def test_compare_power():
