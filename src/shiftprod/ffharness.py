@@ -173,8 +173,9 @@ def run_field_pipeline(inp: FfInput) -> FfReport:
         raise PreconditionError("epsilon must be at most 1")
     if not (0 < delta < 1):
         raise PreconditionError("delta must lie strictly between 0 and 1")
-    # the denominators of 1 - epsilon and 1 - delta divide these
-    require_readout_degree({"3/2 + epsilon": Fraction(3, 2) + eps, "delta": delta})
+    require_readout_degree({"3/2 + epsilon": Fraction(3, 2) + eps,
+                            "1 - epsilon": 1 - eps, "delta": delta,
+                            "1 - delta": 1 - delta})
     require_bounded_log(G)
 
     constants = {}

@@ -313,8 +313,7 @@ def run_main_pipeline(inp: PipelineInput) -> MainReport:
     if not (0 < delta < 1):
         raise PreconditionError("delta must lie strictly between 0 and 1")
     eps = delta / 3
-    # the denominator of 1 - delta divides that of 1 - eps
-    require_readout_degree({"1 - delta/3": 1 - eps})
+    require_readout_degree({"1 - delta/3": 1 - eps, "1 - delta": 1 - delta})
 
     constants = {}
     AA = productset(A, A)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import gcd, isqrt
+from math import gcd
 from types import MappingProxyType
 from typing import Mapping, Optional, Tuple, Union
 
@@ -448,16 +448,16 @@ def nth_root_floor(x: int, k: int) -> int:
     below k = 10 that crawl measured no slower than seeding.  For larger k
     the start is seeded: the root of x >> (k*s), with s half the root's
     bit length, plus one and shifted left by s.  That is above the root by
-    a factor below 1 + 2**(1-s), so Newton takes two or three steps per
-    doubling of precision.  Roots below 2**9 are read off bit by bit.
-    k == 2 is math.isqrt.
+    a factor below 1 + 2**(1-s).  Where 2**s is well above k, Newton takes
+    two or three steps per doubling of precision; where it is not, as at
+    the lowest levels for k in the thousands, the first steps still
+    crawl by about 1 - 1/k, for up to about k * 2**(1-s) steps.  Roots
+    below 2**9 are read off bit by bit.
     """
     if x < 0 or k < 1:
         raise ValueError("need x >= 0 and k >= 1")
     if x < 2 or k == 1:
         return x
-    if k == 2:
-        return isqrt(x)
     bits = (x.bit_length() - 1) // k + 1  # x < 2**(k*bits)
     if k < 10:
         r = 1 << bits

@@ -364,6 +364,10 @@ def test_lattice_bit_cap_exits_2(capsys, monkeypatch):
     (("verify-ff", "--q", "101", "--subgroup-t", "50", "--delta", "1/10"),
      "epsilon", "1/10001", "3/2 + epsilon = 30005/20002 has denominator 20002"),
     (("verify-ff", "--q", "101", "--subgroup-t", "50", "--delta", "1/10"),
+     "epsilon", "1/19998", "1 - epsilon = 19997/19998 has denominator 19998"),
+    (("verify-ff", "--q", "101", "--subgroup-t", "50", "--delta", "1/10"),
+     "epsilon", "1/10002", "1 - epsilon = 10001/10002 has denominator 10002"),
+    (("verify-ff", "--q", "101", "--subgroup-t", "50", "--delta", "1/10"),
      "epsilon", "0.3333333333",
      "3/2 + epsilon = 18333333333/10000000000 has denominator 10000000000"),
     (("verify-ff", "--q", "101", "--subgroup-t", "50", "--epsilon", "1/100"),

@@ -199,9 +199,13 @@ def test_field_pipeline_refuses_readout_degree_above_cap(monkeypatch):
     A = ScalarSet([F5(1), F5(4)])
     G = GgpSpec(F5(2), GapSpec(0, (1,), (4,)))
     cap = READOUT_DEGREE_CAP
-    # 3/2 + 1/cap has denominator cap; 3/2 + 1/(cap - 1) has 2*(cap - 1)
+    # 3/2 + 1/cap has denominator cap; 3/2 + 1/(cap - 1) has 2*(cap - 1);
+    # 3/2 + 1/(2*cap - 2) and 3/2 + 1/(cap + 2) reduce under the cap, but
+    # 1 - epsilon does not
     for eps, delta in ((Fraction(1, cap + 1), Fraction(1, 2)),
                        (Fraction(1, cap - 1), Fraction(1, 2)),
+                       (Fraction(1, 2 * cap - 2), Fraction(1, 2)),
+                       (Fraction(1, cap + 2), Fraction(1, 2)),
                        (Fraction(1, 10 ** 10), Fraction(1, 2)),
                        (Fraction(1, 2), Fraction(1, cap + 1)),
                        (Fraction(1, 2), Fraction(cap, cap + 1))):
