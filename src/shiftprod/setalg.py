@@ -7,12 +7,25 @@ numerator bits.  A scalar set lives on ints and a point set on int pairs:
 the residues of a field set, or the numerators of a rational set's
 coordinates over their least common denominator d (gcd(d, *nums) == 1).
 Every operation runs on them; Fractions, field elements and Point2s are
-built only when a caller iterates, sorts or reads ``elems``.  The field
-dot-product set takes blockwise numpy outer products over int64 while every
-sum of two residue products fits in 63 bits, over exact Python ints above
-that.  An int64 input of at least q pairs is scattered into a table of q
-booleans in blocks of max(4q, 2**16) pairs until every residue is seen; a
-smaller one builds no table.
+built only when a caller iterates, sorts or reads ``elems``.
+
+The dot-product set writes each point as a scalar times a canonical
+direction: over Q, on the lattice ints, g*(u, v) with (u, v) primitive and
+its first nonzero coordinate positive; over F_q, x*(1, y/x) or y*(0, 1);
+the zero point is 1*(0, 0).  Directions with one scalar set (over Q, one up
+to its positive gcd, which then scales them) share it, and for each pair of
+scalar sets L and M the result takes the dot products of their directions
+times L*M, each product set once.  The pipelines' E and F have one scalar
+set a side, and this is their identity E.F = g1*BB*(AA+1).  Over Q the
+grouped kernel always runs.  Over F_q it runs above 2**12 pairs while its
+counted work is at most a quarter of the pairs; otherwise, as when every
+point has its own direction, blockwise numpy outer products take over, over
+int64 while every sum of two residue products fits in 63 bits, over exact
+Python ints above that.  An int64 input of at least q pairs is marked in a
+table of q booleans: its first rows, about 4q pairs, are tried before
+either kernel, and the numpy blocks of max(4q, 2**16) pairs go on from the
+rows after them until every residue is seen; a smaller input builds no
+table.
 
 Both set types take their elements through :func:`numeric.lift`, the only
 place the domain rule lives, and so do the scalars of ``shift`` and
@@ -234,6 +247,107 @@ def set_union(A: ScalarSet, B: ScalarSet) -> ScalarSet:
     return _set_op(A, B, operator.or_)
 
 
+# Over F_q the grouped dot kernel runs while its work, in set operations,
+# is at most the pairs over GROUP_RATIO, about the measured cost of one such
+# operation in pairs of numpy's blocks; numpy alone takes inputs of at most
+# FIELD_GROUP_MIN_PAIRS pairs, where the split into directions costs more
+# than it can save.  Over Q it always runs.
+GROUP_RATIO = 4
+FIELD_GROUP_MIN_PAIRS = 2 ** 12
+
+
+def _directions(items, q) -> dict:
+    """{direction: [scalar, ...]}, every point of ``items`` its scalar times
+    its direction: over Q (``q`` the rational tag) ``g * (u, v)`` with
+    ``(u, v)`` primitive and its first nonzero coordinate positive, over
+    F_q ``x * (1, y/x)`` or ``y * (0, 1)``; the zero point is ``1 * (0, 0)``."""
+    groups = {}
+    if q == RATIONAL_DOMAIN:
+        for x, y in items:
+            g = gcd(x, y)
+            if x < 0 or x == 0 and y < 0:
+                g = -g
+            groups.setdefault((x // g, y // g) if g else (0, 0), []).append(g or 1)
+    else:
+        # one inverse per distinct first coordinate
+        inv = {x: pow(x, -1, q) for x in {x for x, _ in items} if x}
+        for x, y in items:
+            key = (1, y * inv[x] % q) if x else (0, 1) if y else (0, 0)
+            groups.setdefault(key, []).append(x or y or 1)
+    return groups
+
+
+def _by_scalar_set(groups, q) -> dict:
+    """{scalar set: [direction, ...]}, each distinct scalar set once; over
+    Q a set is divided by its positive gcd c, which scales its directions."""
+    sets = {}
+    for (u, v), S in groups.items():
+        c = gcd(*S) if q == RATIONAL_DOMAIN else 1
+        L = frozenset(S) if c == 1 else frozenset(s // c for s in S)
+        sets.setdefault(L, []).append((c * u, c * v))
+    return sets
+
+
+def _grouped_dots(ea, fa, q) -> Optional[set]:
+    """The dot products of the int pairs ``ea`` and ``fa``, grouped by
+    :func:`_directions`: for each pair of scalar sets L and M, the dot
+    products D of their directions times the product set L*M, each computed
+    once.  Over F_q every product is reduced mod q, the union stops once all
+    q residues are seen, and None is returned as soon as the work exceeds
+    the pairs over GROUP_RATIO: the direction and scalar pairs that build
+    every D and L*M, counted before they are built, and each |D|*|L*M|,
+    counted before its products are taken."""
+    es, fs = (_by_scalar_set(_directions(X, q), q) for X in (ea, fa))
+    field = q != RATIONAL_DOMAIN
+    budget = len(ea) * len(fa) // GROUP_RATIO
+    work = (sum(map(len, es.values())) * sum(map(len, fs.values()))
+            + sum(map(len, es)) * sum(map(len, fs)))
+    if field and work > budget:
+        return None
+    out = set()
+    for L, us in es.items():
+        for M, ws in fs.items():
+            D = {u * x + v * y for u, v in us for x, y in ws}
+            P = {a * b for a in L for b in M}
+            if not field:
+                out |= {d * p for d in D for p in P}
+                continue
+            D, P = {d % q for d in D}, {p % q for p in P}
+            work += len(D) * len(P)
+            if work > budget:
+                return None
+            out |= {d * p % q for d in D for p in P}
+            if len(out) == q:
+                return out
+    return out
+
+
+def _numpy_dots(ea: list, fa: list, q: int, table=None) -> Iterable:
+    """The residues mod q of the dot products of the int pairs ``ea`` and
+    ``fa`` from blockwise numpy outer products, over int64 while every sum
+    of two residue products fits, over exact ints above that: with a
+    ``table`` of q booleans, every residue marked in it, which stops once
+    it is full, else a new set."""
+    found = set()
+    dtype = np.int64 if 2 * (q - 1) ** 2 < 2 ** 63 else object
+    ea, fa = (np.fromiter(chain.from_iterable(X), dtype, 2 * len(X)).reshape(-1, 2)
+              for X in (ea, fa))
+    # blocks of 4q pairs or more keep the table's all() check a small share
+    # of each scatter
+    step = max(1, (max(4 * q, 2 ** 16) if table is not None else PAIR_CAP // 8)
+               // len(fa))
+    for i in range(0, len(ea), step):
+        blk = ea[i:i + step]
+        dots = (np.outer(blk[:, 0], fa[:, 0]) + np.outer(blk[:, 1], fa[:, 1])) % q
+        if table is None:
+            found.update(dots.ravel().tolist())
+        else:
+            table[dots.ravel()] = True
+            if table.all():
+                break
+    return found if table is None else np.flatnonzero(table).tolist()
+
+
 def dot_product_set(E: PointSet2, F: PointSet2) -> ScalarSet:
     """{e . f : e in E, f in F} where . is the planar dot product."""
     join_domains(E.domain, F.domain)
@@ -242,29 +356,26 @@ def dot_product_set(E: PointSet2, F: PointSet2) -> ScalarSet:
     if len(E) == 0 or len(F) == 0:
         return ScalarSet()
     (ea, de), (fa, df) = E.lat, F.lat
-    q = E.domain
+    q, pairs = E.domain, len(ea) * len(fa)
     if q == RATIONAL_DOMAIN:
-        return ScalarSet.from_lattice(
-            {ex * fx + ey * fy for ex, ey in ea for fx, fy in fa}, de * df)
-    # int64 while every sum of two residue products fits, else exact ints
-    dtype = np.int64 if 2 * (q - 1) ** 2 < 2 ** 63 else object
-    ea, fa = np.array(list(ea), dtype=dtype), np.array(list(fa), dtype=dtype)
-    # a table of q booleans pays only when the pairs outnumber it; blocks of
-    # 4q pairs or more keep its all() check a small share of each scatter
-    table = dtype is np.int64 and q <= len(ea) * len(fa)
-    seen = np.zeros(q, dtype=bool) if table else set()
-    step = max(1, (max(4 * q, 2 ** 16) if table else PAIR_CAP // 8) // len(fa))
-    for i in range(0, len(ea), step):
-        blk = ea[i:i + step]
-        dots = (np.outer(blk[:, 0], fa[:, 0]) + np.outer(blk[:, 1], fa[:, 1])) % q
-        if table:
-            seen[dots.ravel()] = True
-            if seen.all():
-                break
-        else:
-            seen.update(dots.ravel().tolist())
-    return ScalarSet.from_lattice(
-        np.flatnonzero(seen).tolist() if table else seen, q, q)
+        return ScalarSet.from_lattice(_grouped_dots(ea, fa, q), de * df)
+    ea, fa = list(ea), list(fa)
+    head, table = 0, None
+    # a table of q booleans pays only for int64 residues whose pairs
+    # outnumber it
+    if 2 * (q - 1) ** 2 < 2 ** 63 and q <= pairs:
+        # the first rows of E alone often reach every residue (full planes,
+        # dense random sets): try about 4q pairs first, at least 2q, so the
+        # table still pays; the blocks below go on from the rows after them
+        head, table = max(1, 4 * q // len(fa)), np.zeros(q, dtype=bool)
+        dots = _numpy_dots(ea[:head], fa, q, table)
+        if head >= len(ea) or len(dots) == q:
+            return ScalarSet.from_lattice(dots, q, q)
+    if pairs > FIELD_GROUP_MIN_PAIRS:
+        dots = _grouped_dots(ea, fa, q)
+        if dots is not None:
+            return ScalarSet.from_lattice(dots, q, q)
+    return ScalarSet.from_lattice(_numpy_dots(ea[head:], fa, q, table), q, q)
 
 
 def collinear(P: PointSet2) -> bool:

@@ -2,12 +2,14 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from shiftprod import setalg
+from shiftprod import harness, setalg
 from shiftprod.numeric import (
     DomainMismatchError,
     ParseError,
@@ -212,13 +214,30 @@ def test_field_dot_kernel_table_stops_once_full(monkeypatch):
 
 def test_field_dot_kernel_table_scans_every_block(monkeypatch):
     q = 10007
-    # each row of E reaches only its own residue x, so every block counts
-    E = _points(q, ((x, 0) for x in range(1, 2001)))
+    # every point has its own direction, so the kernel falls back to the
+    # table scan; the dots x + y miss most residues, so every block counts:
+    # the try of the first 4q // 64 = 625 rows is one block, and the other
+    # 1475 rows take two blocks of at most 2**16 // 64 = 1024 rows (all
+    # 2100 would take three)
+    E = _points(q, ((x, 1) for x in range(1, 2101)))
     F = _points(q, ((1, y) for y in range(64)))
     calls = _count_blocks(monkeypatch)
     dots = dot_product_set(E, F)
-    assert dots == ScalarSet(PrimeFieldElement(x, q) for x in range(1, 2001))
-    assert len(calls) > 2
+    assert dots == ScalarSet(PrimeFieldElement(x, q) for x in range(1, 2164))
+    assert len(calls) == 2 * 3
+
+
+def test_field_dot_kernel_table_try_over_all_of_e_is_the_answer(monkeypatch):
+    q = 10007
+    # the try of the first 4q // 5000 = 8 rows covers all of E, so its
+    # table is the answer although it is not full: no grouping, no rescan
+    E = _points(q, ((x, 1) for x in range(1, 9)))
+    F = _points(q, ((1, y) for y in range(5000)))
+    calls = _count_blocks(monkeypatch)
+    monkeypatch.setattr(setalg, "_grouped_dots", None)
+    dots = dot_product_set(E, F)
+    assert dots == ScalarSet(PrimeFieldElement(x, q) for x in range(1, 5008))
+    assert len(calls) == 2
 
 
 def test_field_dot_kernel_has_no_q_sized_table():
@@ -235,6 +254,178 @@ def test_field_dot_kernel_has_no_q_sized_table():
     assert dots == ScalarSet(e.x * f.x + e.y * f.y for e in E for f in G)
     # a table of q booleans alone would be 2 GiB
     assert peak < 16 * 2 ** 20
+
+
+# The grouped dot kernel splits each point into a scalar times a canonical
+# direction and pays on inputs with few directions and few distinct scalar
+# sets, the shape of the pipelines' E and F.  Each case below asserts which
+# path it took and holds the result against the element loop.
+def _grouped_path_taken(E, F):
+    """dot_product_set(E, F) and whether the grouped kernel answered."""
+    taken, grouped = [], setalg._grouped_dots
+
+    def spy(*args):
+        dots = grouped(*args)
+        taken.append(dots is not None)
+        return dots
+
+    with mock.patch.object(setalg, "_grouped_dots", spy):
+        dots = dot_product_set(E, F)
+    return dots, taken == [True]
+
+
+def _element_loop(E, F):
+    return ScalarSet({e.x * f.x + e.y * f.y for e in E for f in F})
+
+
+# bases of large multiplicative order, so no progression below wraps
+GROUPED_FIELD_BASES = {2 ** 31 - 1: 7, 10 ** 18 + 3: 2}
+
+
+@st.composite
+def _scaled_directions(draw, scalar, ratio, slope, vertical, zero):
+    """{s * d}: s from a progression of at least 9 scalars, d from a
+    progression of at least 8 slopes (1, t), with the vertical direction
+    (0, 1) and the zero point drawn in or out."""
+    s0, t0 = draw(scalar), draw(scalar)
+    S = [s0 * ratio ** i for i in range(draw(st.integers(9, 11)))]
+    dirs = [(1, t0 * slope ** j) for j in range(draw(st.integers(8, 10)))]
+    if draw(st.booleans()):
+        dirs.append(vertical)
+    pts = [(s * u, s * v) for s in S for u, v in dirs]
+    return pts + [zero] if draw(st.booleans()) else pts
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(GROUPED_FIELD_BASES)), st.data())
+def test_field_grouped_kernel_matches_element_loop(q, data):
+    r, F = GROUPED_FIELD_BASES[q], PrimeField(q)
+    unit = st.integers(1, q - 1).map(F)
+    E, G = (PointSet2(data.draw(_scaled_directions(
+        unit, F(r), F(r) ** data.draw(st.integers(1, 3)), (F(0), F(1)),
+        (F(0), F(0))))) for _ in range(2))
+    dots, grouped = _grouped_path_taken(E, G)
+    assert grouped
+    assert dots == _element_loop(E, G)
+
+
+NONZERO_SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([2, -2, Fraction(3, 2), Fraction(-1, 3)]), st.data())
+def test_rational_grouped_kernel_matches_element_loop(ratio, data):
+    # negative ratios, scalars and slopes give negative coordinates, and
+    # points s * (-1, t) split as (-s) * (1, -t)
+    def side():
+        pts = data.draw(_scaled_directions(
+            NONZERO_SMALL, ratio, data.draw(st.sampled_from([3, Fraction(-1, 2)])),
+            (0, 1), (0, 0)))
+        if data.draw(st.booleans()):
+            pts = [(-x, y) for x, y in pts]
+        return PointSet2(pts)
+
+    E, G = side(), side()
+    dots, grouped = _grouped_path_taken(E, G)
+    assert grouped
+    assert dots == _element_loop(E, G)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_skewed_lift_takes_the_grouped_kernel(data):
+    # the skewed E of build_point_sets has a direction per a and one
+    # scalar set g1*B on each; over F_1009, A is a subgroup and the pairs
+    # outnumber q, so the kernel first scans numpy's table of q booleans
+    if data.draw(st.booleans()):
+        q = 1009
+        F = PrimeField(q)
+        t = data.draw(st.sampled_from([12, 14, 16]))
+        A = ScalarSet(F(11) ** (k * (q - 1) // t) for k in range(t))
+        c = data.draw(st.integers(1, q - 1).map(F))
+        B = ScalarSet(c * F(11) ** i for i in range(data.draw(st.integers(8, 10))))
+        g1 = data.draw(st.integers(2, q - 1).map(F))
+    else:
+        A = ScalarSet(Fraction(2, 3) * 2 ** i for i in range(data.draw(st.integers(6, 8))))
+        B = ScalarSet(data.draw(NONZERO_SMALL) * 3 ** i
+                      for i in range(data.draw(st.integers(6, 8))))
+        g1 = data.draw(NONZERO_SMALL.filter(lambda x: x != 1))
+    E, G = harness.build_point_sets(A, B, g1, skew=True)
+    dots, grouped = _grouped_path_taken(E, G)
+    assert grouped
+    assert dots == _element_loop(E, G)
+
+
+def test_dot_kernel_falls_back_when_every_point_has_its_own_direction():
+    rng, F = random.Random(5), PrimeField(2 ** 31 - 1)
+    E, G = (PointSet2((F(rng.randrange(F.q)), F(rng.randrange(F.q)))
+                      for _ in range(70)) for _ in range(2))
+    assert len(setalg._directions(E.lat[0], E.domain)) == len(E) == 70
+    dots, grouped = _grouped_path_taken(E, G)
+    assert not grouped
+    assert dots == _element_loop(E, G)
+
+
+def test_rational_points_with_their_own_directions_share_two_scalar_sets():
+    # (x, y) with y a prime above every |x|: no two points share a
+    # direction, so each scalar set is {1} or {-1} once divided by its
+    # gcd, and the parts D * {1} and D * {-1} are the whole pair loop
+    rng = random.Random(5)
+    E, G = (PointSet2((rng.randint(-900, 900), p) for p in SMALL_PRIMES[170:240])
+            for _ in range(2))
+    split = setalg._by_scalar_set(setalg._directions(E.lat[0], E.domain), E.domain)
+    assert set(split) == {frozenset({1}), frozenset({-1})}
+    assert sum(map(len, split.values())) == 70
+    dots, grouped = _grouped_path_taken(E, G)
+    assert grouped
+    assert dots == _element_loop(E, G)
+
+
+def test_field_grouped_kernel_fills_the_field_only_at_its_last_part():
+    # over F_31, E is H * (1, t) for the subgroup H of order 5 and four
+    # slopes t, then the zero point; F is H * (1, h) for four slopes h.
+    # The scalar sets H and {1} take their parts in the order of E's
+    # points: H * H over the directions reaches every nonzero residue and
+    # the zero point's part adds 0, so the union holds q - 1 residues
+    # before its last part fills it
+    q, H = 31, [1, 2, 4, 8, 16]
+    E = [(s, s * t % q) for t in (1, 5, 8, 20) for s in H] + [(0, 0)]
+    F = [(s, s * h % q) for h in (7, 16, 18, 28) for s in H]
+    assert len(setalg._by_scalar_set(setalg._directions(E, q), q)) == 2
+    dots = setalg._grouped_dots(E, F, q)
+    assert dots is not None
+    assert ScalarSet.from_lattice(dots, q, q) == _element_loop(_points(q, E), _points(q, F))
+    assert len(dots) == q
+
+
+def _check_split(points, q):
+    groups = setalg._directions(points, q)
+    assert sum(map(len, groups.values())) == len(points)
+    split = set()
+    for (u, v), scalars in groups.items():
+        if q == "Q":
+            assert (u, v) == (0, 0) or (gcd(u, v) == 1 and (u > 0 or u == 0 < v))
+        else:
+            assert (u, v) in {(0, 0), (0, 1)} or (u == 1 and 0 <= v < q)
+        if (u, v) == (0, 0):
+            assert scalars == [1]
+        for s in scalars:
+            assert s != 0
+            split.add(((s * u, s * v) if q == "Q" else (s * u % q, s * v % q)))
+    assert split == set(points)
+
+
+@given(st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+                unique=True, max_size=12))
+def test_rational_direction_split(points):
+    _check_split(list({*points, (0, 0), (0, -4), (-6, 0), (-4, -6)}), "Q")
+
+
+@given(st.sampled_from([5, 101, 2 ** 31 - 1]), st.data())
+def test_field_direction_split(q, data):
+    coord = st.one_of(st.integers(0, q - 1), st.sampled_from([0, 1, q - 1]))
+    points = data.draw(st.lists(st.tuples(coord, coord), unique=True, max_size=12))
+    _check_split(list({*points, (0, 0), (0, q - 1), (3, 0)}), q)
 
 
 def test_pair_budget():
