@@ -9,9 +9,16 @@ AA+1 escapes G.  The route:
     bound it from below by the product of the half lengths;
   * lift A and B to planar point sets E = g1*F and F = {(b, b*a)} whose
     dot-product set factors exactly as g1 * BB * (AA+1);
-  * verify that factorization and the exact decomposition of G*(AA+1);
+  * verify that factorization;
   * collect the exceptional set C = (AA+1) \\ G by symbolic membership of
-    its int lattice items; read off |C| / |A|**(1-delta) to fixed digits.
+    its int lattice items;
+  * verify the exact decomposition of G*(AA+1) into G*(G & (AA+1)) and
+    G*C, which holds once the two parts cover AA+1, as
+    G*X | G*Y = G*(X | Y); only when they miss some of it are the product
+    sets formed and compared;
+  * read |GG| off the exponents, as the distinct sums of two exponents
+    (mod ord(g0) over F_q), with no product set built;
+  * read off |C| / |A|**(1-delta) to fixed digits.
 
 Every check is exact; measured stand-ins for asymptotic constants are
 reported as rational or fixed-digit decimal strings in the constants
@@ -46,6 +53,8 @@ from .progressions import (
 from .setalg import (
     PointSet2,
     ScalarSet,
+    _check_lattice_bits,
+    _check_pair_budget,
     collinear,
     dot_product_set,
     productset,
@@ -63,6 +72,7 @@ __all__ = [
     "PreconditionError",
     "Report",
     "build_point_sets",
+    "decomposition_holds",
     "dot_identity_check",
     "exceptional_set",
     "first_element",
@@ -201,6 +211,21 @@ def _even_part_size(Gn: GgpSpec) -> int:
     return len(exps if n is None else {k % n for k in exps})
 
 
+def _self_product_size(G: GgpSpec) -> int:
+    """|G*G| = |R + R| for the exponents R = G.residues, the sums reduced
+    mod ord(g0) over F_q: k -> g0**k is injective on the integers over Q
+    and on the residues mod ord(g0) over F_q."""
+    R, n = G.residues, G.order
+    sums = {a + b for a in R for b in R}
+    return len(sums if n is None else {k % n for k in sums})
+
+
+def _refuse_like_productset(X: ScalarSet, Y: ScalarSet) -> None:
+    """Raise what productset(X, Y) would refuse with, without its pairs."""
+    _check_pair_budget(len(X), len(Y), "productset")
+    _check_lattice_bits(X, Y, "productset")
+
+
 def build_point_sets(A: ScalarSet, B: ScalarSet, g1,
                      skew: bool = False) -> Tuple[PointSet2, PointSet2]:
     """Lift (A, B, g1) to the planar pair (E, F).
@@ -241,6 +266,18 @@ def exceptional_set(AA1: ScalarSet, G: GgpSpec) -> ScalarSet:
         [n for n in items if not ggp_membership(G, n, d)], d, domain)
 
 
+def decomposition_holds(Gset: ScalarSet, AA1: ScalarSet, inter: ScalarSet,
+                        C: ScalarSet) -> bool:
+    """G*(AA+1) == G*inter | G*C, for inter = G & (AA+1) and C the
+    exceptional set.  The right side is G*(inter | C), so the two products
+    are formed only when the parts miss some of AA+1.  The refusal of
+    productset(G, AA+1) comes first either way; G*C's is implied, as C
+    lies in AA+1 and its denominator divides that of AA+1."""
+    _refuse_like_productset(Gset, AA1)
+    parts = set_union(inter, C)
+    return parts == AA1 or productset(Gset, AA1) == productset(Gset, parts)
+
+
 def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, eps: Fraction,
               delta: Fraction, skew_e: bool, constants: dict):
     """The mode-independent middle of both pipelines; AA = A*A.
@@ -279,12 +316,13 @@ def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, eps: Fraction,
     C = exceptional_set(AA1, G)
     inter = set_intersect(Gset, AA1)
     G_inter = productset(Gset, inter)
-    lhs_dec = productset(Gset, AA1)
-    rhs_dec = set_union(G_inter, productset(Gset, C))
-    constants["decomposition"] = "pass" if lhs_dec == rhs_dec else "fail"
-    GG = productset(Gset, Gset)
-    constants["gg_over_g"] = str(Fraction(len(GG), len(Gset)))
-    constants["g_inter_le_gg"] = "pass" if len(G_inter) <= len(GG) else "fail"
+    constants["decomposition"] = (
+        "pass" if decomposition_holds(Gset, AA1, inter, C) else "fail")
+    # |G*G| is read off the exponents, behind the refusal of G*G's pairs
+    _refuse_like_productset(Gset, Gset)
+    gg = _self_product_size(G)
+    constants["gg_over_g"] = str(Fraction(gg, len(Gset)))
+    constants["g_inter_le_gg"] = "pass" if len(G_inter) <= gg else "fail"
 
     shared = dict(
         a_size=len(A),

@@ -360,6 +360,35 @@ def test_lattice_bit_cap_exits_2(capsys, monkeypatch):
     assert err == "error: productset needs about 24 numerator bits, above the cap 10\n"
 
 
+# G = {2**k : k = x + 100 y, x, y < 6} has 36 items and AA+1 three, so the
+# decomposition's G*(AA+1) takes 108 pairs and G*G 1296; E.F takes 18 * 18
+# and BB*(AA+1) 25 * 3.  The pipeline no longer forms G*G, but refuses it as
+# productset would.  CI runs the full-size case, x, y < 60, against the real
+# cap; it spends about 17 s before the refusal.
+def test_refused_product_of_g_with_itself_exits_2(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(setalg, "PAIR_CAP", 1000)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"on_size_mismatch": "warn", "size_match_factor": "10000"}))
+    code, out, err = run_cli(capsys, "verify-main", "--A", "{1/2, 1/3}",
+                             "--G", "ggp 2; gap 0;1,100;6,6", "--delta", "1/2",
+                             "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: productset needs 1296 pair evaluations, above the cap 1000\n"
+
+
+# G = {1024**-k : k < 4} against AA+1 = {2, 3, 5}: G*(AA+1) counts 4 * 3
+# pairs times the 31 bits of 1024**3, and G*G 4 * 4 times the 61 of 1024**6;
+# the largest earlier count, E.F's, is 4 * 4 times the 21 of 1024**2.
+@pytest.mark.parametrize("cap,bits", [(340, 372), (372, 976)])
+def test_refused_lattice_bits_of_g_products_exit_2(capsys, monkeypatch, cap, bits):
+    monkeypatch.setattr(setalg, "LATTICE_BIT_CAP", cap)
+    code, out, err = run_cli(capsys, "verify-main", "--A", "{1, 2}",
+                             "--G", "ggp 1/1024; gap 0;1;4", "--delta", "1/2")
+    assert (code, out) == (2, "")
+    assert err == (f"error: productset needs about {bits} numerator bits, "
+                   f"above the cap {cap}\n")
+
+
 @pytest.mark.parametrize("argv,key,value,exponent", [
     (("verify-ff", "--q", "101", "--subgroup-t", "50", "--delta", "1/10"),
      "epsilon", "1/10001", "3/2 + epsilon = 30005/20002 has denominator 20002"),

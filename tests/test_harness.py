@@ -5,12 +5,13 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_int_set, make_proper_ggp
 from reference import lattice_item, reference_main_report
 from shiftprod import harness
 from shiftprod.cli import main
+from shiftprod.ffharness import FfInput, run_field_pipeline
 from shiftprod.harness import (
     READOUT_DEGREE_CAP,
     HarnessConfig,
@@ -18,6 +19,7 @@ from shiftprod.harness import (
     PipelineInput,
     PreconditionError,
     build_point_sets,
+    decomposition_holds,
     dot_identity_check,
     exceptional_set,
     first_element,
@@ -27,7 +29,12 @@ from shiftprod.harness import (
     square_part_bound_check,
 )
 from shiftprod.progressions import GapSpec, GgpSpec, enumerate_ggp, ggp_membership
-from shiftprod.numeric import DomainMismatchError, PrimeField, PrimeFieldElement
+from shiftprod.numeric import (
+    RATIONAL_DOMAIN,
+    DomainMismatchError,
+    PrimeField,
+    PrimeFieldElement,
+)
 from shiftprod.setalg import (
     Point2,
     PointSet2,
@@ -36,6 +43,9 @@ from shiftprod.setalg import (
     collinear,
     dot_product_set,
     productset,
+    set_intersect,
+    set_minus,
+    set_union,
     shift,
 )
 
@@ -359,3 +369,110 @@ def test_main_report_matches_reference(case):
             run_main_pipeline(inp)
         return
     assert dataclasses.asdict(run_main_pipeline(inp)) == dataclasses.asdict(expected)
+
+
+@st.composite
+def _any_ggp(draw):
+    """G over Q (negative exponents included) or over a small F_q, where
+    the base's order may be short of the exponent range, proper or not."""
+    q = draw(st.sampled_from([None, 7, 13, 31, 101]))
+    d = draw(st.integers(1, 2))
+    lengths = tuple(draw(st.integers(3, 7)) for _ in range(d))
+    span = 4 if q is None else 2 * q
+    gens = tuple(draw(st.integers(-span, span)) for _ in range(d))
+    gap = GapSpec(draw(st.integers(-span, span)), gens, lengths)
+    if q is None:
+        return GgpSpec(draw(st.sampled_from(REFERENCE_BASES)), gap)
+    return GgpSpec(PrimeFieldElement(draw(st.integers(2, q - 1)), q), gap)
+
+
+@settings(max_examples=300)
+@given(_any_ggp())
+# 3 has order 3 mod 13, five exponents past it
+@example(GgpSpec(PrimeFieldElement(3, 13), GapSpec(0, (1,), (5,))))
+@example(GgpSpec(PrimeFieldElement(12, 13), GapSpec(1, (1, 5), (3, 4))))
+@example(GgpSpec(Fraction(2, 3), GapSpec(-4, (-1, 3), (4, 3))))
+def test_self_product_size_matches_product_set(G):
+    Gset = enumerate_ggp(G)
+    assert harness._self_product_size(G) == len(productset(Gset, Gset))
+
+
+def _three_product_verdict(Gset, AA1, inter, C):
+    """The decomposition as the pipeline once decided it."""
+    return productset(Gset, AA1) == set_union(productset(Gset, inter),
+                                              productset(Gset, C))
+
+
+def _decomposition_parts(A, G):
+    AA1 = shift(productset(A, A), 1)
+    Gset = enumerate_ggp(G)
+    return Gset, AA1, set_intersect(Gset, AA1), exceptional_set(AA1, G)
+
+
+@settings(max_examples=200)
+@given(_any_ggp(), st.data())
+def test_decomposition_verdict_matches_three_products(G, data):
+    q = G.domain
+    if q == RATIONAL_DOMAIN:
+        elem = st.one_of(st.integers(-4, 12),
+                         st.fractions(min_value=-3, max_value=6, max_denominator=4))
+    else:
+        elem = st.integers(0, q - 1).map(lambda r: PrimeFieldElement(r, q))
+    A = ScalarSet(data.draw(st.sets(elem, min_size=2, max_size=5)))
+    Gset, AA1, inter, C = _decomposition_parts(A, G)
+    assert decomposition_holds(Gset, AA1, inter, C)
+    assert _three_product_verdict(Gset, AA1, inter, C)
+    if C:
+        # a part that misses an item of AA+1 takes the fallback
+        C = set_minus(C, ScalarSet([data.draw(st.sampled_from(C.sorted()))]))
+        assert (decomposition_holds(Gset, AA1, inter, C)
+                == _three_product_verdict(Gset, AA1, inter, C))
+
+
+@pytest.mark.parametrize("A,G,dropped,verdict", [
+    # G*5 is G*2, the coset {2, 5, 6} of the subgroup {1, 3, 9} of F_13*
+    ([1, 2], GgpSpec(PrimeFieldElement(3, 13), GapSpec(0, (1,), (3,))), 5, True),
+    # AA+1 holds 3/2, 3 and 6, and {1, 2, 4}*3 lies in {1, 2, 4}*{3/2, 6}
+    ([Fraction(1, 2), 1, 2, 5], GgpSpec(2, GapSpec(0, (1,), (3,))), 3, True),
+    ([1, 2], GgpSpec(2, GapSpec(1, (1,), (3,))), 5, False),
+])
+def test_decomposition_fallback_on_a_dropped_item(monkeypatch, A, G, dropped, verdict):
+    q = G.domain
+    A = ScalarSet(A if q == RATIONAL_DOMAIN else [PrimeFieldElement(a, q) for a in A])
+    Gset, AA1, inter, C = _decomposition_parts(A, G)
+    x = ScalarSet([dropped] if q == RATIONAL_DOMAIN else [PrimeFieldElement(dropped, q)])
+    C = set_minus(C, x)
+    assert len(C) + len(x) + len(inter) == len(AA1)
+    formed = []
+    real = harness.productset
+    monkeypatch.setattr(harness, "productset",
+                        lambda X, Y: formed.append(len(X) * len(Y)) or real(X, Y))
+    assert decomposition_holds(Gset, AA1, inter, C) is verdict
+    assert formed == [len(Gset) * len(AA1), len(Gset) * (len(AA1) - 1)]
+    assert _three_product_verdict(Gset, AA1, inter, C) is verdict
+
+
+F101 = PrimeField(101)
+
+
+@pytest.mark.parametrize("A,G", [
+    (ScalarSet([1, 3, 5, 7]), GgpSpec(2, GapSpec(1, (1,), (8,)))),
+    (ScalarSet(map(F101, [2, 3, 5])), GgpSpec(F101(2), GapSpec(1, (1,), (5,)))),
+], ids=["rational", "field"])
+def test_passing_run_forms_no_product_with_all_of_g(monkeypatch, A, G):
+    Gset, AA1, inter, _ = _decomposition_parts(A, G)
+    assert 0 < len(inter) < len(AA1)
+    formed = []
+    real = harness.productset
+    monkeypatch.setattr(harness, "productset",
+                        lambda X, Y: formed.append((X, Y)) or real(X, Y))
+    if G.domain == RATIONAL_DOMAIN:
+        rep = run_main_pipeline(PipelineInput(A=A, G=G, delta=Fraction(1, 3)))
+    else:
+        rep = run_field_pipeline(FfInput(q=101, A=A, G=G, epsilon=Fraction(1, 100),
+                                         delta=Fraction(1, 10)))
+    assert rep.structural_ok() and rep.constants["decomposition"] == "pass"
+    assert (Gset, inter) in formed
+    for X, Y in formed:
+        if Gset in (X, Y):
+            assert len(X) * len(Y) == len(Gset) * len(inter)
