@@ -88,6 +88,21 @@ def _pick(args, cfg, name, default):
     return default
 
 
+def _need(args, cfg, name, msg):
+    """A setting the command cannot run without, from a flag or the config;
+    only its absence is a usage error, so 0 meets the range checks."""
+    if getattr(args, name, None) is None and name not in cfg:
+        _usage(msg)
+    return _pick(args, cfg, name, None)
+
+
+def _count(args, cfg, default):
+    count = _int(_pick(args, cfg, "count", default))
+    if count < 0:
+        raise PreconditionError(f"count must not be negative, got {count}")
+    return count
+
+
 def _given(args, cfg, **convert):
     """Keyword arguments for the names that a flag or the config set, each
     through its converter; the library type keeps every other default."""
@@ -211,9 +226,8 @@ def cmd_verify_main(args) -> int:
     hcfg = HarnessConfig(**_given(args, cfg, size_match_factor=_fraction,
                                   degeneracy_threshold=_fraction,
                                   on_size_mismatch=str, skew_e=_bool))
-    delta = _fraction(_pick(args, cfg, "delta", None) or
-                      _usage("verify-main needs --delta"))
-    count = _int(_pick(args, cfg, "count", 1))
+    delta = _fraction(_need(args, cfg, "delta", "verify-main needs --delta"))
+    count = _count(args, cfg, 1)
 
     instances = []
     if args.A is not None:
@@ -258,7 +272,7 @@ def _full_plane(F: PrimeField) -> PointSet2:
 
 def cmd_verify_ff(args) -> int:
     cfg = _load_config(args)
-    q = _int(_pick(args, cfg, "q", 0)) or _usage("verify-ff needs --q")
+    q = _int(_need(args, cfg, "q", "verify-ff needs --q"))
     if args.full_plane:
         F = PrimeField(q)
         # refuse before building the q**2 - 1 points
@@ -268,10 +282,8 @@ def cmd_verify_ff(args) -> int:
         _write(args, rep)
         return 1 if rep.hypothesis_ok and not rep.full else 0
 
-    eps = _fraction(_pick(args, cfg, "epsilon", None) or
-                    _usage("verify-ff needs --epsilon"))
-    delta = _fraction(_pick(args, cfg, "delta", None) or
-                      _usage("verify-ff needs --delta"))
+    eps = _fraction(_need(args, cfg, "epsilon", "verify-ff needs --epsilon"))
+    delta = _fraction(_need(args, cfg, "delta", "verify-ff needs --delta"))
     if args.subgroup_t is not None:
         A, G = subgroup_ggp(q, args.subgroup_t)
     elif args.A is not None and args.G is not None:
@@ -320,7 +332,7 @@ def _family_instances(args, cfg, seed):
     """(instance_id, A, G) triples; G is the progression of a subgroup
     instance and None for the other families."""
     family = args.family
-    count = _int(_pick(args, cfg, "count", 10))
+    count = _count(args, cfg, 10)
     rng = random.Random(seed)
     out = []
     if family == "random-integer":
@@ -328,6 +340,10 @@ def _family_instances(args, cfg, seed):
         hi = _int(_pick(args, cfg, "hi", 50))
         smin = _int(_pick(args, cfg, "size_min", 3))
         smax = _int(_pick(args, cfg, "size_max", 5))
+        if smin < 0:
+            raise PreconditionError(f"size_min must not be negative, got {smin}")
+        if smin > smax:
+            raise PreconditionError(f"size_min = {smin} is above size_max = {smax}")
         for i in range(count):
             size = rng.randint(smin, smax)
             out.append((f"{family}-{i:03d}",
@@ -346,8 +362,8 @@ def _family_instances(args, cfg, seed):
             out.append((f"{family}-{i:03d}",
                         arithmetic_set(start, step, length + i), None))
     elif family == "subgroup":
-        q = _int(_pick(args, cfg, "q", 0)) or _usage("subgroup family needs --q")
-        t = _int(_pick(args, cfg, "t", 0)) or _usage("subgroup family needs --t")
+        q = _int(_need(args, cfg, "q", "subgroup family needs --q"))
+        t = _int(_need(args, cfg, "t", "subgroup family needs --t"))
         out.append((f"{family}-q{q}-t{t}", *subgroup_ggp(q, t)))
     else:
         _usage(f"unknown family {family!r}")

@@ -6,8 +6,9 @@ q**(1 - delta), both via cross powers.  The conclusion reads |C| against
 q**delta the same way.
 
 The coverage bound says that planar point sets with |E| = |F| > q**(3/2)
-have F_q* inside their dot-product set; it is checked by exhaustive
-enumeration under a hard pair cap.
+have F_q* inside their dot-product set; it is checked on that set under a
+hard pair cap.  The grouped dot kernel or numpy's blocks compute the set,
+and both stop once it holds every residue.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ AA+1 escapes G.  The route:
   * verify the exact decomposition of G*(AA+1) into G*(G & (AA+1)) and
     G*C, which holds once the two parts cover AA+1, as
     G*X | G*Y = G*(X | Y); only when they miss some of it are the product
-    sets formed and compared;
+    sets formed and compared.  The pair and bit caps of G*(AA+1) and G*G
+    refuse right after G is enumerated, before any pairwise work;
   * read |GG| off the exponents, as the distinct sums of two exponents
     (mod ord(g0) over F_q), with no product set built;
   * read off |C| / |A|**(1-delta) to fixed digits.
@@ -220,12 +221,6 @@ def _self_product_size(G: GgpSpec) -> int:
     return len(sums if n is None else {k % n for k in sums})
 
 
-def _refuse_like_productset(X: ScalarSet, Y: ScalarSet) -> None:
-    """Raise what productset(X, Y) would refuse with, without its pairs."""
-    _check_pair_budget(len(X), len(Y), "productset")
-    _check_lattice_bits(X, Y, "productset")
-
-
 def build_point_sets(A: ScalarSet, B: ScalarSet, g1,
                      skew: bool = False) -> Tuple[PointSet2, PointSet2]:
     """Lift (A, B, g1) to the planar pair (E, F).
@@ -270,10 +265,7 @@ def decomposition_holds(Gset: ScalarSet, AA1: ScalarSet, inter: ScalarSet,
                         C: ScalarSet) -> bool:
     """G*(AA+1) == G*inter | G*C, for inter = G & (AA+1) and C the
     exceptional set.  The right side is G*(inter | C), so the two products
-    are formed only when the parts miss some of AA+1.  The refusal of
-    productset(G, AA+1) comes first either way; G*C's is implied, as C
-    lies in AA+1 and its denominator divides that of AA+1."""
-    _refuse_like_productset(Gset, AA1)
+    are formed only when the parts miss some of AA+1."""
     parts = set_union(inter, C)
     return parts == AA1 or productset(Gset, AA1) == productset(Gset, parts)
 
@@ -289,6 +281,11 @@ def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, eps: Fraction,
     g1 = first_element(G)
     Gn = normalize(G)
     Gset = enumerate_ggp(G)
+    # G*(AA+1) and G*G are refused as productset would refuse them; every
+    # product of G with a part of AA+1 falls under the first
+    for X in (AA1, Gset):
+        _check_pair_budget(len(Gset), len(X), "productset")
+        _check_lattice_bits(Gset, X, "productset")
     B = square_part(Gn)
     bb_bound, bb_ok = square_part_bound_check(G, B)
     proper = is_proper(Gn)
@@ -318,8 +315,6 @@ def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, eps: Fraction,
     G_inter = productset(Gset, inter)
     constants["decomposition"] = (
         "pass" if decomposition_holds(Gset, AA1, inter, C) else "fail")
-    # |G*G| is read off the exponents, behind the refusal of G*G's pairs
-    _refuse_like_productset(Gset, Gset)
     gg = _self_product_size(G)
     constants["gg_over_g"] = str(Fraction(gg, len(Gset)))
     constants["g_inter_le_gg"] = "pass" if len(G_inter) <= gg else "fail"

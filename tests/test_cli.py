@@ -263,6 +263,53 @@ def test_verify_ff_epsilon_above_one(capsys):
     assert (code, err) == (0, "")
 
 
+# a setting of 0 is given, not missing: from a flag or the config, as a
+# number or as text, it meets the range check of its command
+@pytest.mark.parametrize("argv,key,message", [
+    (("verify-main", "--A", "{1, 2}", "--G", "ggp 2; gap 1;1;3"), "delta",
+     "delta must lie strictly between 0 and 1"),
+    (("verify-ff", "--q", "101", "--subgroup-t", "50", "--delta", "1/10"),
+     "epsilon", "epsilon must be positive"),
+    (("verify-ff", "--q", "101", "--subgroup-t", "50", "--epsilon", "1/10"),
+     "delta", "delta must lie strictly between 0 and 1"),
+    (("verify-ff", "--subgroup-t", "50", "--epsilon", "1/10", "--delta", "1/10"),
+     "q", "0 is not prime"),
+    (("gen", "--family", "subgroup", "--q", "101"), "t",
+     "subgroup order must be at least 3 for a progression"),
+    (("gen", "--family", "subgroup", "--t", "5"), "q", "0 is not prime"),
+])
+def test_zero_setting_meets_its_range_check(capsys, tmp_path, argv, key, message):
+    expected = (2, "", f"error: {message}\n")
+    assert run_cli(capsys, *argv, f"--{key}", "0") == expected
+    cfg = tmp_path / "cfg.json"
+    for value in (0, "0"):
+        cfg.write_text(json.dumps({key: value}))
+        assert run_cli(capsys, *argv, "--config", str(cfg)) == expected
+
+
+@pytest.mark.parametrize("argv,settings,message", [
+    (("gen", "--family", "random-integer"), {"size_min": 5, "size_max": 3},
+     "size_min = 5 is above size_max = 3"),
+    (("conjecture-scan", "--family", "random-integer"), {"size_min": 4, "size_max": 2},
+     "size_min = 4 is above size_max = 2"),
+    (("gen", "--family", "random-integer"), {"size_min": -2, "size_max": 3},
+     "size_min must not be negative, got -2"),
+    (("gen", "--family", "random-integer"), {"count": -1},
+     "count must not be negative, got -1"),
+    (("conjecture-scan", "--family", "geometric"), {"count": -3},
+     "count must not be negative, got -3"),
+    (("verify-main", "--random-A", "3", "--delta", "1/2"), {"count": -1},
+     "count must not be negative, got -1"),
+])
+def test_family_setting_out_of_range_exits_2(capsys, tmp_path, argv, settings, message):
+    expected = (2, "", f"error: {message}\n")
+    flags = [x for k, v in settings.items() for x in (f"--{k.replace('_', '-')}", str(v))]
+    assert run_cli(capsys, *argv, *flags) == expected
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    assert run_cli(capsys, *argv, "--config", str(cfg)) == expected
+
+
 @pytest.mark.parametrize("argv", [
     ("verify-main", "--A", "{1, 2}", "--G", "ggp 2; gap 1;1;3", "--delta", "1/0"),
     ("verify-ff", "--q", "13", "--subgroup-t", "4", "--epsilon", "1/0",
@@ -363,9 +410,13 @@ def test_lattice_bit_cap_exits_2(capsys, monkeypatch):
 # G = {2**k : k = x + 100 y, x, y < 6} has 36 items and AA+1 three, so the
 # decomposition's G*(AA+1) takes 108 pairs and G*G 1296; E.F takes 18 * 18
 # and BB*(AA+1) 25 * 3.  The pipeline no longer forms G*G, but refuses it as
-# productset would.  CI runs the full-size case, x, y < 60, against the real
-# cap; it spends about 17 s before the refusal.
+# productset would, before the dot identity.  CI runs the full-size case,
+# x, y < 60, against the real cap.
 def test_refused_product_of_g_with_itself_exits_2(capsys, monkeypatch, tmp_path):
+    def ran(*args):
+        raise AssertionError("dot identity ran")
+
+    monkeypatch.setattr(harness, "dot_product_set", ran)
     monkeypatch.setattr(setalg, "PAIR_CAP", 1000)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"on_size_mismatch": "warn", "size_match_factor": "10000"}))

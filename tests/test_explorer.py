@@ -33,7 +33,7 @@ def _check_pair(res, T, m):
         assert (len(res.best_B), len(res.best_C)) == (0, 0)
 
 
-def _universe(T):
+def _quotients_from_keys(T):
     """The quotients T/T from the int keys, sorted."""
     _, rows = _quotient_keys(T)
     return _key_set({k for row in rows if row for k in row}, T.domain).sorted()
@@ -67,10 +67,10 @@ def test_search_matches_oracle(query):
 
 @settings(max_examples=60)
 @given(_cover_queries())
-def test_universe_matches_element_quotients(query):
+def test_quotient_keys_match_element_quotients(query):
     # the quotients from int keys are the ones from element quotients
     T = query.T
-    assert _universe(T) == sorted(_quotients(T.elems))
+    assert _quotients_from_keys(T) == sorted(_quotients(T.elems))
 
 
 def test_scan_builds_one_target_per_instance(monkeypatch):
@@ -169,20 +169,20 @@ def test_query_validation():
     CoverQuery(A=A, min_factor_size=1)
 
 
-def test_universe_known():
+def test_quotient_keys_known():
     A = ScalarSet([2, -2])
     T = shift(productset(A, A), 1)
     assert T.sorted() == [-3, 5]
-    assert _universe(T) == [Fraction(-5, 3), Fraction(-3, 5), 1]
+    assert _quotients_from_keys(T) == [Fraction(-5, 3), Fraction(-3, 5), 1]
 
 
-def test_universe_skips_zero_quotients():
+def test_quotient_keys_give_zero_no_row():
     # 0 is a quotient 0/t, never a divisor: its row is None
     A = ScalarSet([1, -1])
     T = shift(productset(A, A), 1)
     assert T.sorted() == [0, 2]
     assert _quotient_keys(T) == ([0, 2], [None, [(0, 1), (1, 1)]])
-    assert _universe(T) == [0, 1]
+    assert _quotients_from_keys(T) == [0, 1]
 
 
 # |T| <= 4, within reach of the double loop over both subset families
@@ -296,7 +296,7 @@ def test_exact_tier_at_cutoff_cap(m, B, C):
     assert res.hit_count == ref_cover_maximal(T.elems, m)
 
 
-def test_heuristic_tier_known_instance():
+def test_search_known_instance():
     A = ScalarSet([2, 3, 7, 11, 19])
     T = shift(productset(A, A), 1)
     res = search_bc(CoverQuery(A=A, min_factor_size=2))
@@ -308,7 +308,7 @@ def test_heuristic_tier_known_instance():
     _check_pair(res, T, 2)
 
 
-def test_heuristic_pivots_of_both_signs():
+def test_search_pivots_of_both_signs():
     # T = {-2, 2, 10}: only the pivots -2 and 2 share two quotients, 1 and
     # -1, each keyed once whatever the sign of the pivot
     A = ScalarSet([-1, 3])
@@ -319,7 +319,7 @@ def test_heuristic_pivots_of_both_signs():
     assert res.hit_count == 2
 
 
-def test_heuristic_factors_stay_inside_claim(rng):
+def test_search_factors_stay_inside_target(rng):
     # larger sets, past the oracles' reach, and a budget that cuts the walk
     for size in (4, 5, 6, 7):
         A = make_int_set(rng, size, hi=30)
