@@ -340,8 +340,8 @@ def _family_instances(args, cfg, seed):
         hi = _int(_pick(args, cfg, "hi", 50))
         smin = _int(_pick(args, cfg, "size_min", 3))
         smax = _int(_pick(args, cfg, "size_max", 5))
-        if smin < 0:
-            raise PreconditionError(f"size_min must not be negative, got {smin}")
+        if smin < 1:
+            raise PreconditionError(f"size_min must be positive, got {smin}")
         if smin > smax:
             raise PreconditionError(f"size_min = {smin} is above size_max = {smax}")
         for i in range(count):

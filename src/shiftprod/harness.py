@@ -9,7 +9,9 @@ AA+1 escapes G.  The route:
     bound it from below by the product of the half lengths;
   * lift A and B to planar point sets E = g1*F and F = {(b, b*a)} whose
     dot-product set factors exactly as g1 * BB * (AA+1);
-  * verify that factorization;
+  * verify that factorization against BB * (g1*(AA+1)): g1 scales the
+    small AA+1 rather than the whole product, and not BB, since g1*BB is
+    often G itself and a passing run forms no product of G with AA+1;
   * collect the exceptional set C = (AA+1) \\ G by symbolic membership of
     its int lattice items;
   * verify the exact decomposition of G*(AA+1) into G*(G & (AA+1)) and
@@ -249,7 +251,7 @@ def dot_identity_check(A: ScalarSet, B: ScalarSet, g1,
     E, F = build_point_sets(A, B, g1, skew=skew)
     lhs = dot_product_set(E, F)
     AA1 = shift(productset(A, A), 1)
-    rhs = scale(productset(productset(B, B), AA1), g1)
+    rhs = productset(productset(B, B), scale(AA1, g1))
     return lhs, rhs, lhs == rhs
 
 
@@ -302,7 +304,7 @@ def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, eps: Fraction,
 
     Pi = dot_product_set(E, F)
     BB = productset(B, B)
-    rhs = scale(productset(BB, AA1), g1)
+    rhs = productset(BB, scale(AA1, g1))
 
     if proper:
         constants["g_bb_inclusion"] = (

@@ -13,14 +13,17 @@ Each spec object computes its exponents once, as the cached attributes
 Powers and membership run on the int lattice items of ``setalg`` sets.
 Membership has two routes: symbolic (exponent recovery from one item n
 over d, this module) and literal enumeration; the acceptance suite holds
-them equal.  Over Q the exponent of n/d is read off a prime valuation.
-Over F_q, a residue x is in <g0> exactly when x**ord(g0) == 1, and its
-exponent mod ord(g0) is a bounded discrete log: Pohlig-Hellman over the
-cached factorization of ord(g0), with Shanks' baby-step giant-step in each
-prime-order subgroup.  Its cost is about sqrt(p) steps for the largest
-prime p dividing ord(g0); a spec whose baby-step table would exceed
-``BSGS_TABLE_CAP`` entries is refused with PreconditionError
-(:func:`require_bounded_log`).
+them equal.  Over Q the exponent of n/d is read off a prime valuation;
+the prime and the base's own valuation are cached per base.  Over F_q, a
+residue x is in <g0> exactly when x**ord(g0) == 1, and its exponent mod
+ord(g0) is a bounded discrete log: Pohlig-Hellman with Shanks' baby-step
+giant-step in each prime-order subgroup.  Its constants are cached per
+base as a plan, one row per prime power p**e of ord(g0) (the cofactor c,
+the inverse of g0**c, the generator of the subgroup of order p and the CRT
+weight), so a probe makes one power x**c and its digit steps per row.
+Its cost is about sqrt(p) steps for the largest prime p dividing ord(g0);
+a spec whose baby-step table would exceed ``BSGS_TABLE_CAP`` entries is
+refused with PreconditionError (:func:`require_bounded_log`).
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .numeric import (
     lift,
     multiplicative_order,
     parse_scalar,
-    scalar_pow,
 )
 from .setalg import PAIR_CAP, ScalarSet, productset, sumset
 
@@ -160,9 +162,16 @@ def enumerate_gap(R: GapSpec) -> ScalarSet:
 
 
 def ggp_powers(G: GgpSpec, ks) -> ScalarSet:
-    """{g0**k : k in ks}: residues pow(g0, k, q) over F_q, scalar_pow over Q."""
+    """{g0**k : k in ks}, built on the int lattice: the residues
+    pow(g0, k, q) over F_q; over Q, for g0 = p/r, the items
+    p**(k - lo) * r**(hi - k) over p**-lo * r**hi, with lo and hi the least
+    and greatest of 0 and ks, and no Fraction built."""
     if G.order is None:
-        return ScalarSet(scalar_pow(G.g0, k) for k in ks)
+        ks = list(ks)
+        p, r = G.g0.numerator, G.g0.denominator
+        lo, hi = min([0, *ks]), max([0, *ks])
+        return ScalarSet.from_lattice([p ** (k - lo) * r ** (hi - k) for k in ks],
+                                      p ** -lo * r ** hi)
     q = G.domain
     return ScalarSet.from_lattice([pow(G.g0.residue, k, q) for k in ks], q, q)
 
@@ -179,14 +188,22 @@ def _valuation(n: int, p: int) -> int:
     return v
 
 
+@lru_cache(maxsize=256)
+def _rational_base(g0) -> Tuple[int, int]:
+    """The least prime pi dividing the numerator of g0 (or, for g0 = 1/r,
+    its denominator) and the valuation v_pi(g0), which is nonzero."""
+    p, q = g0.numerator, g0.denominator
+    pi = min(factor(p if p > 1 else q))
+    return pi, _valuation(p, pi) - _valuation(q, pi)
+
+
 def _rational_log(g0, n: int, d: int) -> Optional[int]:
     """The integer k with g0**k == n/d, if one exists (g0 > 0, g0 != 1,
     d > 0, n/d not necessarily reduced)."""
     if n <= 0:
         return None
     p, q = g0.numerator, g0.denominator
-    pi = min(factor(p if p > 1 else q))
-    vg = _valuation(p, pi) - _valuation(q, pi)
+    pi, vg = _rational_base(g0)
     vx = _valuation(n, pi) - _valuation(d, pi)
     if vx % vg != 0:
         return None
@@ -247,23 +264,40 @@ def _subgroup_log(gamma: int, h: int, p: int, q: int) -> int:
     raise ValueError(f"no discrete log to base {gamma} mod {q}")
 
 
+# A plan is a few ints per prime factor of n, so many bases fit; the bound
+# only keeps a long run over fresh bases from growing without end.
+@lru_cache(maxsize=256)
+def _log_plan(g: int, n: int, q: int) -> tuple:
+    """The constants of a Pohlig-Hellman log to base g of order n mod q,
+    one row per prime power p**e dividing n: p, e, c = n // p**e, the
+    inverse of g**c (which has order p**e), gamma = g**(n // p) of order p,
+    and the CRT weight c * (c**-1 mod p**e), which is 1 mod p**e and 0 mod
+    every other prime power of n."""
+    plan = []
+    for p, e in factor(n).items():
+        pe = p ** e
+        c = n // pe
+        plan.append((p, e, c, pow(pow(g, c, q), -1, q), pow(g, n // p, q),
+                     c * pow(c, -1, pe)))
+    return tuple(plan)
+
+
 def _discrete_log(g: int, x: int, n: int, q: int) -> int:
     """The k in [0, n) with g**k == x mod q, for g of order n and x a power
-    of g.  Pohlig-Hellman: k mod each prime power p**e dividing n, one
-    base-p digit at a time in the subgroup of order p, joined by the
-    Chinese remainder theorem."""
-    g_inv = pow(g, -1, q)
-    k, mod = 0, 1
-    for p, e in factor(n).items():
-        gamma = pow(g, n // p, q)
+    of g.  Pohlig-Hellman: x**c lies in the subgroup of order p**e for each
+    prime power p**e dividing n, c = n // p**e, where k mod p**e is found
+    one base-p digit at a time in the subgroup of order p; the residues are
+    joined by the CRT weights of the cached :func:`_log_plan`."""
+    k = 0
+    for p, e, c, gc_inv, gamma, weight in _log_plan(g, n, q):
+        xc = pow(x, c, q)
         kp, pi = 0, 1
-        for _ in range(e):
-            h = pow(x * pow(g_inv, kp, q) % q, n // (pi * p), q)
+        for i in range(e - 1, -1, -1):
+            h = pow(xc * pow(gc_inv, kp, q) % q, p ** i, q)
             kp += _subgroup_log(gamma, h, p, q) * pi
             pi *= p
-        k += mod * ((kp - k) * pow(mod, -1, pi) % pi)
-        mod *= pi
-    return k
+        k += kp * weight
+    return k % n
 
 
 def ggp_membership(G: GgpSpec, n: int, d: int) -> bool:

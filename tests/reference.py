@@ -17,7 +17,9 @@ by the double loop over both subset families, ``ref_cover_maximal`` by
 taking for each B the largest C, the quotients c with B*c inside T.
 
 ``lattice_item`` turns one scalar into the int lattice item (n, d) that
-``ggp_membership`` reads, by way of a one-element ScalarSet.
+``ggp_membership`` reads, by way of a one-element ScalarSet, and
+``ref_ggp_powers`` is the per-power route to ``progressions.ggp_powers``:
+one ``scalar_pow`` per exponent, lifted into a ScalarSet.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from shiftprod.numeric import (
     PrimeFieldElement,
     as_rational,
     scalar_is_zero,
+    scalar_pow,
 )
 from shiftprod.setalg import ScalarSet
 
@@ -267,3 +270,8 @@ def lattice_item(x):
     over F_q, the reduced numerator and denominator over Q."""
     (n,), d = ScalarSet([x]).lat
     return n, d
+
+
+def ref_ggp_powers(G, ks) -> ScalarSet:
+    """{g0**k : k in ks}, one exact power per exponent."""
+    return ScalarSet(scalar_pow(G.g0, k) for k in ks)

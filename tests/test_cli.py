@@ -293,13 +293,17 @@ def test_zero_setting_meets_its_range_check(capsys, tmp_path, argv, key, message
     (("conjecture-scan", "--family", "random-integer"), {"size_min": 4, "size_max": 2},
      "size_min = 4 is above size_max = 2"),
     (("gen", "--family", "random-integer"), {"size_min": -2, "size_max": 3},
-     "size_min must not be negative, got -2"),
+     "size_min must be positive, got -2"),
     (("gen", "--family", "random-integer"), {"count": -1},
      "count must not be negative, got -1"),
     (("conjecture-scan", "--family", "geometric"), {"count": -3},
      "count must not be negative, got -3"),
     (("verify-main", "--random-A", "3", "--delta", "1/2"), {"count": -1},
      "count must not be negative, got -1"),
+    (("gen", "--family", "random-integer"), {"size_min": 0, "size_max": 0},
+     "size_min must be positive, got 0"),
+    (("conjecture-scan", "--family", "random-integer"), {"size_min": 0, "size_max": 0},
+     "size_min must be positive, got 0"),
 ])
 def test_family_setting_out_of_range_exits_2(capsys, tmp_path, argv, settings, message):
     expected = (2, "", f"error: {message}\n")

@@ -43,6 +43,7 @@ from shiftprod.setalg import (
     collinear,
     dot_product_set,
     productset,
+    scale,
     set_intersect,
     set_minus,
     set_union,
@@ -476,3 +477,65 @@ def test_passing_run_forms_no_product_with_all_of_g(monkeypatch, A, G):
     for X, Y in formed:
         if Gset in (X, Y):
             assert len(X) * len(Y) == len(Gset) * len(inter)
+
+
+# The identity's right side was formed as g1*(BB*(AA+1)) before it was
+# formed as BB*(g1*(AA+1)); both are g1*BB*(AA+1).
+
+def _identity_parts(A, G):
+    AA = productset(A, A)
+    B = square_part(normalize(G))
+    g1 = first_element(G)
+    return AA, shift(AA, 1), B, productset(B, B), g1
+
+
+@settings(max_examples=150)
+@given(_any_ggp(), st.data())
+def test_identity_right_side_matches_scaled_product(G, data):
+    q = G.domain
+    if q == RATIONAL_DOMAIN:
+        elem = st.one_of(st.integers(-4, 12),
+                         st.fractions(min_value=-3, max_value=6, max_denominator=4))
+    else:
+        elem = st.integers(0, q - 1).map(lambda r: PrimeFieldElement(r, q))
+    A = ScalarSet(data.draw(st.sets(elem, min_size=2, max_size=5)))
+    skew = data.draw(st.booleans())
+    AA, AA1, B, BB, g1 = _identity_parts(A, G)
+    scaled = scale(productset(BB, AA1), g1)
+    lhs, rhs, ok = dot_identity_check(A, B, g1, skew=skew)
+    assert rhs == scaled and ok == (lhs == scaled)
+    shared, _, _, Pi = harness._run_core(A, AA, G, Fraction(1, 3), Fraction(1, 2),
+                                         skew, {})
+    assert Pi == lhs and shared["identity_ok"] == (Pi == scaled)
+
+
+def _bits(X, Y):
+    """The numerator bits that setalg's cap charges a pairwise X, Y."""
+    return len(X) * len(Y) * (X.lat[1] * Y.lat[1]).bit_length()
+
+
+@settings(max_examples=300)
+@given(st.sets(st.one_of(st.integers(-6, 30),
+                         st.fractions(min_value=-4, max_value=9, max_denominator=12)),
+               min_size=2, max_size=6),
+       st.one_of(st.integers(2, 12),
+                 st.builds(Fraction, st.integers(1, 36), st.integers(2, 36))
+                 ).filter(lambda g: g != 1),
+       st.integers(-5, 5),
+       st.lists(st.tuples(st.integers(-4, 4), st.integers(3, 5)), min_size=1, max_size=2))
+def test_identity_right_side_caps_never_refuse_first(A, g0, r0, dims):
+    """Every pairwise check of the right side, formed either way, charges
+    no more pairs or bits than the largest check that runs before it, so
+    any refusal it could make is made earlier, by the same check as before."""
+    A = ScalarSet(A)
+    G = GgpSpec(g0, GapSpec(r0, tuple(g for g, _ in dims), tuple(l for _, l in dims)))
+    AA, AA1, B, BB, g1 = _identity_parts(A, G)
+    Gset, one = enumerate_ggp(G), ScalarSet([g1])
+    E, F = build_point_sets(A, B, g1)
+    before = [(A, A), (AA, ScalarSet([1])), (Gset, AA1), (Gset, Gset), (E, F), (B, B)]
+    new = [(AA1, one), (BB, scale(AA1, g1))]
+    old = [(BB, AA1), (productset(BB, AA1), one)]
+    for checks in (new, old):
+        assert (max(len(X) * len(Y) for X, Y in checks)
+                <= max(len(X) * len(Y) for X, Y in before))
+        assert max(_bits(X, Y) for X, Y in checks) <= max(_bits(X, Y) for X, Y in before)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from shiftprod import progressions
 from shiftprod.harness import _even_part_size, square_part
@@ -25,16 +25,17 @@ from shiftprod.progressions import (
     format_gap_spec,
     format_ggp_spec,
     ggp_membership,
+    ggp_powers,
     growth_check,
     is_proper,
     parse_gap_spec,
     parse_ggp_spec,
     realized_size,
 )
-from shiftprod.progressions import _baby_steps, _discrete_log
+from shiftprod.progressions import _baby_steps, _discrete_log, _log_plan
 from shiftprod.setalg import PAIR_CAP
 from conftest import make_proper_gap, make_proper_ggp
-from reference import lattice_item
+from reference import lattice_item, ref_ggp_powers
 
 
 def test_gap_spec_validation():
@@ -273,6 +274,24 @@ def test_compiled_field_spec_matches_literal(G):
     _check_walk(G.g0.residue, G.order, G.domain)
 
 
+# Int bases, 1/r bases and general p/r; exponent lists of either sign,
+# mixed, repeated or empty.
+@given(st.one_of(st.integers(2, 12),
+                 st.integers(2, 12).map(lambda r: Fraction(1, r)),
+                 st.builds(Fraction, st.integers(1, 12), st.integers(2, 12))
+                 ).filter(lambda g: g != 1),
+       st.lists(st.integers(-9, 9), max_size=8))
+@example(2, [])
+@example(Fraction(1, 3), [-4, -1, -1])
+@example(Fraction(3, 2), [2, 5, 5])
+@example(Fraction(4, 9), [-3, 0, 2, -3])
+@example(10, [-2, -5])
+def test_rational_powers_match_per_power_route(g0, ks):
+    G = GgpSpec(g0, GapSpec(0, (1,), (3,)))
+    got, want = ggp_powers(G, ks), ref_ggp_powers(G, ks)
+    assert (got.lat, got.domain) == (want.lat, want.domain)
+
+
 # The oracle for the discrete log: the power walk, one multiplication per
 # exponent up to ord(g).
 
@@ -325,10 +344,13 @@ def test_membership_refused_above_table_cap(monkeypatch):
 
 
 def test_baby_step_cache_is_bounded():
-    maxsize = _baby_steps.cache_info().maxsize
-    assert maxsize is not None
-    primes = [q for q in range(3, 2000) if is_prime(q)][:maxsize + 10]
-    for q in primes:
-        # -1 has order 2 in F_q
-        assert _baby_steps(q - 1, 2, q)[0] == {1: 0, q - 1: 1}
-    assert _baby_steps.cache_info().currsize <= maxsize
+    # -1 has order 2 in F_q: its table and its plan
+    for cache, want in ((_baby_steps, lambda q: ({1: 0, q - 1: 1}, 1)),
+                        (_log_plan, lambda q: ((2, 1, 1, q - 1, q - 1, 1),))):
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None
+        primes = [q for q in range(3, 2000) if is_prime(q)][:maxsize + 10]
+        assert len(primes) == maxsize + 10
+        for q in primes:
+            assert cache(q - 1, 2, q) == want(q)
+        assert cache.cache_info().currsize <= maxsize
