@@ -235,6 +235,9 @@ def cmd_verify_main(args) -> int:
         G = parse_ggp_spec(args.G) if args.G else auto_progression(A)
         instances.append((A, G))
     elif args.random_A is not None:
+        if args.random_A < 0:
+            raise PreconditionError(
+                f"random_A must not be negative, got {args.random_A}")
         rng = random.Random(seed)
         lo = _int(_pick(args, cfg, "lo", 1))
         hi = _int(_pick(args, cfg, "hi", 50))

@@ -135,20 +135,26 @@ class _DomainSet:
         # reached only for the unset elems
         if name != "elems":
             raise AttributeError(name)
-        items, m = self.lat
+        elems = frozenset(self._elements(self.lat[0]))
+        object.__setattr__(self, "elems", elems)
+        return elems
+
+    def _elements(self, items):
+        """The elements of lattice ``items``, in Point2s for a PointSet2."""
+        m = self.lat[1]
         if self.domain in (None, RATIONAL_DOMAIN):
             def el(n):
                 return n // m if n % m == 0 else Fraction(n, m)
         else:
             def el(n):
                 return PrimeFieldElement(n, m)
-        elems = frozenset((Point2(el(x), el(y)) for x, y in items)
-                          if type(self) is PointSet2 else map(el, items))
-        object.__setattr__(self, "elems", elems)
-        return elems
+        return ((Point2(el(x), el(y)) for x, y in items)
+                if type(self) is PointSet2 else map(el, items))
 
     def sorted(self) -> list:
-        return sorted(self.elems)
+        """The elements ordered by their items: by value over Q, where m > 0,
+        by residue over F_q, and lexicographically for points."""
+        return list(self._elements(sorted(self.lat[0])))
 
     def __len__(self):
         return len(self.lat[0])

@@ -1,7 +1,9 @@
 """Slow reference for both pipelines, straight from the definitions.
 
-Every set is a plain Python set of scalars built by literal loops: int and
-Fraction values over Q, PrimeFieldElement values over F_q.  G comes from
+Every set is a plain Python set of values built by literal loops: int and
+Fraction values over Q, residues over F_q.  The oracle keeps its own
+arithmetic: over F_q every sum, product and power is taken on ints and
+reduced mod q, so no element operator is used.  G comes from
 powers of its base, B from a literal ``g*g in Gn``, Pi from the double loop
 over the point sets, C as AA+1 minus G and the decomposition of G*(AA+1)
 from literal products.  No shiftprod set type, kernel or membership test is
@@ -34,7 +36,6 @@ from shiftprod.numeric import (
     PreconditionError,
     PrimeFieldElement,
     as_rational,
-    scalar_is_zero,
     scalar_pow,
 )
 from shiftprod.setalg import ScalarSet
@@ -78,69 +79,84 @@ def _power_sign(x: int, base: int, exp: Fraction) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-def _collinear(points) -> bool:
+def _red(x, q):
+    """x over Q (q None), x mod q over F_q."""
+    return x if q is None else x % q
+
+
+def _pow(g, k, q):
+    """g**k for k of either sign: over Q exactly, over F_q mod q."""
+    return Fraction(g) ** k if q is None else pow(g, k, q)
+
+
+def _collinear(points, q) -> bool:
     """Every point on the line through the first two."""
     pts = list(points)
     if len(pts) <= 2:
         return True
     (px, py), (qx, qy) = pts[0], pts[1]
-    return all((qx - px) * (ry - py) == (qy - py) * (rx - px) for rx, ry in pts[2:])
+    return all(_red((qx - px) * (ry - py) - (qy - py) * (rx - px), q) == 0
+               for rx, ry in pts[2:])
 
 
-def _progression(g0, R):
+def _progression(g0, R, q=None):
     """G as {g0**(r0 + k)} over the exponent vectors, with the vectors, the
     offsets k and the formal length."""
     vectors = list(itertools.product(*(range(l) for l in R.lengths)))
     offsets = [sum(x * r for x, r in zip(v, R.generators)) for v in vectors]
-    return {g0 ** (R.r0 + k) for k in offsets}, vectors, offsets, len(vectors)
+    return {_pow(g0, R.r0 + k, q) for k in offsets}, vectors, offsets, len(vectors)
 
 
-def _core(A, g0, R, one, eps, delta, skew_e, constants):
-    """The fields both reports share, then E, F and Pi; ``one`` is the
-    unit of the domain."""
-    Gset, vectors, offsets, formal = _progression(g0, R)
-    AA = {a * b for a in A for b in A}
-    AA1 = {x + one for x in AA}
-    g1 = g0 ** R.r0
-    Gn = {g0 ** k for k in offsets}
-    B = {g for g in Gn if g * g in Gn}
+def _core(A, g0, R, q, eps, delta, skew_e, constants):
+    """The fields both reports share, then E, F and Pi.  ``q`` is None over
+    Q, where A and g0 are rationals, and the modulus over F_q, where they
+    are residues."""
+    def red(x):
+        return _red(x, q)
+
+    Gset, vectors, offsets, formal = _progression(g0, R, q)
+    AA = {red(a * b) for a in A for b in A}
+    AA1 = {red(x + 1) for x in AA}
+    g1 = _pow(g0, R.r0, q)
+    Gn = {_pow(g0, k, q) for k in offsets}
+    B = {g for g in Gn if red(g * g) in Gn}
     bound = prod(l // 2 for l in R.lengths)
     proper = len(Gset) == formal
     constants["proper"] = "true" if proper else "false"
     constants["claim_bb"] = ("pass" if len(B) >= bound
                              and bound * 3 ** len(R.lengths) >= formal else "fail")
-    constants["b_even_size"] = str(len({g0 ** k for v, k in zip(vectors, offsets)
+    constants["b_even_size"] = str(len({_pow(g0, k, q) for v, k in zip(vectors, offsets)
                                         if all(x % 2 == 0 for x in v)}))
 
-    F = {(b, b * a) for b in B for a in A}
+    F = {(b, red(b * a)) for b in B for a in A}
     if skew_e:
-        E = {(b * g1, b * a) for b in B for a in A}
+        E = {(red(b * g1), red(b * a)) for b in B for a in A}
     else:
-        E = {(g1 * b, g1 * b * a) for b in B for a in A}
+        E = {(red(g1 * b), red(g1 * b * a)) for b in B for a in A}
     if len(A) >= 2 and len(B) >= 2:
         constants["ef_non_collinear"] = (
-            "pass" if not _collinear(E) and not _collinear(F) else "fail")
+            "pass" if not _collinear(E, q) and not _collinear(F, q) else "fail")
     else:
         constants["ef_non_collinear"] = "skipped"
 
     Pi = set()
     for ex, ey in E:
         for fx, fy in F:
-            Pi.add(ex * fx + ey * fy)
-    BB = {b * c for b in B for c in B}
-    rhs = {g1 * x * y for x in BB for y in AA1}
+            Pi.add(red(ex * fx + ey * fy))
+    BB = {red(b * c) for b in B for c in B}
+    rhs = {red(g1 * x * y) for x in BB for y in AA1}
     if proper:
         constants["g_bb_inclusion"] = (
-            "pass" if all(g1 * x in Gset for x in BB) else "fail")
+            "pass" if all(red(g1 * x) in Gset for x in BB) else "fail")
     else:
         constants["g_bb_inclusion"] = "skipped"
 
     C = AA1 - Gset
-    G_inter = {g * x for g in Gset for x in AA1 if x in Gset}
-    lhs_dec = {g * x for g in Gset for x in AA1}
-    rhs_dec = G_inter | {g * c for g in Gset for c in C}
+    G_inter = {red(g * x) for g in Gset for x in AA1 if x in Gset}
+    lhs_dec = {red(g * x) for g in Gset for x in AA1}
+    rhs_dec = G_inter | {red(g * c) for g in Gset for c in C}
     constants["decomposition"] = "pass" if lhs_dec == rhs_dec else "fail"
-    GG = {g * h for g in Gset for h in Gset}
+    GG = {red(g * h) for g in Gset for h in Gset}
     constants["gg_over_g"] = str(Fraction(len(GG), len(Gset)))
     constants["g_inter_le_gg"] = "pass" if len(G_inter) <= len(GG) else "fail"
     constants["pi_over_e_pow"] = ref_power_ratio_decimal(
@@ -190,7 +206,7 @@ def reference_main_report(A_values, G, delta, config) -> MainReport:
     if degeneracy > config.degeneracy_threshold:
         raise PreconditionError("degenerate progression")
 
-    shared, _, _, _ = _core(A, g0, R, 1, delta / 3, delta, config.skew_e, constants)
+    shared, _, _, _ = _core(A, g0, R, None, delta / 3, delta, config.skew_e, constants)
     return MainReport(
         **shared,
         bound_ratio=ref_power_ratio_decimal(shared["c_size"], len(A), 1 - delta),
@@ -202,10 +218,10 @@ def reference_ff_report(q, A_values, G, epsilon, delta, skew_e) -> FfReport:
     """The FfReport of ``run_field_pipeline`` for A (ints, read mod q) and
     G over F_q, computed element by element, for inputs the pipeline
     accepts."""
-    A = {PrimeFieldElement(a, q) for a in A_values}
+    A = {a % q for a in A_values}
     eps, delta = Fraction(epsilon), Fraction(delta)
     constants = {}
-    shared, E, F, Pi = _core(A, G.g0, G.exponents, PrimeFieldElement(1, q),
+    shared, E, F, Pi = _core(A, G.g0.residue, G.exponents, q,
                              eps, delta, skew_e, constants)
     hypothesis = len(E) == len(F) and len(E) ** 2 > q ** 3
     constants["coverage_hypothesis"] = "holds" if hypothesis else "fails"
@@ -217,21 +233,33 @@ def reference_ff_report(q, A_values, G, epsilon, delta, skew_e) -> FfReport:
         cond1_margin=ref_power_ratio_decimal(a_aa, q, Fraction(3, 2) + eps),
         cond2_ok=_power_sign(aa, q, 1 - delta) <= 0,
         cond2_margin=ref_power_ratio_decimal(aa, q, 1 - delta),
-        coverage_ok=Pi >= {PrimeFieldElement(u, q) for u in range(1, q)},
+        coverage_ok=Pi >= set(range(1, q)),
         q_delta_bound=_power_sign(c, q, delta) >= 0,
         bound_ratio=ref_power_ratio_decimal(c, q, delta),
         constants=constants,
     )
 
 
-def _div(s, t):
-    if isinstance(s, PrimeFieldElement):
-        return s / t
-    return as_rational(Fraction(s) / t)
+def _plain(T):
+    """The scalars T as plain values and their modulus: the residues and q
+    over F_q, the values themselves and None over Q."""
+    T = list(T)
+    if T and isinstance(T[0], PrimeFieldElement):
+        return {t.residue for t in T}, T[0].modulus
+    return set(T), None
+
+
+def _plain_quotients(T, q) -> set:
+    if q is None:
+        return {as_rational(Fraction(s) / t) for t in T if t for s in T}
+    return {s * pow(t, -1, q) % q for t in T if t for s in T}
 
 
 def _quotients(T) -> list:
-    return list({_div(s, t) for t in T if not scalar_is_zero(t) for s in T})
+    """T/T as scalars of T's domain."""
+    T, q = _plain(T)
+    Q = _plain_quotients(T, q)
+    return list(Q) if q is None else [PrimeFieldElement(x, q) for x in Q]
 
 
 def _subsets(items, m):
@@ -242,26 +270,28 @@ def _subsets(items, m):
 def ref_cover_pairs(T, m) -> int:
     """The most hits, by the double loop over every B inside T and every C
     inside T/T: 2**|T| * 2**|T/T| pairs, so for |T| <= 4."""
-    T, Q = set(T), _quotients(T)
+    T, q = _plain(T)
+    Q = list(_plain_quotients(T, q))
     best = 0
     for B in _subsets(list(T), m):
         for C in _subsets(Q, m):
-            if all(b * c in T for b in B for c in C):
-                best = max(best, len({b * c for b in B for c in C}))
+            products = {_red(b * c, q) for b in B for c in C}
+            if products <= T:
+                best = max(best, len(products))
     return best
 
 
 def ref_cover_maximal(T, m) -> int:
     """The most hits, by taking for each B inside T the largest C, the
     quotients c with B*c inside T; for |T| <= 10."""
-    T = set(T)
+    T, q = _plain(T)
     # fits[c]: the b in T with b*c in T
-    fits = {c: {b for b in T if b * c in T} for c in _quotients(T)}
+    fits = {c: {b for b in T if _red(b * c, q) in T} for c in _plain_quotients(T, q)}
     best = 0
     for B in _subsets(list(T), m):
         C = [c for c, bs in fits.items() if bs.issuperset(B)]
         if len(C) >= m:
-            best = max(best, len({b * c for b in B for c in C}))
+            best = max(best, len({_red(b * c, q) for b in B for c in C}))
     return best
 
 

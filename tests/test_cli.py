@@ -314,6 +314,17 @@ def test_family_setting_out_of_range_exits_2(capsys, tmp_path, argv, settings, m
     assert run_cli(capsys, *argv, "--config", str(cfg)) == expected
 
 
+@pytest.mark.parametrize("size,message", [
+    ("-1", "random_A must not be negative, got -1"),
+    ("0", "need |A| >= 2"),
+    ("1", "need |A| >= 2"),
+])
+def test_random_A_below_two_exits_2(capsys, size, message):
+    # a negative size is refused before any draw, not by random.sample
+    assert run_cli(capsys, "verify-main", "--random-A", size, "--delta", "1/2") == (
+        2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("verify-main", "--A", "{1, 2}", "--G", "ggp 2; gap 1;1;3", "--delta", "1/0"),
     ("verify-ff", "--q", "13", "--subgroup-t", "4", "--epsilon", "1/0",

@@ -68,9 +68,9 @@ def test_search_matches_oracle(query):
 @settings(max_examples=60)
 @given(_cover_queries())
 def test_quotient_keys_match_element_quotients(query):
-    # the quotients from int keys are the ones from element quotients
+    # the quotients from int keys are the ones the oracle divides out
     T = query.T
-    assert _quotients_from_keys(T) == sorted(_quotients(T.elems))
+    assert _quotients_from_keys(T) == ScalarSet(_quotients(T.elems)).sorted()
 
 
 def test_scan_builds_one_target_per_instance(monkeypatch):
@@ -88,7 +88,7 @@ def test_scan_builds_one_target_per_instance(monkeypatch):
     assert [r.aa1_size for r in rows] == [3, 15, 2]
 
 
-def test_exhaustive_cutoff_cap(capsys):
+def test_retired_cutoff_option_is_unknown(capsys):
     # the cutoff is retired: no query field, and the flag is unknown
     with pytest.raises(TypeError):
         CoverQuery(A=ScalarSet([1, 2, 4]), exhaustive_cutoff=3)
@@ -246,7 +246,7 @@ def test_budget_counts_walk_nodes():
 
 
 @pytest.mark.parametrize("elems", [[1, 3], [2, 5], [1, 2]])
-def test_exact_tier_hit_counts(elems):
+def test_two_element_sets_have_no_cover(elems):
     # |A| = 2 and m = 2: no product of two pairs fits in the three
     # elements of T, so the row reports no pair rather than a cover
     A = ScalarSet(elems)
@@ -259,7 +259,7 @@ def test_exact_tier_hit_counts(elems):
     assert (row.coverage_fraction, row.tension_flag) == (0, False)
 
 
-def test_exact_tier_product_count(monkeypatch):
+def test_search_multiplies_no_elements(monkeypatch):
     # the search runs on int keys: it multiplies no field elements
     F = PrimeField(17)
     A = ScalarSet([F(1), F(2), F(3)])
@@ -284,7 +284,7 @@ def test_exact_tier_product_count(monkeypatch):
     (2, [1, 5, 11], [2, 4]),
     (4, [], []),
 ])
-def test_exact_tier_at_cutoff_cap(m, B, C):
+def test_search_known_field_instance(m, B, C):
     F = PrimeField(17)
     A = ScalarSet([F(1), F(2), F(3)])
     T = shift(productset(A, A), 1)

@@ -87,12 +87,21 @@ def test_point_set_lift_shapes():
 
 
 # The lift as the pipeline spelled it on elements before point sets moved to
-# int pairs: the oracle for build_point_sets.
-def _lift_on_elements(A, B, g1, skew):
-    F = PointSet2(Point2(b, b * a) for b in B for a in A)
+# int pairs: the oracle for build_point_sets.  Over F_q it multiplies the
+# residues and builds elements from the products, which reduce them mod q.
+def _lift_on_elements(A, B, g1, skew, q):
+    if q is None:
+        pt = Point2
+    else:
+        A, B = ([x.residue for x in S] for S in (A, B))
+        g1 = g1.residue if isinstance(g1, PrimeFieldElement) else g1
+
+        def pt(x, y):
+            return Point2(PrimeFieldElement(x, q), PrimeFieldElement(y, q))
+    F = PointSet2(pt(b, b * a) for b in B for a in A)
     if skew:
-        return PointSet2(Point2(b * g1, b * a) for b in B for a in A), F
-    return PointSet2(Point2(g1 * b, g1 * b * a) for b in B for a in A), F
+        return PointSet2(pt(b * g1, b * a) for b in B for a in A), F
+    return PointSet2(pt(g1 * b, g1 * b * a) for b in B for a in A), F
 
 
 @st.composite
@@ -107,7 +116,7 @@ def _lift_case(draw):
         # a bare int g1 joins the field of A and B
         g1 = st.one_of(elem, st.integers(1, q - 1))
     A, B = (draw(st.lists(elem, max_size=5)) for _ in range(2))
-    return A, B, draw(g1), draw(st.booleans())
+    return A, B, draw(g1), draw(st.booleans()), q
 
 
 def _typed_points(P):
@@ -117,10 +126,10 @@ def _typed_points(P):
 @settings(max_examples=200)
 @given(_lift_case())
 def test_point_set_lift_matches_element_formulas(case):
-    A, B, g1, skew = case
+    A, B, g1, skew, q = case
     A, B = ScalarSet(A), ScalarSet(B)
     lattice = build_point_sets(A, B, g1, skew=skew)
-    for got, want in zip(lattice, _lift_on_elements(A, B, g1, skew)):
+    for got, want in zip(lattice, _lift_on_elements(A, B, g1, skew, q)):
         assert got == want and hash(got) == hash(want)
         assert got.domain == want.domain
         assert _typed_points(got) == _typed_points(want)
@@ -203,9 +212,9 @@ def test_field_progression_stages_build_no_field_elements(monkeypatch):
     assert built == []
     monkeypatch.undo()
     ks = Gn.exponents.values
-    assert set(Gset) == {F(2) ** (3 + k) for k in ks}
-    L = {F(2) ** k for k in ks}
-    assert set(B) == {g for g in L if g * g in L}
+    assert set(Gset) == {F(pow(2, 3 + k, q)) for k in ks}
+    L = {pow(2, k, q) for k in ks}
+    assert set(B) == {F(g) for g in L if g * g % q in L}
     assert set(C) == set(AA1) - set(Gset)
     assert F(8) not in C and F(16) not in C and F(5) in C
 

@@ -233,8 +233,15 @@ FIELD_SPECS = st.sampled_from([q for q in range(3, 102) if is_prime(q)]).flatmap
 
 def _literal(G, even_only=False):
     R = G.exponents
-    g0 = G.g0 if isinstance(G.g0, PrimeFieldElement) else Fraction(G.g0)
-    return {g0 ** R.value_at(v) for v in R.vectors()
+    if isinstance(G.g0, PrimeFieldElement):
+        g, q = G.g0.residue, G.g0.modulus
+
+        def power(k):
+            return PrimeFieldElement(pow(g, k, q), q)
+    else:
+        def power(k):
+            return Fraction(G.g0) ** k
+    return {power(R.value_at(v)) for v in R.vectors()
             if not even_only or all(x % 2 == 0 for x in v)}
 
 

@@ -17,7 +17,6 @@ from shiftprod.numeric import (
     PrimeFieldElement,
     as_rational,
     is_prime,
-    scalar_is_zero,
 )
 from shiftprod.setalg import (
     LATTICE_BIT_CAP,
@@ -127,8 +126,9 @@ def test_dot_product_set_field_matches_python():
             [Point2(F(rng.randrange(q)), F(rng.randrange(q))) for _ in range(12)]
         )
         fast = dot_product_set(pts_e, pts_f).sorted()
-        slow = sorted({p.x * r.x + p.y * r.y for p in pts_e for r in pts_f})
-        assert fast == slow
+        slow = sorted({(p.x.residue * r.x.residue + p.y.residue * r.y.residue) % q
+                       for p in pts_e for r in pts_f})
+        assert fast == list(map(F, slow))
 
 
 # both sides of the int64 bound 2(q-1)**2 < 2**63: 2**31 - 1 is the largest
@@ -299,11 +299,12 @@ def _scaled_directions(draw, scalar, ratio, slope, vertical, zero):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(GROUPED_FIELD_BASES)), st.data())
 def test_field_grouped_kernel_matches_element_loop(q, data):
+    # the points are drawn as ints and read mod q
     r, F = GROUPED_FIELD_BASES[q], PrimeField(q)
-    unit = st.integers(1, q - 1).map(F)
-    E, G = (PointSet2(data.draw(_scaled_directions(
-        unit, F(r), F(r) ** data.draw(st.integers(1, 3)), (F(0), F(1)),
-        (F(0), F(0))))) for _ in range(2))
+    unit = st.integers(1, q - 1)
+    E, G = (PointSet2((F(x), F(y)) for x, y in data.draw(_scaled_directions(
+        unit, r, r ** data.draw(st.integers(1, 3)), (0, 1), (0, 0))))
+        for _ in range(2))
     dots, grouped = _grouped_path_taken(E, G)
     assert grouped
     assert dots == _element_loop(E, G)
@@ -341,9 +342,9 @@ def test_skewed_lift_takes_the_grouped_kernel(data):
         q = 1009
         F = PrimeField(q)
         t = data.draw(st.sampled_from([12, 14, 16]))
-        A = ScalarSet(F(11) ** (k * (q - 1) // t) for k in range(t))
-        c = data.draw(st.integers(1, q - 1).map(F))
-        B = ScalarSet(c * F(11) ** i for i in range(data.draw(st.integers(8, 10))))
+        A = ScalarSet(F(pow(11, k * (q - 1) // t, q)) for k in range(t))
+        c = data.draw(st.integers(1, q - 1))
+        B = ScalarSet(F(c * 11 ** i) for i in range(data.draw(st.integers(8, 10))))
         g1 = data.draw(st.integers(2, q - 1).map(F))
     else:
         A = ScalarSet(Fraction(2, 3) * 2 ** i for i in range(data.draw(st.integers(6, 8))))
@@ -513,6 +514,14 @@ def _typed(x):
     return tuple(map(_typed, x)) if isinstance(x, tuple) else (type(x), x)
 
 
+def _by_value(x):
+    """The sort key of sorted(): the value over Q, the residue over F_q,
+    coordinatewise for points."""
+    if isinstance(x, tuple):
+        return tuple(map(_by_value, x))
+    return x.residue if isinstance(x, PrimeFieldElement) else x
+
+
 def _built(make, values):
     try:
         S = make(values)
@@ -584,7 +593,8 @@ def _check_plain(S, values, probes, domain="Q"):
     assert len(S) == len(plain)
     assert S.domain == (domain if plain else None)
     assert {_typed(x) for x in S} == {_typed(x) for x in plain}
-    assert [_typed(x) for x in S.sorted()] == [_typed(x) for x in sorted(plain)]
+    assert [_typed(x) for x in S.sorted()] == [
+        _typed(x) for x in sorted(plain, key=_by_value)]
     assert S.elems == plain
     same = ScalarSet(plain)
     assert S == same and hash(S) == hash(same)
@@ -722,9 +732,13 @@ def test_point_set_lattice_form():
 # Point sets are stored as int pairs on the same lattice; every query is held
 # against a plain frozenset of Point2s of int/Fraction or PrimeFieldElement
 # coordinates, and collinear against a determinant over every triple.
-def _collinear_plain(points) -> bool:
-    return all(scalar_is_zero((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x))
-               for p, q, r in itertools.combinations(points, 3))
+def _collinear_plain(points, domain) -> bool:
+    # over F_q on the residues, each determinant read mod q
+    if domain != "Q":
+        points = [Point2(p.x.residue, p.y.residue) for p in points]
+    dets = ((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+            for p, q, r in itertools.combinations(points, 3))
+    return all(d == 0 if domain == "Q" else d % domain == 0 for d in dets)
 
 
 def _check_plain_points(P, points, probes, domain):
@@ -733,7 +747,7 @@ def _check_plain_points(P, points, probes, domain):
     assert len(P) == len(plain)
     assert P.domain == (domain if plain else None)
     assert {_typed(p) for p in P} == {_typed(p) for p in plain}
-    order = sorted(plain)
+    order = sorted(plain, key=_by_value)
     assert [_typed(p) for p in P.sorted()] == [_typed(p) for p in order]
     assert P.elems == plain
     same = PointSet2(plain)
@@ -743,7 +757,7 @@ def _check_plain_points(P, points, probes, domain):
         if p not in plain and isinstance(p, Point2) and all(
                 _in_domain(c, domain) for c in p):
             assert P != PointSet2([*plain, p])
-    assert collinear(P) == _collinear_plain(plain)
+    assert collinear(P) == _collinear_plain(plain, domain)
 
 
 @st.composite
@@ -785,3 +799,42 @@ def _field_point_case(draw):
 def test_field_point_sets_match_plain_sets(case):
     q, points, probes = case
     _check_plain_points(PointSet2(points), points, [*probes, *points[:2]], q)
+
+
+# sorted() orders the lattice items, never the elements: over Q numerators
+# over a positive denominator, so by value; over F_q by residue; points
+# lexicographically.  repr and format_scalar_set print in this order.
+@st.composite
+def _sortable_sets(draw):
+    q = draw(st.sampled_from(["Q", *(p for p in range(2, 102) if is_prime(p))]))
+    coord = RATIONALS if q == "Q" else st.integers(0, q - 1).map(PrimeField(q))
+    if draw(st.booleans()):
+        return PointSet2(draw(st.lists(st.tuples(coord, coord), max_size=8)))
+    return ScalarSet(draw(st.lists(coord, max_size=8)))
+
+
+@settings(max_examples=300)
+@given(_sortable_sets())
+@example(ScalarSet())
+@example(PointSet2())
+@example(PointSet2([(1, Fraction(-1, 3)), (Fraction(-1, 2), 4), (Fraction(-1, 2), -4)]))
+@example(ScalarSet(map(PrimeField(2), [1, 0])))
+@example(PointSet2([(PrimeField(101)(x), PrimeField(101)(y))
+                    for x, y in [(100, 0), (3, 99), (3, 1)]]))
+def test_sorted_orders_by_value_and_by_residue(S):
+    got = S.sorted()
+    assert [_typed(x) for x in got] == [_typed(x) for x in sorted(S.elems, key=_by_value)]
+    keys = [_by_value(x) for x in got]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert repr(S) == f"{type(S).__name__}({got!r})"
+
+
+def test_sorted_known_orders():
+    F = PrimeField(7)
+    S = ScalarSet([Fraction(5, 6), -2, Fraction(-7, 3), 0, Fraction(-1, 2)])
+    assert S.sorted() == [Fraction(-7, 3), -2, Fraction(-1, 2), 0, Fraction(5, 6)]
+    assert format_scalar_set(S) == "{-7/3, -2, -1/2, 0, 5/6}"
+    assert repr(ScalarSet(map(F, [6, 0, 3]))) == "ScalarSet([F7(0), F7(3), F7(6)])"
+    assert repr(PointSet2([(F(1), F(5)), (F(1), F(2)), (F(0), F(6))])) == (
+        "PointSet2([Point2(x=F7(0), y=F7(6)), Point2(x=F7(1), y=F7(2)), "
+        "Point2(x=F7(1), y=F7(5))])")
