@@ -204,12 +204,7 @@ def geometric_set(base: Fraction, length: int) -> ScalarSet:
     base = Fraction(base)
     if base <= 0 or base == 1:
         raise PreconditionError("base must be positive and != 1")
-    out = []
-    acc = Fraction(1)
-    for _ in range(length):
-        out.append(acc)
-        acc *= base
-    return ScalarSet(out)
+    return ScalarSet(base ** i for i in range(length))
 
 
 def arithmetic_set(start: Fraction, step: Fraction, length: int) -> ScalarSet:
@@ -221,6 +216,7 @@ def arithmetic_set(start: Fraction, step: Fraction, length: int) -> ScalarSet:
 
 
 def cmd_verify_main(args) -> int:
+    _refuse_together(args, "--A", "--random-A")
     cfg = _load_config(args)
     seed = _resolve_seed(args, cfg)
     hcfg = HarnessConfig(**_given(args, cfg, size_match_factor=_fraction,
@@ -268,12 +264,22 @@ def _usage(msg):
     raise PreconditionError(msg)
 
 
+def _refuse_together(args, *flags):
+    """A usage error when the first of ``flags`` comes with any other, which
+    it would silently win over or ignore."""
+    given = [f for f in flags if getattr(args, f[2:].replace("-", "_")) is not None]
+    if len(given) > 1 and given[0] == flags[0]:
+        _usage(f"{given[0]} cannot be combined with {', '.join(given[1:])}")
+
+
 def _full_plane(F: PrimeField) -> PointSet2:
     return PointSet2.from_lattice([(x, y) for x in range(F.q) for y in range(F.q)
                                    if (x, y) != (0, 0)], F.q, F.q)
 
 
 def cmd_verify_ff(args) -> int:
+    _refuse_together(args, "--full-plane", "--subgroup-t", "--A", "--G")
+    _refuse_together(args, "--subgroup-t", "--A", "--G")
     cfg = _load_config(args)
     q = _int(_need(args, cfg, "q", "verify-ff needs --q"))
     if args.full_plane:
@@ -308,7 +314,6 @@ def cmd_verify_ff(args) -> int:
 
 def cmd_prop_gp(args) -> int:
     rows = []
-    any_fail = False
     for text in args.spec:
         s = text.strip()
         if s.startswith("ggp"):
@@ -326,9 +331,8 @@ def cmd_prop_gp(args) -> int:
             "bound": gc.bound,
             "pass": gc.passed,
         })
-        any_fail = any_fail or not gc.passed
     _write(args, rows)
-    return 1 if any_fail else 0
+    return 0 if all(r["pass"] for r in rows) else 1
 
 
 def _family_instances(args, cfg, seed):
@@ -405,9 +409,9 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None, help="JSON file with defaults")
+def _add_common(p, config=True):
+    if config:
+        p.add_argument("--config", default=None, help="JSON file with defaults")
     p.add_argument("--out", default=None, help="write output here instead of stdout")
     p.add_argument("--format", choices=["json", "csv"], default=None)
 
@@ -427,6 +431,7 @@ def _add_family(p):
     p.add_argument("--step", default=None)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--t", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,6 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["reject", "warn"], default=None)
     p.add_argument("--skew-e", dest="skew_e", action="store_const", const=True,
                    default=None, help="scale only the first coordinate of E")
+    p.add_argument("--seed", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_verify_main)
 
@@ -464,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the order-t subgroup of F_q* as A")
     p.add_argument("--epsilon", default=None)
     p.add_argument("--delta", default=None)
-    p.add_argument("--full-plane", dest="full_plane", action="store_true",
+    p.add_argument("--full-plane", dest="full_plane", action="store_const",
+                   const=True, default=None,
                    help="coverage check with E = F = all nonzero points of F_q^2")
     p.add_argument("--skew-e", dest="skew_e", action="store_const", const=True,
                    default=None)
@@ -473,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prop-gp", help="self-growth check for progression specs")
     p.add_argument("spec", nargs="+", help="'gap r0;gens;lens' or 'ggp g0; gap ...'")
-    _add_common(p)
+    _add_common(p, config=False)
     p.set_defaults(func=cmd_prop_gp)
 
     p = sub.add_parser("conjecture-scan", help="two-factor cover search over a family")

@@ -18,14 +18,12 @@ scalar sets L and M the result takes the dot products of their directions
 times L*M, each product set once.  The pipelines' E and F have one scalar
 set a side, and this is their identity E.F = g1*BB*(AA+1).  Over Q the
 grouped kernel always runs.  Over F_q it runs above 2**12 pairs while its
-counted work is at most a quarter of the pairs; otherwise, as when every
-point has its own direction, blockwise numpy outer products take over, over
-int64 while every sum of two residue products fits in 63 bits, over exact
-Python ints above that.  An int64 input of at least q pairs is marked in a
-table of q booleans: its first rows, about 4q pairs, are tried before
-either kernel, and the numpy blocks of max(4q, 2**16) pairs go on from the
-rows after them until every residue is seen; a smaller input builds no
-table.
+counted work is at most a quarter of the pairs.  Otherwise, as when every
+point has its own direction, an input of fewer pairs than q takes the plain
+pair loop, and one of at least q pairs is marked in a table of q booleans
+by blockwise int64 numpy outer products: its first rows, about 4q pairs,
+are tried before grouping, and blocks of max(4q, 2**16) pairs go on from
+the rows after them until every residue is seen.
 
 Both set types take their elements through :func:`numeric.lift`, the only
 place the domain rule lives, and so do the scalars of ``shift`` and
@@ -255,9 +253,9 @@ def set_union(A: ScalarSet, B: ScalarSet) -> ScalarSet:
 
 # Over F_q the grouped dot kernel runs while its work, in set operations,
 # is at most the pairs over GROUP_RATIO, about the measured cost of one such
-# operation in pairs of numpy's blocks; numpy alone takes inputs of at most
-# FIELD_GROUP_MIN_PAIRS pairs, where the split into directions costs more
-# than it can save.  Over Q it always runs.
+# operation in pairs of numpy's blocks; inputs of at most
+# FIELD_GROUP_MIN_PAIRS pairs skip it, where the split into directions costs
+# more than it can save.  Over Q it always runs.
 GROUP_RATIO = 4
 FIELD_GROUP_MIN_PAIRS = 2 ** 12
 
@@ -328,30 +326,21 @@ def _grouped_dots(ea, fa, q) -> Optional[set]:
     return out
 
 
-def _numpy_dots(ea: list, fa: list, q: int, table=None) -> Iterable:
-    """The residues mod q of the dot products of the int pairs ``ea`` and
-    ``fa`` from blockwise numpy outer products, over int64 while every sum
-    of two residue products fits, over exact ints above that: with a
-    ``table`` of q booleans, every residue marked in it, which stops once
-    it is full, else a new set."""
-    found = set()
-    dtype = np.int64 if 2 * (q - 1) ** 2 < 2 ** 63 else object
-    ea, fa = (np.fromiter(chain.from_iterable(X), dtype, 2 * len(X)).reshape(-1, 2)
+def _table_dots(ea: list, fa: list, q: int, table) -> list:
+    """The residues marked in ``table``, q booleans, after marking the dots
+    of the int pairs ``ea`` and ``fa`` mod q by blockwise numpy outer products
+    until it is full.  Callers hold q <= pairs <= PAIR_CAP, so int64 is exact:
+    a sum of two residue products is below 2 * PAIR_CAP**2 < 2**63."""
+    ea, fa = (np.fromiter(chain.from_iterable(X), np.int64, 2 * len(X)).reshape(-1, 2)
               for X in (ea, fa))
-    # blocks of 4q pairs or more keep the table's all() check a small share
-    # of each scatter
-    step = max(1, (max(4 * q, 2 ** 16) if table is not None else PAIR_CAP // 8)
-               // len(fa))
+    # blocks of 4q pairs or more keep all() a small share of each scatter
+    step = max(1, max(4 * q, 2 ** 16) // len(fa))
     for i in range(0, len(ea), step):
         blk = ea[i:i + step]
-        dots = (np.outer(blk[:, 0], fa[:, 0]) + np.outer(blk[:, 1], fa[:, 1])) % q
-        if table is None:
-            found.update(dots.ravel().tolist())
-        else:
-            table[dots.ravel()] = True
-            if table.all():
-                break
-    return found if table is None else np.flatnonzero(table).tolist()
+        table[(np.outer(blk[:, 0], fa[:, 0]) + np.outer(blk[:, 1], fa[:, 1])) % q] = True
+        if table.all():
+            break
+    return np.flatnonzero(table).tolist()
 
 
 def dot_product_set(E: PointSet2, F: PointSet2) -> ScalarSet:
@@ -366,22 +355,25 @@ def dot_product_set(E: PointSet2, F: PointSet2) -> ScalarSet:
     if q == RATIONAL_DOMAIN:
         return ScalarSet.from_lattice(_grouped_dots(ea, fa, q), de * df)
     ea, fa = list(ea), list(fa)
-    head, table = 0, None
-    # a table of q booleans pays only for int64 residues whose pairs
-    # outnumber it
-    if 2 * (q - 1) ** 2 < 2 ** 63 and q <= pairs:
+    # a table of q booleans pays only when the pairs outnumber it
+    if q <= pairs:
         # the first rows of E alone often reach every residue (full planes,
         # dense random sets): try about 4q pairs first, at least 2q, so the
         # table still pays; the blocks below go on from the rows after them
         head, table = max(1, 4 * q // len(fa)), np.zeros(q, dtype=bool)
-        dots = _numpy_dots(ea[:head], fa, q, table)
+        dots = _table_dots(ea[:head], fa, q, table)
         if head >= len(ea) or len(dots) == q:
             return ScalarSet.from_lattice(dots, q, q)
     if pairs > FIELD_GROUP_MIN_PAIRS:
         dots = _grouped_dots(ea, fa, q)
         if dots is not None:
             return ScalarSet.from_lattice(dots, q, q)
-    return ScalarSet.from_lattice(_numpy_dots(ea[head:], fa, q, table), q, q)
+    if q <= pairs:
+        dots = _table_dots(ea[head:], fa, q, table)
+    else:
+        # the plain pair loop; from_lattice reduces each dot mod q as it comes
+        dots = (a * x + b * y for a, b in ea for x, y in fa)
+    return ScalarSet.from_lattice(dots, q, q)
 
 
 def collinear(P: PointSet2) -> bool:

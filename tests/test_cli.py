@@ -325,6 +325,48 @@ def test_random_A_below_two_exits_2(capsys, size, message):
         2, "", f"error: {message}\n")
 
 
+# each pair once let one flag silently win over or ignore the other
+FF_RUN = ("--q", "13", "--epsilon", "1/10", "--delta", "1/2")
+FF_SET = ("--A", "{0, 1}", "--G", "ggp 2; gap 0;1;3")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify-main", "--A", "{1, 2}", "--random-A", "5", "--delta", "1/2"),
+     "--A cannot be combined with --random-A"),
+    (("verify-ff", *FF_RUN, "--subgroup-t", "4", *FF_SET[:2]),
+     "--subgroup-t cannot be combined with --A"),
+    (("verify-ff", *FF_RUN, "--subgroup-t", "4", *FF_SET[2:]),
+     "--subgroup-t cannot be combined with --G"),
+    (("verify-ff", *FF_RUN, "--subgroup-t", "4", *FF_SET),
+     "--subgroup-t cannot be combined with --A, --G"),
+    (("verify-ff", "--q", "5", "--full-plane", "--subgroup-t", "4"),
+     "--full-plane cannot be combined with --subgroup-t"),
+    (("verify-ff", "--q", "5", "--full-plane", *FF_SET),
+     "--full-plane cannot be combined with --A, --G"),
+])
+def test_conflicting_input_flags_exit_2(capsys, monkeypatch, argv, message):
+    def work(*_):
+        raise AssertionError("the command ran")
+
+    # refused before the config is read or any input is built
+    for name in ("_load_config", "subgroup_ggp", "_full_plane", "random_integer_set"):
+        monkeypatch.setattr(f"shiftprod.cli.{name}", work)
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+# --seed only where a command draws at random, --config only where it reads
+# settings: anywhere else argparse refuses them
+@pytest.mark.parametrize("argv", [
+    ("prop-gp", "gap 0;1;3", "--config", "/nonexistent"),
+    ("prop-gp", "gap 0;1;3", "--seed", "1"),
+    ("verify-ff", "--q", "5", "--full-plane", "--seed", "1"),
+])
+def test_unread_flags_are_unknown(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("verify-main", "--A", "{1, 2}", "--G", "ggp 2; gap 1;1;3", "--delta", "1/0"),
     ("verify-ff", "--q", "13", "--subgroup-t", "4", "--epsilon", "1/0",

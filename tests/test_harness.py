@@ -532,10 +532,16 @@ def _bits(X, Y):
                  ).filter(lambda g: g != 1),
        st.integers(-5, 5),
        st.lists(st.tuples(st.integers(-4, 4), st.integers(3, 5)), min_size=1, max_size=2))
+# g1 = 32 and g1 = 9 cancel E's denominator: E.F charges 80 and 32 bits,
+# and the right side, formed either way, 81 and 36
+@example({1, 2}, 2, 5, [(-4, 3)])
+@example({1, 2}, 3, 2, [(-1, 3)])
 def test_identity_right_side_caps_never_refuse_first(A, g0, r0, dims):
     """Every pairwise check of the right side, formed either way, charges
-    no more pairs or bits than the largest check that runs before it, so
-    any refusal it could make is made earlier, by the same check as before."""
+    no more pairs than the largest check that runs before it, and the new
+    formation charges no more bits than the largest of those checks and the
+    old formation: the new formation adds no refusal.  Bits alone can exceed
+    every earlier check, as in the examples, for the old formation too."""
     A = ScalarSet(A)
     G = GgpSpec(g0, GapSpec(r0, tuple(g for g, _ in dims), tuple(l for _, l in dims)))
     AA, AA1, B, BB, g1 = _identity_parts(A, G)
@@ -547,4 +553,5 @@ def test_identity_right_side_caps_never_refuse_first(A, g0, r0, dims):
     for checks in (new, old):
         assert (max(len(X) * len(Y) for X, Y in checks)
                 <= max(len(X) * len(Y) for X, Y in before))
-        assert max(_bits(X, Y) for X, Y in checks) <= max(_bits(X, Y) for X, Y in before)
+    assert (max(_bits(X, Y) for X, Y in new)
+            <= max(_bits(X, Y) for X, Y in before + old))

@@ -131,8 +131,9 @@ def test_dot_product_set_field_matches_python():
         assert fast == list(map(F, slow))
 
 
-# both sides of the int64 bound 2(q-1)**2 < 2**63: 2**31 - 1 is the largest
-# prime the int64 path takes, 2**31 + 11 the smallest it leaves
+# both sides of the table choice: at q <= 101 the dense draws below
+# outnumber q and take the table of q booleans, and from 2**31 - 1 up to
+# 10**18 + 3 every draw has fewer pairs than q and takes the plain pair loop
 FIELD_DOT_PRIMES = [5, 13, 101, 2 ** 31 - 1, 2 ** 31 + 11, 4294967291,
                     10 ** 18 + 3]
 
@@ -238,6 +239,20 @@ def test_field_dot_kernel_table_try_over_all_of_e_is_the_answer(monkeypatch):
     dots = dot_product_set(E, F)
     assert dots == ScalarSet(PrimeFieldElement(x, q) for x in range(1, 5008))
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("q, n", [(2 ** 31 - 1, 70), (10 ** 18 + 3, 12)])
+def test_field_dot_kernel_below_q_pairs_takes_the_pair_loop(monkeypatch, q, n):
+    # fewer pairs than q: no numpy block runs, whether grouping gives up
+    # (70 x 70 points with their own directions, above 2**12 pairs) or is
+    # never tried (12 x 12)
+    rng, F = random.Random(q), PrimeField(q)
+    E, G = (PointSet2((F(rng.randrange(q)), F(rng.randrange(q))) for _ in range(n))
+            for _ in range(2))
+    assert len(setalg._directions(E.lat[0], q)) == len(E) == n
+    calls = _count_blocks(monkeypatch)
+    assert dot_product_set(E, G) == _element_loop(E, G)
+    assert calls == []
 
 
 def test_field_dot_kernel_has_no_q_sized_table():
