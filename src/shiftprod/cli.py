@@ -278,7 +278,8 @@ def _full_plane(F: PrimeField) -> PointSet2:
 
 
 def cmd_verify_ff(args) -> int:
-    _refuse_together(args, "--full-plane", "--subgroup-t", "--A", "--G")
+    _refuse_together(args, "--full-plane", "--subgroup-t", "--A", "--G",
+                     "--epsilon", "--delta", "--skew-e")
     _refuse_together(args, "--subgroup-t", "--A", "--G")
     cfg = _load_config(args)
     q = _int(_need(args, cfg, "q", "verify-ff needs --q"))

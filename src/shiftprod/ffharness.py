@@ -31,7 +31,7 @@ from .numeric import (
     multiplicative_order,
     power_ratio_decimal,
 )
-from .progressions import GapSpec, GgpSpec, enumerate_ggp, require_bounded_log
+from .progressions import GapSpec, GgpSpec, enumerate_ggp
 from .setalg import PAIR_CAP, PointSet2, ScalarSet, dot_product_set, productset
 
 __all__ = [
@@ -177,7 +177,6 @@ def run_field_pipeline(inp: FfInput) -> FfReport:
     require_readout_degree({"3/2 + epsilon": Fraction(3, 2) + eps,
                             "1 - epsilon": 1 - eps, "delta": delta,
                             "1 - delta": 1 - delta})
-    require_bounded_log(G)
 
     constants = {}
     shared, E, F, Pi = _run_core(A, productset(A, A), G, eps, delta,

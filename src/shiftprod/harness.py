@@ -12,8 +12,8 @@ AA+1 escapes G.  The route:
   * verify that factorization against BB * (g1*(AA+1)): g1 scales the
     small AA+1 rather than the whole product, and not BB, since g1*BB is
     often G itself and a passing run forms no product of G with AA+1;
-  * collect the exceptional set C = (AA+1) \\ G by symbolic membership of
-    its int lattice items;
+  * collect the exceptional set C = (AA+1) \\ G by looking each int
+    lattice item of AA+1 up in the cached powers of G;
   * verify the exact decomposition of G*(AA+1) into G*(G & (AA+1)) and
     G*C, which holds once the two parts cover AA+1, as
     G*X | G*Y = G*(X | Y); only when they miss some of it are the product
@@ -256,7 +256,7 @@ def dot_identity_check(A: ScalarSet, B: ScalarSet, g1,
 
 
 def exceptional_set(AA1: ScalarSet, G: GgpSpec) -> ScalarSet:
-    """C = AA1 \\ G for AA1 = AA+1, decided by symbolic membership of each
+    """C = AA1 \\ G for AA1 = AA+1, decided by one membership lookup per
     int lattice item of AA1; AA1 and G must share a domain."""
     (items, d), domain = AA1.lat, join_domains(AA1.domain, G.domain)
     return ScalarSet.from_lattice(
@@ -280,9 +280,10 @@ def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, eps: Fraction,
     dot-product set Pi.
     """
     AA1 = shift(AA, 1)
+    # first, so that its bit cap refuses before g1 = g0**r0 is built
+    Gset = enumerate_ggp(G)
     g1 = first_element(G)
     Gn = normalize(G)
-    Gset = enumerate_ggp(G)
     # G*(AA+1) and G*G are refused as productset would refuse them; every
     # product of G with a part of AA+1 falls under the first
     for X in (AA1, Gset):

@@ -12,9 +12,9 @@ Primality is deterministic Miller-Rabin on the first 13 prime bases, exact
 below ``MR_EXACT_BELOW`` (about 3.3e24) and refused above it.  Factoring is
 one cached :func:`factor`: trial division up to ``TRIAL_DIVISION_BOUND``,
 then Pollard-Brent rho on the cofactor, refused when a cofactor does not
-split within ``RHO_STEP_CAP`` steps.  It serves :func:`multiplicative_order`,
-the generator search of the field pipeline and the discrete log of
-progression membership.  Refusals raise :class:`PreconditionError`.
+split within ``RHO_STEP_CAP`` steps.  It serves :func:`multiplicative_order`
+and, through it, the generator search of the field pipeline.  Refusals
+raise :class:`PreconditionError`.
 
 All values are immutable and all functions are pure.
 """

@@ -7,51 +7,47 @@ prime-field element.  The formal length prod(l_j) counts exponent vectors;
 the realized size counts distinct values.  A spec is proper when the two
 agree.
 
-Each spec object computes its exponents once, as the cached attributes
-``GapSpec.values``, ``GgpSpec.order`` and ``GgpSpec.residues``.
+Each spec object computes its exponents and its values once, as the
+cached attributes ``GapSpec.values``, ``GgpSpec.order``,
+``GgpSpec.residues`` and ``GgpSpec.powers``.
 
 Powers and membership run on the int lattice items of ``setalg`` sets.
-Membership has two routes: symbolic (exponent recovery from one item n
-over d, this module) and literal enumeration; the acceptance suite holds
-them equal.  Over Q the exponent of n/d is read off a prime valuation;
-the prime and the base's own valuation are cached per base.  Over F_q, a
-residue x is in <g0> exactly when x**ord(g0) == 1, and its exponent mod
-ord(g0) is a bounded discrete log: Pohlig-Hellman with Shanks' baby-step
-giant-step in each prime-order subgroup.  Its constants are cached per
-base as a plan, one row per prime power p**e of ord(g0) (the cofactor c,
-the inverse of g0**c, the generator of the subgroup of order p and the CRT
-weight), so a probe makes one power x**c and its digit steps per row.
-Its cost is about sqrt(p) steps for the largest prime p dividing ord(g0);
-a spec whose baby-step table would exceed ``BSGS_TABLE_CAP`` entries is
-refused with PreconditionError (:func:`require_bounded_log`).
+Membership has one route: a lookup of one item in the items of the cached
+powers, n mod q over F_q, and n*m/d over Q for powers held over m.  The
+powers of a rational base are refused before any is built when their
+numerators would take more than LATTICE_BIT_CAP bits in all.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from fractions import Fraction
-from math import isqrt, prod
+from math import prod
 from typing import Optional, Tuple
 
 from .numeric import (
     ParseError,
-    PreconditionError,
     PrimeField,
     PrimeFieldElement,
     Scalar,
     as_rational,
-    factor,
     format_scalar,
     lift,
     multiplicative_order,
     parse_scalar,
 )
-from .setalg import PAIR_CAP, ScalarSet, productset, sumset
+from .setalg import (
+    LATTICE_BIT_CAP,
+    PAIR_CAP,
+    ScalarSet,
+    _check_pair_budget,
+    productset,
+    sumset,
+)
 
 __all__ = [
-    "BSGS_TABLE_CAP",
     "ExponentVector",
     "GapSpec",
     "GgpSpec",
@@ -68,7 +64,6 @@ __all__ = [
     "parse_gap_spec",
     "parse_ggp_spec",
     "realized_size",
-    "require_bounded_log",
 ]
 
 ExponentVector = Tuple[int, ...]
@@ -156,6 +151,11 @@ class GgpSpec:
             return self.exponents.values
         return frozenset(k % self.order for k in self.exponents.values)
 
+    @cached_property
+    def powers(self) -> ScalarSet:
+        """The progression's distinct values, built once per spec."""
+        return ggp_powers(self, self.residues)
+
 
 def enumerate_gap(R: GapSpec) -> ScalarSet:
     return ScalarSet(R.values)
@@ -165,11 +165,17 @@ def ggp_powers(G: GgpSpec, ks) -> ScalarSet:
     """{g0**k : k in ks}, built on the int lattice: the residues
     pow(g0, k, q) over F_q; over Q, for g0 = p/r, the items
     p**(k - lo) * r**(hi - k) over p**-lo * r**hi, with lo and hi the least
-    and greatest of 0 and ks, and no Fraction built."""
+    and greatest of 0 and ks, and no Fraction built.  Over Q each item has
+    about (hi - lo) * max(bits of p, r) bits, and powers taking more than
+    LATTICE_BIT_CAP in all are refused with ValueError before any is built."""
     if G.order is None:
         ks = list(ks)
         p, r = G.g0.numerator, G.g0.denominator
         lo, hi = min([0, *ks]), max([0, *ks])
+        bits = len(ks) * (hi - lo) * max(p.bit_length(), r.bit_length())
+        if bits > LATTICE_BIT_CAP:
+            raise ValueError(f"powers of {format_scalar(G.g0)} need about {bits} "
+                             f"numerator bits, above the cap {LATTICE_BIT_CAP}")
         return ScalarSet.from_lattice([p ** (k - lo) * r ** (hi - k) for k in ks],
                                       p ** -lo * r ** hi)
     q = G.domain
@@ -177,141 +183,18 @@ def ggp_powers(G: GgpSpec, ks) -> ScalarSet:
 
 
 def enumerate_ggp(G: GgpSpec) -> ScalarSet:
-    return ggp_powers(G, G.residues)
-
-
-def _valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-@lru_cache(maxsize=256)
-def _rational_base(g0) -> Tuple[int, int]:
-    """The least prime pi dividing the numerator of g0 (or, for g0 = 1/r,
-    its denominator) and the valuation v_pi(g0), which is nonzero."""
-    p, q = g0.numerator, g0.denominator
-    pi = min(factor(p if p > 1 else q))
-    return pi, _valuation(p, pi) - _valuation(q, pi)
-
-
-def _rational_log(g0, n: int, d: int) -> Optional[int]:
-    """The integer k with g0**k == n/d, if one exists (g0 > 0, g0 != 1,
-    d > 0, n/d not necessarily reduced)."""
-    if n <= 0:
-        return None
-    p, q = g0.numerator, g0.denominator
-    pi, vg = _rational_base(g0)
-    vx = _valuation(n, pi) - _valuation(d, pi)
-    if vx % vg != 0:
-        return None
-    k = vx // vg
-    num, den = (p ** k, q ** k) if k >= 0 else (q ** -k, p ** -k)
-    return k if num * d == den * n else None
-
-
-# The largest prime factor of ord(g0) may reach 2**36.  A table at the cap
-# took 0.1 s and 26 MB to build (2 vCPU, Python 3.11).
-BSGS_TABLE_CAP = 2 ** 18
-
-
-def _table_size(p: int) -> int:
-    """Baby steps m of Shanks' method in a group of prime order p: m*m >= p."""
-    return isqrt(p - 1) + 1
-
-
-def require_bounded_log(G: GgpSpec) -> None:
-    """Refuse a field progression whose discrete log would build a
-    baby-step table above BSGS_TABLE_CAP entries.  The largest table
-    belongs to the largest prime factor of ord(g0); a safe prime
-    q = 2p + 1 with a full-order base is the worst case."""
-    if G.order is None:
-        return
-    m = _table_size(max(factor(G.order)))
-    if m > BSGS_TABLE_CAP:
-        raise PreconditionError(
-            f"membership in powers of {format_scalar(G.g0)} needs a baby-step "
-            f"table of {m} entries, above the cap {BSGS_TABLE_CAP}")
-
-
-# 32 tables hold one per prime factor of any one order (at most 18 distinct
-# primes below the primality bound), so the probes of one base never evict
-# their own tables.  Only prime factors above 2**24, at most three per
-# order, give tables over 4096 entries.
-@lru_cache(maxsize=32)
-def _baby_steps(gamma: int, p: int, q: int):
-    """{gamma**j: j for j < m} mod q for gamma of prime order p, and the
-    giant step gamma**-m."""
-    table, acc = {}, 1
-    for j in range(_table_size(p)):
-        table[acc] = j
-        acc = acc * gamma % q
-    return table, pow(acc, -1, q)
-
-
-def _subgroup_log(gamma: int, h: int, p: int, q: int) -> int:
-    """The d in [0, p) with gamma**d == h mod q, gamma of prime order p and
-    h a power of gamma: baby-step giant-step."""
-    table, giant = _baby_steps(gamma, p, q)
-    m = len(table)
-    for i in range(m):
-        j = table.get(h)
-        if j is not None:
-            return i * m + j
-        h = h * giant % q
-    raise ValueError(f"no discrete log to base {gamma} mod {q}")
-
-
-# A plan is a few ints per prime factor of n, so many bases fit; the bound
-# only keeps a long run over fresh bases from growing without end.
-@lru_cache(maxsize=256)
-def _log_plan(g: int, n: int, q: int) -> tuple:
-    """The constants of a Pohlig-Hellman log to base g of order n mod q,
-    one row per prime power p**e dividing n: p, e, c = n // p**e, the
-    inverse of g**c (which has order p**e), gamma = g**(n // p) of order p,
-    and the CRT weight c * (c**-1 mod p**e), which is 1 mod p**e and 0 mod
-    every other prime power of n."""
-    plan = []
-    for p, e in factor(n).items():
-        pe = p ** e
-        c = n // pe
-        plan.append((p, e, c, pow(pow(g, c, q), -1, q), pow(g, n // p, q),
-                     c * pow(c, -1, pe)))
-    return tuple(plan)
-
-
-def _discrete_log(g: int, x: int, n: int, q: int) -> int:
-    """The k in [0, n) with g**k == x mod q, for g of order n and x a power
-    of g.  Pohlig-Hellman: x**c lies in the subgroup of order p**e for each
-    prime power p**e dividing n, c = n // p**e, where k mod p**e is found
-    one base-p digit at a time in the subgroup of order p; the residues are
-    joined by the CRT weights of the cached :func:`_log_plan`."""
-    k = 0
-    for p, e, c, gc_inv, gamma, weight in _log_plan(g, n, q):
-        xc = pow(x, c, q)
-        kp, pi = 0, 1
-        for i in range(e - 1, -1, -1):
-            h = pow(xc * pow(gc_inv, kp, q) % q, p ** i, q)
-            kp += _subgroup_log(gamma, h, p, q) * pi
-            pi *= p
-        k += kp * weight
-    return k % n
+    return G.powers
 
 
 def ggp_membership(G: GgpSpec, n: int, d: int) -> bool:
-    """Symbolic membership of one lattice item of a set over G's domain,
-    n/d over Q (d > 0, maybe unreduced) or n mod q over F_q (d = q): recover
-    the exponent, then look it up.  Never enumerates the progression."""
+    """Membership of one lattice item of a set over G's domain, n/d over Q
+    (d > 0, maybe unreduced) or n mod q over F_q (d = q), looked up in the
+    items of the cached ``G.powers``."""
+    items, m = G.powers.lat
     if G.order is None:
-        k = _rational_log(G.g0, n, d)
-        return k is not None and k in G.residues
-    require_bounded_log(G)
-    q, order = G.domain, G.order
-    # both reduce n mod q, and pow(0, order, q) == 0: zero is no member
-    return (pow(n, order, q) == 1
-            and _discrete_log(G.g0.residue, n, order, q) in G.residues)
+        x = n * m
+        return x % d == 0 and x // d in items
+    return n % m in items
 
 
 def is_proper(spec) -> bool:
@@ -359,6 +242,9 @@ def growth_check(spec) -> GrowthCheck:
         expanded = sumset(S, S)
         d, n = spec.dimension, spec.formal_length
     else:
+        # refused on the realized size before the powers are built
+        size = realized_size(spec)
+        _check_pair_budget(size, size, "productset")
         S = enumerate_ggp(spec)
         expanded = productset(S, S)
         d, n = spec.exponents.dimension, spec.formal_length

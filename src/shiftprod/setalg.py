@@ -117,11 +117,11 @@ class _DomainSet:
                 d //= g
                 items = ([(x // g, y // g) for x, y in items] if pts
                          else [n // g for n in items])
+            items = frozenset(items)
         else:
             q = d = domain
-            items = ({(x % q, y % q) for x, y in items} if pts
-                     else {n % q for n in items})
-        items = frozenset(items)
+            items = frozenset(((x % q, y % q) for x, y in items) if pts
+                              else (n % q for n in items))
         object.__setattr__(S, "lat", (items, d) if items else (items, 1))
         object.__setattr__(S, "domain", domain if items else None)
         return S

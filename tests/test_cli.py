@@ -343,6 +343,13 @@ FF_SET = ("--A", "{0, 1}", "--G", "ggp 2; gap 0;1;3")
      "--full-plane cannot be combined with --subgroup-t"),
     (("verify-ff", "--q", "5", "--full-plane", *FF_SET),
      "--full-plane cannot be combined with --A, --G"),
+    (("verify-ff", "--q", "5", "--full-plane", "--epsilon", "1/10"),
+     "--full-plane cannot be combined with --epsilon"),
+    (("verify-ff", "--q", "5", "--full-plane", "--delta", "1/2"),
+     "--full-plane cannot be combined with --delta"),
+    (("verify-ff", "--q", "5", "--full-plane", "--skew-e", "--epsilon", "1/0",
+      "--delta", "7"),
+     "--full-plane cannot be combined with --epsilon, --delta, --skew-e"),
 ])
 def test_conflicting_input_flags_exit_2(capsys, monkeypatch, argv, message):
     def work(*_):
@@ -497,6 +504,20 @@ def test_refused_lattice_bits_of_g_products_exit_2(capsys, monkeypatch, cap, bit
                    f"above the cap {cap}\n")
 
 
+# r0 = 4 * 10**8: the three powers of 3/2 are refused on their numerator
+# bits before g1 = (3/2)**r0 is built, which alone ran past 20 s
+def test_rational_powers_above_bit_cap_exit_2(capsys, monkeypatch):
+    def built(*_):
+        raise AssertionError("g1 was built")
+
+    monkeypatch.setattr(harness, "first_element", built)
+    code, out, err = run_cli(capsys, "verify-main", "--A", "{1, 2}",
+                             "--G", "ggp 3/2; gap 400000000;1;3", "--delta", "1/2")
+    assert (code, out) == (2, "")
+    assert err == ("error: powers of 3/2 need about 2400000012 numerator bits, "
+                   "above the cap 1073741824\n")
+
+
 @pytest.mark.parametrize("argv,key,value,exponent", [
     (("verify-ff", "--q", "101", "--subgroup-t", "50", "--delta", "1/10"),
      "epsilon", "1/10001", "3/2 + epsilon = 30005/20002 has denominator 20002"),
@@ -601,25 +622,19 @@ FULL_ORDER_ARGS = ("--A", "{2, 3, 5}", "--G", "ggp 2; gap 0;1;3",
 
 @pytest.mark.parametrize("q", ["4294967291", "1000000000000000003"])
 def test_verify_ff_full_order_base_large_q(capsys, q):
-    # 2 has full order mod both primes, so membership is a discrete log over
-    # the whole unit group (largest prime factors 22605091 and 52445056723)
+    # 2 has full order mod both primes
     code, out, _ = run_cli(capsys, "verify-ff", "--q", q, *FULL_ORDER_ARGS)
     assert code == 0
     assert json.loads(out)["identity_ok"] is True
 
 
-def test_verify_ff_log_table_refused_before_building(capsys, monkeypatch):
-    def build(*_):
-        raise AssertionError("a baby-step table was built")
-
-    monkeypatch.setattr("shiftprod.progressions._baby_steps", build)
-    # the safe prime q = 2p + 1 with p = 137438954063: 2 has order p or 2p
-    code, out, err = run_cli(capsys, "verify-ff", "--q", "274877908127",
-                             *FULL_ORDER_ARGS)
-    assert code == 2
-    assert out == ""
-    assert err == ("error: membership in powers of 2 mod 274877908127 needs a "
-                   "baby-step table of 370728 entries, above the cap 262144\n")
+def test_verify_ff_safe_prime_full_order_base(capsys):
+    # the safe prime q = 2p + 1 with p = 137438954063: 2 has order p or 2p,
+    # so the progression's powers are looked up, never logged
+    code, out, _ = run_cli(capsys, "verify-ff", "--q", "274877908127",
+                           *FULL_ORDER_ARGS)
+    assert code == 0
+    assert json.loads(out)["identity_ok"] is True
 
 
 def test_verify_ff_finding_exit(capsys):

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -9,14 +8,11 @@ from shiftprod import progressions
 from shiftprod.harness import _even_part_size, square_part
 from shiftprod.numeric import (
     ParseError,
-    PreconditionError,
     PrimeField,
     PrimeFieldElement,
     is_prime,
-    multiplicative_order,
 )
 from shiftprod.progressions import (
-    BSGS_TABLE_CAP,
     GapSpec,
     GgpSpec,
     degeneracy_ratio,
@@ -32,8 +28,7 @@ from shiftprod.progressions import (
     parse_ggp_spec,
     realized_size,
 )
-from shiftprod.progressions import _baby_steps, _discrete_log, _log_plan
-from shiftprod.setalg import PAIR_CAP
+from shiftprod.setalg import PAIR_CAP, ScalarSet
 from conftest import make_proper_gap, make_proper_ggp
 from reference import lattice_item, ref_ggp_powers
 
@@ -142,6 +137,52 @@ def test_enumeration_refused_above_pair_cap(monkeypatch):
         R.values
     with pytest.raises(ValueError, match="above the cap"):
         realized_size(GgpSpec(2, R))
+
+
+def test_powers_built_once_per_spec(monkeypatch):
+    calls = []
+
+    def counted(G, ks):
+        calls.append(G)
+        return ggp_powers(G, ks)
+
+    monkeypatch.setattr(progressions, "ggp_powers", counted)
+    F = PrimeField(101)
+    for G in (GgpSpec(Fraction(3, 2), GapSpec(-2, (1, 7), (3, 4))),
+              GgpSpec(F(3), GapSpec(0, (1,), (20,)))):
+        first = enumerate_ggp(G)
+        assert enumerate_ggp(G) is first
+        for x in first:
+            assert _member(G, x)
+        assert not _member(G, 0)
+        assert calls == [G]
+        calls.clear()
+
+
+def test_rational_powers_refused_above_bit_cap(monkeypatch):
+    def built(*_):
+        raise AssertionError("the powers were built")
+
+    # exponents 0..4 of 3/2: 5 items of at most 4 * 2 bits
+    G = GgpSpec(Fraction(3, 2), GapSpec(0, (1,), (5,)))
+    monkeypatch.setattr(progressions, "LATTICE_BIT_CAP", 40)
+    assert len(ggp_powers(G, G.residues)) == 5
+    monkeypatch.setattr(progressions, "LATTICE_BIT_CAP", 39)
+    one = lattice_item(1)
+    monkeypatch.setattr(ScalarSet, "from_lattice", built)
+    with pytest.raises(ValueError, match="about 40 numerator bits, above the cap 39"):
+        ggp_membership(G, *one)
+
+
+def test_growth_check_refused_before_powers(monkeypatch):
+    def built(*_):
+        raise AssertionError("the powers were built")
+
+    monkeypatch.setattr(progressions, "ggp_powers", built)
+    G = GgpSpec(Fraction(3, 2), GapSpec(0, (1,), (3163,)))
+    with pytest.raises(ValueError,
+                       match=f"productset needs {3163 ** 2} pair evaluations"):
+        growth_check(G)
 
 
 def test_degeneracy_ratio():
@@ -278,7 +319,6 @@ def test_compiled_rational_spec_matches_literal(G):
 @given(FIELD_SPECS)
 def test_compiled_field_spec_matches_literal(G):
     _check_against_literal(G, [PrimeFieldElement(v, G.domain) for v in range(G.domain)])
-    _check_walk(G.g0.residue, G.order, G.domain)
 
 
 # Int bases, 1/r bases and general p/r; exponent lists of either sign,
@@ -297,67 +337,3 @@ def test_rational_powers_match_per_power_route(g0, ks):
     G = GgpSpec(g0, GapSpec(0, (1,), (3,)))
     got, want = ggp_powers(G, ks), ref_ggp_powers(G, ks)
     assert (got.lat, got.domain) == (want.lat, want.domain)
-
-
-# The oracle for the discrete log: the power walk, one multiplication per
-# exponent up to ord(g).
-
-def _walk_logs(g, q):
-    logs, acc = {}, 1
-    while acc not in logs:
-        logs[acc] = len(logs)
-        acc = acc * g % q
-    return logs
-
-
-def _check_walk(g, n, q):
-    logs = _walk_logs(g, q)
-    assert len(logs) == n
-    for x in range(1, q):
-        assert (pow(x, n, q) == 1) == (x in logs)
-        if x in logs:
-            assert _discrete_log(g, x, n, q) == logs[x]
-
-
-def test_discrete_log_matches_walk_for_every_base():
-    for q in (q for q in range(3, 102) if is_prime(q)):
-        for g in range(2, q):
-            _check_walk(g, multiplicative_order(PrimeFieldElement(g, q)), q)
-
-
-def test_discrete_log_large_orders():
-    # q - 1 = 2 * 5 * 19 * 22605091 and 2 * 3 * 17 * 131 * 1427 * 52445056723;
-    # 2 has full order mod both, so every prime-power digit is exercised
-    for q in (4294967291, 10 ** 18 + 3):
-        n = multiplicative_order(PrimeFieldElement(2, q))
-        for k in (0, 1, 12345, n // 2 + 7, n - 1):
-            assert _discrete_log(2, pow(2, k, q), n, q) == k
-
-
-def test_membership_refused_above_table_cap(monkeypatch):
-    # a safe prime q = 2p + 1: the table for p has isqrt(p - 1) + 1 entries
-    q, p = 274877908127, 137438954063
-
-    def build(*_):
-        raise AssertionError("a table was built")
-
-    monkeypatch.setattr(progressions, "_baby_steps", build)
-    G = GgpSpec(PrimeFieldElement(2, q), GapSpec(0, (1,), (3,)))
-    m = isqrt(p - 1) + 1
-    assert m > BSGS_TABLE_CAP
-    with pytest.raises(PreconditionError,
-                       match=f"table of {m} entries, above the cap {BSGS_TABLE_CAP}"):
-        _member(G, PrimeFieldElement(3, q))
-
-
-def test_baby_step_cache_is_bounded():
-    # -1 has order 2 in F_q: its table and its plan
-    for cache, want in ((_baby_steps, lambda q: ({1: 0, q - 1: 1}, 1)),
-                        (_log_plan, lambda q: ((2, 1, 1, q - 1, q - 1, 1),))):
-        maxsize = cache.cache_info().maxsize
-        assert maxsize is not None
-        primes = [q for q in range(3, 2000) if is_prime(q)][:maxsize + 10]
-        assert len(primes) == maxsize + 10
-        for q in primes:
-            assert cache(q - 1, 2, q) == want(q)
-        assert cache.cache_info().currsize <= maxsize

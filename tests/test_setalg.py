@@ -744,6 +744,22 @@ def test_point_set_lattice_form():
     assert PointSet2() != ScalarSet()
 
 
+def test_field_from_lattice_builds_one_set():
+    # the frozenset of residues is built in one pass, with no set of
+    # residues copied into it: 500 000 reduced residues peaked at 30 MB,
+    # and at 42 MB with the copy (Python 3.11)
+    q = 2 ** 31 - 1
+    items = random.Random(1).sample(range(q), 500_000)
+    tracemalloc.start()
+    try:
+        S = ScalarSet.from_lattice(items, q, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert S.lat == (frozenset(items), q)
+    assert peak < 36 * 10 ** 6
+
+
 # Point sets are stored as int pairs on the same lattice; every query is held
 # against a plain frozenset of Point2s of int/Fraction or PrimeFieldElement
 # coordinates, and collinear against a determinant over every triple.
