@@ -17,8 +17,9 @@ AA+1 escapes G.  The route:
   * verify the exact decomposition of G*(AA+1) into G*(G & (AA+1)) and
     G*C, which holds once the two parts cover AA+1, as
     G*X | G*Y = G*(X | Y); only when they miss some of it are the product
-    sets formed and compared.  The pair and bit caps of G*(AA+1) and G*G
-    refuse right after G is enumerated, before any pairwise work;
+    sets formed and compared.  The pair caps of G*(AA+1) and G*G refuse
+    on the realized size of G, before its powers are built, and their bit
+    caps right after, before any pairwise work;
   * read |GG| off the exponents, as the distinct sums of two exponents
     (mod ord(g0) over F_q), with no product set built;
   * read off |C| / |A|**(1-delta) to fixed digits.
@@ -48,6 +49,7 @@ from .progressions import (
     GgpSpec,
     degeneracy_ratio,
     enumerate_ggp,
+    gap_values,
     ggp_membership,
     ggp_powers,
     is_proper,
@@ -205,12 +207,13 @@ def square_part_bound_check(G: GgpSpec, B: ScalarSet) -> Tuple[int, bool]:
 
 
 def _even_part_size(Gn: GgpSpec) -> int:
-    """|{g0**k : k from an exponent vector with every coordinate even}|;
-    distinct exponents give distinct powers over Q, and over F_q exactly
-    when they differ mod ord(g0)."""
-    R = Gn.exponents
-    exps = {R.value_at(v) for v in R.vectors() if all(x % 2 == 0 for x in v)}
-    n = Gn.order
+    """|{g0**k : k from an exponent vector with every coordinate even}|,
+    the sub-GAP with generators 2*r_j and lengths ceil(l_j / 2); distinct
+    exponents give distinct powers over Q, and over F_q exactly when they
+    differ mod ord(g0)."""
+    R, n = Gn.exponents, Gn.order
+    exps = gap_values(R.r0, [2 * r for r in R.generators],
+                      [(l + 1) // 2 for l in R.lengths])
     return len(exps if n is None else {k % n for k in exps})
 
 
@@ -280,15 +283,17 @@ def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, eps: Fraction,
     dot-product set Pi.
     """
     AA1 = shift(AA, 1)
-    # first, so that its bit cap refuses before g1 = g0**r0 is built
+    # G*(AA+1) and G*G are refused as productset would refuse them, the
+    # pairs before G's powers are built and the bits (before g1 = g0**r0)
+    # after; every product of G with a part of AA+1 falls under the first
+    size = realized_size(G)
+    for n in (len(AA1), size):
+        _check_pair_budget(size, n, "productset")
     Gset = enumerate_ggp(G)
+    for X in (AA1, Gset):
+        _check_lattice_bits(Gset, X, "productset")
     g1 = first_element(G)
     Gn = normalize(G)
-    # G*(AA+1) and G*G are refused as productset would refuse them; every
-    # product of G with a part of AA+1 falls under the first
-    for X in (AA1, Gset):
-        _check_pair_budget(len(Gset), len(X), "productset")
-        _check_lattice_bits(Gset, X, "productset")
     B = square_part(Gn)
     bb_bound, bb_ok = square_part_bound_check(G, B)
     proper = is_proper(Gn)

@@ -241,15 +241,6 @@ class PrimeField:
     def __call__(self, value: int) -> PrimeFieldElement:
         return PrimeFieldElement(value, self.q)
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.q == self.q
-
-    def __hash__(self):
-        return hash(("PrimeField", self.q))
-
-    def __repr__(self):
-        return f"PrimeField({self.q})"
-
 
 Scalar = Union[int, Fraction, PrimeFieldElement]
 

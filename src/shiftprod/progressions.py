@@ -8,8 +8,9 @@ the realized size counts distinct values.  A spec is proper when the two
 agree.
 
 Each spec object computes its exponents and its values once, as the
-cached attributes ``GapSpec.values``, ``GgpSpec.order``,
-``GgpSpec.residues`` and ``GgpSpec.powers``.
+cached attributes ``GapSpec.values``, ``GgpSpec.order``, ``.residues``
+and ``.powers``; ``gap_values`` builds the exponents one generator at a
+time, carrying coinciding partial sums once, with no exponent vector.
 
 Powers and membership run on the int lattice items of ``setalg`` sets.
 Membership has one route: a lookup of one item in the items of the cached
@@ -20,7 +21,6 @@ numerators would take more than LATTICE_BIT_CAP bits in all.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -48,7 +48,6 @@ from .setalg import (
 )
 
 __all__ = [
-    "ExponentVector",
     "GapSpec",
     "GgpSpec",
     "GrowthCheck",
@@ -57,6 +56,7 @@ __all__ = [
     "enumerate_ggp",
     "format_gap_spec",
     "format_ggp_spec",
+    "gap_values",
     "ggp_membership",
     "ggp_powers",
     "growth_check",
@@ -66,7 +66,16 @@ __all__ = [
     "realized_size",
 ]
 
-ExponentVector = Tuple[int, ...]
+
+def gap_values(r0: int, generators, lengths) -> frozenset:
+    """{r0 + sum_j x_j * r_j : 0 <= x_j < l_j}, folding in one generator at
+    a time.  Partial sums that coincide are carried once, and the work,
+    the sum of the partial formal lengths, stays below 1.5 times
+    prod(l_j) when every l_j >= 3."""
+    S = {r0}
+    for r, l in zip(generators, lengths):
+        S = {s + x * r for s in S for x in range(l)}
+    return frozenset(S)
 
 
 @dataclass(frozen=True)
@@ -95,20 +104,14 @@ class GapSpec:
     def formal_length(self) -> int:
         return prod(self.lengths)
 
-    def vectors(self):
-        return itertools.product(*(range(l) for l in self.lengths))
-
-    def value_at(self, vec: ExponentVector) -> int:
-        return self.r0 + sum(x * r for x, r in zip(vec, self.generators))
-
     @cached_property
     def values(self) -> frozenset:
-        """The distinct integers of the progression; more than PAIR_CAP
-        exponent vectors are refused before any is enumerated."""
+        """The distinct integers of the progression, from ``gap_values``; a
+        formal length above PAIR_CAP is refused before any is built."""
         if self.formal_length > PAIR_CAP:
             raise ValueError(f"progression has {self.formal_length} exponent "
                              f"vectors, above the cap {PAIR_CAP}")
-        return frozenset(self.value_at(v) for v in self.vectors())
+        return gap_values(self.r0, self.generators, self.lengths)
 
 
 @dataclass(frozen=True)
@@ -235,20 +238,18 @@ def growth_check(spec) -> GrowthCheck:
     """Self sum (GAP) or self product (GGP) against the 2**d * length bound.
 
     Each coordinate range at most doubles under addition of exponents, so
-    the expansion stays within 2**d of the formal length.
-    """
-    if isinstance(spec, GapSpec):
+    the expansion stays within 2**d of the formal length.  The pair cap
+    refuses on the realized size, before the set is built."""
+    size = realized_size(spec)
+    gap = isinstance(spec, GapSpec)
+    _check_pair_budget(size, size, "sumset" if gap else "productset")
+    if gap:
         S = enumerate_gap(spec)
-        expanded = sumset(S, S)
-        d, n = spec.dimension, spec.formal_length
+        expanded, R = sumset(S, S), spec
     else:
-        # refused on the realized size before the powers are built
-        size = realized_size(spec)
-        _check_pair_budget(size, size, "productset")
         S = enumerate_ggp(spec)
-        expanded = productset(S, S)
-        d, n = spec.exponents.dimension, spec.formal_length
-    bound = 2 ** d * n
+        expanded, R = productset(S, S), spec.exponents
+    bound = 2 ** R.dimension * R.formal_length
     return GrowthCheck(len(S), len(expanded), bound, len(expanded) <= bound)
 
 

@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from shiftprod import ffharness, harness, setalg
+from shiftprod import ffharness, harness, progressions, setalg
 from shiftprod.cli import main
 from shiftprod.ffharness import FfInput, run_field_pipeline
 from shiftprod.numeric import PrimeField
-from shiftprod.progressions import GapSpec, parse_ggp_spec
+from shiftprod.progressions import parse_ggp_spec
 from shiftprod.setalg import parse_scalar_set
 
 
@@ -518,6 +518,20 @@ def test_rational_powers_above_bit_cap_exit_2(capsys, monkeypatch):
                    "above the cap 1073741824\n")
 
 
+def test_verify_ff_g_times_g_refused_before_powers(capsys, monkeypatch):
+    def built(*_):
+        raise AssertionError("the powers of G were built")
+
+    # ord(5) = q - 1, so G has 4000 distinct powers and G*G 16 * 10**6 pairs
+    monkeypatch.setattr(progressions, "ggp_powers", built)
+    code, out, err = run_cli(capsys, "verify-ff", "--q", "10007", "--A", "{1, 2, 3}",
+                             "--G", "ggp 5; gap 0;1;4000",
+                             "--epsilon", "1/100", "--delta", "1/10")
+    assert (code, out) == (2, "")
+    assert err == ("error: productset needs 16000000 pair evaluations, "
+                   "above the cap 10000000\n")
+
+
 @pytest.mark.parametrize("argv,key,value,exponent", [
     (("verify-ff", "--q", "101", "--subgroup-t", "50", "--delta", "1/10"),
      "epsilon", "1/10001", "3/2 + epsilon = 30005/20002 has denominator 20002"),
@@ -562,11 +576,11 @@ def test_unwritable_out(capsys, tmp_path):
 
 
 def test_prop_gp_refuses_before_enumerating(capsys, monkeypatch):
-    def refuse(self):
-        raise AssertionError("exponent vectors enumerated")
+    def refuse(*_):
+        raise AssertionError("exponents enumerated")
 
     # without the cap, 10**8 values would need tens of GB
-    monkeypatch.setattr(GapSpec, "vectors", refuse)
+    monkeypatch.setattr(progressions, "gap_values", refuse)
     tracemalloc.start()
     try:
         code, out, err = run_cli(capsys, "prop-gp", "gap 0;1;100000000")

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -127,11 +128,11 @@ def test_field_properness():
 
 
 def test_enumeration_refused_above_pair_cap(monkeypatch):
-    def refuse(self):
-        raise AssertionError("exponent vectors enumerated")
+    def refuse(*_):
+        raise AssertionError("exponents enumerated")
 
     # without the cap, the first call would build PAIR_CAP + 1 values
-    monkeypatch.setattr(GapSpec, "vectors", refuse)
+    monkeypatch.setattr(progressions, "gap_values", refuse)
     R = GapSpec(0, (1,), (PAIR_CAP + 1,))
     with pytest.raises(ValueError, match=f"{PAIR_CAP + 1} exponent vectors"):
         R.values
@@ -183,6 +184,17 @@ def test_growth_check_refused_before_powers(monkeypatch):
     with pytest.raises(ValueError,
                        match=f"productset needs {3163 ** 2} pair evaluations"):
         growth_check(G)
+
+
+def test_growth_check_refused_before_gap_set(monkeypatch):
+    def built(*_):
+        raise AssertionError("the ScalarSet was built")
+
+    monkeypatch.setattr(progressions, "enumerate_gap", built)
+    R = GapSpec(0, (1, 1000), (1000, 4))
+    with pytest.raises(ValueError,
+                       match=f"sumset needs {4000 ** 2} pair evaluations"):
+        growth_check(R)
 
 
 def test_degeneracy_ratio():
@@ -282,7 +294,8 @@ def _literal(G, even_only=False):
     else:
         def power(k):
             return Fraction(G.g0) ** k
-    return {power(R.value_at(v)) for v in R.vectors()
+    return {power(R.r0 + sum(x * r for x, r in zip(v, R.generators)))
+            for v in itertools.product(*(range(l) for l in R.lengths))
             if not even_only or all(x % 2 == 0 for x in v)}
 
 
