@@ -234,7 +234,8 @@ def build_point_sets(A: ScalarSet, B: ScalarSet, g1,
     g1 * b * b' * (a*a' + 1).  With skew=True only the first coordinate of
     E is scaled; the products then expand to b * b' * (g1 + a*a') instead.
     Both are built on the int lattices of A and B: over Q, F is
-    {(b * da, b * a)} over da * db and E scales it by g1 = gn / gd.
+    {(b * da, b * a)} over da * db and E scales it by g1 = gn / gd.  When
+    g1 = 1, with or without skew, E is F, and F is returned twice.
     """
     (g1,), domain = lift([g1], join_domains(A.domain, B.domain))
     (na, da), (nb, db) = A.lat, B.lat
@@ -243,9 +244,11 @@ def build_point_sets(A: ScalarSet, B: ScalarSet, g1,
         g1, da, db = g1.residue, 1, 1
     gn, gd = g1.numerator, g1.denominator
     F = [(b * da, b * a) for b in nb for a in na]
+    Fset = PointSet2.from_lattice(F, da * db, domain)
+    if gn == gd == 1:
+        return Fset, Fset
     E = [(gn * x, (gd if skew else gn) * y) for x, y in F]
-    return (PointSet2.from_lattice(E, gd * da * db, domain),
-            PointSet2.from_lattice(F, da * db, domain))
+    return PointSet2.from_lattice(E, gd * da * db, domain), Fset
 
 
 def dot_identity_check(A: ScalarSet, B: ScalarSet, g1,

@@ -11,6 +11,10 @@ Each spec object computes its exponents and its values once, as the
 cached attributes ``GapSpec.values``, ``GgpSpec.order``, ``.residues``
 and ``.powers``; ``gap_values`` builds the exponents one generator at a
 time, carrying coinciding partial sums once, with no exponent vector.
+``realized_size`` reads a one-generator spec's size in closed form (l, or
+1 when r == 0, over Q; min(l, n // gcd(r, n)) over F_q, n = ord(g0)), so
+an over-cap progression of one generator is refused before any exponent
+is built.
 
 Powers and membership run on the int lattice items of ``setalg`` sets.
 Membership has one route: a lookup of one item in the items of the cached
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from typing import Optional, Tuple
 
 from .numeric import (
@@ -104,13 +108,16 @@ class GapSpec:
     def formal_length(self) -> int:
         return prod(self.lengths)
 
+    def _check_formal_length(self):
+        if self.formal_length > PAIR_CAP:
+            raise ValueError(f"progression has {self.formal_length} exponent "
+                             f"vectors, above the cap {PAIR_CAP}")
+
     @cached_property
     def values(self) -> frozenset:
         """The distinct integers of the progression, from ``gap_values``; a
         formal length above PAIR_CAP is refused before any is built."""
-        if self.formal_length > PAIR_CAP:
-            raise ValueError(f"progression has {self.formal_length} exponent "
-                             f"vectors, above the cap {PAIR_CAP}")
+        self._check_formal_length()
         return gap_values(self.r0, self.generators, self.lengths)
 
 
@@ -208,9 +215,20 @@ def is_proper(spec) -> bool:
 
 
 def realized_size(spec) -> int:
-    if isinstance(spec, GapSpec):
-        return len(spec.values)
-    return len(spec.residues)
+    """The number of distinct values.  A one-generator spec, r0 + x*r for
+    0 <= x < l, reads it in closed form, with no exponent built: l, or 1
+    when r == 0, for a GAP and over Q, and min(l, n // gcd(r, n)) over F_q
+    with n = ord(g0).  Others count their cached exponents.  Either way a
+    formal length above PAIR_CAP is refused first."""
+    R = spec.exponents if isinstance(spec, GgpSpec) else spec
+    if R.dimension > 1:
+        return len(spec.values if R is spec else spec.residues)
+    R._check_formal_length()
+    (r,), (l,) = R.generators, R.lengths
+    n = None if R is spec else spec.order
+    if n is None:
+        return l if r else 1
+    return min(l, n // gcd(r, n))
 
 
 def degeneracy_ratio(spec) -> Fraction:

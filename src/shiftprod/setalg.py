@@ -16,14 +16,15 @@ the zero point is 1*(0, 0).  Directions with one scalar set (over Q, one up
 to its positive gcd, which then scales them) share it, and for each pair of
 scalar sets L and M the result takes the dot products of their directions
 times L*M, each product set once.  The pipelines' E and F have one scalar
-set a side, and this is their identity E.F = g1*BB*(AA+1).  Over Q the
-grouped kernel always runs.  Over F_q it runs above 2**12 pairs while its
-counted work is at most a quarter of the pairs.  Otherwise, as when every
-point has its own direction, an input of fewer pairs than q takes the plain
-pair loop, and one of at least q pairs is marked in a table of q booleans
-by blockwise int64 numpy outer products: its first rows, about 4q pairs,
-are tried before grouping, and blocks of max(4q, 2**16) pairs go on from
-the rows after them until every residue is seen.
+set a side, and this is their identity E.F = g1*BB*(AA+1); when g1 = 1, E
+is F, and a set whose items are equal on both sides is split only once.
+Over Q the grouped kernel always runs.  Over F_q it runs above 2**12 pairs
+while its counted work is at most a quarter of the pairs.  Otherwise, as
+when every point has its own direction, an input of fewer pairs than q
+takes the plain pair loop, and one of at least q pairs is marked in a
+table of q booleans by blockwise int64 numpy outer products: its first
+rows, about 4q pairs, are tried before grouping, and blocks of max(4q,
+2**16) pairs go on from the rows after them until every residue is seen.
 
 Both set types take their elements through :func:`numeric.lift`, the only
 place the domain rule lives, and so do the scalars of ``shift`` and
@@ -296,12 +297,14 @@ def _grouped_dots(ea, fa, q) -> Optional[set]:
     """The dot products of the int pairs ``ea`` and ``fa``, grouped by
     :func:`_directions`: for each pair of scalar sets L and M, the dot
     products D of their directions times the product set L*M, each computed
-    once.  Over F_q every product is reduced mod q, the union stops once all
-    q residues are seen, and None is returned as soon as the work exceeds
-    the pairs over GROUP_RATIO: the direction and scalar pairs that build
-    every D and L*M, counted before they are built, and each |D|*|L*M|,
-    counted before its products are taken."""
-    es, fs = (_by_scalar_set(_directions(X, q), q) for X in (ea, fa))
+    once.  When ``fa`` is ``ea`` the one split serves both sides.  Over F_q
+    every product is reduced mod q, the union stops once all q residues are
+    seen, and None is returned as soon as the work exceeds the pairs over
+    GROUP_RATIO: the direction and scalar pairs that build every D and L*M,
+    counted before they are built, and each |D|*|L*M|, counted before its
+    products are taken."""
+    es = _by_scalar_set(_directions(ea, q), q)
+    fs = es if fa is ea else _by_scalar_set(_directions(fa, q), q)
     field = q != RATIONAL_DOMAIN
     budget = len(ea) * len(fa) // GROUP_RATIO
     work = (sum(map(len, es.values())) * sum(map(len, fs.values()))
@@ -351,10 +354,14 @@ def dot_product_set(E: PointSet2, F: PointSet2) -> ScalarSet:
     if len(E) == 0 or len(F) == 0:
         return ScalarSet()
     (ea, de), (fa, df) = E.lat, F.lat
+    # equal items on both sides, as when E is F, are split into directions once
+    same = ea is fa or ea == fa
     q, pairs = E.domain, len(ea) * len(fa)
     if q == RATIONAL_DOMAIN:
-        return ScalarSet.from_lattice(_grouped_dots(ea, fa, q), de * df)
-    ea, fa = list(ea), list(fa)
+        dots = _grouped_dots(ea, ea if same else fa, q)
+        return ScalarSet.from_lattice(dots, de * df)
+    ea = list(ea)
+    fa = ea if same else list(fa)
     # a table of q booleans pays only when the pairs outnumber it
     if q <= pairs:
         # the first rows of E alone often reach every residue (full planes,

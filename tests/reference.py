@@ -15,7 +15,7 @@ down to the floor, one step at a time, without the seeded start of
 The cover search's oracles live here too.  Both return the most hits
 |B*C| over pairs with B inside T, C inside the quotients T/T = {s/t : s, t
 in T, t != 0}, both of size at least m and B*C inside T: ``ref_cover_pairs``
-by the double loop over both subset families, ``ref_cover_maximal`` by
+by one double loop over both subset families for several m at once, ``ref_cover_maximal`` by
 taking for each B the largest C, the quotients c with B*c inside T.
 
 ``lattice_item`` turns one scalar into the int lattice item (n, d) that
@@ -267,17 +267,21 @@ def _subsets(items, m):
         yield from itertools.combinations(items, size)
 
 
-def ref_cover_pairs(T, m) -> int:
-    """The most hits, by the double loop over every B inside T and every C
-    inside T/T: 2**|T| * 2**|T/T| pairs, so for |T| <= 4."""
+def ref_cover_pairs(T, ms) -> dict:
+    """{m: the most hits} for each least factor size m in ``ms``, by one
+    double loop over every B inside T and every C inside T/T: 2**|T| *
+    2**|T/T| pairs, so for |T| <= 4.  A pair counts for each m up to the
+    size of its smaller factor."""
     T, q = _plain(T)
     Q = list(_plain_quotients(T, q))
-    best = 0
-    for B in _subsets(list(T), m):
-        for C in _subsets(Q, m):
+    best = dict.fromkeys(ms, 0)
+    for B in _subsets(list(T), min(ms)):
+        for C in _subsets(Q, min(ms)):
             products = {_red(b * c, q) for b in B for c in C}
             if products <= T:
-                best = max(best, len(products))
+                for m in best:
+                    if m <= min(len(B), len(C)):
+                        best[m] = max(best[m], len(products))
     return best
 
 

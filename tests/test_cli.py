@@ -532,6 +532,21 @@ def test_verify_ff_g_times_g_refused_before_powers(capsys, monkeypatch):
                    "above the cap 10000000\n")
 
 
+def test_verify_ff_g_times_g_refused_before_exponents(capsys, monkeypatch):
+    def built(*_):
+        raise AssertionError("the exponents of G were built")
+
+    # one generator: |G| = min(2 * 10**6, ord(2)) = q - 1 is read in closed
+    # form, so G*G is refused before any of its 2 * 10**6 exponents is built
+    monkeypatch.setattr(progressions, "gap_values", built)
+    code, out, err = run_cli(capsys, "verify-ff", "--q", "1000003", "--A", "{1, 2, 3}",
+                             "--G", "ggp 2; gap 0;1;2000000",
+                             "--epsilon", "1/100", "--delta", "1/10")
+    assert (code, out) == (2, "")
+    assert err == ("error: productset needs 1000004000004 pair evaluations, "
+                   "above the cap 10000000\n")
+
+
 @pytest.mark.parametrize("argv,key,value,exponent", [
     (("verify-ff", "--q", "101", "--subgroup-t", "50", "--delta", "1/10"),
      "epsilon", "1/10001", "3/2 + epsilon = 30005/20002 has denominator 20002"),

@@ -22,7 +22,7 @@ from shiftprod.ffharness import (
 )
 from shiftprod.harness import READOUT_DEGREE_CAP, PreconditionError, exceptional_set
 from shiftprod.numeric import PrimeField, PrimeFieldElement, is_prime, multiplicative_order
-from shiftprod import progressions
+from shiftprod import progressions, setalg
 from shiftprod.progressions import GapSpec, GgpSpec, enumerate_ggp, realized_size
 from shiftprod.setalg import Point2, PointSet2, ScalarSet, productset, shift
 
@@ -147,6 +147,19 @@ def test_field_pipeline_subgroup_run():
     assert rep.bound_ratio == "16.38857566569550842765"
     assert rep.constants["b_even_size"] == "25"
     assert not rep.finding()
+
+
+def test_subgroup_run_splits_its_point_set_once(monkeypatch):
+    # the subgroup progression starts at g0**0 = 1, so E is F, and the dot
+    # kernel splits that one set of 256 points into directions once
+    calls, directions = [], setalg._directions
+    monkeypatch.setattr(setalg, "_directions",
+                        lambda items, q: calls.append(len(items)) or directions(items, q))
+    S, G = subgroup_ggp(1009, 16)
+    rep = run_field_pipeline(
+        FfInput(q=1009, A=S, G=G, epsilon=Fraction(1, 100), delta=Fraction(1, 10)))
+    assert rep.identity_ok and rep.e_size == 256
+    assert calls == [256]
 
 
 def test_field_report_serialization(capsys):

@@ -135,6 +135,23 @@ def test_point_set_lift_matches_element_formulas(case):
         assert _typed_points(got) == _typed_points(want)
 
 
+@pytest.mark.parametrize("skew", [False, True])
+def test_point_sets_are_one_object_when_g1_is_one(skew):
+    # E = g1 * F, and skew scales only E's first coordinate by g1: both
+    # are F itself when g1 = 1
+    F7 = PrimeField(7)
+    for A, B, one, q in [
+        (ScalarSet([1, Fraction(1, 2), -3]), ScalarSet([Fraction(2, 3), 4]), 1, None),
+        (ScalarSet([1, Fraction(1, 2), -3]), ScalarSet([Fraction(2, 3), 4]),
+         Fraction(3, 3), None),
+        (ScalarSet([F7(1), F7(2), F7(6)]), ScalarSet([F7(1), F7(4)]), F7(1), 7),
+        (ScalarSet([F7(1), F7(2), F7(6)]), ScalarSet([F7(1), F7(4)]), 8, 7),
+    ]:
+        E, F = build_point_sets(A, B, one, skew=skew)
+        assert E is F
+        assert (E, F) == _lift_on_elements(A, B, one, skew, q)
+
+
 def test_point_sets_stay_on_the_lattice():
     """The pipeline's lift, collinearity test and dot-product set read only
     the int pairs: no set along the way builds its element objects."""

@@ -1,9 +1,10 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shiftprod import progressions
 from shiftprod.harness import _even_part_size, square_part
@@ -264,24 +265,44 @@ def test_random_roundtrip_and_membership(rng):
 # attributes.  Generators of either sign and zero give non-proper specs, and
 # over F_q they wrap mod ord(g0).
 
-def _gap_specs(gen_bound):
+def _gap_specs(gen_bound, max_dim=3):
     return st.builds(
         lambda r0, dims: GapSpec(r0, tuple(g for g, _ in dims),
                                  tuple(l for _, l in dims)),
         st.integers(-6, 6),
         st.lists(st.tuples(st.integers(-gen_bound, gen_bound), st.integers(3, 5)),
-                 min_size=1, max_size=3))
+                 min_size=1, max_size=max_dim))
 
 
-RATIONAL_SPECS = st.builds(
-    GgpSpec,
-    st.builds(Fraction, st.integers(1, 7), st.integers(1, 7)).filter(lambda g: g != 1),
-    _gap_specs(6))
+def _rational_specs(max_dim=3):
+    return st.builds(
+        GgpSpec,
+        st.builds(Fraction, st.integers(1, 7), st.integers(1, 7)).filter(lambda g: g != 1),
+        _gap_specs(6, max_dim))
 
-FIELD_SPECS = st.sampled_from([q for q in range(3, 102) if is_prime(q)]).flatmap(
-    lambda q: st.builds(GgpSpec,
-                        st.integers(2, q - 1).map(lambda v: PrimeFieldElement(v, q)),
-                        _gap_specs(2 * q)))
+
+def _field_specs(max_dim=3):
+    return st.sampled_from([q for q in range(3, 102) if is_prime(q)]).flatmap(
+        lambda q: st.builds(GgpSpec,
+                            st.integers(2, q - 1).map(lambda v: PrimeFieldElement(v, q)),
+                            _gap_specs(2 * q, max_dim)))
+
+
+RATIONAL_SPECS, FIELD_SPECS = _rational_specs(), _field_specs()
+
+
+@settings(max_examples=200)
+@given(st.one_of(_gap_specs(6, max_dim=1), _rational_specs(max_dim=1),
+                 _field_specs(max_dim=1)))
+def test_one_generator_size_is_read_without_exponents(spec):
+    # the closed form against the values of gap_values: l, or 1 when r == 0,
+    # for a GAP and over Q; min(l, n // gcd(r, n)) over F_q, n = ord(g0)
+    R = spec.exponents if isinstance(spec, GgpSpec) else spec
+    built = progressions.gap_values(R.r0, R.generators, R.lengths)
+    if isinstance(spec, GgpSpec) and spec.order is not None:
+        built = {k % spec.order for k in built}
+    with mock.patch.object(progressions, "gap_values", None):
+        assert realized_size(spec) == len(built)
 
 
 def _literal(G, even_only=False):

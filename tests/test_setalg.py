@@ -15,6 +15,7 @@ from shiftprod.numeric import (
     ParseError,
     PrimeField,
     PrimeFieldElement,
+    RATIONAL_DOMAIN,
     as_rational,
     is_prime,
 )
@@ -412,6 +413,63 @@ def test_field_grouped_kernel_fills_the_field_only_at_its_last_part():
     assert dots is not None
     assert ScalarSet.from_lattice(dots, q, q) == _element_loop(_points(q, E), _points(q, F))
     assert len(dots) == q
+
+
+def _lattice_points(pts, q):
+    """The int pairs as a set over Q (q None) or read mod q."""
+    return PointSet2(pts) if q is None else PointSet2.from_lattice(pts, q, q)
+
+
+def _split_calls(E, F):
+    """dot_product_set(E, F) and the number of _directions calls it made."""
+    calls, directions = [], setalg._directions
+
+    def spy(*args):
+        calls.append(1)
+        return directions(*args)
+
+    with mock.patch.object(setalg, "_directions", spy):
+        dots = dot_product_set(E, F)
+    return dots, len(calls)
+
+
+@pytest.mark.parametrize("q", [None, 2 ** 31 - 1])
+def test_dot_product_set_splits_one_set_once(q):
+    # a pipeline-shaped lift F = {b * (1, a)} with 81 points: over F_q its
+    # 6561 pairs are above 2**12 and below q, so the grouped kernel runs
+    E = _lattice_points([(b, b * a) for b in range(-9, 0) for a in range(2, 11)], q)
+    dots, calls = _split_calls(E, E)
+    assert calls == 1
+    assert dots == _element_loop(E, E)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([None, 2 ** 31 - 1]), st.data())
+def test_equal_copies_are_split_once(q, data):
+    # an equal set built apart holds its own frozenset of the same items
+    if q is None:
+        pts = data.draw(_scaled_directions(NONZERO_SMALL, 2, 3, (0, 1), (0, 0)))
+    else:
+        pts = data.draw(_scaled_directions(st.integers(1, q - 1), 7, 7 ** 2,
+                                           (0, 1), (0, 0)))
+    E, copy = _lattice_points(pts, q), _lattice_points(pts[::-1], q)
+    assert copy == E and copy.lat[0] is not E.lat[0]
+    assert E.domain == (RATIONAL_DOMAIN if q is None else q)
+    dots, calls = _split_calls(E, copy)
+    assert calls == 1
+    assert dots == _element_loop(E, copy)
+
+
+@pytest.mark.parametrize("q", [None, 2 ** 31 - 1])
+def test_equal_sizes_are_split_twice(q):
+    # E and its reflection (y, x) have the same size and other items
+    A, B = range(2, 11), range(1, 10)
+    pts = [(b, b * a) for b in B for a in A]
+    E, F = _lattice_points(pts, q), _lattice_points([(y, x) for x, y in pts], q)
+    assert len(E) == len(F) and E != F
+    dots, calls = _split_calls(E, F)
+    assert calls == 2
+    assert dots == _element_loop(E, F)
 
 
 def _check_split(points, q):
