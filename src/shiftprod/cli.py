@@ -216,7 +216,7 @@ def arithmetic_set(start: Fraction, step: Fraction, length: int) -> ScalarSet:
 
 
 def cmd_verify_main(args) -> int:
-    _refuse_together(args, "--A", "--random-A")
+    _refuse_together(args, "--A", "--random-A", "--count", "--lo", "--hi")
     cfg = _load_config(args)
     seed = _resolve_seed(args, cfg)
     hcfg = HarnessConfig(**_given(args, cfg, size_match_factor=_fraction,

@@ -384,33 +384,27 @@ def nth_root_floor(x: int, k: int) -> int:
     """floor(x ** (1/k)) for x >= 0, k >= 1, by integer Newton iteration
     from above.
 
-    For k < 10 Newton starts at 2**ceil(bits/k), at most twice the root,
-    and shrinks it by a factor of about 1 - 1/k a step until it is close;
-    below k = 10 that crawl measured no slower than seeding.  For larger k
-    the start is seeded: the root of x >> (k*s), with s half the root's
-    bit length, plus one and shifted left by s.  That is above the root by
-    a factor below 1 + 2**(1-s).  Where 2**s is well above k, Newton takes
+    Roots below 2**9 are read off bit by bit.  Newton starts every other
+    root from a seed: the root of x >> (k*s), with s half the root's bit
+    length, plus one and shifted left by s.  That is above the root by a
+    factor below 1 + 2**(1-s).  Where 2**s is well above k, Newton takes
     two or three steps per doubling of precision; where it is not, as at
-    the lowest levels for k in the thousands, the first steps still
-    crawl by about 1 - 1/k, for up to about k * 2**(1-s) steps.  Roots
-    below 2**9 are read off bit by bit.
+    the lowest levels for k in the thousands, the first steps crawl by
+    about 1 - 1/k, for up to about k * 2**(1-s) steps.
     """
     if x < 0 or k < 1:
         raise ValueError("need x >= 0 and k >= 1")
     if x < 2 or k == 1:
         return x
     bits = (x.bit_length() - 1) // k + 1  # x < 2**(k*bits)
-    if k < 10:
-        r = 1 << bits
-    elif bits <= 9:
+    if bits <= 9:
         r = 0
         for i in reversed(range(bits)):
             if (r | (1 << i)) ** k <= x:
                 r |= 1 << i
         return r
-    else:
-        s = bits // 2
-        r = (nth_root_floor(x >> (k * s), k) + 1) << s
+    s = bits // 2
+    r = (nth_root_floor(x >> (k * s), k) + 1) << s
     # r >= the root here, and from above a step that does not shrink r
     # leaves r ** k <= x, so r is the floor
     while True:

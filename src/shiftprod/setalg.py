@@ -18,13 +18,13 @@ scalar sets L and M the result takes the dot products of their directions
 times L*M, each product set once.  The pipelines' E and F have one scalar
 set a side, and this is their identity E.F = g1*BB*(AA+1); when g1 = 1, E
 is F, and a set whose items are equal on both sides is split only once.
-Over Q the grouped kernel always runs.  Over F_q it runs above 2**12 pairs
-while its counted work is at most a quarter of the pairs.  Otherwise, as
-when every point has its own direction, an input of fewer pairs than q
-takes the plain pair loop, and one of at least q pairs is marked in a
-table of q booleans by blockwise int64 numpy outer products: its first
-rows, about 4q pairs, are tried before grouping, and blocks of max(4q,
-2**16) pairs go on from the rows after them until every residue is seen.
+Over Q the grouped kernel always runs.  Over F_q it runs while its counted
+work is at most a quarter of the pairs.  Otherwise, as when every point
+has its own direction, an input of fewer pairs than q takes the plain pair
+loop.  An input of at least q pairs is marked in a table of q booleans by
+blockwise int64 numpy outer products: its first rows, about 4q pairs, are
+tried before grouping, and blocks of max(4q, 2**16) pairs go on from the
+rows after them until every residue is seen.
 
 Both set types take their elements through :func:`numeric.lift`, the only
 place the domain rule lives, and so do the scalars of ``shift`` and
@@ -254,11 +254,8 @@ def set_union(A: ScalarSet, B: ScalarSet) -> ScalarSet:
 
 # Over F_q the grouped dot kernel runs while its work, in set operations,
 # is at most the pairs over GROUP_RATIO, about the measured cost of one such
-# operation in pairs of numpy's blocks; inputs of at most
-# FIELD_GROUP_MIN_PAIRS pairs skip it, where the split into directions costs
-# more than it can save.  Over Q it always runs.
+# operation in pairs of numpy's blocks.  Over Q it always runs.
 GROUP_RATIO = 4
-FIELD_GROUP_MIN_PAIRS = 2 ** 12
 
 
 def _directions(items, q) -> dict:
@@ -356,30 +353,26 @@ def dot_product_set(E: PointSet2, F: PointSet2) -> ScalarSet:
     (ea, de), (fa, df) = E.lat, F.lat
     # equal items on both sides, as when E is F, are split into directions once
     same = ea is fa or ea == fa
-    q, pairs = E.domain, len(ea) * len(fa)
-    if q == RATIONAL_DOMAIN:
-        dots = _grouped_dots(ea, ea if same else fa, q)
-        return ScalarSet.from_lattice(dots, de * df)
+    q = E.domain
+    fa = ea if same else fa
+    # over F_q a table of q booleans pays only when the pairs outnumber it
+    if q == RATIONAL_DOMAIN or len(ea) * len(fa) < q:
+        dots = _grouped_dots(ea, fa, q)
+        if dots is None:
+            # over F_q only: the plain pair loop, whose dots from_lattice
+            # reduces mod q as they come
+            dots = (a * x + b * y for a, b in ea for x, y in fa)
+        return ScalarSet.from_lattice(dots, de * df, q)
+    # the first rows of E alone often reach every residue (full planes, dense
+    # random sets): try about 4q pairs first, at least 2q, so the table still
+    # pays; the blocks after grouping go on from the rows after them
     ea = list(ea)
     fa = ea if same else list(fa)
-    # a table of q booleans pays only when the pairs outnumber it
-    if q <= pairs:
-        # the first rows of E alone often reach every residue (full planes,
-        # dense random sets): try about 4q pairs first, at least 2q, so the
-        # table still pays; the blocks below go on from the rows after them
-        head, table = max(1, 4 * q // len(fa)), np.zeros(q, dtype=bool)
-        dots = _table_dots(ea[:head], fa, q, table)
-        if head >= len(ea) or len(dots) == q:
-            return ScalarSet.from_lattice(dots, q, q)
-    if pairs > FIELD_GROUP_MIN_PAIRS:
-        dots = _grouped_dots(ea, fa, q)
-        if dots is not None:
-            return ScalarSet.from_lattice(dots, q, q)
-    if q <= pairs:
-        dots = _table_dots(ea[head:], fa, q, table)
-    else:
-        # the plain pair loop; from_lattice reduces each dot mod q as it comes
-        dots = (a * x + b * y for a, b in ea for x, y in fa)
+    head, table = max(1, 4 * q // len(fa)), np.zeros(q, dtype=bool)
+    dots = _table_dots(ea[:head], fa, q, table)
+    if head < len(ea) and len(dots) < q:
+        grouped = _grouped_dots(ea, fa, q)
+        dots = _table_dots(ea[head:], fa, q, table) if grouped is None else grouped
     return ScalarSet.from_lattice(dots, q, q)
 
 

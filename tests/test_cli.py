@@ -350,6 +350,14 @@ FF_SET = ("--A", "{0, 1}", "--G", "ggp 2; gap 0;1;3")
     (("verify-ff", "--q", "5", "--full-plane", "--skew-e", "--epsilon", "1/0",
       "--delta", "7"),
      "--full-plane cannot be combined with --epsilon, --delta, --skew-e"),
+    (("verify-main", "--A", "{1, 2}", "--G", "ggp 2; gap 1;1;3", "--delta", "1/2",
+      "--count", "5"),
+     "--A cannot be combined with --count"),
+    (("verify-main", "--A", "{1, 2}", "--G", "ggp 2; gap 1;1;3", "--delta", "1/2",
+      "--count", "5", "--lo", "3"),
+     "--A cannot be combined with --count, --lo"),
+    (("verify-main", "--A", "{1, 2}", "--delta", "1/2", "--hi", "9"),
+     "--A cannot be combined with --hi"),
 ])
 def test_conflicting_input_flags_exit_2(capsys, monkeypatch, argv, message):
     def work(*_):

@@ -253,9 +253,9 @@ def test_nth_root_floor():
         assert nth_root_floor(r ** k, k) == r
 
 
-# nth_root_floor starts Newton at 2**ceil(bits/k) for k < 10, reads roots
-# below 2**9 off bit by bit for larger k, and seeds the rest from the root
-# of the top bits; every r**k - 1, r**k, r**k + 1 is a floor boundary
+# nth_root_floor reads roots below 2**9 off bit by bit and seeds the rest
+# from the root of the top bits; every r**k - 1, r**k, r**k + 1 is a floor
+# boundary
 @st.composite
 def _root_cases(draw):
     k = draw(st.integers(1, 200))

@@ -244,9 +244,8 @@ def test_field_dot_kernel_table_try_over_all_of_e_is_the_answer(monkeypatch):
 
 @pytest.mark.parametrize("q, n", [(2 ** 31 - 1, 70), (10 ** 18 + 3, 12)])
 def test_field_dot_kernel_below_q_pairs_takes_the_pair_loop(monkeypatch, q, n):
-    # fewer pairs than q: no numpy block runs, whether grouping gives up
-    # (70 x 70 points with their own directions, above 2**12 pairs) or is
-    # never tried (12 x 12)
+    # fewer pairs than q: no numpy block runs, and grouping gives up on
+    # points with their own directions, 70 x 70 or 12 x 12 of them
     rng, F = random.Random(q), PrimeField(q)
     E, G = (PointSet2((F(rng.randrange(q)), F(rng.randrange(q))) for _ in range(n))
             for _ in range(2))
@@ -373,6 +372,20 @@ def test_skewed_lift_takes_the_grouped_kernel(data):
     assert dots == _element_loop(E, G)
 
 
+@pytest.mark.parametrize("n", [5, 8])
+def test_small_field_lift_takes_the_grouped_kernel(n):
+    # the pipeline's E = g1 * F with F = {b * (1, a)} and geometric A and B
+    # of n items: n**4 pairs, at most 2**12 and far fewer than q, against
+    # about 4 * n**2 grouped products, which fit a quarter of them from n = 5
+    F = PrimeField(2 ** 31 - 1)
+    A, B = (ScalarSet(F(c * 7 ** i) for i in range(n)) for c in (3, 5))
+    E, G = harness.build_point_sets(A, B, F(11))
+    assert len(E) * len(G) == n ** 4 <= 2 ** 12
+    dots, grouped = _grouped_path_taken(E, G)
+    assert grouped
+    assert dots == _element_loop(E, G)
+
+
 def test_dot_kernel_falls_back_when_every_point_has_its_own_direction():
     rng, F = random.Random(5), PrimeField(2 ** 31 - 1)
     E, G = (PointSet2((F(rng.randrange(F.q)), F(rng.randrange(F.q)))
@@ -436,7 +449,7 @@ def _split_calls(E, F):
 @pytest.mark.parametrize("q", [None, 2 ** 31 - 1])
 def test_dot_product_set_splits_one_set_once(q):
     # a pipeline-shaped lift F = {b * (1, a)} with 81 points: over F_q its
-    # 6561 pairs are above 2**12 and below q, so the grouped kernel runs
+    # 6561 pairs are below q, so the grouped kernel runs
     E = _lattice_points([(b, b * a) for b in range(-9, 0) for a in range(2, 11)], q)
     dots, calls = _split_calls(E, E)
     assert calls == 1
