@@ -352,6 +352,9 @@ def _family_instances(args, cfg, seed):
             raise PreconditionError(f"size_min must be positive, got {smin}")
         if smin > smax:
             raise PreconditionError(f"size_min = {smin} is above size_max = {smax}")
+        # refused on size_max, whatever sizes the seed would draw
+        if hi - lo + 1 < smax:
+            raise PreconditionError(f"range [{lo}, {hi}] is too small for {smax} elements")
         for i in range(count):
             size = rng.randint(smin, smax)
             out.append((f"{family}-{i:03d}",

@@ -15,18 +15,20 @@ B is drawn from the quotients s/t with t nonzero, so T = {0} (A = {a}
 with a*a = -1 over F_q) has no pair.
 
 T is built once per query and read on its int lattice (see setalg).  A
-quotient s/t of two lattice items is keyed by ints: a reduced (num, den)
-pair with den > 0 over Q, s * t^-1 mod q over F_q.  Each pivot s of T
-holds its quotient set T/s as an int bitmask; when -1 lies in AA, 0 lies
-in T, and the pivot 0 holds every quotient, since 0*b = 0.  The pivot sets
-C are walked depth first in the lexicographic order of sorted T, ANDing
-the masks on the way down.  Every C of size at least min_factor_size is
-scored by the number of distinct elements of T that B*C reaches, and the
-first strict maximum is kept.  A prefix is dropped with every set below it
-once its AND has fewer than min_factor_size bits, or once |AND| times the
-size of the largest pivot set below it cannot beat the best hit; a pivot
-dropped below a prefix is not tried again further down.  The walk stops
-when the hit is |T|.
+quotient s/t of two lattice items is keyed by one int: over Q the reduced
+p/r with r > 0 as p*R + r, where R = max|t| + 1 exceeds every r, over F_q
+s * t^-1 mod q.  A quotient takes a bit position once it lies in
+min_factor_size quotient sets, and each pivot s of T holds its quotient
+set T/s as an int bitmask; when -1 lies in AA, 0 lies in T, and the pivot
+0 holds every quotient, since 0*b = 0.  The pivot sets C are walked depth
+first in the lexicographic order of sorted T, ANDing the masks on the way
+down.  Every C of size at least min_factor_size is scored by the number of
+distinct elements of T that B*C reaches, and the first strict maximum is
+kept.  A prefix is dropped with every set below it once its AND has fewer
+than min_factor_size bits, or once |AND| times the size of the largest
+pivot set below it cannot beat the best hit; a pivot dropped below a
+prefix is not tried again further down.  The walk stops when the hit is
+|T|.
 
 search_budget counts walk nodes.  The exhaustive flag marks exact rows: it
 is true exactly when the walk finishes within the budget.  A T whose
@@ -40,6 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain, compress, count
 from math import gcd, lcm
 from typing import Iterable, List, Optional, Tuple
 
@@ -84,62 +87,87 @@ class CoverResult:
     exhaustive: bool
 
 
-def _quotient_keys(T: ScalarSet) -> Tuple[List[int], List[Optional[List]]]:
-    """The lattice items of T in sorted order, and for each one t, in that
-    order, the keys of s/t for the items s in that order: a reduced
-    (num, den) pair with den > 0 over Q, s * t^-1 mod q over F_q; None for
-    t = 0."""
+def _quotient_keys(T: ScalarSet) -> Tuple[List[int], int, List[Optional[List[int]]]]:
+    """The lattice items of T in sorted order, the key base R, and for each
+    item t, in that order, the keys of s/t for the items s in that order;
+    None for t = 0.  Over Q the reduced p/r with r > 0 is keyed p*R + r,
+    where R = max|t| + 1 exceeds every r; over F_q, R = q and the key is
+    s * t^-1 mod q."""
     items, d = T.lat
     ts = sorted(items)
     if T.domain == RATIONAL_DOMAIN:
+        R = max(map(abs, ts)) + 1
+        sR = [s * R for s in ts]
+        neg = [-x for x in sR]
+
         def row(t):
-            out = []
-            for s in ts:
-                g = gcd(s, t) if t > 0 else -gcd(s, t)
-                out.append((s // g, t // g))
-            return out
+            # (s*R + t) // gcd(s, t), or for t < 0 the key of -s/-t,
+            # (-s*R - t) // gcd(s, t)
+            a, base = abs(t), sR if t > 0 else neg
+            return [(x + a) // gcd(s, t) for s, x in zip(ts, base)]
     else:
+        R = d
+
         def row(t):
             inv = pow(t, -1, d)
             return [s * inv % d for s in ts]
-    return ts, [row(t) if t else None for t in ts]
+    return ts, R, [row(t) if t else None for t in ts]
 
 
-def _key_set(keys, domain) -> ScalarSet:
-    """The ScalarSet of quotient keys over ``domain``."""
+def _key_set(keys, R: int, domain) -> ScalarSet:
+    """The ScalarSet of quotient keys of base ``R`` over ``domain``."""
     if domain == RATIONAL_DOMAIN:
-        d = lcm(*(den for _, den in keys))
-        return ScalarSet.from_lattice([n * (d // den) for n, den in keys], d)
+        pairs = [divmod(k, R) for k in keys]
+        d = lcm(*(r for _, r in pairs))
+        return ScalarSet.from_lattice([p * (d // r) for p, r in pairs], d)
     return ScalarSet.from_lattice(keys, domain, domain)
 
 
 def _bits(M: int) -> List[int]:
+    """The positions of the set bits of M, lowest first."""
     out = []
     while M:
-        out.append(M & -M)
-        M &= M - 1
+        low = M & -M
+        out.append(low.bit_length() - 1)
+        M ^= low
     return out
+
+
+def _mask(positions) -> int:
+    """The int with exactly the bits at ``positions`` set."""
+    buf = bytearray((max(positions, default=0) >> 3) + 1)
+    for i in positions:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
 
 
 def _search_exhaustive(T: ScalarSet, m: int, budget: int):
     """(B, C, hit, complete): the first pair with the most hits among the
     pivot sets C that the walk reaches within ``budget`` nodes, and
     whether it finished."""
-    ts, rows = _quotient_keys(T)
+    ts, R, rows = _quotient_keys(T)
     n = len(ts)
     # B for pivots C is the intersection of their rows, so a quotient in
     # fewer than m rows lies in no B and takes no bit; the pivot 0, if
     # any, holds every quotient
-    seen = Counter(k for row in rows if row for k in row)
-    zero = 0 in ts
-    bit = {k: 1 << i
-           for i, k in enumerate(k for k, c in seen.items() if c + zero >= m)}
-    # images[j] maps the bit of b to the index in ts of b * ts[j]
-    images = [dict.fromkeys(bit.values(), j) if row is None
-              else {bit[k]: i for i, k in enumerate(row) if k in bit}
-              for j, row in enumerate(rows)]
-    # the bits of one row are distinct, so their sum is their OR
-    masks = [sum(img) for img in images]
+    seen = Counter(chain.from_iterable(filter(None, rows)))
+    need = m - (0 in ts)
+    # bit positions in order of first occurrence
+    bit = dict(zip(compress(seen, map(need.__le__, seen.values())), count()))
+    # images[j] maps the bit position of b to the index in ts of b * ts[j]
+    index = {s: i for i, s in enumerate(ts)}
+    rational = T.domain == RATIONAL_DOMAIN
+    images = []
+    for j, (t, row) in enumerate(zip(ts, rows)):
+        if row is None:
+            images.append(dict.fromkeys(range(len(bit)), j))
+        elif rational:
+            # p*t // r for the key p*R + r
+            images.append({bit[k]: index[k // R * t // (k % R)]
+                           for k in bit.keys() & row})
+        else:
+            images.append({bit[k]: index[k * t % R] for k in bit.keys() & row})
+    masks = [_mask(img) for img in images]
     best_hit, best, nodes = 0, None, 0
 
     def below(S, M, after):
@@ -178,8 +206,8 @@ def _search_exhaustive(T: ScalarSet, m: int, budget: int):
     if best is None:
         return ScalarSet(), ScalarSet(), 0, complete
     S, M = best
-    key = {b: k for k, b in bit.items()}
-    B = _key_set([key[b] for b in _bits(M)], T.domain)
+    keys = list(bit)
+    B = _key_set([keys[i] for i in _bits(M)], R, T.domain)
     C = ScalarSet.from_lattice([ts[j] for j in S], T.lat[1], T.domain)
     return B, C, best_hit, complete
 

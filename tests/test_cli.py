@@ -314,6 +314,19 @@ def test_family_setting_out_of_range_exits_2(capsys, tmp_path, argv, settings, m
     assert run_cli(capsys, *argv, "--config", str(cfg)) == expected
 
 
+@pytest.mark.parametrize("command", ["conjecture-scan", "gen"])
+def test_random_integer_range_refused_on_size_max_at_every_seed(capsys, command):
+    # [5, 7] holds 3 values: size_max = 5 is refused before any draw, so a
+    # seed that would draw only 3 values is refused too
+    family = (command, "--family", "random-integer", "--count", "1", "--lo", "5",
+              "--hi", "7", "--size-min", "3")
+    for seed in range(8):
+        assert run_cli(capsys, *family, "--seed", str(seed)) == (
+            2, "", "error: range [5, 7] is too small for 5 elements\n")
+        code, out, err = run_cli(capsys, *family, "--size-max", "3", "--seed", str(seed))
+        assert (code, err) == (0, "") and out
+
+
 @pytest.mark.parametrize("size,message", [
     ("-1", "random_A must not be negative, got -1"),
     ("0", "need |A| >= 2"),

@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,8 +36,8 @@ def _check_pair(res, T, m):
 
 def _quotients_from_keys(T):
     """The quotients T/T from the int keys, sorted."""
-    _, rows = _quotient_keys(T)
-    return _key_set({k for row in rows if row for k in row}, T.domain).sorted()
+    _, R, rows = _quotient_keys(T)
+    return _key_set({k for row in rows if row for k in row}, R, T.domain).sorted()
 
 
 # |A| <= 4 keeps |T| <= 10, within reach of the maximal-C oracle
@@ -71,6 +72,39 @@ def test_quotient_keys_match_element_quotients(query):
     # the quotients from int keys are the ones the oracle divides out
     T = query.T
     assert _quotients_from_keys(T) == ScalarSet(_quotients(T.elems)).sorted()
+
+
+@st.composite
+def _targets(draw):
+    """Sets T over Q, on a lattice with a denominator, with negative items
+    and 0 among them, or over F_q."""
+    kind = draw(st.sampled_from(["fraction", 2, 3, 13, 2 ** 31 - 1]))
+    if kind == "fraction":
+        elem = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+    else:
+        elem = st.integers(0, kind - 1).map(PrimeField(kind))
+    return ScalarSet(draw(st.lists(elem, min_size=1, max_size=12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_targets())
+def test_quotient_key_rows_decode_to_quotients(T):
+    # rows[j][i] keys ts[i] / ts[j]: the reduced p/r with r > 0 as p*R + r
+    # over Q, ts[i] * ts[j]^-1 mod q over F_q; the pivot 0 has no row
+    ts, R, rows = _quotient_keys(T)
+    assert ts == sorted(T.lat[0]) and len(rows) == len(ts)
+    for t, row in zip(ts, rows):
+        if t == 0:
+            assert row is None
+            continue
+        assert len(row) == len(ts)
+        for s, k in zip(ts, row):
+            if T.domain == "Q":
+                p, r = divmod(k, R)
+                assert 0 < r < R and gcd(p, r) == 1
+                assert Fraction(p, r) == Fraction(s, t)
+            else:
+                assert R == T.domain and k == s * pow(t, -1, R) % R
 
 
 def test_scan_builds_one_target_per_instance(monkeypatch):
@@ -181,7 +215,8 @@ def test_quotient_keys_give_zero_no_row():
     A = ScalarSet([1, -1])
     T = shift(productset(A, A), 1)
     assert T.sorted() == [0, 2]
-    assert _quotient_keys(T) == ([0, 2], [None, [(0, 1), (1, 1)]])
+    # R = 3: 0/2 = 0/1 is keyed 0*3 + 1, and 2/2 = 1/1 is keyed 1*3 + 1
+    assert _quotient_keys(T) == ([0, 2], 3, [None, [1, 4]])
     assert _quotients_from_keys(T) == [0, 1]
 
 
@@ -202,6 +237,36 @@ def test_exhaustive_matches_brute_oracle():
             assert res.exhaustive
             _check_pair(res, T, m)
             assert res.hit_count == brute[m] == ref_cover_maximal(T.elems, m)
+
+
+F5, F13, F17 = PrimeField(5), PrimeField(13), PrimeField(17)
+
+
+# a quotient takes a bit once it lies in m rows, counting the pivot 0 as a
+# row of every quotient; at m = 1, or at m = 2 with 0 in T, all take bits
+@pytest.mark.parametrize("elems, m", [
+    ([2, 3, 7], 1),
+    ([Fraction(1, 2), -3, 5, 6], 1),
+    ([F13(2), F13(3), F13(7)], 1),
+    ([1, -1], 1),
+    ([1, -1], 2),
+    ([1, -1, 2], 2),
+    ([2, Fraction(-1, 2), 3], 2),
+    ([Fraction(1, 3), -3, 2, Fraction(-1, 2)], 2),
+    ([F5(2), F5(3)], 2),
+    ([F13(5), F13(1), F13(2)], 2),
+    ([F17(4), F17(3), F17(7), F17(13)], 2),
+])
+def test_search_with_every_quotient_on_a_bit(elems, m):
+    A = ScalarSet(elems)
+    T = shift(productset(A, A), 1)
+    assert len(T) <= 10 and (m == 1 or 0 in T.lat[0])
+    res = search_bc(CoverQuery(A=A, min_factor_size=m))
+    assert res.exhaustive
+    _check_pair(res, T, m)
+    assert res.hit_count == ref_cover_maximal(T.elems, m)
+    if len(T) <= 4:
+        assert res.hit_count == ref_cover_pairs(T.elems, (m,))[m]
 
 
 def test_zero_pivot_holds_every_quotient():
