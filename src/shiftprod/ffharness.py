@@ -106,7 +106,7 @@ def _coverage(E: PointSet2, F: PointSet2, dots: ScalarSet,
     number of units of F_q that the dot-product set reaches."""
     hypothesis = (len(E) == len(F)
                   and compare_power(len(E), q, Fraction(3, 2)) > 0)
-    return hypothesis, len(dots.lat[0] - {0})
+    return hypothesis, len(dots) - (0 in dots.lat[0])
 
 
 def _check_coverage_pairs(pairs: int) -> None:

@@ -47,6 +47,7 @@ from .numeric import (
 from .progressions import (
     GapSpec,
     GgpSpec,
+    _one_generator_size,
     degeneracy_ratio,
     enumerate_ggp,
     gap_values,
@@ -220,7 +221,11 @@ def _even_part_size(Gn: GgpSpec) -> int:
 def _self_product_size(G: GgpSpec) -> int:
     """|G*G| = |R + R| for the exponents R = G.residues, the sums reduced
     mod ord(g0) over F_q: k -> g0**k is injective on the integers over Q
-    and on the residues mod ord(g0) over F_q."""
+    and on the residues mod ord(g0) over F_q.  For one generator R + R is
+    the progression 2*r0 + x*r, 0 <= x < 2l - 1, sized in closed form."""
+    if G.exponents.dimension == 1:
+        (r,), (l,) = G.exponents.generators, G.exponents.lengths
+        return _one_generator_size(r, 2 * l - 1, G.order)
     R, n = G.residues, G.order
     sums = {a + b for a in R for b in R}
     return len(sums if n is None else {k % n for k in sums})
@@ -240,8 +245,14 @@ def build_point_sets(A: ScalarSet, B: ScalarSet, g1,
     (g1,), domain = lift([g1], join_domains(A.domain, B.domain))
     (na, da), (nb, db) = A.lat, B.lat
     if domain != RATIONAL_DOMAIN:
-        # residues carry no denominators
-        g1, da, db = g1.residue, 1, 1
+        # residues, each reduced once as it is made
+        q, g = domain, g1.residue
+        F = [(b, b * a % q) for b in nb for a in na]
+        Fset = PointSet2._canonical(F, q, q)
+        if g == 1:
+            return Fset, Fset
+        E = [(g * x % q, y if skew else g * y % q) for x, y in F]
+        return PointSet2._canonical(E, q, q), Fset
     gn, gd = g1.numerator, g1.denominator
     F = [(b * da, b * a) for b in nb for a in na]
     Fset = PointSet2.from_lattice(F, da * db, domain)
@@ -265,8 +276,9 @@ def exceptional_set(AA1: ScalarSet, G: GgpSpec) -> ScalarSet:
     """C = AA1 \\ G for AA1 = AA+1, decided by one membership lookup per
     int lattice item of AA1; AA1 and G must share a domain."""
     (items, d), domain = AA1.lat, join_domains(AA1.domain, G.domain)
-    return ScalarSet.from_lattice(
-        [n for n in items if not ggp_membership(G, n, d)], d, domain)
+    # residues stay residues, but a part of a canonical set over Q may not be
+    make = ScalarSet.from_lattice if domain == RATIONAL_DOMAIN else ScalarSet._canonical
+    return make([n for n in items if not ggp_membership(G, n, d)], d, domain)
 
 
 def decomposition_holds(Gset: ScalarSet, AA1: ScalarSet, inter: ScalarSet,
@@ -307,7 +319,8 @@ def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, eps: Fraction,
     E, F = build_point_sets(A, B, g1, skew=skew_e)
     if len(A) >= 2 and len(B) >= 2:
         constants["ef_non_collinear"] = (
-            "pass" if not collinear(E) and not collinear(F) else "fail")
+            "pass" if not collinear(E) and (E is F or not collinear(F))
+            else "fail")
     else:
         constants["ef_non_collinear"] = "skipped"
 

@@ -177,7 +177,9 @@ def ggp_powers(G: GgpSpec, ks) -> ScalarSet:
     p**(k - lo) * r**(hi - k) over p**-lo * r**hi, with lo and hi the least
     and greatest of 0 and ks, and no Fraction built.  Over Q each item has
     about (hi - lo) * max(bits of p, r) bits, and powers taking more than
-    LATTICE_BIT_CAP in all are refused with ValueError before any is built."""
+    LATTICE_BIT_CAP in all are refused with ValueError before any is built.
+    The items are canonical as made: lo and hi are 0 or exponents, whose
+    items r**(hi - lo) and p**(hi - lo) are prime to p**-lo and r**hi."""
     if G.order is None:
         ks = list(ks)
         p, r = G.g0.numerator, G.g0.denominator
@@ -186,10 +188,10 @@ def ggp_powers(G: GgpSpec, ks) -> ScalarSet:
         if bits > LATTICE_BIT_CAP:
             raise ValueError(f"powers of {format_scalar(G.g0)} need about {bits} "
                              f"numerator bits, above the cap {LATTICE_BIT_CAP}")
-        return ScalarSet.from_lattice([p ** (k - lo) * r ** (hi - k) for k in ks],
-                                      p ** -lo * r ** hi)
+        return ScalarSet._canonical([p ** (k - lo) * r ** (hi - k) for k in ks],
+                                    p ** -lo * r ** hi, G.domain)
     q = G.domain
-    return ScalarSet.from_lattice([pow(G.g0.residue, k, q) for k in ks], q, q)
+    return ScalarSet._canonical([pow(G.g0.residue, k, q) for k in ks], q, q)
 
 
 def enumerate_ggp(G: GgpSpec) -> ScalarSet:
@@ -225,7 +227,12 @@ def realized_size(spec) -> int:
         return len(spec.values if R is spec else spec.residues)
     R._check_formal_length()
     (r,), (l,) = R.generators, R.lengths
-    n = None if R is spec else spec.order
+    return _one_generator_size(r, l, None if R is spec else spec.order)
+
+
+def _one_generator_size(r: int, l: int, n: Optional[int]) -> int:
+    """|{r0 + x*r : 0 <= x < l}|: l, or 1 when r == 0, over the integers,
+    and min(l, n // gcd(r, n)) mod n, the period of x*r, unless n is None."""
     if n is None:
         return l if r else 1
     return min(l, n // gcd(r, n))

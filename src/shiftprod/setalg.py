@@ -7,7 +7,10 @@ numerator bits.  A scalar set lives on ints and a point set on int pairs:
 the residues of a field set, or the numerators of a rational set's
 coordinates over their least common denominator d (gcd(d, *nums) == 1).
 Every operation runs on them; Fractions, field elements and Point2s are
-built only when a caller iterates, sorts or reads ``elems``.
+built only when a caller iterates, sorts or reads ``elems``.  Kernels hand
+their items to ``_canonical`` as they are made: field items reduced there
+once, rational products of factors with their common gcds cancelled
+first.  ``from_lattice`` reduces raw ones, as the set operations make them.
 
 The dot-product set writes each point as a scalar times a canonical
 direction: over Q, on the lattice ints, g*(u, v) with (u, v) primitive and
@@ -34,8 +37,9 @@ place the domain rule lives, and so do the scalars of ``shift`` and
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product, starmap
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional
 
@@ -108,21 +112,26 @@ class _DomainSet:
 
     @classmethod
     def from_lattice(cls, items, d: int, domain=None):
-        """The set of ``items`` over ``d`` in canonical form, or over F_q
+        """The set of raw ``items`` over ``d`` in canonical form, or over F_q
         (domain q) their residues mod q, whatever d."""
-        S, pts = object.__new__(cls), cls is PointSet2
+        pts = cls is PointSet2
         if domain in (None, RATIONAL_DOMAIN):
             g = gcd(d, *(chain.from_iterable(items) if pts else items))
-            domain = RATIONAL_DOMAIN
             if g > 1:
                 d //= g
                 items = ([(x // g, y // g) for x, y in items] if pts
                          else [n // g for n in items])
-            items = frozenset(items)
-        else:
-            q = d = domain
-            items = frozenset(((x % q, y % q) for x, y in items) if pts
-                              else (n % q for n in items))
+            return cls._canonical(items, d, RATIONAL_DOMAIN)
+        q = domain
+        return cls._canonical(((x % q, y % q) for x, y in items) if pts
+                              else (n % q for n in items), q, q)
+
+    @classmethod
+    def _canonical(cls, items, d: int, domain):
+        """The set of ``items`` taken as they are: over Q canonical over
+        ``d`` (``gcd(d, *coordinates) == 1``), over F_q residues and
+        ``d = q``.  Every set is built here."""
+        S, items = object.__new__(cls), frozenset(items)
         object.__setattr__(S, "lat", (items, d) if items else (items, 1))
         object.__setattr__(S, "domain", domain if items else None)
         return S
@@ -225,7 +234,15 @@ def productset(A: ScalarSet, B: ScalarSet) -> ScalarSet:
     _check_pair_budget(len(A), len(B), "productset")
     _check_lattice_bits(A, B, "productset")
     (na, da), (nb, db) = A.lat, B.lat
-    return ScalarSet.from_lattice({a * b for a in na for b in nb}, da * db, domain)
+    if domain not in (None, RATIONAL_DOMAIN):
+        return ScalarSet._canonical({a * b % domain for a in na for b in nb},
+                                    domain, domain)
+    # gcd(da * db, every a * b) = gcd(db, *na) * gcd(da, *nb) for canonical A
+    # and B, so each factor is cancelled first and the products are canonical
+    ga, gb = gcd(db, *na), gcd(da, *nb)
+    na, nb = [a // ga for a in na], [b // gb for b in nb]
+    return ScalarSet._canonical(starmap(operator.mul, product(na, nb)),
+                                da // gb * (db // ga), RATIONAL_DOMAIN)
 
 
 def shift(A: ScalarSet, c: Scalar) -> ScalarSet:
@@ -271,11 +288,19 @@ def _directions(items, q) -> dict:
                 g = -g
             groups.setdefault((x // g, y // g) if g else (0, 0), []).append(g or 1)
     else:
-        # one inverse per distinct first coordinate
-        inv = {x: pow(x, -1, q) for x in {x for x, _ in items} if x}
+        # the ys of each column x share one inverse of x, and each slope
+        # y/x keys its scalars as an int
+        cols, slopes = defaultdict(list), defaultdict(list)
         for x, y in items:
-            key = (1, y * inv[x] % q) if x else (0, 1) if y else (0, 0)
-            groups.setdefault(key, []).append(x or y or 1)
+            cols[x].append(y)
+        for x, ys in cols.items():
+            if x:
+                inv = pow(x, -1, q)
+                for y in ys:
+                    slopes[y * inv % q].append(x)
+        groups = {(1, k): S for k, S in slopes.items()}
+        for y in cols.get(0, ()):
+            groups.setdefault((0, 1) if y else (0, 0), []).append(y or 1)
     return groups
 
 
@@ -311,12 +336,13 @@ def _grouped_dots(ea, fa, q) -> Optional[set]:
     out = set()
     for L, us in es.items():
         for M, ws in fs.items():
-            D = {u * x + v * y for u, v in us for x, y in ws}
-            P = {a * b for a in L for b in M}
             if not field:
+                D = {u * x + v * y for u, v in us for x, y in ws}
+                P = {a * b for a in L for b in M}
                 out |= {d * p for d in D for p in P}
                 continue
-            D, P = {d % q for d in D}, {p % q for p in P}
+            D = {(u * x + v * y) % q for u, v in us for x, y in ws}
+            P = {a * b % q for a in L for b in M}
             work += len(D) * len(P)
             if work > budget:
                 return None
@@ -355,14 +381,17 @@ def dot_product_set(E: PointSet2, F: PointSet2) -> ScalarSet:
     same = ea is fa or ea == fa
     q = E.domain
     fa = ea if same else fa
+    if q == RATIONAL_DOMAIN:
+        return ScalarSet.from_lattice(_grouped_dots(ea, fa, q), de * df)
     # over F_q a table of q booleans pays only when the pairs outnumber it
-    if q == RATIONAL_DOMAIN or len(ea) * len(fa) < q:
+    if len(ea) * len(fa) < q:
         dots = _grouped_dots(ea, fa, q)
         if dots is None:
-            # over F_q only: the plain pair loop, whose dots from_lattice
-            # reduces mod q as they come
-            dots = (a * x + b * y for a, b in ea for x, y in fa)
-        return ScalarSet.from_lattice(dots, de * df, q)
+            # the plain pair loop, whose dots from_lattice reduces mod q
+            # as they come
+            return ScalarSet.from_lattice(
+                (a * x + b * y for a, b in ea for x, y in fa), q, q)
+        return ScalarSet._canonical(dots, q, q)
     # the first rows of E alone often reach every residue (full planes, dense
     # random sets): try about 4q pairs first, at least 2q, so the table still
     # pays; the blocks after grouping go on from the rows after them
@@ -373,7 +402,7 @@ def dot_product_set(E: PointSet2, F: PointSet2) -> ScalarSet:
     if head < len(ea) and len(dots) < q:
         grouped = _grouped_dots(ea, fa, q)
         dots = _table_dots(ea[head:], fa, q, table) if grouped is None else grouped
-    return ScalarSet.from_lattice(dots, q, q)
+    return ScalarSet._canonical(dots, q, q)
 
 
 def collinear(P: PointSet2) -> bool:

@@ -28,7 +28,13 @@ from shiftprod.harness import (
     square_part,
     square_part_bound_check,
 )
-from shiftprod.progressions import GapSpec, GgpSpec, enumerate_ggp, ggp_membership
+from shiftprod.progressions import (
+    GapSpec,
+    GgpSpec,
+    enumerate_ggp,
+    ggp_membership,
+    realized_size,
+)
 from shiftprod.numeric import (
     RATIONAL_DOMAIN,
     DomainMismatchError,
@@ -422,6 +428,45 @@ def _any_ggp(draw):
 def test_self_product_size_matches_product_set(G):
     Gset = enumerate_ggp(G)
     assert harness._self_product_size(G) == len(productset(Gset, Gset))
+
+
+@st.composite
+def _one_generator_ggp(draw):
+    """G = g0**(r0 + x*r), 0 <= x < l, over Q or a small F_q, with r = 0
+    and r sharing a factor with ord(g0) among the draws."""
+    q = draw(st.sampled_from([None, 7, 13, 31, 101]))
+    span = 4 if q is None else 2 * q
+    r = draw(st.one_of(st.integers(-span, span), st.sampled_from([0, 2, 3, 6])))
+    gap = GapSpec(draw(st.integers(-span, span)), (r,), (draw(st.integers(3, 12)),))
+    if q is None:
+        return GgpSpec(draw(st.sampled_from(REFERENCE_BASES)), gap)
+    return GgpSpec(PrimeFieldElement(draw(st.integers(2, q - 1)), q), gap)
+
+
+def _order(g: PrimeFieldElement) -> int:
+    k, x = 1, g.residue
+    while x != 1:
+        k, x = k + 1, x * g.residue % g.modulus
+    return k
+
+
+@settings(max_examples=200)
+@given(_one_generator_ggp())
+# r = 0; and r = 2 and 6 against ord(12) = 2 and ord(5) = 4 mod 13
+@example(GgpSpec(Fraction(3, 2), GapSpec(5, (0,), (4,))))
+@example(GgpSpec(PrimeFieldElement(3, 7), GapSpec(1, (0,), (3,))))
+@example(GgpSpec(PrimeFieldElement(12, 13), GapSpec(0, (2,), (5,))))
+@example(GgpSpec(PrimeFieldElement(5, 13), GapSpec(-3, (6,), (7,))))
+def test_one_generator_sizes_match_the_sums(G):
+    R = G.exponents
+    (r,), (l,) = R.generators, R.lengths
+    exps = {R.r0 + x * r for x in range(l)}
+    sums = {a + b for a in exps for b in exps}
+    if G.order is not None:
+        n = _order(G.g0)
+        exps, sums = {k % n for k in exps}, {k % n for k in sums}
+    assert realized_size(G) == len(exps)
+    assert harness._self_product_size(G) == len(sums)
 
 
 def _three_product_verdict(Gset, AA1, inter, C):

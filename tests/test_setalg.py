@@ -515,6 +515,30 @@ def test_field_direction_split(q, data):
     _check_split(list({*points, (0, 0), (0, q - 1), (3, 0)}), q)
 
 
+def _field_split_per_point(points, q):
+    """The field split one point at a time: x * (1, y * x**-1 mod q), or
+    y * (0, 1) on the column x = 0, and 1 * (0, 0)."""
+    groups = {}
+    for x, y in points:
+        key = (1, y * pow(x, -1, q) % q) if x else (0, 1) if y else (0, 0)
+        groups.setdefault(key, []).append(x or y or 1)
+    return groups
+
+
+@given(st.sampled_from([5, 101, 2 ** 31 - 1, 2 ** 61 - 1]), st.data())
+def test_field_direction_split_matches_per_point_reference(q, data):
+    # a few columns, so that several points share each x, the column
+    # x = 0 and the zero point drawn in or out
+    xs = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=4))
+    points = data.draw(st.lists(st.tuples(st.sampled_from(xs), st.integers(0, q - 1)),
+                                unique=True, max_size=16))
+    if data.draw(st.booleans()):
+        points += [(0, 0)] * ((0, 0) not in points)
+    want = _field_split_per_point(points, q)
+    got = setalg._directions(points, q)
+    assert {k: sorted(v) for k, v in got.items()} == {k: sorted(v) for k, v in want.items()}
+
+
 def test_pair_budget():
     big = ScalarSet(range(1, 4000))
     with pytest.raises(ValueError):
