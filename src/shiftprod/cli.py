@@ -2,11 +2,16 @@
 
 Subcommands: verify-main, verify-ff, prop-gp, conjecture-scan, gen.
 Exit codes: 0 clean, 1 a guaranteed property measured false (finding),
-2 usage or precondition error.  All randomness flows through one seed
-(--seed, else the config file, else SHIFTPROD_SEED, else 0), and repeated
-runs with the same inputs are byte identical.  Every JSON or CSV output
-goes through _write, the only serializer of report rows; gen's plain-text
-set listing is the one other output.
+2 usage or precondition error.  FLAGS declares every flag once and MODES
+lists the flags that each mode of each command reads; the subparsers are
+built from the two.  Before any config is read or input built,
+_check_flags picks the mode and refuses, with exit 2, any flag given
+outside its row; a config key outside the row is ignored.  All randomness
+flows through one seed (--seed, else the config file, else
+SHIFTPROD_SEED, else 0), and repeated runs with the same inputs are byte
+identical.  Every JSON or CSV output goes through _write, the only
+serializer of report rows; gen's plain-text set listing is the one other
+output.
 """
 
 from __future__ import annotations
@@ -49,6 +54,101 @@ from .setalg import PointSet2, ScalarSet, format_scalar_set, parse_scalar_set, p
 
 __all__ = ["entry", "main"]
 
+_INT = {"type": int}
+_SWITCH = {"action": "store_const", "const": True}
+
+# Every flag once, in parser order, with the keywords of its add_argument.
+FLAGS = {
+    "spec": {"nargs": "+", "help": "'gap r0;gens;lens' or 'ggp g0; gap ...'"},
+    "--family": {"choices": ["random-integer", "geometric", "arithmetic", "subgroup"],
+                 "required": True},
+    "--q": _INT,
+    "--t": _INT,
+    "--A": {"help": "set literal, e.g. '{1, 2, 4}'"},
+    "--G": {"help": "progression text, e.g. 'ggp 2; gap 0;1;13'; without it, "
+                    "verify-main takes powers of two matched to |AA|"},
+    "--random-A": {**_INT, "help": "draw a random integer set of this size"},
+    "--subgroup-t": {**_INT, "help": "use the order-t subgroup of F_q* as A"},
+    "--full-plane": {**_SWITCH, "help": "coverage check with E = F = all "
+                                        "nonzero points of F_q^2"},
+    "--count": _INT, "--lo": _INT, "--hi": _INT, "--size-min": _INT, "--size-max": _INT,
+    "--base": {}, "--length": _INT, "--start": {}, "--step": {},
+    "--seed": _INT,
+    "--epsilon": {},
+    "--delta": {"help": "rational in (0,1), e.g. 1/2"},
+    "--size-match-factor": {},
+    "--degeneracy-threshold": {},
+    "--on-size-mismatch": {"choices": ["reject", "warn"]},
+    "--skew-e": {**_SWITCH, "help": "scale only the first coordinate of E"},
+    "--min-factor-size": _INT,
+    "--coverage-target": {},
+    "--budget": _INT,
+    "--config": {"help": "JSON file with defaults"},
+    "--out": {"help": "write output here instead of stdout"},
+    "--format": {"choices": ["json", "csv"]},
+}
+
+_IO = ("--config", "--out", "--format")
+_POLICY = ("--size-match-factor", "--degeneracy-threshold", "--on-size-mismatch",
+           "--skew-e")
+_FF = ("--q", "--epsilon", "--delta", "--skew-e", *_IO)
+_SCAN = ("--min-factor-size", "--coverage-target", "--budget", *_IO)
+_RANDOM = ("--count", "--lo", "--hi", "--size-min", "--size-max", "--seed")
+
+# The flags that each mode of each command reads.  A family command runs
+# the mode that --family names, any other the first mode whose selector
+# (its key) is given.  A flag given outside the mode's row exits 2, and a
+# config key outside it is ignored.
+MODES = {
+    "verify-main": {
+        "--A": ("--A", "--G", "--delta", *_POLICY, *_IO),
+        "--random-A": ("--random-A", "--G", "--count", "--lo", "--hi", "--seed",
+                       "--delta", *_POLICY, *_IO),
+    },
+    "verify-ff": {
+        "--full-plane": ("--q", "--full-plane", *_IO),
+        "--subgroup-t": ("--subgroup-t", *_FF),
+        "--A": ("--A", "--G", *_FF),
+    },
+    "prop-gp": {"spec": ("spec", "--out", "--format")},
+    "conjecture-scan": {
+        "random-integer": ("--family", *_RANDOM, *_SCAN),
+        "geometric": ("--family", "--count", "--base", "--length", *_SCAN),
+        "arithmetic": ("--family", "--count", "--start", "--step", "--length", *_SCAN),
+        "subgroup": ("--family", "--q", "--t", *_SCAN),
+    },
+    # gen echoes the seed in every JSON row, so every family reads it
+    "gen": {
+        "random-integer": ("--family", *_RANDOM, *_IO),
+        "geometric": ("--family", "--count", "--base", "--length", "--seed", *_IO),
+        "arithmetic": ("--family", "--count", "--start", "--step", "--length",
+                       "--seed", *_IO),
+        "subgroup": ("--family", "--q", "--t", "--seed", *_IO),
+    },
+}
+
+
+def _dest(flag):
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _check_flags(args):
+    """Pick the command's mode and refuse every flag given outside its row,
+    before any config is read or input built; keep the row's settings."""
+    modes = MODES[args.command]
+    given = [f for f in FLAGS if getattr(args, _dest(f), None) is not None]
+    if "--family" in given:
+        selector, row = f"--family {args.family}", modes[args.family]
+    else:
+        selector = next((s for s in modes if s in given), None)
+        if selector is None:
+            _usage(f"{args.command} needs {' or '.join(modes)}")
+        row = modes[selector]
+    extra = [f for f in given if f not in row]
+    if extra:
+        _usage(f"{selector} cannot be combined with {', '.join(extra)}")
+    args.reads = {_dest(f) for f in row}
+
 
 def _resolve_seed(args, cfg):
     if getattr(args, "seed", None) is not None:
@@ -76,7 +176,7 @@ def _load_config(args):
         raise PreconditionError(f"malformed config JSON: {e}")
     if not isinstance(cfg, dict):
         raise PreconditionError("config must be a JSON object")
-    return cfg
+    return {k: v for k, v in cfg.items() if k in args.reads}
 
 
 def _pick(args, cfg, name, default):
@@ -192,65 +292,40 @@ def auto_progression(A: ScalarSet) -> GgpSpec:
     return GgpSpec(2, GapSpec(0, (1,), (max(3, n),)))
 
 
-def random_integer_set(rng: random.Random, size: int, lo: int, hi: int) -> ScalarSet:
+def _int_range(args, cfg, size):
+    """The integers from --lo to --hi, refused if fewer than size."""
+    lo = _int(_pick(args, cfg, "lo", 1))
+    hi = _int(_pick(args, cfg, "hi", 50))
     if hi - lo + 1 < size:
         raise PreconditionError(f"range [{lo}, {hi}] is too small for {size} elements")
-    return ScalarSet(rng.sample(range(lo, hi + 1), size))
-
-
-def geometric_set(base: Fraction, length: int) -> ScalarSet:
-    if length < 1:
-        raise PreconditionError("length must be positive")
-    base = Fraction(base)
-    if base <= 0 or base == 1:
-        raise PreconditionError("base must be positive and != 1")
-    return ScalarSet(base ** i for i in range(length))
-
-
-def arithmetic_set(start: Fraction, step: Fraction, length: int) -> ScalarSet:
-    if length < 1:
-        raise PreconditionError("length must be positive")
-    if step == 0:
-        raise PreconditionError("step must be nonzero")
-    return ScalarSet(Fraction(start) + i * Fraction(step) for i in range(length))
+    return range(lo, hi + 1)
 
 
 def cmd_verify_main(args) -> int:
-    _refuse_together(args, "--A", "--random-A", "--count", "--lo", "--hi")
     cfg = _load_config(args)
-    seed = _resolve_seed(args, cfg)
     hcfg = HarnessConfig(**_given(args, cfg, size_match_factor=_fraction,
                                   degeneracy_threshold=_fraction,
                                   on_size_mismatch=str, skew_e=_bool))
     delta = _fraction(_need(args, cfg, "delta", "verify-main needs --delta"))
-    count = _count(args, cfg, 1)
-
-    instances = []
     if args.A is not None:
-        A = parse_scalar_set(args.A)
-        G = parse_ggp_spec(args.G) if args.G else auto_progression(A)
-        instances.append((A, G))
-    elif args.random_A is not None:
-        if args.random_A < 0:
-            raise PreconditionError(
-                f"random_A must not be negative, got {args.random_A}")
-        rng = random.Random(seed)
-        lo = _int(_pick(args, cfg, "lo", 1))
-        hi = _int(_pick(args, cfg, "hi", 50))
-        for _ in range(count):
-            A = random_integer_set(rng, args.random_A, lo, hi)
-            G = parse_ggp_spec(args.G) if args.G else auto_progression(A)
-            instances.append((A, G))
+        sets = [parse_scalar_set(args.A)]
     else:
-        _usage("verify-main needs --A or --random-A")
+        size = args.random_A
+        if size < 0:
+            raise PreconditionError(f"random_A must not be negative, got {size}")
+        count = _count(args, cfg, 1)
+        values = _int_range(args, cfg, size)
+        rng = random.Random(_resolve_seed(args, cfg))
+        sets = [ScalarSet(rng.sample(values, size)) for _ in range(count)]
+    G = parse_ggp_spec(args.G) if args.G else None
 
-    reports = []
-    findings = []
-    for A, G in instances:
-        rep = run_main_pipeline(PipelineInput(A=A, G=G, delta=delta, config=hcfg))
+    reports, findings = [], []
+    for A in sets:
+        AG = G or auto_progression(A)
+        rep = run_main_pipeline(PipelineInput(A=A, G=AG, delta=delta, config=hcfg))
         reports.append(rep)
         if not rep.structural_ok() or not rep.corollary1_ok:
-            findings.append((A, G, rep))
+            findings.append((A, AG, rep))
 
     _write(args, reports[0] if len(reports) == 1 else reports)
     for A, G, rep in findings:
@@ -264,23 +339,12 @@ def _usage(msg):
     raise PreconditionError(msg)
 
 
-def _refuse_together(args, *flags):
-    """A usage error when the first of ``flags`` comes with any other, which
-    it would silently win over or ignore."""
-    given = [f for f in flags if getattr(args, f[2:].replace("-", "_")) is not None]
-    if len(given) > 1 and given[0] == flags[0]:
-        _usage(f"{given[0]} cannot be combined with {', '.join(given[1:])}")
-
-
 def _full_plane(F: PrimeField) -> PointSet2:
     return PointSet2.from_lattice([(x, y) for x in range(F.q) for y in range(F.q)
                                    if (x, y) != (0, 0)], F.q, F.q)
 
 
 def cmd_verify_ff(args) -> int:
-    _refuse_together(args, "--full-plane", "--subgroup-t", "--A", "--G",
-                     "--epsilon", "--delta", "--skew-e")
-    _refuse_together(args, "--subgroup-t", "--A", "--G")
     cfg = _load_config(args)
     q = _int(_need(args, cfg, "q", "verify-ff needs --q"))
     if args.full_plane:
@@ -296,7 +360,7 @@ def cmd_verify_ff(args) -> int:
     delta = _fraction(_need(args, cfg, "delta", "verify-ff needs --delta"))
     if args.subgroup_t is not None:
         A, G = subgroup_ggp(q, args.subgroup_t)
-    elif args.A is not None and args.G is not None:
+    elif args.G is not None:
         field = PrimeField(q)
         A = parse_scalar_set(args.A, field)
         G = parse_ggp_spec(args.G, field)
@@ -336,16 +400,17 @@ def cmd_prop_gp(args) -> int:
     return 0 if all(r["pass"] for r in rows) else 1
 
 
-def _family_instances(args, cfg, seed):
+def _family_instances(args, cfg):
     """(instance_id, A, G) triples; G is the progression of a subgroup
-    instance and None for the other families."""
+    instance and None for the other families.  Every setting is checked
+    before the first set is built, so no refusal depends on the count."""
     family = args.family
+    if family == "subgroup":
+        q = _int(_need(args, cfg, "q", "subgroup family needs --q"))
+        t = _int(_need(args, cfg, "t", "subgroup family needs --t"))
+        return [(f"{family}-q{q}-t{t}", *subgroup_ggp(q, t))]
     count = _count(args, cfg, 10)
-    rng = random.Random(seed)
-    out = []
     if family == "random-integer":
-        lo = _int(_pick(args, cfg, "lo", 1))
-        hi = _int(_pick(args, cfg, "hi", 50))
         smin = _int(_pick(args, cfg, "size_min", 3))
         smax = _int(_pick(args, cfg, "size_max", 5))
         if smin < 1:
@@ -353,38 +418,33 @@ def _family_instances(args, cfg, seed):
         if smin > smax:
             raise PreconditionError(f"size_min = {smin} is above size_max = {smax}")
         # refused on size_max, whatever sizes the seed would draw
-        if hi - lo + 1 < smax:
-            raise PreconditionError(f"range [{lo}, {hi}] is too small for {smax} elements")
-        for i in range(count):
-            size = rng.randint(smin, smax)
-            out.append((f"{family}-{i:03d}",
-                        random_integer_set(rng, size, lo, hi), None))
-    elif family == "geometric":
-        base = _fraction(_pick(args, cfg, "base", 2))
-        length = _int(_pick(args, cfg, "length", 5))
-        for i in range(count):
-            out.append((f"{family}-{i:03d}",
-                        geometric_set(base, length + i), None))
-    elif family == "arithmetic":
-        start = _fraction(_pick(args, cfg, "start", 1))
-        step = _fraction(_pick(args, cfg, "step", 1))
-        length = _int(_pick(args, cfg, "length", 5))
-        for i in range(count):
-            out.append((f"{family}-{i:03d}",
-                        arithmetic_set(start, step, length + i), None))
-    elif family == "subgroup":
-        q = _int(_need(args, cfg, "q", "subgroup family needs --q"))
-        t = _int(_need(args, cfg, "t", "subgroup family needs --t"))
-        out.append((f"{family}-q{q}-t{t}", *subgroup_ggp(q, t)))
+        values = _int_range(args, cfg, smax)
+        rng = random.Random(_resolve_seed(args, cfg))
+        sets = (ScalarSet(rng.sample(values, rng.randint(smin, smax)))
+                for _ in range(count))
     else:
-        _usage(f"unknown family {family!r}")
-    return out
+        length = _int(_pick(args, cfg, "length", 5))
+        if length < 1:
+            raise PreconditionError("length must be positive")
+        if family == "geometric":
+            base = _fraction(_pick(args, cfg, "base", 2))
+            if base <= 0 or base == 1:
+                raise PreconditionError("base must be positive and != 1")
+            sets = (ScalarSet(base ** k for k in range(length + i))
+                    for i in range(count))
+        else:
+            start = _fraction(_pick(args, cfg, "start", 1))
+            step = _fraction(_pick(args, cfg, "step", 1))
+            if step == 0:
+                raise PreconditionError("step must be nonzero")
+            sets = (ScalarSet(start + k * step for k in range(length + i))
+                    for i in range(count))
+    return [(f"{family}-{i:03d}", A, None) for i, A in enumerate(sets)]
 
 
 def cmd_conjecture_scan(args) -> int:
     cfg = _load_config(args)
-    seed = _resolve_seed(args, cfg)
-    instances = _family_instances(args, cfg, seed)
+    instances = _family_instances(args, cfg)
     knobs = _given(args, cfg, min_factor_size=_int, coverage_target=_fraction,
                    budget=_int)
     if "budget" in knobs:
@@ -397,7 +457,7 @@ def cmd_conjecture_scan(args) -> int:
 def cmd_gen(args) -> int:
     cfg = _load_config(args)
     seed = _resolve_seed(args, cfg)
-    instances = _family_instances(args, cfg, seed)
+    instances = _family_instances(args, cfg)
     if (args.format or "json") == "json":
         payload = []
         for iid, A, G in instances:
@@ -413,29 +473,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _add_common(p, config=True):
-    if config:
-        p.add_argument("--config", default=None, help="JSON file with defaults")
-    p.add_argument("--out", default=None, help="write output here instead of stdout")
-    p.add_argument("--format", choices=["json", "csv"], default=None)
-
-
-def _add_family(p):
-    p.add_argument("--family",
-                   choices=["random-integer", "geometric", "arithmetic", "subgroup"],
-                   required=True)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--lo", type=int, default=None)
-    p.add_argument("--hi", type=int, default=None)
-    p.add_argument("--size-min", dest="size_min", type=int, default=None)
-    p.add_argument("--size-max", dest="size_max", type=int, default=None)
-    p.add_argument("--base", default=None)
-    p.add_argument("--length", type=int, default=None)
-    p.add_argument("--start", default=None)
-    p.add_argument("--step", default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+_COMMANDS = {
+    "verify-main": ("run the rational pipeline", cmd_verify_main),
+    "verify-ff": ("run the prime-field pipeline", cmd_verify_ff),
+    "prop-gp": ("self-growth check for progression specs", cmd_prop_gp),
+    "conjecture-scan": ("two-factor cover search over a family", cmd_conjecture_scan),
+    "gen": ("emit example inputs for the other commands", cmd_gen),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,62 +488,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact workbench for shifted product sets against "
                     "generalized geometric progressions")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-main", help="run the rational pipeline")
-    p.add_argument("--A", default=None, help="set literal, e.g. '{1, 2, 4}'")
-    p.add_argument("--G", default=None,
-                   help="progression text, e.g. 'ggp 2; gap 0;1;13'; "
-                        "without it, powers of two matched to |AA|")
-    p.add_argument("--random-A", dest="random_A", type=int, default=None,
-                   help="draw a random integer set of this size")
-    p.add_argument("--delta", default=None, help="rational in (0,1), e.g. 1/2")
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--lo", type=int, default=None)
-    p.add_argument("--hi", type=int, default=None)
-    p.add_argument("--size-match-factor", dest="size_match_factor", default=None)
-    p.add_argument("--degeneracy-threshold", dest="degeneracy_threshold", default=None)
-    p.add_argument("--on-size-mismatch", dest="on_size_mismatch",
-                   choices=["reject", "warn"], default=None)
-    p.add_argument("--skew-e", dest="skew_e", action="store_const", const=True,
-                   default=None, help="scale only the first coordinate of E")
-    p.add_argument("--seed", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_main)
-
-    p = sub.add_parser("verify-ff", help="run the prime-field pipeline")
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--A", default=None)
-    p.add_argument("--G", default=None)
-    p.add_argument("--subgroup-t", dest="subgroup_t", type=int, default=None,
-                   help="use the order-t subgroup of F_q* as A")
-    p.add_argument("--epsilon", default=None)
-    p.add_argument("--delta", default=None)
-    p.add_argument("--full-plane", dest="full_plane", action="store_const",
-                   const=True, default=None,
-                   help="coverage check with E = F = all nonzero points of F_q^2")
-    p.add_argument("--skew-e", dest="skew_e", action="store_const", const=True,
-                   default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_ff)
-
-    p = sub.add_parser("prop-gp", help="self-growth check for progression specs")
-    p.add_argument("spec", nargs="+", help="'gap r0;gens;lens' or 'ggp g0; gap ...'")
-    _add_common(p, config=False)
-    p.set_defaults(func=cmd_prop_gp)
-
-    p = sub.add_parser("conjecture-scan", help="two-factor cover search over a family")
-    _add_family(p)
-    p.add_argument("--min-factor-size", dest="min_factor_size", type=int, default=None)
-    p.add_argument("--coverage-target", dest="coverage_target", default=None)
-    p.add_argument("--budget", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_conjecture_scan)
-
-    p = sub.add_parser("gen", help="emit example inputs for the other commands")
-    _add_family(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_gen)
-
+    for command, (help_text, func) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        reads = {f for row in MODES[command].values() for f in row}
+        for flag, kwargs in FLAGS.items():
+            if flag in reads:
+                p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return ap
 
 
@@ -511,6 +506,7 @@ def main(argv=None) -> int:
         code = e.code
         return code if isinstance(code, int) else 2
     try:
+        _check_flags(args)
         return args.func(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

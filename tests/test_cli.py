@@ -1,5 +1,7 @@
+import argparse
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -8,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from shiftprod import ffharness, harness, progressions, setalg
-from shiftprod.cli import main
+from shiftprod.cli import MODES, build_parser, main
 from shiftprod.ffharness import FfInput, run_field_pipeline
 from shiftprod.numeric import PrimeField
 from shiftprod.progressions import parse_ggp_spec
@@ -371,15 +373,180 @@ FF_SET = ("--A", "{0, 1}", "--G", "ggp 2; gap 0;1;3")
      "--A cannot be combined with --count, --lo"),
     (("verify-main", "--A", "{1, 2}", "--delta", "1/2", "--hi", "9"),
      "--A cannot be combined with --hi"),
+    # flags that a family or a mode does not read, once ignored with exit 0
+    (("conjecture-scan", "--family", "subgroup", "--q", "13", "--t", "4",
+      "--count", "5"),
+     "--family subgroup cannot be combined with --count"),
+    (("conjecture-scan", "--family", "geometric", "--count", "1", "--lo", "5",
+      "--q", "7"),
+     "--family geometric cannot be combined with --q, --lo"),
+    (("gen", "--family", "arithmetic", "--base", "3", "--size-min", "9"),
+     "--family arithmetic cannot be combined with --size-min, --base"),
+    (("verify-main", "--A", "{1, 2}", "--delta", "1/2", "--seed", "9"),
+     "--A cannot be combined with --seed"),
+    (("conjecture-scan", "--family", "arithmetic", "--count", "1", "--seed", "9"),
+     "--family arithmetic cannot be combined with --seed"),
+    (("conjecture-scan", "--family", "geometric", "--count", "1", "--seed", "9"),
+     "--family geometric cannot be combined with --seed"),
+    (("conjecture-scan", "--family", "subgroup", "--count", "1", "--seed", "9"),
+     "--family subgroup cannot be combined with --count, --seed"),
 ])
 def test_conflicting_input_flags_exit_2(capsys, monkeypatch, argv, message):
     def work(*_):
         raise AssertionError("the command ran")
 
     # refused before the config is read or any input is built
-    for name in ("_load_config", "subgroup_ggp", "_full_plane", "random_integer_set"):
+    for name in ("_load_config", "subgroup_ggp", "_full_plane", "_int_range",
+                 "_family_instances"):
         monkeypatch.setattr(f"shiftprod.cli.{name}", work)
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+# a mode's settings are checked once, before the first set is drawn, so a
+# refusal cannot hang on the count
+@pytest.mark.parametrize("argv,message", [
+    (("verify-main", "--random-A", "5", "--lo", "1", "--hi", "3", "--delta", "1/2"),
+     "range [1, 3] is too small for 5 elements"),
+    (("gen", "--family", "geometric", "--length", "0"), "length must be positive"),
+    (("gen", "--family", "geometric", "--base", "1"), "base must be positive and != 1"),
+    (("gen", "--family", "arithmetic", "--step", "0"), "step must be nonzero"),
+    (("conjecture-scan", "--family", "arithmetic", "--length", "0"),
+     "length must be positive"),
+])
+@pytest.mark.parametrize("count", ["0", "1"])
+def test_setting_refused_at_every_count(capsys, argv, message, count):
+    assert run_cli(capsys, *argv, "--count", count) == (2, "", f"error: {message}\n")
+
+
+# The smallest run of each mode, as flag -> value (True for a switch).
+MODE_RUNS = {
+    ("verify-main", "--A"): {"--A": "{1, 2}", "--G": "ggp 2; gap 1;1;3",
+                             "--delta": "1/2"},
+    ("verify-main", "--random-A"): {"--random-A": "3", "--delta": "1/2"},
+    ("verify-ff", "--full-plane"): {"--q": "5", "--full-plane": True},
+    ("verify-ff", "--subgroup-t"): {"--q": "13", "--subgroup-t": "4",
+                                    "--epsilon": "1/6", "--delta": "1/3"},
+    ("verify-ff", "--A"): {"--q": "13", "--A": "{2, 3}", "--G": "ggp 2; gap 1;1;3",
+                           "--epsilon": "1/6", "--delta": "1/3"},
+    ("prop-gp", "spec"): {"spec": "gap 1;2,3;3,3"},
+    **{(command, family): {"--family": family, "--count": "1"}
+       for command in ("conjecture-scan", "gen")
+       for family in ("geometric", "arithmetic")},
+    # from [1, 6] the cover search finds a pair, which the search knobs change
+    **{(command, "random-integer"): {"--family": "random-integer", "--count": "1",
+                                     "--hi": "6"}
+       for command in ("conjecture-scan", "gen")},
+    **{(command, "subgroup"): {"--family": "subgroup", "--q": "13", "--t": "4"}
+       for command in ("conjecture-scan", "gen")},
+}
+
+# Two legal values of each flag; None leaves the flag out.
+FLAG_VALUES = {
+    "spec": ("gap 1;2,3;3,3", "gap 0;1;3"),
+    "--q": ("13", "17"), "--t": ("3", "4"),
+    "--A": ("{1, 2}", "{1, 3}"), "--G": ("ggp 2; gap 1;1;3", "ggp 2; gap 1;1;4"),
+    "--random-A": ("2", "3"), "--subgroup-t": ("3", "4"), "--full-plane": (None, True),
+    "--count": ("1", "2"), "--lo": ("-5", "1"), "--hi": ("6", "50"),
+    "--size-min": ("2", "3"), "--size-max": ("5", "6"),
+    "--base": ("2", "1/2"), "--length": ("3", "4"), "--start": ("1", "2"),
+    "--step": ("1", "2"), "--seed": ("0", "1"),
+    "--epsilon": ("1/6", "1/5"), "--delta": ("1/2", "1/3"), "--skew-e": (None, True),
+    "--min-factor-size": ("2", "3"), "--coverage-target": ("1/2", "1"),
+    "--budget": ("1", "200000"),
+}
+
+# Flags whose default pair prints the same bytes in a mode, each with the
+# settings under which two values differ.  The size-match flags act only on
+# a G whose size is off, |G| = 9 against |AA| = 3; no G of lengths at least
+# 3 has a degeneracy ratio above 1, the default threshold, so a lower one
+# is its witness.  With --random-A 2 from [1, 2] the drawn A is {1, 2}.
+_POLICY_WITNESSES = {
+    "--size-match-factor": ({"--G": "ggp 2; gap 1;1;9", "--on-size-mismatch": "warn"},
+                            ("2", "4")),
+    "--on-size-mismatch": ({"--G": "ggp 2; gap 1;1;9"}, ("reject", "warn")),
+    "--degeneracy-threshold": ({}, ("1/2", "1")),
+}
+WITNESSES = {
+    **{("verify-main", "--A", flag): w for flag, w in _POLICY_WITNESSES.items()},
+    **{("verify-main", "--random-A", flag): (
+        {"--random-A": "2", "--lo": "1", "--hi": "2", **extra}, values)
+       for flag, (extra, values) in _POLICY_WITNESSES.items()},
+    ("verify-main", "--random-A", "--lo"): ({}, ("-50", "1")),
+    ("verify-main", "--random-A", "--seed"): ({"--hi": "6"}, ("0", "1")),
+    # the automatic progression starts at g1 = 1 too
+    ("verify-main", "--random-A", "--skew-e"): ({"--G": "ggp 2; gap 1;1;3"},
+                                               (None, True)),
+    ("verify-ff", "--full-plane", "--q"): ({}, ("5", "7")),
+    ("conjecture-scan", "geometric", "--min-factor-size"): ({}, ("1", "2")),
+    ("conjecture-scan", "geometric", "--budget"): ({"--base": "1/2"}, ("1", "200000")),
+    ("conjecture-scan", "geometric", "--coverage-target"): ({"--base": "1/2"},
+                                                            ("1/3", "1")),
+    ("conjecture-scan", "subgroup", "--coverage-target"): ({"--q": "31", "--t": "5"},
+                                                           ("1/2", "1")),
+}
+
+# Existing tests cover --config, --out and --format.  --family and
+# --full-plane pick the mode itself.  The subgroup progression starts at
+# g1 = 1, where the skewed lift of E equals the plain one, so --skew-e is
+# read but never changes a --subgroup-t report; the golden corpus pins
+# that it is accepted there.
+EXEMPT = {"--config", "--out", "--format", "--family", "--full-plane",
+          ("verify-ff", "--subgroup-t", "--skew-e")}
+
+
+def _argv(command, settings):
+    argv = [command]
+    for flag, value in settings.items():
+        if flag == "spec":
+            argv.append(value)
+        elif value is not None:
+            argv += [flag] if value is True else [flag, value]
+    return argv
+
+
+def _parser_flags():
+    """Each command's flags, walked from the parser itself."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {command: [a.option_strings[0] if a.option_strings else a.dest
+                      for a in p._actions if a.dest != "help"]
+            for command, p in sub.choices.items()}
+
+
+def _refuse_work(*_):
+    raise AssertionError("the command ran")
+
+
+def test_every_mode_has_a_run():
+    assert set(MODE_RUNS) == {(c, m) for c, modes in MODES.items() for m in modes}
+
+
+# Every flag of every mode is read or refused: given outside the mode's
+# row it exits 2 naming its mode's selector or its own, before any work;
+# inside the row two legal values print different bytes.
+@pytest.mark.parametrize("command,mode", list(MODE_RUNS))
+def test_every_flag_is_read_or_refused(capsys, monkeypatch, command, mode):
+    runs = MODE_RUNS[command, mode]
+    for flag in _parser_flags()[command]:
+        if flag in MODES[command][mode]:
+            if flag in EXEMPT or (command, mode, flag) in EXEMPT:
+                continue
+            extra, values = (WITNESSES.get((command, mode, flag))
+                             or ({}, FLAG_VALUES[flag]))
+            outs = [run_cli(capsys, *_argv(command, {**runs, **extra, flag: v}))
+                    for v in values]
+            assert outs[0][1] != outs[1][1], (flag, outs)
+            assert any(code in (0, 1) for code, _, _ in outs), (flag, outs)
+            assert not any("cannot be combined" in e for _, _, e in outs), (flag, outs)
+            continue
+        with monkeypatch.context() as m:
+            m.setattr("shiftprod.cli._load_config", _refuse_work)
+            value = FLAG_VALUES[flag][-1]
+            code, out, err = run_cli(capsys, *_argv(command, {**runs, flag: value}))
+        match = re.fullmatch(r"error: (--\S+(?: \S+)?) cannot be combined with (.+)\n",
+                             err)
+        assert (code, out) == (2, "") and match, (flag, err)
+        assert flag in [match[1].split()[0], *match[2].split(", ")], (flag, err)
 
 
 # --seed only where a command draws at random, --config only where it reads
