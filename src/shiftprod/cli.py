@@ -6,7 +6,8 @@ Exit codes: 0 clean, 1 a guaranteed property measured false (finding),
 lists the flags that each mode of each command reads; the subparsers are
 built from the two.  Before any config is read or input built,
 _check_flags picks the mode and refuses, with exit 2, any flag given
-outside its row; a config key outside the row is ignored.  All randomness
+outside its row; a config key outside the row is ignored, and one inside
+it is read as its flag would be, the flag winning.  All randomness
 flows through one seed (--seed, else the config file, else
 SHIFTPROD_SEED, else 0), and repeated runs with the same inputs are byte
 identical.  Every JSON or CSV output goes through _write, the only
@@ -176,7 +177,17 @@ def _load_config(args):
         raise PreconditionError(f"malformed config JSON: {e}")
     if not isinstance(cfg, dict):
         raise PreconditionError("config must be a JSON object")
-    return {k: v for k, v in cfg.items() if k in args.reads}
+    cfg = {k: v for k, v in cfg.items() if k in args.reads}
+    # the text settings that the commands read off args: the flag wins,
+    # else the config key, which must be text among the flag's choices
+    for name in ("G", "out", "format"):
+        if name in cfg and getattr(args, name) is None:
+            v, choices = cfg[name], FLAGS[f"--{name}"].get("choices")
+            if type(v) is not str or choices and v not in choices:
+                raise ParseError(f"expected {' or '.join(choices or ['text'])}, "
+                                 f"got {v!r}")
+            setattr(args, name, v)
+    return cfg
 
 
 def _pick(args, cfg, name, default):
@@ -313,6 +324,8 @@ def cmd_verify_main(args) -> int:
         size = args.random_A
         if size < 0:
             raise PreconditionError(f"random_A must not be negative, got {size}")
+        if size < 2:
+            raise PreconditionError("need |A| >= 2")
         count = _count(args, cfg, 1)
         values = _int_range(args, cfg, size)
         rng = random.Random(_resolve_seed(args, cfg))
@@ -401,7 +414,7 @@ def cmd_prop_gp(args) -> int:
 
 
 def _family_instances(args, cfg):
-    """(instance_id, A, G) triples; G is the progression of a subgroup
+    """Lazy (instance_id, A, G) triples; G is the progression of a subgroup
     instance and None for the other families.  Every setting is checked
     before the first set is built, so no refusal depends on the count."""
     family = args.family
@@ -439,7 +452,7 @@ def _family_instances(args, cfg):
                 raise PreconditionError("step must be nonzero")
             sets = (ScalarSet(start + k * step for k in range(length + i))
                     for i in range(count))
-    return [(f"{family}-{i:03d}", A, None) for i, A in enumerate(sets)]
+    return ((f"{family}-{i:03d}", A, None) for i, A in enumerate(sets))
 
 
 def cmd_conjecture_scan(args) -> int:
@@ -449,7 +462,7 @@ def cmd_conjecture_scan(args) -> int:
                    budget=_int)
     if "budget" in knobs:
         knobs["search_budget"] = knobs.pop("budget")
-    rows = conjecture_scan([(iid, A) for iid, A, _ in instances], **knobs)
+    rows = conjecture_scan(((iid, A) for iid, A, _ in instances), **knobs)
     _write(args, rows, "csv")
     return 0
 

@@ -246,6 +246,7 @@ def conjecture_scan(instances: Iterable[Tuple[str, ScalarSet]],
     coverage_target = Fraction(coverage_target)
     if not (0 < coverage_target <= 1):
         raise ValueError("coverage_target must lie in (0, 1]")
+    CoverQuery(ScalarSet([1]), **query_knobs)  # checks the knobs before any instance
     rows = []
     for instance_id, A in instances:
         query = CoverQuery(A=A, **query_knobs)

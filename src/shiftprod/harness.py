@@ -20,8 +20,10 @@ AA+1 escapes G.  The route:
     sets formed and compared.  The pair caps of G*(AA+1) and G*G refuse
     on the realized size of G, before its powers are built, and their bit
     caps right after, before any pairwise work;
-  * read |GG| off the exponents, as the distinct sums of two exponents
-    (mod ord(g0) over F_q), with no product set built;
+  * read |GG| and the size of the even part of G off the exponents, each
+    as the size of a progression of exponents (R + R, and the vectors with
+    even coordinates), folded mod ord(g0) over F_q, with no power or
+    product set built;
   * read off |C| / |A|**(1-delta) to fixed digits.
 
 Every check is exact; measured stand-ins for asymptotic constants are
@@ -47,10 +49,9 @@ from .numeric import (
 from .progressions import (
     GapSpec,
     GgpSpec,
-    _one_generator_size,
     degeneracy_ratio,
     enumerate_ggp,
-    gap_values,
+    gap_size,
     ggp_membership,
     ggp_powers,
     is_proper,
@@ -207,30 +208,6 @@ def square_part_bound_check(G: GgpSpec, B: ScalarSet) -> Tuple[int, bool]:
     return bound, ok
 
 
-def _even_part_size(Gn: GgpSpec) -> int:
-    """|{g0**k : k from an exponent vector with every coordinate even}|,
-    the sub-GAP with generators 2*r_j and lengths ceil(l_j / 2); distinct
-    exponents give distinct powers over Q, and over F_q exactly when they
-    differ mod ord(g0)."""
-    R, n = Gn.exponents, Gn.order
-    exps = gap_values(R.r0, [2 * r for r in R.generators],
-                      [(l + 1) // 2 for l in R.lengths])
-    return len(exps if n is None else {k % n for k in exps})
-
-
-def _self_product_size(G: GgpSpec) -> int:
-    """|G*G| = |R + R| for the exponents R = G.residues, the sums reduced
-    mod ord(g0) over F_q: k -> g0**k is injective on the integers over Q
-    and on the residues mod ord(g0) over F_q.  For one generator R + R is
-    the progression 2*r0 + x*r, 0 <= x < 2l - 1, sized in closed form."""
-    if G.exponents.dimension == 1:
-        (r,), (l,) = G.exponents.generators, G.exponents.lengths
-        return _one_generator_size(r, 2 * l - 1, G.order)
-    R, n = G.residues, G.order
-    sums = {a + b for a in R for b in R}
-    return len(sums if n is None else {k % n for k in sums})
-
-
 def build_point_sets(A: ScalarSet, B: ScalarSet, g1,
                      skew: bool = False) -> Tuple[PointSet2, PointSet2]:
     """Lift (A, B, g1) to the planar pair (E, F).
@@ -314,7 +291,10 @@ def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, eps: Fraction,
     proper = is_proper(Gn)
     constants["proper"] = "true" if proper else "false"
     constants["claim_bb"] = "pass" if bb_ok else "fail"
-    constants["b_even_size"] = str(_even_part_size(Gn))
+    # the exponent vectors with every coordinate even, and R + R below
+    R, n = Gn.exponents, Gn.order
+    constants["b_even_size"] = str(gap_size(R.r0, [2 * r for r in R.generators],
+                                            [(l + 1) // 2 for l in R.lengths], n))
 
     E, F = build_point_sets(A, B, g1, skew=skew_e)
     if len(A) >= 2 and len(B) >= 2:
@@ -339,7 +319,8 @@ def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, eps: Fraction,
     G_inter = productset(Gset, inter)
     constants["decomposition"] = (
         "pass" if decomposition_holds(Gset, AA1, inter, C) else "fail")
-    gg = _self_product_size(G)
+    # |G*G| = |R + R|: the sums 2*r0 + sum y_j * r_j, 0 <= y_j < 2*l_j - 1
+    gg = gap_size(2 * R.r0, R.generators, [2 * l - 1 for l in R.lengths], n)
     constants["gg_over_g"] = str(Fraction(gg, len(Gset)))
     constants["g_inter_le_gg"] = "pass" if len(G_inter) <= gg else "fail"
 

@@ -9,12 +9,12 @@ agree.
 
 Each spec object computes its exponents and its values once, as the
 cached attributes ``GapSpec.values``, ``GgpSpec.order``, ``.residues``
-and ``.powers``; ``gap_values`` builds the exponents one generator at a
-time, carrying coinciding partial sums once, with no exponent vector.
-``realized_size`` reads a one-generator spec's size in closed form (l, or
-1 when r == 0, over Q; min(l, n // gcd(r, n)) over F_q, n = ord(g0)), so
-an over-cap progression of one generator is refused before any exponent
-is built.
+and ``.powers``.  Every exponent count comes from one fold,
+``gap_values``, reduced mod n = ord(g0) over F_q as it goes: one
+generator r of length l at a time, each adding only its distinct
+multiples x*r, l of them over Z (1 when r == 0) and min(l, n // gcd(r, n))
+mod n.  ``gap_size`` reads that count for one generator with no exponent
+built, so such a progression over the cap is refused before any is built.
 
 Powers and membership run on the int lattice items of ``setalg`` sets.
 Membership has one route: a lookup of one item in the items of the cached
@@ -60,6 +60,7 @@ __all__ = [
     "enumerate_ggp",
     "format_gap_spec",
     "format_ggp_spec",
+    "gap_size",
     "gap_values",
     "ggp_membership",
     "ggp_powers",
@@ -71,15 +72,28 @@ __all__ = [
 ]
 
 
-def gap_values(r0: int, generators, lengths) -> frozenset:
-    """{r0 + sum_j x_j * r_j : 0 <= x_j < l_j}, folding in one generator at
-    a time.  Partial sums that coincide are carried once, and the work,
-    the sum of the partial formal lengths, stays below 1.5 times
-    prod(l_j) when every l_j >= 3."""
-    S = {r0}
+def gap_values(r0: int, generators, lengths, n: Optional[int] = None) -> frozenset:
+    """{r0 + sum_j x_j * r_j : 0 <= x_j < l_j}, reduced mod n unless n is
+    None, folding in one generator at a time.  Each generator adds only
+    its gap_size distinct multiples, and partial sums that coincide are
+    carried once, so the work, the sum of the partial formal lengths,
+    stays below 1.5 times prod(l_j) when every l_j >= 3."""
+    S = {r0 % n if n else r0}
     for r, l in zip(generators, lengths):
-        S = {s + x * r for s in S for x in range(l)}
+        steps = [x * r for x in range(gap_size(0, (r,), (l,), n))]
+        S = ({(s + t) % n for s in S for t in steps} if n
+             else {s + t for s in S for t in steps})
     return frozenset(S)
+
+
+def gap_size(r0: int, generators, lengths, n: Optional[int] = None) -> int:
+    """len(gap_values(r0, generators, lengths, n)).  One generator r of
+    length l is read with no value built: l, or 1 when r == 0, over the
+    integers, and mod n min(l, n // gcd(r, n)), as x*r has that period."""
+    if len(generators) > 1:
+        return len(gap_values(r0, generators, lengths, n))
+    (r,), (l,) = generators, lengths
+    return (l if r else 1) if n is None else min(l, n // gcd(r, n))
 
 
 @dataclass(frozen=True)
@@ -156,10 +170,11 @@ class GgpSpec:
 
     @cached_property
     def residues(self) -> frozenset:
-        """The exponent values, reduced mod ``order`` over F_q."""
-        if self.order is None:
-            return self.exponents.values
-        return frozenset(k % self.order for k in self.exponents.values)
+        """The exponent values, folded mod ``order`` over F_q; a formal
+        length above PAIR_CAP is refused before any is built."""
+        R = self.exponents
+        R._check_formal_length()
+        return gap_values(R.r0, R.generators, R.lengths, self.order)
 
     @cached_property
     def powers(self) -> ScalarSet:
@@ -217,25 +232,14 @@ def is_proper(spec) -> bool:
 
 
 def realized_size(spec) -> int:
-    """The number of distinct values.  A one-generator spec, r0 + x*r for
-    0 <= x < l, reads it in closed form, with no exponent built: l, or 1
-    when r == 0, for a GAP and over Q, and min(l, n // gcd(r, n)) over F_q
-    with n = ord(g0).  Others count their cached exponents.  Either way a
-    formal length above PAIR_CAP is refused first."""
+    """The number of distinct values, ``gap_size`` of the exponents, read
+    off the cached exponents for two or more generators; a formal length
+    above PAIR_CAP is refused first."""
     R = spec.exponents if isinstance(spec, GgpSpec) else spec
+    R._check_formal_length()
     if R.dimension > 1:
         return len(spec.values if R is spec else spec.residues)
-    R._check_formal_length()
-    (r,), (l,) = R.generators, R.lengths
-    return _one_generator_size(r, l, None if R is spec else spec.order)
-
-
-def _one_generator_size(r: int, l: int, n: Optional[int]) -> int:
-    """|{r0 + x*r : 0 <= x < l}|: l, or 1 when r == 0, over the integers,
-    and min(l, n // gcd(r, n)) mod n, the period of x*r, unless n is None."""
-    if n is None:
-        return l if r else 1
-    return min(l, n // gcd(r, n))
+    return gap_size(R.r0, R.generators, R.lengths, None if R is spec else spec.order)
 
 
 def degeneracy_ratio(spec) -> Fraction:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from shiftprod import ffharness, harness, progressions, setalg
-from shiftprod.cli import MODES, build_parser, main
+from shiftprod.cli import MODES, _dest, build_parser, main
 from shiftprod.ffharness import FfInput, run_field_pipeline
 from shiftprod.numeric import PrimeField
 from shiftprod.progressions import parse_ggp_spec
@@ -412,6 +412,11 @@ def test_conflicting_input_flags_exit_2(capsys, monkeypatch, argv, message):
     (("gen", "--family", "arithmetic", "--step", "0"), "step must be nonzero"),
     (("conjecture-scan", "--family", "arithmetic", "--length", "0"),
      "length must be positive"),
+    (("conjecture-scan", "--family", "geometric", "--budget", "0"),
+     "search_budget must be at least 1"),
+    (("conjecture-scan", "--family", "geometric", "--min-factor-size", "0"),
+     "min_factor_size must be at least 1"),
+    (("verify-main", "--random-A", "1", "--delta", "1/2"), "need |A| >= 2"),
 ])
 @pytest.mark.parametrize("count", ["0", "1"])
 def test_setting_refused_at_every_count(capsys, argv, message, count):
@@ -452,7 +457,7 @@ FLAG_VALUES = {
     "--step": ("1", "2"), "--seed": ("0", "1"),
     "--epsilon": ("1/6", "1/5"), "--delta": ("1/2", "1/3"), "--skew-e": (None, True),
     "--min-factor-size": ("2", "3"), "--coverage-target": ("1/2", "1"),
-    "--budget": ("1", "200000"),
+    "--budget": ("1", "200000"), "--format": ("json", "csv"),
 }
 
 # Flags whose default pair prints the same bytes in a mode, each with the
@@ -547,6 +552,49 @@ def test_every_flag_is_read_or_refused(capsys, monkeypatch, command, mode):
                              err)
         assert (code, out) == (2, "") and match, (flag, err)
         assert flag in [match[1].split()[0], *match[2].split(", ")], (flag, err)
+
+
+# Every setting of a mode that reads --config is read from the config as
+# from its flag, the selectors aside: the same exit code and bytes, and for
+# --out the same file contents.
+@pytest.mark.parametrize("command,mode", [m for m in MODE_RUNS
+                                          if "--config" in MODES[m[0]][m[1]]])
+def test_every_config_key_reads_as_its_flag(capsys, tmp_path, command, mode):
+    for flag in MODES[command][mode]:
+        if flag in (mode, "--family", "--config"):
+            continue
+        extra, values = (WITNESSES.get((command, mode, flag))
+                         or ({}, FLAG_VALUES.get(flag)))
+        settings = {**MODE_RUNS[command, mode], **extra}
+        settings.pop(flag, None)
+        value = str(tmp_path / "flag.out") if flag == "--out" else values[-1]
+        by_flag = run_cli(capsys, *_argv(command, {**settings, flag: value}))
+        if flag == "--out":
+            value = str(tmp_path / "config.out")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({_dest(flag): value}))
+        by_config = run_cli(capsys, *_argv(command, {**settings, "--config": str(cfg)}))
+        assert by_config == by_flag and by_flag[0] in (0, 1), (flag, by_flag, by_config)
+        if flag == "--out":
+            assert ((tmp_path / "config.out").read_text()
+                    == (tmp_path / "flag.out").read_text() != ""), flag
+
+
+@pytest.mark.parametrize("argv,key,value,message", [
+    (("verify-main", "--A", "{1, 2}", "--delta", "1/2"), "G", 3, "expected text, got 3"),
+    (("verify-ff", "--q", "13", "--A", "{1, 2}", "--epsilon", "1/6", "--delta", "1/3"),
+     "G", None, "expected text, got None"),
+    (("gen", "--family", "geometric", "--count", "1"), "out", ["x"],
+     "expected text, got ['x']"),
+    (("gen", "--family", "geometric", "--count", "1"), "format", "xml",
+     "expected json or csv, got 'xml'"),
+    (("conjecture-scan", "--family", "geometric", "--count", "1"), "format", True,
+     "expected json or csv, got True"),
+])
+def test_config_text_of_wrong_form_exits_2(capsys, tmp_path, argv, key, value, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert run_cli(capsys, *argv, "--config", str(cfg)) == (2, "", f"error: {message}\n")
 
 
 # --seed only where a command draws at random, --config only where it reads
@@ -793,6 +841,37 @@ def test_prop_gp_refuses_before_enumerating(capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err == ("error: progression has 100000000 exponent vectors, "
                    "above the cap 10000000\n")
+    assert peak < 16 * 2 ** 20
+
+
+# 2 has order q - 1 = 1000002 mod q, so the generator 1000002 adds one
+# multiple and G has 3 values; over the integers its 3 * 10**6 multiples
+# took 2.35 GB before any reduction
+DEGENERATE_FIELD_G = "gap 5;1000002,1;3000000,3"
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("verify-ff", "--q", "1000003", "--A", "{1, 2, 3}", "--G",
+      f"ggp 2; {DEGENERATE_FIELD_G}", "--epsilon", "1/100", "--delta", "1/10"),
+     '"identity_ok": true'),
+    (("prop-gp", f"ggp 2 mod 1000003; {DEGENERATE_FIELD_G}"), '"realized_size": 3'),
+])
+def test_field_exponents_folded_mod_the_order(capsys, monkeypatch, argv, expected):
+    fold = progressions.gap_values
+
+    def folded(r0, generators, lengths, n=None):
+        assert n is not None, "exponents folded over the integers"
+        return fold(r0, generators, lengths, n)
+
+    monkeypatch.setattr(progressions, "gap_values", folded)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert expected in out
     assert peak < 16 * 2 ** 20
 
 

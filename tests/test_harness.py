@@ -32,6 +32,7 @@ from shiftprod.progressions import (
     GapSpec,
     GgpSpec,
     enumerate_ggp,
+    gap_size,
     ggp_membership,
     realized_size,
 )
@@ -419,6 +420,13 @@ def _any_ggp(draw):
     return GgpSpec(PrimeFieldElement(draw(st.integers(2, q - 1)), q), gap)
 
 
+def _self_product_size(G):
+    """|G*G| as the pipeline reads it: the size of R + R, the progression
+    2*r0 + sum y_j * r_j with 0 <= y_j < 2*l_j - 1, mod ord(g0) over F_q."""
+    R = G.exponents
+    return gap_size(2 * R.r0, R.generators, [2 * l - 1 for l in R.lengths], G.order)
+
+
 @settings(max_examples=300)
 @given(_any_ggp())
 # 3 has order 3 mod 13, five exponents past it
@@ -427,7 +435,7 @@ def _any_ggp(draw):
 @example(GgpSpec(Fraction(2, 3), GapSpec(-4, (-1, 3), (4, 3))))
 def test_self_product_size_matches_product_set(G):
     Gset = enumerate_ggp(G)
-    assert harness._self_product_size(G) == len(productset(Gset, Gset))
+    assert _self_product_size(G) == len(productset(Gset, Gset))
 
 
 @st.composite
@@ -466,7 +474,7 @@ def test_one_generator_sizes_match_the_sums(G):
         n = _order(G.g0)
         exps, sums = {k % n for k in exps}, {k % n for k in sums}
     assert realized_size(G) == len(exps)
-    assert harness._self_product_size(G) == len(sums)
+    assert _self_product_size(G) == len(sums)
 
 
 def _three_product_verdict(Gset, AA1, inter, C):

@@ -1,13 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from shiftprod import progressions
-from shiftprod.harness import _even_part_size, square_part
+from shiftprod.harness import square_part
 from shiftprod.numeric import (
     ParseError,
     PrimeField,
@@ -22,6 +23,8 @@ from shiftprod.progressions import (
     enumerate_ggp,
     format_gap_spec,
     format_ggp_spec,
+    gap_size,
+    gap_values,
     ggp_membership,
     ggp_powers,
     growth_check,
@@ -295,14 +298,47 @@ RATIONAL_SPECS, FIELD_SPECS = _rational_specs(), _field_specs()
 @given(st.one_of(_gap_specs(6, max_dim=1), _rational_specs(max_dim=1),
                  _field_specs(max_dim=1)))
 def test_one_generator_size_is_read_without_exponents(spec):
-    # the closed form against the values of gap_values: l, or 1 when r == 0,
-    # for a GAP and over Q; min(l, n // gcd(r, n)) over F_q, n = ord(g0)
+    # the count of distinct multiples against the values of gap_values: l,
+    # or 1 when r == 0, for a GAP and over Q; min(l, n // gcd(r, n)) over
+    # F_q, n = ord(g0)
     R = spec.exponents if isinstance(spec, GgpSpec) else spec
     built = progressions.gap_values(R.r0, R.generators, R.lengths)
     if isinstance(spec, GgpSpec) and spec.order is not None:
         built = {k % spec.order for k in built}
     with mock.patch.object(progressions, "gap_values", None):
         assert realized_size(spec) == len(built)
+
+
+@st.composite
+def _folds(draw):
+    """(r0, generators, lengths, n), n None or a modulus, with generators
+    that are 0, negative, multiples of n or share a factor with it."""
+    n = draw(st.one_of(st.none(), st.integers(1, 60)))
+    m = n or draw(st.integers(1, 12))
+    d = draw(st.integers(1, 3))
+    gens = draw(st.lists(st.one_of(st.integers(-3 * m, 3 * m),
+                                   st.integers(-3, 3).map(lambda k: k * m),
+                                   st.integers(-6, 6).map(lambda k: k * gcd(m, 6))),
+                         min_size=d, max_size=d))
+    lengths = draw(st.lists(st.integers(1, 8), min_size=d, max_size=d))
+    return draw(st.integers(-2 * m, 2 * m)), gens, lengths, n
+
+
+@settings(max_examples=300)
+@given(_folds())
+@example((0, [0], [5], None))
+@example((3, [0, 6], [4, 3], 6))
+@example((-1, [-4, 10, 7], [5, 3, 8], 20))
+@example((5, [1000002, 1], [30, 3], 1000002))
+def test_fold_matches_exponent_vectors(fold):
+    # brute enumeration of every exponent vector, reduced mod n at the end
+    r0, gens, lengths, n = fold
+    brute = {r0 + sum(x * r for x, r in zip(v, gens))
+             for v in itertools.product(*(range(l) for l in lengths))}
+    if n is not None:
+        brute = {k % n for k in brute}
+    assert gap_values(r0, gens, lengths, n) == brute
+    assert gap_size(r0, gens, lengths, n) == len(brute)
 
 
 def _literal(G, even_only=False):
@@ -326,7 +362,9 @@ def _check_against_literal(G, probes):
     assert realized_size(G) == len(L)
     assert is_proper(G) == (len(L) == G.formal_length)
     assert set(square_part(G)) == {g for g in L if g * g in L}
-    assert _even_part_size(G) == len(_literal(G, even_only=True))
+    R = G.exponents
+    assert gap_size(R.r0, [2 * r for r in R.generators], [(l + 1) // 2 for l in R.lengths],
+                    G.order) == len(_literal(G, even_only=True))
     for x in probes:
         n, d = lattice_item(x)
         # the reduced item, and items the lattice may hold for the same
