@@ -6,13 +6,13 @@ Exit codes: 0 clean, 1 a guaranteed property measured false (finding),
 lists the flags that each mode of each command reads; the subparsers are
 built from the two.  Before any config is read or input built,
 _check_flags picks the mode and refuses, with exit 2, any flag given
-outside its row; a config key outside the row is ignored, and one inside
-it is read as its flag would be, the flag winning.  All randomness
-flows through one seed (--seed, else the config file, else
-SHIFTPROD_SEED, else 0), and repeated runs with the same inputs are byte
-identical.  Every JSON or CSV output goes through _write, the only
-serializer of report rows; gen's plain-text set listing is the one other
-output.
+outside its row.  _load_config then reads each other setting of the row
+once: its flag, else its --config key, through the one converter of the
+flag's FLAGS entry; a config key outside the row is ignored.  All
+randomness flows through one seed (--seed, else the config's seed key,
+else 0), and repeated runs with the same inputs are byte identical.
+Every JSON or CSV output goes through _write, the only serializer of
+report rows; gen's plain-text set listing is the one other output.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import csv
 import dataclasses
 import io
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -57,8 +56,10 @@ __all__ = ["entry", "main"]
 
 _INT = {"type": int}
 _SWITCH = {"action": "store_const", "const": True}
+_RATIONAL = {"rational": True}
 
-# Every flag once, in parser order, with the keywords of its add_argument.
+# Every flag once, in parser order, with the keywords of its add_argument;
+# "rational" marks the flags read through _fraction, and build_parser drops it.
 FLAGS = {
     "spec": {"nargs": "+", "help": "'gap r0;gens;lens' or 'ggp g0; gap ...'"},
     "--family": {"choices": ["random-integer", "geometric", "arithmetic", "subgroup"],
@@ -73,16 +74,16 @@ FLAGS = {
     "--full-plane": {**_SWITCH, "help": "coverage check with E = F = all "
                                         "nonzero points of F_q^2"},
     "--count": _INT, "--lo": _INT, "--hi": _INT, "--size-min": _INT, "--size-max": _INT,
-    "--base": {}, "--length": _INT, "--start": {}, "--step": {},
+    "--base": _RATIONAL, "--length": _INT, "--start": _RATIONAL, "--step": _RATIONAL,
     "--seed": _INT,
-    "--epsilon": {},
-    "--delta": {"help": "rational in (0,1), e.g. 1/2"},
-    "--size-match-factor": {},
-    "--degeneracy-threshold": {},
+    "--epsilon": _RATIONAL,
+    "--delta": {**_RATIONAL, "help": "rational in (0,1), e.g. 1/2"},
+    "--size-match-factor": _RATIONAL,
+    "--degeneracy-threshold": _RATIONAL,
     "--on-size-mismatch": {"choices": ["reject", "warn"]},
     "--skew-e": {**_SWITCH, "help": "scale only the first coordinate of E"},
     "--min-factor-size": _INT,
-    "--coverage-target": {},
+    "--coverage-target": _RATIONAL,
     "--budget": _INT,
     "--config": {"help": "JSON file with defaults"},
     "--out": {"help": "write output here instead of stdout"},
@@ -92,7 +93,7 @@ FLAGS = {
 _IO = ("--config", "--out", "--format")
 _POLICY = ("--size-match-factor", "--degeneracy-threshold", "--on-size-mismatch",
            "--skew-e")
-_FF = ("--q", "--epsilon", "--delta", "--skew-e", *_IO)
+_FF = ("--q", "--epsilon", "--delta")
 _SCAN = ("--min-factor-size", "--coverage-target", "--budget", *_IO)
 _RANDOM = ("--count", "--lo", "--hi", "--size-min", "--size-max", "--seed")
 
@@ -108,8 +109,9 @@ MODES = {
     },
     "verify-ff": {
         "--full-plane": ("--q", "--full-plane", *_IO),
-        "--subgroup-t": ("--subgroup-t", *_FF),
-        "--A": ("--A", "--G", *_FF),
+        # a subgroup progression starts at g1 = 1, where --skew-e changes nothing
+        "--subgroup-t": ("--subgroup-t", *_FF, *_IO),
+        "--A": ("--A", "--G", *_FF, "--skew-e", *_IO),
     },
     "prop-gp": {"spec": ("spec", "--out", "--format")},
     "conjecture-scan": {
@@ -139,87 +141,78 @@ def _check_flags(args):
     modes = MODES[args.command]
     given = [f for f in FLAGS if getattr(args, _dest(f), None) is not None]
     if "--family" in given:
-        selector, row = f"--family {args.family}", modes[args.family]
+        mode, selector = args.family, f"--family {args.family}"
     else:
-        selector = next((s for s in modes if s in given), None)
+        mode = selector = next((s for s in modes if s in given), None)
         if selector is None:
             _usage(f"{args.command} needs {' or '.join(modes)}")
-        row = modes[selector]
-    extra = [f for f in given if f not in row]
+    extra = [f for f in given if f not in modes[mode]]
     if extra:
         _usage(f"{selector} cannot be combined with {', '.join(extra)}")
-    args.reads = {_dest(f) for f in row}
-
-
-def _resolve_seed(args, cfg):
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if "seed" in cfg:
-        return _int(cfg["seed"])
-    env = os.environ.get("SHIFTPROD_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise PreconditionError(f"SHIFTPROD_SEED must be an integer, got {env!r}")
-    return 0
+    args.settings = [f for f in modes[mode] if f not in (mode, "--family", "--config")]
 
 
 def _load_config(args):
-    if getattr(args, "config", None) is None:
-        return {}
-    try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    except OSError as e:
-        raise PreconditionError(f"cannot read config: {e}")
-    except json.JSONDecodeError as e:
-        raise PreconditionError(f"malformed config JSON: {e}")
-    if not isinstance(cfg, dict):
-        raise PreconditionError("config must be a JSON object")
-    cfg = {k: v for k, v in cfg.items() if k in args.reads}
-    # the text settings that the commands read off args: the flag wins,
-    # else the config key, which must be text among the flag's choices
-    for name in ("G", "out", "format"):
-        if name in cfg and getattr(args, name) is None:
-            v, choices = cfg[name], FLAGS[f"--{name}"].get("choices")
-            if type(v) is not str or choices and v not in choices:
-                raise ParseError(f"expected {' or '.join(choices or ['text'])}, "
-                                 f"got {v!r}")
-            setattr(args, name, v)
-    return cfg
+    """Read each setting of the mode once: its flag, else its --config key
+    (a JSON null counts as given), through its flag's converter."""
+    cfg = {}
+    if getattr(args, "config", None) is not None:
+        try:
+            with open(args.config) as fh:
+                cfg = json.load(fh)
+        except OSError as e:
+            raise PreconditionError(f"cannot read config: {e}")
+        except json.JSONDecodeError as e:
+            raise PreconditionError(f"malformed config JSON: {e}")
+        if not isinstance(cfg, dict):
+            raise PreconditionError("config must be a JSON object")
+    for flag in args.settings:
+        name = _dest(flag)
+        v = getattr(args, name)
+        if v is not None or name in cfg:
+            setattr(args, name, _convert(FLAGS[flag], cfg[name] if v is None else v))
 
 
-def _pick(args, cfg, name, default):
+def _convert(kwargs, v):
+    """The one converter of a flag, chosen from its FLAGS entry: an int, a
+    switch's bool, a rational, or text among the flag's choices."""
+    if kwargs.get("type") is int:
+        return _int(v)
+    if "const" in kwargs:
+        return _bool(v)
+    if "rational" in kwargs:
+        return _fraction(v)
+    choices = kwargs.get("choices")
+    if type(v) is not str or choices and v not in choices:
+        raise ParseError(f"expected {' or '.join(choices or ['text'])}, got {v!r}")
+    return v
+
+
+def _pick(args, name, default):
     v = getattr(args, name, None)
-    if v is not None:
-        return v
-    if name in cfg:
-        return cfg[name]
-    return default
+    return default if v is None else v
 
 
-def _need(args, cfg, name, msg):
-    """A setting the command cannot run without, from a flag or the config;
-    only its absence is a usage error, so 0 meets the range checks."""
-    if getattr(args, name, None) is None and name not in cfg:
+def _need(args, name, msg):
+    """A setting the command cannot run without; only its absence is a
+    usage error, so 0 meets the range checks."""
+    if getattr(args, name, None) is None:
         _usage(msg)
-    return _pick(args, cfg, name, None)
+    return getattr(args, name)
 
 
-def _count(args, cfg, default):
-    count = _int(_pick(args, cfg, "count", default))
+def _count(args, default):
+    count = _pick(args, "count", default)
     if count < 0:
         raise PreconditionError(f"count must not be negative, got {count}")
     return count
 
 
-def _given(args, cfg, **convert):
-    """Keyword arguments for the names that a flag or the config set, each
-    through its converter; the library type keeps every other default."""
-    return {name: conv(_pick(args, cfg, name, None))
-            for name, conv in convert.items()
-            if getattr(args, name, None) is not None or name in cfg}
+def _given(args, *names):
+    """Keyword arguments for the settings that were given; the library
+    type keeps every other default."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
 
 
 def _int(v) -> int:
@@ -303,21 +296,18 @@ def auto_progression(A: ScalarSet) -> GgpSpec:
     return GgpSpec(2, GapSpec(0, (1,), (max(3, n),)))
 
 
-def _int_range(args, cfg, size):
+def _int_range(args, size):
     """The integers from --lo to --hi, refused if fewer than size."""
-    lo = _int(_pick(args, cfg, "lo", 1))
-    hi = _int(_pick(args, cfg, "hi", 50))
+    lo, hi = _pick(args, "lo", 1), _pick(args, "hi", 50)
     if hi - lo + 1 < size:
         raise PreconditionError(f"range [{lo}, {hi}] is too small for {size} elements")
     return range(lo, hi + 1)
 
 
 def cmd_verify_main(args) -> int:
-    cfg = _load_config(args)
-    hcfg = HarnessConfig(**_given(args, cfg, size_match_factor=_fraction,
-                                  degeneracy_threshold=_fraction,
-                                  on_size_mismatch=str, skew_e=_bool))
-    delta = _fraction(_need(args, cfg, "delta", "verify-main needs --delta"))
+    hcfg = HarnessConfig(**_given(args, "size_match_factor", "degeneracy_threshold",
+                                  "on_size_mismatch", "skew_e"))
+    delta = _need(args, "delta", "verify-main needs --delta")
     if args.A is not None:
         sets = [parse_scalar_set(args.A)]
     else:
@@ -326,9 +316,9 @@ def cmd_verify_main(args) -> int:
             raise PreconditionError(f"random_A must not be negative, got {size}")
         if size < 2:
             raise PreconditionError("need |A| >= 2")
-        count = _count(args, cfg, 1)
-        values = _int_range(args, cfg, size)
-        rng = random.Random(_resolve_seed(args, cfg))
+        count = _count(args, 1)
+        values = _int_range(args, size)
+        rng = random.Random(_pick(args, "seed", 0))
         sets = [ScalarSet(rng.sample(values, size)) for _ in range(count)]
     G = parse_ggp_spec(args.G) if args.G else None
 
@@ -358,8 +348,7 @@ def _full_plane(F: PrimeField) -> PointSet2:
 
 
 def cmd_verify_ff(args) -> int:
-    cfg = _load_config(args)
-    q = _int(_need(args, cfg, "q", "verify-ff needs --q"))
+    q = _need(args, "q", "verify-ff needs --q")
     if args.full_plane:
         F = PrimeField(q)
         # refuse before building the q**2 - 1 points
@@ -369,8 +358,8 @@ def cmd_verify_ff(args) -> int:
         _write(args, rep)
         return 1 if rep.hypothesis_ok and not rep.full else 0
 
-    eps = _fraction(_need(args, cfg, "epsilon", "verify-ff needs --epsilon"))
-    delta = _fraction(_need(args, cfg, "delta", "verify-ff needs --delta"))
+    eps = _need(args, "epsilon", "verify-ff needs --epsilon")
+    delta = _need(args, "delta", "verify-ff needs --delta")
     if args.subgroup_t is not None:
         A, G = subgroup_ggp(q, args.subgroup_t)
     elif args.G is not None:
@@ -381,7 +370,7 @@ def cmd_verify_ff(args) -> int:
         _usage("verify-ff needs --subgroup-t or both --A and --G")
 
     rep = run_field_pipeline(FfInput(q=q, A=A, G=G, epsilon=eps, delta=delta,
-                                     **_given(args, cfg, skew_e=_bool)))
+                                     **_given(args, "skew_e")))
     _write(args, rep)
     if rep.finding():
         print(f"finding: q={q} A={format_scalar_set(A)} "
@@ -413,41 +402,39 @@ def cmd_prop_gp(args) -> int:
     return 0 if all(r["pass"] for r in rows) else 1
 
 
-def _family_instances(args, cfg):
+def _family_instances(args):
     """Lazy (instance_id, A, G) triples; G is the progression of a subgroup
     instance and None for the other families.  Every setting is checked
     before the first set is built, so no refusal depends on the count."""
     family = args.family
     if family == "subgroup":
-        q = _int(_need(args, cfg, "q", "subgroup family needs --q"))
-        t = _int(_need(args, cfg, "t", "subgroup family needs --t"))
+        q = _need(args, "q", "subgroup family needs --q")
+        t = _need(args, "t", "subgroup family needs --t")
         return [(f"{family}-q{q}-t{t}", *subgroup_ggp(q, t))]
-    count = _count(args, cfg, 10)
+    count = _count(args, 10)
     if family == "random-integer":
-        smin = _int(_pick(args, cfg, "size_min", 3))
-        smax = _int(_pick(args, cfg, "size_max", 5))
+        smin, smax = _pick(args, "size_min", 3), _pick(args, "size_max", 5)
         if smin < 1:
             raise PreconditionError(f"size_min must be positive, got {smin}")
         if smin > smax:
             raise PreconditionError(f"size_min = {smin} is above size_max = {smax}")
         # refused on size_max, whatever sizes the seed would draw
-        values = _int_range(args, cfg, smax)
-        rng = random.Random(_resolve_seed(args, cfg))
+        values = _int_range(args, smax)
+        rng = random.Random(_pick(args, "seed", 0))
         sets = (ScalarSet(rng.sample(values, rng.randint(smin, smax)))
                 for _ in range(count))
     else:
-        length = _int(_pick(args, cfg, "length", 5))
+        length = _pick(args, "length", 5)
         if length < 1:
             raise PreconditionError("length must be positive")
         if family == "geometric":
-            base = _fraction(_pick(args, cfg, "base", 2))
+            base = _pick(args, "base", 2)
             if base <= 0 or base == 1:
                 raise PreconditionError("base must be positive and != 1")
             sets = (ScalarSet(base ** k for k in range(length + i))
                     for i in range(count))
         else:
-            start = _fraction(_pick(args, cfg, "start", 1))
-            step = _fraction(_pick(args, cfg, "step", 1))
+            start, step = _pick(args, "start", 1), _pick(args, "step", 1)
             if step == 0:
                 raise PreconditionError("step must be nonzero")
             sets = (ScalarSet(start + k * step for k in range(length + i))
@@ -456,10 +443,8 @@ def _family_instances(args, cfg):
 
 
 def cmd_conjecture_scan(args) -> int:
-    cfg = _load_config(args)
-    instances = _family_instances(args, cfg)
-    knobs = _given(args, cfg, min_factor_size=_int, coverage_target=_fraction,
-                   budget=_int)
+    instances = _family_instances(args)
+    knobs = _given(args, "min_factor_size", "coverage_target", "budget")
     if "budget" in knobs:
         knobs["search_budget"] = knobs.pop("budget")
     rows = conjecture_scan(((iid, A) for iid, A, _ in instances), **knobs)
@@ -468,9 +453,8 @@ def cmd_conjecture_scan(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    cfg = _load_config(args)
-    seed = _resolve_seed(args, cfg)
-    instances = _family_instances(args, cfg)
+    seed = _pick(args, "seed", 0)
+    instances = _family_instances(args)
     if (args.format or "json") == "json":
         payload = []
         for iid, A, G in instances:
@@ -506,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
         reads = {f for row in MODES[command].values() for f in row}
         for flag, kwargs in FLAGS.items():
             if flag in reads:
-                p.add_argument(flag, **kwargs)
+                p.add_argument(flag, **{k: v for k, v in kwargs.items()
+                                        if k != "rational"})
         p.set_defaults(func=func)
     return ap
 
@@ -520,6 +505,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         _check_flags(args)
+        _load_config(args)
         return args.func(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

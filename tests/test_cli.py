@@ -9,17 +9,12 @@ from fractions import Fraction
 
 import pytest
 
-from shiftprod import ffharness, harness, progressions, setalg
-from shiftprod.cli import MODES, _dest, build_parser, main
+from shiftprod import cli, ffharness, harness, progressions, setalg
+from shiftprod.cli import FLAGS, MODES, _dest, build_parser, main
 from shiftprod.ffharness import FfInput, run_field_pipeline
 from shiftprod.numeric import PrimeField
 from shiftprod.progressions import parse_ggp_spec
 from shiftprod.setalg import parse_scalar_set
-
-
-@pytest.fixture(autouse=True)
-def clear_seed_env(monkeypatch):
-    monkeypatch.delenv("SHIFTPROD_SEED", raising=False)
 
 
 def run_cli(capsys, *argv):
@@ -199,14 +194,11 @@ def test_gen_random_integer_seeded(capsys):
     assert rows[1]["set"] == "{2, 16, 30, 42, 50}"
 
 
-def test_seed_precedence(capsys, monkeypatch, tmp_path):
+def test_seed_precedence(capsys, tmp_path):
+    # the flag, else the config's seed key, else 0
     argv = ["gen", "--family", "random-integer", "--count", "1"]
     _, out_default, _ = run_cli(capsys, *argv)
     assert json.loads(out_default)[0]["seed"] == 0
-
-    monkeypatch.setenv("SHIFTPROD_SEED", "5")
-    _, out_env, _ = run_cli(capsys, *argv)
-    assert json.loads(out_env)[0]["seed"] == 5
 
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 9}))
@@ -215,7 +207,7 @@ def test_seed_precedence(capsys, monkeypatch, tmp_path):
 
     _, out_flag, _ = run_cli(capsys, *argv, "--config", str(cfg), "--seed", "5")
     assert json.loads(out_flag)[0]["seed"] == 5
-    assert out_flag == out_env
+    assert out_flag == run_cli(capsys, *argv, "--seed", "5")[1]
 
 
 def test_config_supplies_parameters(capsys, tmp_path):
@@ -491,12 +483,8 @@ WITNESSES = {
 }
 
 # Existing tests cover --config, --out and --format.  --family and
-# --full-plane pick the mode itself.  The subgroup progression starts at
-# g1 = 1, where the skewed lift of E equals the plain one, so --skew-e is
-# read but never changes a --subgroup-t report; the golden corpus pins
-# that it is accepted there.
-EXEMPT = {"--config", "--out", "--format", "--family", "--full-plane",
-          ("verify-ff", "--subgroup-t", "--skew-e")}
+# --full-plane pick the mode itself.
+EXEMPT = {"--config", "--out", "--format", "--family", "--full-plane"}
 
 
 def _argv(command, settings):
@@ -580,6 +568,42 @@ def test_every_config_key_reads_as_its_flag(capsys, tmp_path, command, mode):
                     == (tmp_path / "flag.out").read_text() != ""), flag
 
 
+RATIONAL_FLAGS = {"--base", "--start", "--step", "--epsilon", "--delta",
+                  "--size-match-factor", "--degeneracy-threshold", "--coverage-target"}
+
+
+def _settled_type(flag):
+    kwargs = FLAGS[flag]
+    if flag in RATIONAL_FLAGS:
+        return Fraction
+    return int if kwargs.get("type") is int else bool if "const" in kwargs else str
+
+
+# Every setting reaches the command typed, whatever its source: a flag and
+# its --config key give the command one value of one type.
+@pytest.mark.parametrize("command,mode", [m for m in MODE_RUNS
+                                          if "--config" in MODES[m[0]][m[1]]])
+def test_settings_arrive_typed(capsys, monkeypatch, tmp_path, command, mode):
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, command, ("", lambda args: seen.append(args) or 0))
+    cfg = tmp_path / "cfg.json"
+    for flag in MODES[command][mode]:
+        if flag in (mode, "--family", "--config"):
+            continue
+        if flag == "--out":
+            value = str(tmp_path / "out")
+        else:
+            value = (WITNESSES.get((command, mode, flag)) or ({}, FLAG_VALUES[flag]))[1][-1]
+        settings = {k: v for k, v in MODE_RUNS[command, mode].items() if k != flag}
+        cfg.write_text(json.dumps({_dest(flag): value}))
+        for argv in (_argv(command, {**settings, flag: value}),
+                     _argv(command, {**settings, "--config": str(cfg)})):
+            assert run_cli(capsys, *argv) == (0, "", ""), (flag, argv)
+        by_flag, by_config = (getattr(args, _dest(flag)) for args in seen[-2:])
+        assert by_flag == by_config, (flag, by_flag, by_config)
+        assert type(by_flag) is type(by_config) is _settled_type(flag), (flag, by_flag)
+
+
 @pytest.mark.parametrize("argv,key,value,message", [
     (("verify-main", "--A", "{1, 2}", "--delta", "1/2"), "G", 3, "expected text, got 3"),
     (("verify-ff", "--q", "13", "--A", "{1, 2}", "--epsilon", "1/6", "--delta", "1/3"),
@@ -590,6 +614,8 @@ def test_every_config_key_reads_as_its_flag(capsys, tmp_path, command, mode):
      "expected json or csv, got 'xml'"),
     (("conjecture-scan", "--family", "geometric", "--count", "1"), "format", True,
      "expected json or csv, got True"),
+    (("verify-main", "--A", "{1, 2}", "--G", "ggp 2; gap 1;1;3", "--delta", "1/2"),
+     "on_size_mismatch", "ignore", "expected reject or warn, got 'ignore'"),
 ])
 def test_config_text_of_wrong_form_exits_2(capsys, tmp_path, argv, key, value, message):
     cfg = tmp_path / "cfg.json"
@@ -873,13 +899,6 @@ def test_field_exponents_folded_mod_the_order(capsys, monkeypatch, argv, expecte
     assert (code, err) == (0, "")
     assert expected in out
     assert peak < 16 * 2 ** 20
-
-
-def test_bad_env_seed(capsys, monkeypatch):
-    monkeypatch.setenv("SHIFTPROD_SEED", "ten")
-    code, _, err = run_cli(capsys, "gen", "--family", "random-integer", "--count", "1")
-    assert code == 2
-    assert "SHIFTPROD_SEED" in err
 
 
 def test_module_invocation_byte_identical():

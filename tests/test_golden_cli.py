@@ -20,8 +20,7 @@ CORPUS = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_te
 
 @pytest.mark.parametrize("case", CORPUS, ids=[f"{c['argv'][0]}-{i}"
                                               for i, c in enumerate(CORPUS)])
-def test_golden_cli(case, capsys, monkeypatch):
-    monkeypatch.delenv("SHIFTPROD_SEED", raising=False)
+def test_golden_cli(case, capsys):
     code = main(list(case["argv"]))
     captured = capsys.readouterr()
     assert captured.out == case["stdout"]
