@@ -304,6 +304,16 @@ def _int_range(args, size):
     return range(lo, hi + 1)
 
 
+def _refuse_skew_at_one(skew_e, G):
+    """--skew-e scales one coordinate of E by g1 = g0**r0, so it changes no
+    byte when g1 = 1: r0 = 0 over Q, r0 = 0 mod ord(g0) over F_q.  No G is
+    the automatic progression, which starts at 2**0."""
+    if skew_e:
+        r0, n = (0, None) if G is None else (G.exponents.r0, G.order)
+        if (r0 % n if n else r0) == 0:
+            _usage("--skew-e has no effect when g1 = 1")
+
+
 def cmd_verify_main(args) -> int:
     hcfg = HarnessConfig(**_given(args, "size_match_factor", "degeneracy_threshold",
                                   "on_size_mismatch", "skew_e"))
@@ -320,7 +330,8 @@ def cmd_verify_main(args) -> int:
         values = _int_range(args, size)
         rng = random.Random(_pick(args, "seed", 0))
         sets = [ScalarSet(rng.sample(values, size)) for _ in range(count)]
-    G = parse_ggp_spec(args.G) if args.G else None
+    G = parse_ggp_spec(args.G) if args.G is not None else None
+    _refuse_skew_at_one(hcfg.skew_e, G)
 
     reports, findings = [], []
     for A in sets:
@@ -366,6 +377,7 @@ def cmd_verify_ff(args) -> int:
         field = PrimeField(q)
         A = parse_scalar_set(args.A, field)
         G = parse_ggp_spec(args.G, field)
+        _refuse_skew_at_one(args.skew_e, G)
     else:
         _usage("verify-ff needs --subgroup-t or both --A and --G")
 

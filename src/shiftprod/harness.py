@@ -56,6 +56,7 @@ from .progressions import (
     ggp_powers,
     is_proper,
     realized_size,
+    sum_size,
 )
 from .setalg import (
     PointSet2,
@@ -291,7 +292,7 @@ def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, eps: Fraction,
     proper = is_proper(Gn)
     constants["proper"] = "true" if proper else "false"
     constants["claim_bb"] = "pass" if bb_ok else "fail"
-    # the exponent vectors with every coordinate even, and R + R below
+    # the exponent vectors with every coordinate even
     R, n = Gn.exponents, Gn.order
     constants["b_even_size"] = str(gap_size(R.r0, [2 * r for r in R.generators],
                                             [(l + 1) // 2 for l in R.lengths], n))
@@ -319,8 +320,7 @@ def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, eps: Fraction,
     G_inter = productset(Gset, inter)
     constants["decomposition"] = (
         "pass" if decomposition_holds(Gset, AA1, inter, C) else "fail")
-    # |G*G| = |R + R|: the sums 2*r0 + sum y_j * r_j, 0 <= y_j < 2*l_j - 1
-    gg = gap_size(2 * R.r0, R.generators, [2 * l - 1 for l in R.lengths], n)
+    gg = sum_size(Gn)
     constants["gg_over_g"] = str(Fraction(gg, len(Gset)))
     constants["g_inter_le_gg"] = "pass" if len(G_inter) <= gg else "fail"
 

@@ -7,14 +7,15 @@ prime-field element.  The formal length prod(l_j) counts exponent vectors;
 the realized size counts distinct values.  A spec is proper when the two
 agree.
 
-Each spec object computes its exponents and its values once, as the
-cached attributes ``GapSpec.values``, ``GgpSpec.order``, ``.residues``
-and ``.powers``.  Every exponent count comes from one fold,
-``gap_values``, reduced mod n = ord(g0) over F_q as it goes: one
-generator r of length l at a time, each adding only its distinct
-multiples x*r, l of them over Z (1 when r == 0) and min(l, n // gcd(r, n))
-mod n.  ``gap_size`` reads that count for one generator with no exponent
-built, so such a progression over the cap is refused before any is built.
+Both spec types give ``exponents`` (a GAP is its own), ``order`` (ord(g0)
+over F_q, else None) and the cached exponent set ``residues``; a GGP also
+caches its ``powers``.  Every count comes from one fold, ``gap_values``,
+reduced mod n = ord(g0) over F_q as it goes: one generator r of length l
+at a time, each adding only its distinct multiples x*r, l of them over Z
+(1 when r == 0) and min(l, n // gcd(r, n)) mod n.  ``gap_size`` reads
+that count for one generator with no exponent built, so such a progression
+over the cap is refused before any is built; ``sum_size`` reads |S+S| and
+|G*G| off the fold of R + R, with no value built.
 
 Powers and membership run on the int lattice items of ``setalg`` sets.
 Membership has one route: a lookup of one item in the items of the cached
@@ -47,8 +48,7 @@ from .setalg import (
     PAIR_CAP,
     ScalarSet,
     _check_pair_budget,
-    productset,
-    sumset,
+    productset,  # unused here; bench/spans.py wraps progressions.productset
 )
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "GgpSpec",
     "GrowthCheck",
     "degeneracy_ratio",
-    "enumerate_gap",
     "enumerate_ggp",
     "format_gap_spec",
     "format_ggp_spec",
@@ -69,6 +68,7 @@ __all__ = [
     "parse_gap_spec",
     "parse_ggp_spec",
     "realized_size",
+    "sum_size",
 ]
 
 
@@ -103,6 +103,7 @@ class GapSpec:
     r0: int
     generators: Tuple[int, ...]
     lengths: Tuple[int, ...]
+    order = None  # a GAP's values are its exponents, never folded
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(int(g) for g in self.generators))
@@ -127,12 +128,18 @@ class GapSpec:
             raise ValueError(f"progression has {self.formal_length} exponent "
                              f"vectors, above the cap {PAIR_CAP}")
 
+    @property
+    def exponents(self) -> "GapSpec":
+        return self
+
     @cached_property
-    def values(self) -> frozenset:
-        """The distinct integers of the progression, from ``gap_values``; a
-        formal length above PAIR_CAP is refused before any is built."""
-        self._check_formal_length()
-        return gap_values(self.r0, self.generators, self.lengths)
+    def residues(self) -> frozenset:
+        """The distinct exponents from ``gap_values``, folded mod ``order``
+        over F_q: a GAP's values, a GGP's exponents.  A formal length above
+        PAIR_CAP is refused before any is built."""
+        R = self.exponents
+        R._check_formal_length()
+        return gap_values(R.r0, R.generators, R.lengths, self.order)
 
 
 @dataclass(frozen=True)
@@ -168,22 +175,12 @@ class GgpSpec:
             return multiplicative_order(self.g0)
         return None
 
-    @cached_property
-    def residues(self) -> frozenset:
-        """The exponent values, folded mod ``order`` over F_q; a formal
-        length above PAIR_CAP is refused before any is built."""
-        R = self.exponents
-        R._check_formal_length()
-        return gap_values(R.r0, R.generators, R.lengths, self.order)
+    residues = GapSpec.residues  # one fold for both spec types
 
     @cached_property
     def powers(self) -> ScalarSet:
         """The progression's distinct values, built once per spec."""
         return ggp_powers(self, self.residues)
-
-
-def enumerate_gap(R: GapSpec) -> ScalarSet:
-    return ScalarSet(R.values)
 
 
 def ggp_powers(G: GgpSpec, ks) -> ScalarSet:
@@ -226,8 +223,6 @@ def ggp_membership(G: GgpSpec, n: int, d: int) -> bool:
 
 def is_proper(spec) -> bool:
     """Realized size equals formal length."""
-    if not isinstance(spec, (GapSpec, GgpSpec)):
-        raise TypeError(f"not a progression spec: {spec!r}")
     return realized_size(spec) == spec.formal_length
 
 
@@ -235,11 +230,20 @@ def realized_size(spec) -> int:
     """The number of distinct values, ``gap_size`` of the exponents, read
     off the cached exponents for two or more generators; a formal length
     above PAIR_CAP is refused first."""
-    R = spec.exponents if isinstance(spec, GgpSpec) else spec
+    R = spec.exponents
     R._check_formal_length()
     if R.dimension > 1:
-        return len(spec.values if R is spec else spec.residues)
-    return gap_size(R.r0, R.generators, R.lengths, None if R is spec else spec.order)
+        return len(spec.residues)
+    return gap_size(R.r0, R.generators, R.lengths, spec.order)
+
+
+def sum_size(spec) -> int:
+    """|R + R| for the exponents R, folded mod ``order`` over F_q: the sums
+    2*r0 + sum_j y_j * r_j, 0 <= y_j < 2*l_j - 1, through ``gap_size``.
+    That is |S+S| for a GAP and |G*G| for a GGP, as g0**a * g0**b =
+    g0**(a+b)."""
+    R = spec.exponents
+    return gap_size(2 * R.r0, R.generators, [2 * l - 1 for l in R.lengths], spec.order)
 
 
 def degeneracy_ratio(spec) -> Fraction:
@@ -248,7 +252,7 @@ def degeneracy_ratio(spec) -> Fraction:
     The denominator uses the bit-length-minus-one integer log, so the
     ratio is a clean rational and never touches floats.
     """
-    R = spec.exponents if isinstance(spec, GgpSpec) else spec
+    R = spec.exponents
     n = R.formal_length
     if n < 2:
         raise ValueError("formal length below 2 has no degeneracy ratio")
@@ -264,22 +268,17 @@ class GrowthCheck:
 
 
 def growth_check(spec) -> GrowthCheck:
-    """Self sum (GAP) or self product (GGP) against the 2**d * length bound.
+    """Self sum (GAP) or self product (GGP) against the 2**d * length bound,
+    its size read off ``sum_size`` with no value built.
 
     Each coordinate range at most doubles under addition of exponents, so
     the expansion stays within 2**d of the formal length.  The pair cap
-    refuses on the realized size, before the set is built."""
+    refuses on the realized size, which bounds the fold, |R+R| <= |G|**2."""
     size = realized_size(spec)
-    gap = isinstance(spec, GapSpec)
-    _check_pair_budget(size, size, "sumset" if gap else "productset")
-    if gap:
-        S = enumerate_gap(spec)
-        expanded, R = sumset(S, S), spec
-    else:
-        S = enumerate_ggp(spec)
-        expanded, R = productset(S, S), spec.exponents
+    _check_pair_budget(size, size, "sumset" if isinstance(spec, GapSpec) else "productset")
+    expanded, R = sum_size(spec), spec.exponents
     bound = 2 ** R.dimension * R.formal_length
-    return GrowthCheck(len(S), len(expanded), bound, len(expanded) <= bound)
+    return GrowthCheck(size, expanded, bound, expanded <= bound)
 
 
 # ---------------------------------------------------------------------------

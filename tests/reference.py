@@ -18,6 +18,10 @@ in T, t != 0}, both of size at least m and B*C inside T: ``ref_cover_pairs``
 by one double loop over both subset families for several m at once, ``ref_cover_maximal`` by
 taking for each B the largest C, the quotients c with B*c inside T.
 
+``ref_values`` lists the values of a GAP or a GGP from every exponent
+vector, and ``ref_sum_size`` counts their self sums (GAP) or self products
+(GGP) over every pair, the value-side count of ``progressions.sum_size``.
+
 ``lattice_item`` turns one scalar into the int lattice item (n, d) that
 ``ggp_membership`` reads, by way of a one-element ScalarSet, and
 ``ref_ggp_powers`` is the per-power route to ``progressions.ggp_powers``:
@@ -38,6 +42,7 @@ from shiftprod.numeric import (
     as_rational,
     scalar_pow,
 )
+from shiftprod.progressions import GgpSpec
 from shiftprod.setalg import ScalarSet
 
 
@@ -309,3 +314,24 @@ def lattice_item(x):
 def ref_ggp_powers(G, ks) -> ScalarSet:
     """{g0**k : k in ks}, one exact power per exponent."""
     return ScalarSet(scalar_pow(G.g0, k) for k in ks)
+
+
+def ref_values(spec) -> set:
+    """The values of a GAP (integers) or a GGP (its powers; residues over
+    F_q), one per exponent vector."""
+    if not isinstance(spec, GgpSpec):
+        _, _, offsets, _ = _progression(1, spec)
+        return {spec.r0 + k for k in offsets}
+    g0, q = spec.g0, None
+    if isinstance(g0, PrimeFieldElement):
+        g0, q = g0.residue, g0.modulus
+    return _progression(g0, spec.exponents, q)[0]
+
+
+def ref_sum_size(spec) -> int:
+    """|S+S| for a GAP S and |G*G| for a GGP G, over every pair of values."""
+    S = ref_values(spec)
+    if not isinstance(spec, GgpSpec):
+        return len({a + b for a in S for b in S})
+    q = spec.g0.modulus if isinstance(spec.g0, PrimeFieldElement) else None
+    return len({_red(a * b, q) for a in S for b in S})

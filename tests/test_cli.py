@@ -8,11 +8,12 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from shiftprod import cli, ffharness, harness, progressions, setalg
 from shiftprod.cli import FLAGS, MODES, _dest, build_parser, main
 from shiftprod.ffharness import FfInput, run_field_pipeline
-from shiftprod.numeric import PrimeField
+from shiftprod.numeric import PrimeField, PrimeFieldElement, multiplicative_order
 from shiftprod.progressions import parse_ggp_spec
 from shiftprod.setalg import parse_scalar_set
 
@@ -135,6 +136,20 @@ def test_prop_gp_csv(capsys):
         "spec,realized_size,formal_length,expanded_size,bound,pass\n"
         '"gap 1;2,3;3,3",9,9,19,36,true\n'
     )
+
+
+# |S+S| and |G*G| are read off the exponents: forming G*G took 9 * 10**6
+# products of powers of 2 of up to 3000 bits, and the powers of 3/2 were
+# refused on LATTICE_BIT_CAP
+def test_prop_gp_reads_growth_off_exponents(capsys, monkeypatch):
+    def built(*_):
+        raise AssertionError("a power was built")
+
+    monkeypatch.setattr(progressions, "ggp_powers", built)
+    code, out, _ = run_cli(capsys, "prop-gp", "ggp 2; gap 0;1;3000",
+                           "ggp 3/2; gap 0;1;3000", "gap 0;1,1000;1000,3")
+    assert code == 0
+    assert [row["expanded_size"] for row in json.loads(out)] == [5999] * 3
 
 
 def test_conjecture_scan_csv(capsys):
@@ -966,3 +981,52 @@ def test_verify_ff_finding_exit(capsys):
                   epsilon=Fraction(1, 6), delta=Fraction(1, 2))
     assert run_field_pipeline(dataclasses.replace(inp, skew_e=True)).finding()
     assert not run_field_pipeline(inp).finding()
+
+
+# An empty --G is progression text like any other, from the flag or the
+# config; verify-main once ran the automatic progression on it
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_verify_main_empty_g_exits_2(capsys, tmp_path, source):
+    ff = run_cli(capsys, "verify-ff", "--q", "5", "--A", "{1, 4}", "--G", "",
+                 "--epsilon", "1/6", "--delta", "1/2")
+    assert ff[:2] == (2, "") and "progression text must start with 'ggp'" in ff[2]
+    argv = ["verify-main", "--A", "{1, 2}", "--delta", "1/2"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"G": ""}))
+    argv += ["--G", ""] if source == "flag" else ["--config", str(cfg)]
+    assert run_cli(capsys, *argv) == ff
+
+
+SKEW_AT_ONE = (2, "", "error: --skew-e has no effect when g1 = 1\n")
+
+
+@st.composite
+def _runs_at_g1_one(draw):
+    """A verify-main or verify-ff --A run whose G starts at g1 = g0**r0 = 1:
+    r0 = 0 over Q, or no --G, whose automatic progression starts at 2**0;
+    r0 a multiple of ord(g0) over F_q."""
+    gens = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=3))
+    lens = [draw(st.integers(3, 6)) for _ in gens]
+    gap = f"{','.join(map(str, gens))};{','.join(map(str, lens))}"
+    if draw(st.booleans()):
+        q = draw(st.sampled_from([5, 7, 11, 13, 101]))
+        g0 = draw(st.integers(2, q - 1))
+        r0 = draw(st.integers(-2, 2)) * multiplicative_order(PrimeFieldElement(g0, q))
+        return ("verify-ff", "--q", str(q), "--A", "{2, 3}", "--G",
+                f"ggp {g0}; gap {r0};{gap}", "--epsilon", "1/6", "--delta", "1/2")
+    A = draw(st.sampled_from([("--A", "{1, 2}"), ("--A", "{1/2, 3}"),
+                              ("--random-A", "3")]))
+    g0 = draw(st.sampled_from(["2", "3", "1/2", "3/2", "5/7"]))
+    G = draw(st.sampled_from([(), ("--G", f"ggp {g0}; gap 0;{gap}")]))
+    return ("verify-main", *A, *G, "--delta", "1/2")
+
+
+# --skew-e scales one coordinate of E by g1, so at g1 = 1 it would change no
+# byte; it exits 2 there from the flag and from the config
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_runs_at_g1_one())
+def test_skew_e_refused_wherever_g1_is_one(capsys, tmp_path, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"skew_e": True}))
+    assert run_cli(capsys, *argv, "--skew-e") == SKEW_AT_ONE
+    assert run_cli(capsys, *argv, "--config", str(cfg)) == SKEW_AT_ONE

@@ -14,12 +14,12 @@ from shiftprod.numeric import (
     PrimeField,
     PrimeFieldElement,
     is_prime,
+    multiplicative_order,
 )
 from shiftprod.progressions import (
     GapSpec,
     GgpSpec,
     degeneracy_ratio,
-    enumerate_gap,
     enumerate_ggp,
     format_gap_spec,
     format_ggp_spec,
@@ -32,10 +32,11 @@ from shiftprod.progressions import (
     parse_gap_spec,
     parse_ggp_spec,
     realized_size,
+    sum_size,
 )
 from shiftprod.setalg import PAIR_CAP, ScalarSet
 from conftest import make_proper_gap, make_proper_ggp
-from reference import lattice_item, ref_ggp_powers
+from reference import lattice_item, ref_ggp_powers, ref_sum_size, ref_values
 
 
 def test_gap_spec_validation():
@@ -66,11 +67,11 @@ def test_ggp_spec_validation():
 
 def test_enumerate_gap_known():
     R = GapSpec(1, (2, 3), (3, 3))
-    assert enumerate_gap(R).sorted() == [1, 3, 4, 5, 6, 7, 8, 9, 11]
+    assert ScalarSet(R.residues).sorted() == [1, 3, 4, 5, 6, 7, 8, 9, 11]
     assert is_proper(R)
     assert realized_size(R) == 9
     R2 = GapSpec(0, (1, 2), (3, 3))
-    assert enumerate_gap(R2).sorted() == [0, 1, 2, 3, 4, 5, 6]
+    assert ScalarSet(R2.residues).sorted() == [0, 1, 2, 3, 4, 5, 6]
     assert not is_proper(R2)
     assert realized_size(R2) == 7
 
@@ -139,7 +140,7 @@ def test_enumeration_refused_above_pair_cap(monkeypatch):
     monkeypatch.setattr(progressions, "gap_values", refuse)
     R = GapSpec(0, (1,), (PAIR_CAP + 1,))
     with pytest.raises(ValueError, match=f"{PAIR_CAP + 1} exponent vectors"):
-        R.values
+        R.residues
     with pytest.raises(ValueError, match="above the cap"):
         realized_size(GgpSpec(2, R))
 
@@ -179,11 +180,27 @@ def test_rational_powers_refused_above_bit_cap(monkeypatch):
         ggp_membership(G, *one)
 
 
-def test_growth_check_refused_before_powers(monkeypatch):
+def _refuse_values(monkeypatch, *also):
+    """Make building any power, any set or each (owner, name) in ``also`` raise."""
     def built(*_):
-        raise AssertionError("the powers were built")
+        raise AssertionError("a value was built")
 
-    monkeypatch.setattr(progressions, "ggp_powers", built)
+    for owner, name in [(progressions, "ggp_powers"), (ScalarSet, "_canonical"), *also]:
+        monkeypatch.setattr(owner, name, built)
+
+
+def test_growth_check_builds_no_value(monkeypatch):
+    # |S+S| and |G*G| are read off the fold of R + R, so the same checks
+    # come back with every power and every set refused
+    _refuse_values(monkeypatch)
+    gc = growth_check(GapSpec(1, (2, 3), (3, 3)))
+    assert (gc.size, gc.expanded_size, gc.bound, gc.passed) == (9, 19, 36, True)
+    gcg = growth_check(GgpSpec(2, GapSpec(0, (1, 5), (3, 3))))
+    assert (gcg.size, gcg.expanded_size, gcg.bound, gcg.passed) == (9, 25, 36, True)
+
+
+def test_growth_check_refused_before_powers(monkeypatch):
+    _refuse_values(monkeypatch, (progressions, "sum_size"))
     G = GgpSpec(Fraction(3, 2), GapSpec(0, (1,), (3163,)))
     with pytest.raises(ValueError,
                        match=f"productset needs {3163 ** 2} pair evaluations"):
@@ -191,10 +208,7 @@ def test_growth_check_refused_before_powers(monkeypatch):
 
 
 def test_growth_check_refused_before_gap_set(monkeypatch):
-    def built(*_):
-        raise AssertionError("the ScalarSet was built")
-
-    monkeypatch.setattr(progressions, "enumerate_gap", built)
+    _refuse_values(monkeypatch, (progressions, "sum_size"))
     R = GapSpec(0, (1, 1000), (1000, 4))
     with pytest.raises(ValueError,
                        match=f"sumset needs {4000 ** 2} pair evaluations"):
@@ -301,9 +315,9 @@ def test_one_generator_size_is_read_without_exponents(spec):
     # the count of distinct multiples against the values of gap_values: l,
     # or 1 when r == 0, for a GAP and over Q; min(l, n // gcd(r, n)) over
     # F_q, n = ord(g0)
-    R = spec.exponents if isinstance(spec, GgpSpec) else spec
+    R = spec.exponents
     built = progressions.gap_values(R.r0, R.generators, R.lengths)
-    if isinstance(spec, GgpSpec) and spec.order is not None:
+    if spec.order is not None:
         built = {k % spec.order for k in built}
     with mock.patch.object(progressions, "gap_values", None):
         assert realized_size(spec) == len(built)
@@ -339,6 +353,30 @@ def test_fold_matches_exponent_vectors(fold):
         brute = {k % n for k in brute}
     assert gap_values(r0, gens, lengths, n) == brute
     assert gap_size(r0, gens, lengths, n) == len(brute)
+
+
+@st.composite
+def _order_multiple_specs(draw):
+    """A GGP over F_q whose generators and r0 are drawn among the multiples
+    of ord(g0) as well as at random, so the fold wraps and repeats."""
+    q = draw(st.sampled_from([q for q in range(3, 60) if is_prime(q)]))
+    g0 = PrimeFieldElement(draw(st.integers(2, q - 1)), q)
+    n = multiplicative_order(g0)
+    some = st.one_of(st.integers(-2 * q, 2 * q), st.integers(-3, 3).map(lambda k: k * n))
+    d = draw(st.integers(1, 3))
+    return GgpSpec(g0, GapSpec(draw(some), draw(st.lists(some, min_size=d, max_size=d)),
+                               draw(st.lists(st.integers(3, 5), min_size=d, max_size=d))))
+
+
+@settings(max_examples=300)
+@given(st.one_of(_gap_specs(6), RATIONAL_SPECS, FIELD_SPECS, _order_multiple_specs()))
+@example(GapSpec(0, (1, 2), (3, 3)))
+@example(GgpSpec(PrimeFieldElement(2, 7), GapSpec(3, (3, 1), (4, 3))))
+def test_sum_size_matches_value_oracle(spec):
+    # |S+S| or |G*G| off the exponent fold against every pair of the
+    # literal values, proper or not
+    assert sum_size(spec) == ref_sum_size(spec)
+    assert realized_size(spec) == len(ref_values(spec))
 
 
 def _literal(G, even_only=False):
@@ -381,7 +419,7 @@ def _check_against_literal(G, probes):
 def test_compiled_rational_spec_matches_literal(G):
     L = _literal(G)
     g0 = Fraction(G.g0)
-    ks = G.exponents.values
+    ks = G.exponents.residues
     probes = (L | {g * g for g in L}
               | {g0 ** k for k in range(min(ks) - 3, max(ks) + 4)}
               | {0, -1, Fraction(5, 7), Fraction(-1, 2)})
