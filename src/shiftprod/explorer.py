@@ -17,9 +17,15 @@ with a*a = -1 over F_q) has no pair.
 T is built once per query and read on its int lattice (see setalg).  A
 quotient s/t of two lattice items is keyed by one int: over Q the reduced
 p/r with r > 0 as p*R + r, where R = max|t| + 1 exceeds every r, over F_q
-s * t^-1 mod q.  A quotient takes a bit position once it lies in
-min_factor_size quotient sets, and each pivot s of T holds its quotient
-set T/s as an int bitmask; when -1 lies in AA, 0 lies in T, and the pivot
+s * t^-1 mod q.  While R * R <= 2**63 every key fits in int64: the keys of
+all nonzero pivots form one numpy matrix, counted by one np.unique, and
+row j, column i keys ts[i]/ts[j], so each pivot's images are read off the
+matrix.  Past that bound the keys are Python ints counted by a Counter,
+the reference the tests hold the int64 route to.  A quotient takes a bit
+position once it lies in min_factor_size quotient sets, in order of first
+occurrence row by row, so that each mask spans only the quotients of the
+rows up to its own.  Each pivot s of T holds its quotient set T/s as an
+int bitmask; when -1 lies in AA, 0 lies in T, and the pivot
 0 holds every quotient, since 0*b = 0.  The pivot sets C are walked depth
 first in the lexicographic order of sorted T, ANDing the masks on the way
 down.  Every C of size at least min_factor_size is scored by the number of
@@ -45,6 +51,8 @@ from fractions import Fraction
 from itertools import chain, compress, count
 from math import gcd, lcm
 from typing import Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from .numeric import RATIONAL_DOMAIN
 from .setalg import ScalarSet, _check_pair_budget, productset, shift
@@ -87,16 +95,22 @@ class CoverResult:
     exhaustive: bool
 
 
-def _quotient_keys(T: ScalarSet) -> Tuple[List[int], int, List[Optional[List[int]]]]:
-    """The lattice items of T in sorted order, the key base R, and for each
-    item t, in that order, the keys of s/t for the items s in that order;
-    None for t = 0.  Over Q the reduced p/r with r > 0 is keyed p*R + r,
-    where R = max|t| + 1 exceeds every r; over F_q, R = q and the key is
-    s * t^-1 mod q."""
+def _key_base(T: ScalarSet) -> Tuple[List[int], int]:
+    """The lattice items of T in sorted order and the key base R: over Q,
+    R = max|t| + 1, which exceeds the denominator of every reduced
+    quotient; over F_q, R = q."""
     items, d = T.lat
     ts = sorted(items)
     if T.domain == RATIONAL_DOMAIN:
-        R = max(map(abs, ts)) + 1
+        return ts, max(map(abs, ts)) + 1
+    return ts, d
+
+
+def _quotient_keys(ts: List[int], R: int, domain) -> List[Optional[List[int]]]:
+    """For each item t of ``ts``, in order, the keys of s/t for the items
+    s of ``ts`` in order; None for t = 0.  Over Q the reduced p/r with
+    r > 0 is keyed p*R + r; over F_q the key is s * t^-1 mod q."""
+    if domain == RATIONAL_DOMAIN:
         sR = [s * R for s in ts]
         neg = [-x for x in sR]
 
@@ -106,12 +120,74 @@ def _quotient_keys(T: ScalarSet) -> Tuple[List[int], int, List[Optional[List[int
             a, base = abs(t), sR if t > 0 else neg
             return [(x + a) // gcd(s, t) for s, x in zip(ts, base)]
     else:
-        R = d
-
         def row(t):
-            inv = pow(t, -1, d)
-            return [s * inv % d for s in ts]
-    return ts, R, [row(t) if t else None for t in ts]
+            inv = pow(t, -1, R)
+            return [s * inv % R for s in ts]
+    return [row(t) if t else None for t in ts]
+
+
+def _python_bits(ts: List[int], R: int, domain, need: int):
+    """(keys, images): the quotient keys that lie in at least ``need``
+    rows, in bit order, and for each pivot ts[j] the dict from the bit
+    position of b to the index in ts of b * ts[j]; None for the pivot 0.
+    Python ints, any R; bits in order of first occurrence."""
+    rows = _quotient_keys(ts, R, domain)
+    seen = Counter(chain.from_iterable(filter(None, rows)))
+    bit = dict(zip(compress(seen, map(need.__le__, seen.values())), count()))
+    index = {s: i for i, s in enumerate(ts)}
+    images = []
+    for t, row in zip(ts, rows):
+        if row is None:
+            images.append(None)
+        elif domain == RATIONAL_DOMAIN:
+            # p*t // r for the key p*R + r
+            images.append({bit[k]: index[k // R * t // (k % R)]
+                           for k in bit.keys() & row})
+        else:
+            images.append({bit[k]: index[k * t % R] for k in bit.keys() & row})
+    return list(bit), images
+
+
+def _int64_bits(ts: List[int], R: int, domain, need: int):
+    """``_python_bits`` in one int64 numpy pass, for R * R <= 2**63, where
+    every key and product fits: the rows of the nonzero pivots form one
+    key matrix, counted by one np.unique.  Row j, column i keys
+    ts[i] / ts[j], so the image of that bit under the pivot ts[j] is i."""
+    n, s = len(ts), np.array(ts, dtype=np.int64)
+    if domain == RATIONAL_DOMAIN:
+        # (sign(t)*s*R + |t|) // gcd(s, t), the reduced p/r keyed p*R + r
+        t = s[s != 0][:, None]
+        keys = np.sign(t) * (s * R)
+        keys += np.abs(t)
+        keys //= np.gcd(t, s)
+    else:
+        inv = np.array([pow(t, -1, R) for t in ts if t], dtype=np.int64)
+        keys = np.multiply.outer(inv, s) % R
+    keys = keys.ravel()
+    _, where, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    kept = counts >= need
+    # the flat index of each entry whose quotient takes a bit, row by row
+    at = np.flatnonzero(kept[where])
+    where = where[at]
+    # bits in order of first occurrence, as on the Python route, so that
+    # each row's mask spans only the quotients of the rows up to it
+    first = np.full(len(counts), len(keys))
+    np.minimum.at(first, where, at)
+    kept = np.flatnonzero(kept)
+    kept = kept[np.argsort(first[kept])]
+    bit = np.empty(len(counts), dtype=np.int64)
+    bit[kept] = np.arange(len(kept))
+    positions, columns = bit[where], at % n
+    ends = np.searchsorted(at, n * np.arange(1, len(keys) // n + 1)).tolist()
+    keys = keys[first[kept]].tolist()
+    # the temporaries go first, and the dicts are filled one row at a
+    # time, so no list of every kept entry is alive at once
+    del where, counts, at, first, bit
+    images = [dict(zip(positions[a:b].tolist(), columns[a:b].tolist()))
+              for a, b in zip([0] + ends, ends)]
+    if 0 in ts:
+        images.insert(ts.index(0), None)
+    return keys, images
 
 
 def _key_set(keys, R: int, domain) -> ScalarSet:
@@ -145,28 +221,15 @@ def _search_exhaustive(T: ScalarSet, m: int, budget: int):
     """(B, C, hit, complete): the first pair with the most hits among the
     pivot sets C that the walk reaches within ``budget`` nodes, and
     whether it finished."""
-    ts, R, rows = _quotient_keys(T)
+    ts, R = _key_base(T)
     n = len(ts)
     # B for pivots C is the intersection of their rows, so a quotient in
     # fewer than m rows lies in no B and takes no bit; the pivot 0, if
     # any, holds every quotient
-    seen = Counter(chain.from_iterable(filter(None, rows)))
-    need = m - (0 in ts)
-    # bit positions in order of first occurrence
-    bit = dict(zip(compress(seen, map(need.__le__, seen.values())), count()))
-    # images[j] maps the bit position of b to the index in ts of b * ts[j]
-    index = {s: i for i, s in enumerate(ts)}
-    rational = T.domain == RATIONAL_DOMAIN
-    images = []
-    for j, (t, row) in enumerate(zip(ts, rows)):
-        if row is None:
-            images.append(dict.fromkeys(range(len(bit)), j))
-        elif rational:
-            # p*t // r for the key p*R + r
-            images.append({bit[k]: index[k // R * t // (k % R)]
-                           for k in bit.keys() & row})
-        else:
-            images.append({bit[k]: index[k * t % R] for k in bit.keys() & row})
+    route = _int64_bits if R * R <= 2 ** 63 else _python_bits
+    keys, images = route(ts, R, T.domain, m - (0 in ts))
+    images = [dict.fromkeys(range(len(keys)), j) if img is None else img
+              for j, img in enumerate(images)]
     masks = [_mask(img) for img in images]
     best_hit, best, nodes = 0, None, 0
 
@@ -185,7 +248,7 @@ def _search_exhaustive(T: ScalarSet, m: int, budget: int):
                 out.append((S + (j,), Mj, js[i + 1:], bound))
         return reversed(out)
 
-    stack = list(below((), (1 << len(bit)) - 1, range(n)))
+    stack = list(below((), (1 << len(keys)) - 1, range(n)))
     while stack:
         S, M, after, bound = stack.pop()
         if bound <= best_hit:
@@ -206,7 +269,6 @@ def _search_exhaustive(T: ScalarSet, m: int, budget: int):
     if best is None:
         return ScalarSet(), ScalarSet(), 0, complete
     S, M = best
-    keys = list(bit)
     B = _key_set([keys[i] for i in _bits(M)], R, T.domain)
     C = ScalarSet.from_lattice([ts[j] for j in S], T.lat[1], T.domain)
     return B, C, best_hit, complete

@@ -1,6 +1,6 @@
 import dataclasses
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +11,14 @@ from shiftprod import explorer
 from shiftprod.cli import main
 from shiftprod.explorer import (
     CoverQuery,
+    CoverResult,
     ScanRow,
+    _int64_bits,
+    _key_base,
     _key_set,
+    _python_bits,
     _quotient_keys,
+    _search_exhaustive,
     conjecture_scan,
     search_bc,
 )
@@ -36,7 +41,8 @@ def _check_pair(res, T, m):
 
 def _quotients_from_keys(T):
     """The quotients T/T from the int keys, sorted."""
-    _, R, rows = _quotient_keys(T)
+    ts, R = _key_base(T)
+    rows = _quotient_keys(ts, R, T.domain)
     return _key_set({k for row in rows if row for k in row}, R, T.domain).sorted()
 
 
@@ -74,13 +80,21 @@ def test_quotient_keys_match_element_quotients(query):
     assert _quotients_from_keys(T) == ScalarSet(_quotients(T.elems)).sorted()
 
 
+# the largest key base R of the int64 route, R * R <= 2**63
+EDGE = isqrt(2 ** 63)
+
+
 @st.composite
 def _targets(draw):
     """Sets T over Q, on a lattice with a denominator, with negative items
-    and 0 among them, or over F_q."""
-    kind = draw(st.sampled_from(["fraction", 2, 3, 13, 2 ** 31 - 1]))
+    and 0 among them, or over F_q; or integer sets whose largest |t| puts
+    the key base R = max|t| + 1 on either side of EDGE."""
+    kind = draw(st.sampled_from(["fraction", "edge", 2, 3, 13, 2 ** 31 - 1]))
     if kind == "fraction":
         elem = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+    elif kind == "edge":
+        elem = st.one_of(st.integers(-9, 9),
+                         st.sampled_from([EDGE - 2, 1 - EDGE, EDGE, -EDGE]))
     else:
         elem = st.integers(0, kind - 1).map(PrimeField(kind))
     return ScalarSet(draw(st.lists(elem, min_size=1, max_size=12)))
@@ -91,7 +105,8 @@ def _targets(draw):
 def test_quotient_key_rows_decode_to_quotients(T):
     # rows[j][i] keys ts[i] / ts[j]: the reduced p/r with r > 0 as p*R + r
     # over Q, ts[i] * ts[j]^-1 mod q over F_q; the pivot 0 has no row
-    ts, R, rows = _quotient_keys(T)
+    ts, R = _key_base(T)
+    rows = _quotient_keys(ts, R, T.domain)
     assert ts == sorted(T.lat[0]) and len(rows) == len(ts)
     for t, row in zip(ts, rows):
         if t == 0:
@@ -105,6 +120,51 @@ def test_quotient_key_rows_decode_to_quotients(T):
                 assert Fraction(p, r) == Fraction(s, t)
             else:
                 assert R == T.domain and k == s * pow(t, -1, R) % R
+
+
+@settings(max_examples=200, deadline=None)
+@given(_targets(), st.integers(1, 4))
+def test_int64_route_matches_python_route(T, m):
+    # within the int64 bound both routes keep the same quotients on the
+    # same bits with the same images; on either side of it the search
+    # returns what the Python route alone returns
+    ts, R = _key_base(T)
+    need = m - (0 in ts)
+    if R * R <= 2 ** 63:
+        assert (_int64_bits(ts, R, T.domain, need)
+                == _python_bits(ts, R, T.domain, need))
+    found = _search_exhaustive(T, m, 5000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(explorer, "_int64_bits", _python_bits)
+        assert found == _search_exhaustive(T, m, 5000)
+
+
+F_EDGE, F_PAST = PrimeField(3037000493), PrimeField(4294967291)
+
+
+@pytest.mark.parametrize("T, route", [
+    (ScalarSet([1 - EDGE, -6, 0, 2, 3, EDGE - 2]), "_int64_bits"),   # R = EDGE
+    (ScalarSet([-EDGE, -6, 0, 2, 3, EDGE - 2]), "_python_bits"),     # R = EDGE + 1
+    (ScalarSet([Fraction(EDGE - 2, 3), Fraction(-1, 3), 2]), "_int64_bits"),
+    (ScalarSet(map(F_EDGE, [0, 1, 2, 3, 6, 3037000492])), "_int64_bits"),
+    (ScalarSet(map(F_PAST, [0, 1, 2, 3, 6, 4294967290])), "_python_bits"),
+])
+def test_key_route_at_the_int64_bound(T, route, monkeypatch):
+    # keys near +-EDGE**2 take the int64 route exactly while R * R <= 2**63
+    taken = []
+    for name in ("_int64_bits", "_python_bits"):
+        real = getattr(explorer, name)
+        monkeypatch.setattr(explorer, name, lambda *a, name=name, real=real:
+                            taken.append(name) or real(*a))
+    for m in (1, 2):
+        taken.clear()
+        found = _search_exhaustive(T, m, 5000)
+        assert taken == [route]
+        with monkeypatch.context() as mp:
+            mp.setattr(explorer, "_int64_bits", _python_bits)
+            assert found == _search_exhaustive(T, m, 5000)
+        _check_pair(CoverResult(*found[:3], Fraction(found[2], len(T)), found[3]),
+                    T, m)
 
 
 def test_scan_builds_one_target_per_instance(monkeypatch):
@@ -162,8 +222,13 @@ def test_retired_cutoff_config_key_is_ignored(capsys, tmp_path):
     assert capsys.readouterr() == plain
 
 
-def _refuse_keys(T):
-    raise AssertionError("quotient keys built")
+def _refuse_keys(monkeypatch):
+    """Make either key route fail the test if it runs."""
+    def refuse(*args):
+        raise AssertionError("quotient keys built")
+
+    for route in ("_int64_bits", "_python_bits"):
+        monkeypatch.setattr(explorer, route, refuse)
 
 
 def test_cover_search_refused_above_pair_cap(monkeypatch):
@@ -171,14 +236,17 @@ def test_cover_search_refused_above_pair_cap(monkeypatch):
     primes = [p for p in range(2, 420) if is_prime(p)][:80]
     query = CoverQuery(A=ScalarSet(primes))
     assert len(query.T) == 3240 and 3240 ** 2 > PAIR_CAP
-    monkeypatch.setattr(explorer, "_quotient_keys", _refuse_keys)
+    # R = 409**2 + 2: a T this size under the cap takes the int64 route
+    assert _key_base(query.T)[1] ** 2 <= 2 ** 63
+    _refuse_keys(monkeypatch)
     with pytest.raises(ValueError, match=f"cover search needs {3240 ** 2} pair "
                                          f"evaluations, above the cap {PAIR_CAP}"):
         search_bc(query)
 
 
 def test_cover_search_refusal_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(explorer, "_quotient_keys", _refuse_keys)
+    # items up to about 10**12 put R * R past 2**63: the Python route
+    _refuse_keys(monkeypatch)
     code = main(["conjecture-scan", "--family", "random-integer", "--count", "1",
                  "--size-min", "80", "--size-max", "80", "--hi", "1000000",
                  "--seed", "1"])
@@ -216,7 +284,8 @@ def test_quotient_keys_give_zero_no_row():
     T = shift(productset(A, A), 1)
     assert T.sorted() == [0, 2]
     # R = 3: 0/2 = 0/1 is keyed 0*3 + 1, and 2/2 = 1/1 is keyed 1*3 + 1
-    assert _quotient_keys(T) == ([0, 2], 3, [None, [1, 4]])
+    assert _key_base(T) == ([0, 2], 3)
+    assert _quotient_keys([0, 2], 3, T.domain) == [None, [1, 4]]
     assert _quotients_from_keys(T) == [0, 1]
 
 
