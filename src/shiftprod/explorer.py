@@ -17,16 +17,27 @@ with a*a = -1 over F_q) has no pair.
 T is built once per query and read on its int lattice (see setalg).  A
 quotient s/t of two lattice items is keyed by one int: over Q the reduced
 p/r with r > 0 as p*R + r, where R = max|t| + 1 exceeds every r, over F_q
-s * t^-1 mod q.  While R * R <= 2**63 every key fits in int64: the keys of
-all nonzero pivots form one numpy matrix, counted by one np.unique, and
-row j, column i keys ts[i]/ts[j], so each pivot's images are read off the
-matrix.  Past that bound the keys are Python ints counted by a Counter,
-the reference the tests hold the int64 route to.  A quotient takes a bit
-position once it lies in min_factor_size quotient sets, in order of first
-occurrence row by row, so that each mask spans only the quotients of the
-rows up to its own.  Each pivot s of T holds its quotient set T/s as an
-int bitmask; when -1 lies in AA, 0 lies in T, and the pivot
-0 holds every quotient, since 0*b = 0.  The pivot sets C are walked depth
+s * t^-1 mod q.  Past R * R <= 2**63 these keys are Python ints counted
+by a Counter, the reference the tests hold the int64 route to.  Within
+it, row j, column i of the nonzero pivots' entries is ts[i]/ts[j], so
+each pivot's images are the columns of its kept entries.  Each entry is
+keyed s * t^-1 mod M, with M = q over F_q and over Q the prime
+P = 3037000493, the largest with P * P <= 2**63 (or the next prime below
+it that divides no pivot).  The key sits above the entry's flat index in
+one int64 word, and one sort of the words gives the runs of equal keys,
+their sizes and, at the head of each run, its first occurrence.  Over
+F_q, and over Q while 2 * (R - 1)**2 < P (R <= 38968), distinct
+quotients s/t, s'/t' differ mod M, since 0 < |s*t' - s'*t| < M, so each
+run is one quotient.  Past that bound equal quotients still share a key,
+but distinct ones may too, so a run long enough to take a bit only names
+candidates: their entries are keyed exactly, as on the Python route, and
+counted again.  When every entry is kept (min_factor_size 1, or 2 with 0
+in T), every entry is keyed exactly at once.  A quotient takes a bit
+position once it lies in min_factor_size quotient sets, in order of
+first occurrence row by row, so that each mask spans only the quotients
+of the rows up to its own.  Each pivot s of T holds its quotient set T/s
+as an int bitmask; when -1 lies in AA, 0 lies in T, and the pivot 0 holds
+every quotient, since 0*b = 0.  The pivot sets C are walked depth
 first in the lexicographic order of sorted T, ANDing the masks on the way
 down.  Every C of size at least min_factor_size is scored by the number of
 distinct elements of T that B*C reaches, and the first strict maximum is
@@ -54,7 +65,7 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .numeric import RATIONAL_DOMAIN
+from .numeric import RATIONAL_DOMAIN, is_prime
 from .setalg import ScalarSet, _check_pair_budget, productset, shift
 
 __all__ = [
@@ -148,43 +159,128 @@ def _python_bits(ts: List[int], R: int, domain, need: int):
     return list(bit), images
 
 
-def _int64_bits(ts: List[int], R: int, domain, need: int):
-    """``_python_bits`` in one int64 numpy pass, for R * R <= 2**63, where
-    every key and product fits: the rows of the nonzero pivots form one
-    key matrix, counted by one np.unique.  Row j, column i keys
-    ts[i] / ts[j], so the image of that bit under the pivot ts[j] is i."""
-    n, s = len(ts), np.array(ts, dtype=np.int64)
-    if domain == RATIONAL_DOMAIN:
-        # (sign(t)*s*R + |t|) // gcd(s, t), the reduced p/r keyed p*R + r
-        t = s[s != 0][:, None]
-        keys = np.sign(t) * (s * R)
-        keys += np.abs(t)
-        keys //= np.gcd(t, s)
-    else:
-        inv = np.array([pow(t, -1, R) for t in ts if t], dtype=np.int64)
-        keys = np.multiply.outer(inv, s) % R
-    keys = keys.ravel()
+# the largest prime P with P * P <= 2**63: the product of two residues
+# mod P fits in int64
+P = 3037000493
+
+
+def _exact_keys(t, s, R: int, domain):
+    """The keys of s/t as on the Python route, elementwise with
+    broadcasting: over Q the reduced p/r with r > 0 keyed p*R + r, that
+    is (sign(t)*s*R + |t|) // gcd(s, t); over F_q s * t^-1 mod q."""
+    if domain != RATIONAL_DOMAIN:
+        inv = [pow(x, -1, R) for x in t.ravel().tolist()]
+        return np.array(inv, dtype=np.int64).reshape(t.shape) * s % R
+    keys = np.sign(t) * (s * R)
+    keys += np.abs(t)
+    keys //= np.gcd(t, s)
+    return keys
+
+
+def _images(at, positions, n: int, rows: int):
+    """For each nonzero pivot, the dict from bit position to column of the
+    kept entries at the increasing flat indexes ``at``, row * n + column."""
+    ends = at.searchsorted(np.arange(n, n * rows + 1, n)).tolist()
+    positions, columns = positions.tolist(), (at % n).tolist()
+    return [dict(zip(positions[a:b], columns[a:b]))
+            for a, b in zip([0] + ends, ends)]
+
+
+def _count_keys(keys, at, n: int, rows: int, need: int):
+    """(keys, images) from the exact keys of the entries at the increasing
+    flat indexes ``at``, or of every entry for None, counted by one
+    np.unique; bits in order of first occurrence."""
     _, where, counts = np.unique(keys, return_inverse=True, return_counts=True)
     kept = counts >= need
-    # the flat index of each entry whose quotient takes a bit, row by row
-    at = np.flatnonzero(kept[where])
-    where = where[at]
-    # bits in order of first occurrence, as on the Python route, so that
-    # each row's mask spans only the quotients of the rows up to it
+    # the position in ``keys`` of each entry whose quotient takes a bit
+    pos = np.flatnonzero(kept[where])
+    where = where[pos]
     first = np.full(len(counts), len(keys))
-    np.minimum.at(first, where, at)
+    np.minimum.at(first, where, pos)
     kept = np.flatnonzero(kept)
     kept = kept[np.argsort(first[kept])]
     bit = np.empty(len(counts), dtype=np.int64)
     bit[kept] = np.arange(len(kept))
-    positions, columns = bit[where], at % n
-    ends = np.searchsorted(at, n * np.arange(1, len(keys) // n + 1)).tolist()
+    positions = bit[where]
     keys = keys[first[kept]].tolist()
-    # the temporaries go first, and the dicts are filled one row at a
-    # time, so no list of every kept entry is alive at once
-    del where, counts, at, first, bit
-    images = [dict(zip(positions[a:b].tolist(), columns[a:b].tolist()))
-              for a, b in zip([0] + ends, ends)]
+    at = pos if at is None else at[pos]
+    del where, counts, pos, first, kept, bit
+    return keys, _images(at, positions, n, rows)
+
+
+def _int64_bits(ts: List[int], R: int, domain, need: int):
+    """``_python_bits`` in int64 numpy, for R * R <= 2**63.  The entries
+    are the quotients ts[i] / ts[j] of the nonzero pivots ts[j], at flat
+    index j * len(ts) + i, so the image of an entry's bit under its pivot
+    is its column i.  For need > 1 each entry is keyed s * t^-1 mod M and
+    the keys are counted by one sort; where keys mod P can collide, the
+    entries of the runs of at least ``need`` are keyed exactly and counted
+    again."""
+    n, s = len(ts), np.array(ts, dtype=np.int64)
+    t = s[s != 0]
+    rows = len(t)
+    if need <= 1 or not rows:
+        # every entry is kept, or there is none: key each one exactly.  The
+        # key matrix is passed on unnamed, so that it is freed before the
+        # dicts are filled
+        keys, images = _count_keys(
+            _exact_keys(t[:, None], s, R, domain).reshape(-1),
+            None, n, rows, need)
+    else:
+        M = P if domain == RATIONAL_DOMAIN else R
+        # a pivot +-M has no inverse mod M; only a pivot of size at least
+        # M can be one
+        while R > M and (t % M == 0).any():
+            M = next(p for p in range(M - 2, 2, -2) if is_prime(p))
+        inv = np.array([pow(x, -1, M) for x in t.tolist()], dtype=np.int64)
+        # s * t^-1 mod M above the flat index: M < 2**32 and the index is
+        # below |T|**2 <= PAIR_CAP < 2**24, so every word is below 2**56
+        w = (rows * n - 1).bit_length()
+        low = (1 << w) - 1
+        words = np.multiply.outer(inv, s % M)
+        words %= M
+        words <<= w
+        words |= np.arange(rows * n).reshape(rows, n)
+        words = words.reshape(-1)
+        words.sort()
+        # the runs of equal keys, each from edges[k] up to edges[k + 1]
+        hashes = words >> w
+        edges = np.concatenate(
+            ([True], hashes[1:] != hashes[:-1], [True])).nonzero()[0]
+        del hashes
+        size = edges[1:] - edges[:-1]
+        kept = size >= need
+        # the first word of each kept run, and the words of all their
+        # entries, by key and then by flat index
+        first = words[edges[:-1][kept]]
+        words = words[kept.repeat(size)]
+        size = size[kept]
+        del edges, kept
+        if domain == RATIONAL_DOMAIN and 2 * (R - 1) ** 2 >= M:
+            # distinct quotients may share a key mod M: the runs name
+            # candidates, which are keyed exactly and counted again
+            at = np.sort(words & low)
+            keys = _exact_keys(t[at // n], s[at % n], R, domain)
+            keys, images = _count_keys(keys, at, n, rows, need)
+        else:
+            # the key is exact: over F_q it is the quotient itself, over Q
+            # |s*t' - s'*t| <= 2*(R-1)**2 < M.  So each run is one quotient,
+            # and its first word is its first occurrence; bits go in that
+            # order
+            order = (first & low).argsort()
+            bit = np.empty(len(order), dtype=np.int64)
+            bit[order] = np.arange(len(order))
+            # the kept entries as index << w | bit, in flat order
+            entries = (words & low) << w
+            entries |= bit.repeat(size)
+            entries.sort()
+            first = first[order]
+            if domain == RATIONAL_DOMAIN:
+                at = first & low
+                keys = _exact_keys(t[at // n], s[at % n], R, domain).tolist()
+            else:
+                keys = (first >> w).tolist()
+            images = _images(entries >> w, entries & low, n, rows)
     if 0 in ts:
         images.insert(ts.index(0), None)
     return keys, images

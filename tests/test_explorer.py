@@ -13,6 +13,7 @@ from shiftprod.explorer import (
     CoverQuery,
     CoverResult,
     ScanRow,
+    P,
     _int64_bits,
     _key_base,
     _key_set,
@@ -88,13 +89,21 @@ EDGE = isqrt(2 ** 63)
 def _targets(draw):
     """Sets T over Q, on a lattice with a denominator, with negative items
     and 0 among them, or over F_q; or integer sets whose largest |t| puts
-    the key base R = max|t| + 1 on either side of EDGE."""
-    kind = draw(st.sampled_from(["fraction", "edge", 2, 3, 13, 2 ** 31 - 1]))
+    the key base R = max|t| + 1 on either side of EDGE; or integer sets
+    whose items differ by P, so that distinct quotients share a key mod P,
+    with +-P among them, which has no inverse mod P."""
+    kind = draw(st.sampled_from(["fraction", "edge", "collide",
+                                 2, 3, 13, 2 ** 31 - 1]))
     if kind == "fraction":
         elem = st.fractions(min_value=-40, max_value=40, max_denominator=12)
     elif kind == "edge":
         elem = st.one_of(st.integers(-9, 9),
                          st.sampled_from([EDGE - 2, 1 - EDGE, EDGE, -EDGE]))
+    elif kind == "collide":
+        elem = st.one_of(st.integers(-6, 6),
+                         st.builds(lambda x, sign: sign * (x + P),
+                                   st.integers(-5, 5),
+                                   st.sampled_from([1, -1])))
     else:
         elem = st.integers(0, kind - 1).map(PrimeField(kind))
     return ScalarSet(draw(st.lists(elem, min_size=1, max_size=12)))
@@ -165,6 +174,54 @@ def test_key_route_at_the_int64_bound(T, route, monkeypatch):
             assert found == _search_exhaustive(T, m, 5000)
         _check_pair(CoverResult(*found[:3], Fraction(found[2], len(T)), found[3]),
                     T, m)
+
+
+def test_hash_prime_is_the_largest_whose_square_fits_int64():
+    assert is_prime(P) and P * P <= 2 ** 63
+    assert not any(map(is_prime, range(P + 1, EDGE + 1)))
+
+
+def _spy_recount(monkeypatch):
+    """The number of entries of each exact recount after a hash pass."""
+    recounted, real = [], explorer._count_keys
+    monkeypatch.setattr(explorer, "_count_keys", lambda keys, at, *a:
+                        recounted.append(len(keys)) or real(keys, at, *a))
+    return recounted
+
+
+def test_recount_drops_quotients_that_share_a_key_mod_p(monkeypatch):
+    # 2/1 and (2 + P)/1 share the key 2 mod P, and 1/2 and 1/(2 + P) the
+    # key of 1/2: at need 2 their runs name them, though each lies in one
+    # row; the recount keeps only 1, which lies in all three rows
+    T = ScalarSet([1, 2, 2 + P])
+    ts, R = _key_base(T)
+    recounted = _spy_recount(monkeypatch)
+    keys, images = _int64_bits(ts, R, T.domain, 2)
+    assert recounted == [9]
+    assert _key_set(keys, R, T.domain).sorted() == [1]
+    assert images == [{0: 0}, {0: 1}, {0: 2}]
+    assert (keys, images) == _python_bits(ts, R, T.domain, 2)
+
+
+@pytest.mark.parametrize("T, recount", [
+    (ScalarSet([1, 2, 3, 38967]), False),     # R = 38968, 2 * 38967**2 < P
+    (ScalarSet([-38968, 1, 2, 3]), True),     # R = 38969, 2 * 38968**2 > P
+    (ScalarSet([-P, 1, 2, 2 + P]), True),     # +-P steps the prime down
+    (ScalarSet(map(F_EDGE, [1, 2, 3, 3037000492])), False),  # M = q, exact
+])
+def test_keys_mod_p_are_exact_below_the_bound(T, recount, monkeypatch):
+    # the hash pass counts alone while distinct quotients of items below R
+    # differ mod M; past that its runs are counted again on exact keys
+    ts, R = _key_base(T)
+    recounted = _spy_recount(monkeypatch)
+    for m in (2, 3):
+        found = _int64_bits(ts, R, T.domain, m)
+        assert found == _python_bits(ts, R, T.domain, m)
+        assert bool(recounted) == recount
+    # need 1 keeps every entry and keys each one exactly, with no hash pass
+    recounted.clear()
+    assert _int64_bits(ts, R, T.domain, 1) == _python_bits(ts, R, T.domain, 1)
+    assert recounted == [len(ts) ** 2]
 
 
 def test_scan_builds_one_target_per_instance(monkeypatch):
