@@ -15,24 +15,24 @@ B is drawn from the quotients s/t with t nonzero, so T = {0} (A = {a}
 with a*a = -1 over F_q) has no pair.
 
 T is built once per query and read on its int lattice (see setalg).  A
-quotient s/t of two lattice items is keyed by one int: over Q the reduced
-p/r with r > 0 as p*R + r, where R = max|t| + 1 exceeds every r, over F_q
-s * t^-1 mod q.  Past R * R <= 2**63 these keys are Python ints counted
-by a Counter, the reference the tests hold the int64 route to.  Within
-it, row j, column i of the nonzero pivots' entries is ts[i]/ts[j], so
-each pivot's images are the columns of its kept entries.  Each entry is
-keyed s * t^-1 mod M, with M = q over F_q and over Q the prime
+quotient s/t of two lattice items has one exact int key: over Q the
+reduced p/r with r > 0 as p*R + r, where R = max|t| + 1 exceeds every r,
+over F_q s * t^-1 mod q.  Row j, column i of the pivots' entries is
+ts[i]/ts[j], so each pivot's images are the columns of its kept entries.
+Each entry is hashed in int64 as s * t^-1 mod M: over Q M is the prime
 P = 3037000493, the largest with P * P <= 2**63 (or the next prime below
-it that divides no pivot).  The key sits above the entry's flat index in
-one int64 word, and one sort of the words gives the runs of equal keys,
-their sizes and, at the head of each run, its first occurrence.  Over
-F_q, and over Q while 2 * (R - 1)**2 < P (R <= 38968), distinct
-quotients s/t, s'/t' differ mod M, since 0 < |s*t' - s'*t| < M, so each
-run is one quotient.  Past that bound equal quotients still share a key,
-but distinct ones may too, so a run long enough to take a bit only names
-candidates: their entries are keyed exactly, as on the Python route, and
-counted again.  When every entry is kept (min_factor_size 1, or 2 with 0
-in T), every entry is keyed exactly at once.  A quotient takes a bit
+it that divides no pivot), and over F_q it is q while q <= P; past that
+the hash is the exact key mod P.  The hash sits above the entry's flat
+index in one int64 word, and one sort of the words gives the runs of
+equal hashes, their sizes and, at the head of each run, its first
+occurrence.  Equal quotients share a hash.  Over F_q with q <= P, and
+over Q while 2 * (R - 1)**2 < P (R <= 38968), distinct quotients s/t,
+s'/t' differ mod M, since 0 < |s*t' - s'*t| < M, so each run is one
+quotient.  Elsewhere distinct ones may share a hash too, so each run
+long enough to take a bit is split by exact key once it holds two
+entries; a single entry is one quotient whatever its hash.  Each kept
+quotient is named by the flat index of its first entry, and exact keys
+are built only for the bits of the returned B.  A quotient takes a bit
 position once it lies in min_factor_size quotient sets, in order of
 first occurrence row by row, so that each mask spans only the quotients
 of the rows up to its own.  Each pivot s of T holds its quotient set T/s
@@ -55,13 +55,12 @@ Scalars are built only for the returned factors.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, compress, count
+from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -117,173 +116,122 @@ def _key_base(T: ScalarSet) -> Tuple[List[int], int]:
     return ts, d
 
 
-def _quotient_keys(ts: List[int], R: int, domain) -> List[Optional[List[int]]]:
-    """For each item t of ``ts``, in order, the keys of s/t for the items
-    s of ``ts`` in order; None for t = 0.  Over Q the reduced p/r with
-    r > 0 is keyed p*R + r; over F_q the key is s * t^-1 mod q."""
-    if domain == RATIONAL_DOMAIN:
-        sR = [s * R for s in ts]
-        neg = [-x for x in sR]
-
-        def row(t):
-            # (s*R + t) // gcd(s, t), or for t < 0 the key of -s/-t,
-            # (-s*R - t) // gcd(s, t)
-            a, base = abs(t), sR if t > 0 else neg
-            return [(x + a) // gcd(s, t) for s, x in zip(ts, base)]
-    else:
-        def row(t):
-            inv = pow(t, -1, R)
-            return [s * inv % R for s in ts]
-    return [row(t) if t else None for t in ts]
-
-
-def _python_bits(ts: List[int], R: int, domain, need: int):
-    """(keys, images): the quotient keys that lie in at least ``need``
-    rows, in bit order, and for each pivot ts[j] the dict from the bit
-    position of b to the index in ts of b * ts[j]; None for the pivot 0.
-    Python ints, any R; bits in order of first occurrence."""
-    rows = _quotient_keys(ts, R, domain)
-    seen = Counter(chain.from_iterable(filter(None, rows)))
-    bit = dict(zip(compress(seen, map(need.__le__, seen.values())), count()))
-    index = {s: i for i, s in enumerate(ts)}
-    images = []
-    for t, row in zip(ts, rows):
-        if row is None:
-            images.append(None)
-        elif domain == RATIONAL_DOMAIN:
-            # p*t // r for the key p*R + r
-            images.append({bit[k]: index[k // R * t // (k % R)]
-                           for k in bit.keys() & row})
-        else:
-            images.append({bit[k]: index[k * t % R] for k in bit.keys() & row})
-    return list(bit), images
-
-
 # the largest prime P with P * P <= 2**63: the product of two residues
 # mod P fits in int64
 P = 3037000493
 
 
-def _exact_keys(t, s, R: int, domain):
-    """The keys of s/t as on the Python route, elementwise with
-    broadcasting: over Q the reduced p/r with r > 0 keyed p*R + r, that
-    is (sign(t)*s*R + |t|) // gcd(s, t); over F_q s * t^-1 mod q."""
+def _key(s: int, t: int, R: int, domain) -> int:
+    """The exact key of s/t for a nonzero t: over Q the reduced p/r with
+    r > 0 as p*R + r, over F_q s * t^-1 mod q."""
     if domain != RATIONAL_DOMAIN:
-        inv = [pow(x, -1, R) for x in t.ravel().tolist()]
-        return np.array(inv, dtype=np.int64).reshape(t.shape) * s % R
-    keys = np.sign(t) * (s * R)
-    keys += np.abs(t)
-    keys //= np.gcd(t, s)
-    return keys
+        return s * pow(t, -1, R) % R
+    g = gcd(s, t) if t > 0 else -gcd(s, t)
+    return s // g * R + t // g
 
 
-def _images(at, positions, n: int, rows: int):
-    """For each nonzero pivot, the dict from bit position to column of the
-    kept entries at the increasing flat indexes ``at``, row * n + column."""
-    ends = at.searchsorted(np.arange(n, n * rows + 1, n)).tolist()
+def _images(at, positions, n: int):
+    """For each pivot, the dict from bit position to column of the kept
+    entries at the increasing flat indexes ``at``, row * n + column."""
+    ends = at.searchsorted(np.arange(n, n * n + 1, n)).tolist()
     positions, columns = positions.tolist(), (at % n).tolist()
     return [dict(zip(positions[a:b], columns[a:b]))
             for a, b in zip([0] + ends, ends)]
 
 
-def _count_keys(keys, at, n: int, rows: int, need: int):
-    """(keys, images) from the exact keys of the entries at the increasing
-    flat indexes ``at``, or of every entry for None, counted by one
-    np.unique; bits in order of first occurrence."""
-    _, where, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    kept = counts >= need
-    # the position in ``keys`` of each entry whose quotient takes a bit
-    pos = np.flatnonzero(kept[where])
-    where = where[pos]
-    first = np.full(len(counts), len(keys))
-    np.minimum.at(first, where, pos)
-    kept = np.flatnonzero(kept)
-    kept = kept[np.argsort(first[kept])]
-    bit = np.empty(len(counts), dtype=np.int64)
-    bit[kept] = np.arange(len(kept))
-    positions = bit[where]
-    keys = keys[first[kept]].tolist()
-    at = pos if at is None else at[pos]
-    del where, counts, pos, first, kept, bit
-    return keys, _images(at, positions, n, rows)
+def _split(at: List[int], ts: List[int], R: int, domain, need: int):
+    """(at, first, size): the entries at the flat indexes ``at`` grouped
+    by exact quotient, for the groups of at least ``need``: their entries
+    group after group, each group's first index and its size.  The entries
+    of one quotient come in increasing order in ``at``."""
+    n, groups = len(ts), {}
+    for a in at:
+        groups.setdefault(_key(ts[a % n], ts[a // n], R, domain), []).append(a)
+    groups = [g for g in groups.values() if len(g) >= need]
+    return (np.array(list(chain.from_iterable(groups)), dtype=np.int64),
+            np.array([g[0] for g in groups], dtype=np.int64),
+            np.array(list(map(len, groups)), dtype=np.int64))
 
 
-def _int64_bits(ts: List[int], R: int, domain, need: int):
-    """``_python_bits`` in int64 numpy, for R * R <= 2**63.  The entries
-    are the quotients ts[i] / ts[j] of the nonzero pivots ts[j], at flat
-    index j * len(ts) + i, so the image of an entry's bit under its pivot
-    is its column i.  For need > 1 each entry is keyed s * t^-1 mod M and
-    the keys are counted by one sort; where keys mod P can collide, the
-    entries of the runs of at least ``need`` are keyed exactly and counted
-    again."""
-    n, s = len(ts), np.array(ts, dtype=np.int64)
-    t = s[s != 0]
-    rows = len(t)
-    if need <= 1 or not rows:
-        # every entry is kept, or there is none: key each one exactly.  The
-        # key matrix is passed on unnamed, so that it is freed before the
-        # dicts are filled
-        keys, images = _count_keys(
-            _exact_keys(t[:, None], s, R, domain).reshape(-1),
-            None, n, rows, need)
-    else:
-        M = P if domain == RATIONAL_DOMAIN else R
+def _quotient_bits(ts: List[int], R: int, domain, need: int):
+    """(first, images): for each quotient that lies in at least ``need``
+    rows, in bit order, the flat index j * len(ts) + i of its first entry
+    ts[i] / ts[j]; and for each pivot ts[j] the dict from the bit position
+    of b to the index in ts of b * ts[j], None for the pivot 0.  Bits go in
+    order of first occurrence, row by row.  Each entry is hashed
+    s * t^-1 mod M in int64 and the words sorted once; a run of equal
+    hashes is one quotient where the hash is exact, and elsewhere a run of
+    at least ``need`` entries is split by exact key once it holds two."""
+    n, t = len(ts), [x for x in ts if x]
+    if not t:
+        # T = {0}: no quotient, and the pivot 0 holds none
+        return np.empty(0, dtype=np.int64), [None]
+    if domain == RATIONAL_DOMAIN:
+        M = P
         # a pivot +-M has no inverse mod M; only a pivot of size at least
         # M can be one
-        while R > M and (t % M == 0).any():
+        while R > M and any(x % M == 0 for x in t):
             M = next(p for p in range(M - 2, 2, -2) if is_prime(p))
-        inv = np.array([pow(x, -1, M) for x in t.tolist()], dtype=np.int64)
-        # s * t^-1 mod M above the flat index: M < 2**32 and the index is
-        # below |T|**2 <= PAIR_CAP < 2**24, so every word is below 2**56
-        w = (rows * n - 1).bit_length()
-        low = (1 << w) - 1
-        words = np.multiply.outer(inv, s % M)
+        # distinct quotients s/t, s'/t' differ mod M: 0 < |s*t' - s'*t| < M
+        exact = 2 * (R - 1) ** 2 < M
+    else:
+        M, exact = min(R, P), R <= P
+    if domain == RATIONAL_DOMAIN or exact:
+        inv = np.array([pow(x, -1, M) for x in t], dtype=np.int64)
+        words = np.multiply.outer(inv, np.array([x % M for x in ts], dtype=np.int64))
         words %= M
-        words <<= w
-        words |= np.arange(rows * n).reshape(rows, n)
-        words = words.reshape(-1)
-        words.sort()
-        # the runs of equal keys, each from edges[k] up to edges[k + 1]
-        hashes = words >> w
-        edges = np.concatenate(
-            ([True], hashes[1:] != hashes[:-1], [True])).nonzero()[0]
-        del hashes
-        size = edges[1:] - edges[:-1]
-        kept = size >= need
-        # the first word of each kept run, and the words of all their
-        # entries, by key and then by flat index
-        first = words[edges[:-1][kept]]
-        words = words[kept.repeat(size)]
-        size = size[kept]
-        del edges, kept
-        if domain == RATIONAL_DOMAIN and 2 * (R - 1) ** 2 >= M:
-            # distinct quotients may share a key mod M: the runs name
-            # candidates, which are keyed exactly and counted again
-            at = np.sort(words & low)
-            keys = _exact_keys(t[at // n], s[at % n], R, domain)
-            keys, images = _count_keys(keys, at, n, rows, need)
-        else:
-            # the key is exact: over F_q it is the quotient itself, over Q
-            # |s*t' - s'*t| <= 2*(R-1)**2 < M.  So each run is one quotient,
-            # and its first word is its first occurrence; bits go in that
-            # order
-            order = (first & low).argsort()
-            bit = np.empty(len(order), dtype=np.int64)
-            bit[order] = np.arange(len(order))
-            # the kept entries as index << w | bit, in flat order
-            entries = (words & low) << w
-            entries |= bit.repeat(size)
-            entries.sort()
-            first = first[order]
-            if domain == RATIONAL_DOMAIN:
-                at = first & low
-                keys = _exact_keys(t[at // n], s[at % n], R, domain).tolist()
-            else:
-                keys = (first >> w).tolist()
-            images = _images(entries >> w, entries & low, n, rows)
+    else:
+        # over F_q past P, s * t^-1 mod q does not fit int64: hash its
+        # exact key mod P
+        words = np.empty((len(t), n), dtype=np.int64)
+        for row, x in zip(words, t):
+            inv = pow(x, -1, R)
+            row[:] = [s * inv % R % P for s in ts]
+    # the hash above the flat index: M < 2**32 and the index is below
+    # |T|**2 <= PAIR_CAP < 2**24, so every word is below 2**56
+    w = (n * n - 1).bit_length()
+    low = (1 << w) - 1
+    words <<= w
+    index = np.arange(n * n).reshape(n, n)
     if 0 in ts:
-        images.insert(ts.index(0), None)
-    return keys, images
+        index = np.delete(index, ts.index(0), axis=0)
+    words |= index
+    del index
+    words = words.reshape(-1)
+    words.sort()
+    # the runs of equal hashes, each from edges[k] up to edges[k + 1]
+    hashes = words >> w
+    edges = np.concatenate(
+        ([True], hashes[1:] != hashes[:-1], [True])).nonzero()[0]
+    del hashes
+    size = edges[1:] - edges[:-1]
+    # the flat indexes of the kept runs, by hash and then by index, and
+    # each run's first word, its first occurrence
+    words &= low
+    kept = size >= need
+    first = words[edges[:-1][kept]]
+    words = words[kept.repeat(size)]
+    size = size[kept]
+    del edges, kept
+    if not exact and (split := size >= 2).any():
+        # a kept run of two or more entries may hold distinct quotients
+        moved = split.repeat(size)
+        at, firsts, sizes = _split(words[moved].tolist(), ts, R, domain, need)
+        words = np.concatenate((words[~moved], at))
+        first = np.concatenate((first[~split], firsts))
+        size = np.concatenate((size[~split], sizes))
+    # bits in order of first occurrence, and the kept entries as
+    # index << w | bit, in flat order
+    order = first.argsort()
+    bit = np.empty(len(order), dtype=np.int64)
+    bit[order] = np.arange(len(order))
+    entries = words << w
+    entries |= bit.repeat(size)
+    entries.sort()
+    images = _images(entries >> w, entries & low, n)
+    if 0 in ts:
+        images[ts.index(0)] = None
+    return first[order], images
 
 
 def _key_set(keys, R: int, domain) -> ScalarSet:
@@ -322,9 +270,8 @@ def _search_exhaustive(T: ScalarSet, m: int, budget: int):
     # B for pivots C is the intersection of their rows, so a quotient in
     # fewer than m rows lies in no B and takes no bit; the pivot 0, if
     # any, holds every quotient
-    route = _int64_bits if R * R <= 2 ** 63 else _python_bits
-    keys, images = route(ts, R, T.domain, m - (0 in ts))
-    images = [dict.fromkeys(range(len(keys)), j) if img is None else img
+    first, images = _quotient_bits(ts, R, T.domain, m - (0 in ts))
+    images = [dict.fromkeys(range(len(first)), j) if img is None else img
               for j, img in enumerate(images)]
     masks = [_mask(img) for img in images]
     best_hit, best, nodes = 0, None, 0
@@ -344,7 +291,7 @@ def _search_exhaustive(T: ScalarSet, m: int, budget: int):
                 out.append((S + (j,), Mj, js[i + 1:], bound))
         return reversed(out)
 
-    stack = list(below((), (1 << len(keys)) - 1, range(n)))
+    stack = list(below((), (1 << len(first)) - 1, range(n)))
     while stack:
         S, M, after, bound = stack.pop()
         if bound <= best_hit:
@@ -365,7 +312,8 @@ def _search_exhaustive(T: ScalarSet, m: int, budget: int):
     if best is None:
         return ScalarSet(), ScalarSet(), 0, complete
     S, M = best
-    B = _key_set([keys[i] for i in _bits(M)], R, T.domain)
+    B = _key_set([_key(ts[first[i] % n], ts[first[i] // n], R, T.domain)
+                  for i in _bits(M)], R, T.domain)
     C = ScalarSet.from_lattice([ts[j] for j in S], T.lat[1], T.domain)
     return B, C, best_hit, complete
 

@@ -17,6 +17,10 @@ The cover search's oracles live here too.  Both return the most hits
 in T, t != 0}, both of size at least m and B*C inside T: ``ref_cover_pairs``
 by one double loop over both subset families for several m at once, ``ref_cover_maximal`` by
 taking for each B the largest C, the quotients c with B*c inside T.
+``ref_quotient_keys`` keys every quotient of T's sorted lattice items as a
+Python int, and ``ref_quotient_bits`` counts those keys with a Counter
+into the bits and images that ``explorer._quotient_bits`` hashes its way
+to.
 
 ``ref_values`` lists the values of a GAP or a GGP from every exponent
 vector, and ``ref_sum_size`` counts their self sums (GAP) or self products
@@ -31,12 +35,14 @@ one ``scalar_pow`` per exponent, lifted into a ScalarSet.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 from shiftprod.ffharness import FfReport
 from shiftprod.harness import DECIMAL_DIGITS, READOUT_DEGREE_CAP, MainReport
 from shiftprod.numeric import (
+    RATIONAL_DOMAIN,
     PreconditionError,
     PrimeFieldElement,
     as_rational,
@@ -302,6 +308,55 @@ def ref_cover_maximal(T, m) -> int:
         if len(C) >= m:
             best = max(best, len({_red(b * c, q) for b in B for c in C}))
     return best
+
+
+def ref_quotient_keys(ts, R, domain) -> list:
+    """For each item t of ``ts``, in order, the keys of s/t for the items
+    s of ``ts`` in order; None for t = 0.  Over Q the reduced p/r with
+    r > 0 is keyed p*R + r; over F_q the key is s * t^-1 mod q."""
+    if domain == RATIONAL_DOMAIN:
+        sR = [s * R for s in ts]
+        neg = [-x for x in sR]
+
+        def row(t):
+            # (s*R + t) // gcd(s, t), or for t < 0 the key of -s/-t,
+            # (-s*R - t) // gcd(s, t)
+            a, base = abs(t), sR if t > 0 else neg
+            return [(x + a) // gcd(s, t) for s, x in zip(ts, base)]
+    else:
+        def row(t):
+            inv = pow(t, -1, R)
+            return [s * inv % R for s in ts]
+    return [row(t) if t else None for t in ts]
+
+
+def ref_quotient_bits(ts, R, domain, need):
+    """(first, images) of ``explorer._quotient_bits`` on Python int keys,
+    any R: the quotient keys that lie in at least ``need`` rows take bits
+    in order of first occurrence, and ``first`` holds the flat index
+    j * len(ts) + i of each one's first entry ts[i] / ts[j]; for each
+    pivot ts[j], the dict from the bit position of b to the index in ts of
+    b * ts[j]; None for the pivot 0."""
+    n, rows = len(ts), ref_quotient_keys(ts, R, domain)
+    seen = Counter(itertools.chain.from_iterable(filter(None, rows)))
+    bit = dict(zip(itertools.compress(seen, map(need.__le__, seen.values())),
+                   itertools.count()))
+    first = {}
+    for j, row in enumerate(rows):
+        for i, k in enumerate(row or ()):
+            first.setdefault(k, j * n + i)
+    index = {s: i for i, s in enumerate(ts)}
+    images = []
+    for t, row in zip(ts, rows):
+        if row is None:
+            images.append(None)
+        elif domain == RATIONAL_DOMAIN:
+            # p*t // r for the key p*R + r
+            images.append({bit[k]: index[k // R * t // (k % R)]
+                           for k in bit.keys() & row})
+        else:
+            images.append({bit[k]: index[k * t % R] for k in bit.keys() & row})
+    return [first[k] for k in bit], images
 
 
 def lattice_item(x):

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_int_set
-from reference import _quotients, ref_cover_maximal, ref_cover_pairs
+from reference import (
+    _quotients,
+    ref_cover_maximal,
+    ref_cover_pairs,
+    ref_quotient_bits,
+    ref_quotient_keys,
+)
 from shiftprod import explorer
 from shiftprod.cli import main
 from shiftprod.explorer import (
@@ -14,11 +20,10 @@ from shiftprod.explorer import (
     CoverResult,
     ScanRow,
     P,
-    _int64_bits,
+    _key,
     _key_base,
     _key_set,
-    _python_bits,
-    _quotient_keys,
+    _quotient_bits,
     _search_exhaustive,
     conjecture_scan,
     search_bc,
@@ -43,8 +48,8 @@ def _check_pair(res, T, m):
 def _quotients_from_keys(T):
     """The quotients T/T from the int keys, sorted."""
     ts, R = _key_base(T)
-    rows = _quotient_keys(ts, R, T.domain)
-    return _key_set({k for row in rows if row for k in row}, R, T.domain).sorted()
+    keys = {_key(s, t, R, T.domain) for t in ts if t for s in ts}
+    return _key_set(keys, R, T.domain).sorted()
 
 
 # |A| <= 4 keeps |T| <= 10, within reach of the maximal-C oracle
@@ -81,47 +86,51 @@ def test_quotient_keys_match_element_quotients(query):
     assert _quotients_from_keys(T) == ScalarSet(_quotients(T.elems)).sorted()
 
 
-# the largest key base R of the int64 route, R * R <= 2**63
+# the key base R = max|t| + 1 at which R * R passes 2**63 is EDGE + 1
 EDGE = isqrt(2 ** 63)
 
 
 @st.composite
 def _targets(draw):
     """Sets T over Q, on a lattice with a denominator, with negative items
-    and 0 among them, or over F_q; or integer sets whose largest |t| puts
-    the key base R = max|t| + 1 on either side of EDGE; or integer sets
-    whose items differ by P, so that distinct quotients share a key mod P,
-    with +-P among them, which has no inverse mod P."""
+    and 0 among them, or over F_q, with q on either side of P; or integer
+    sets whose largest |t| puts the key base R = max|t| + 1 on either side
+    of EDGE or far past it; or integer sets whose items differ by P, so
+    that distinct quotients share a key mod P, with +-P among them, which
+    has no inverse mod P."""
     kind = draw(st.sampled_from(["fraction", "edge", "collide",
-                                 2, 3, 13, 2 ** 31 - 1]))
+                                 2, 3, 13, 2 ** 31 - 1, P, 4294967291]))
     if kind == "fraction":
         elem = st.fractions(min_value=-40, max_value=40, max_denominator=12)
     elif kind == "edge":
         elem = st.one_of(st.integers(-9, 9),
-                         st.sampled_from([EDGE - 2, 1 - EDGE, EDGE, -EDGE]))
+                         st.sampled_from([EDGE - 2, 1 - EDGE, EDGE, -EDGE]),
+                         st.integers(-10 ** 13, 10 ** 13))
     elif kind == "collide":
         elem = st.one_of(st.integers(-6, 6),
                          st.builds(lambda x, sign: sign * (x + P),
                                    st.integers(-5, 5),
                                    st.sampled_from([1, -1])))
     else:
-        elem = st.integers(0, kind - 1).map(PrimeField(kind))
+        elem = st.one_of(st.integers(0, 9), st.integers(0, kind - 1),
+                         st.integers(max(0, kind - 9), kind - 1)).map(PrimeField(kind))
     return ScalarSet(draw(st.lists(elem, min_size=1, max_size=12)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_targets())
 def test_quotient_key_rows_decode_to_quotients(T):
-    # rows[j][i] keys ts[i] / ts[j]: the reduced p/r with r > 0 as p*R + r
-    # over Q, ts[i] * ts[j]^-1 mod q over F_q; the pivot 0 has no row
+    # the key of ts[i] / ts[j] is the reduced p/r with r > 0 as p*R + r
+    # over Q, ts[i] * ts[j]^-1 mod q over F_q; it is the oracle's
+    # rows[j][i], and the pivot 0 has no row
     ts, R = _key_base(T)
-    rows = _quotient_keys(ts, R, T.domain)
+    rows = ref_quotient_keys(ts, R, T.domain)
     assert ts == sorted(T.lat[0]) and len(rows) == len(ts)
     for t, row in zip(ts, rows):
         if t == 0:
             assert row is None
             continue
-        assert len(row) == len(ts)
+        assert row == [_key(s, t, R, T.domain) for s in ts]
         for s, k in zip(ts, row):
             if T.domain == "Q":
                 p, r = divmod(k, R)
@@ -131,46 +140,51 @@ def test_quotient_key_rows_decode_to_quotients(T):
                 assert R == T.domain and k == s * pow(t, -1, R) % R
 
 
+def _assert_bits_match_oracle(ts, R, domain, need):
+    """``_quotient_bits`` keeps the oracle's quotients on the same bits
+    with the same images, and ``_key`` gives the oracle's key of each
+    bit's first entry."""
+    first, images = _quotient_bits(ts, R, domain, need)
+    assert (first.tolist(), images) == ref_quotient_bits(ts, R, domain, need)
+    rows, n = ref_quotient_keys(ts, R, domain), len(ts)
+    for a in first.tolist():
+        assert _key(ts[a % n], ts[a // n], R, domain) == rows[a // n][a % n]
+    return first, images
+
+
 @settings(max_examples=200, deadline=None)
 @given(_targets(), st.integers(1, 4))
 def test_int64_route_matches_python_route(T, m):
-    # within the int64 bound both routes keep the same quotients on the
-    # same bits with the same images; on either side of it the search
-    # returns what the Python route alone returns
+    # the int64 hash and its split keep the quotients of the Python-int
+    # oracle, any R and q, on the same bits with the same images, and the
+    # search returns what it returns on the oracle's bits
     ts, R = _key_base(T)
-    need = m - (0 in ts)
-    if R * R <= 2 ** 63:
-        assert (_int64_bits(ts, R, T.domain, need)
-                == _python_bits(ts, R, T.domain, need))
+    _assert_bits_match_oracle(ts, R, T.domain, m - (0 in ts))
     found = _search_exhaustive(T, m, 5000)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(explorer, "_int64_bits", _python_bits)
+        mp.setattr(explorer, "_quotient_bits", ref_quotient_bits)
         assert found == _search_exhaustive(T, m, 5000)
 
 
 F_EDGE, F_PAST = PrimeField(3037000493), PrimeField(4294967291)
 
 
-@pytest.mark.parametrize("T, route", [
-    (ScalarSet([1 - EDGE, -6, 0, 2, 3, EDGE - 2]), "_int64_bits"),   # R = EDGE
-    (ScalarSet([-EDGE, -6, 0, 2, 3, EDGE - 2]), "_python_bits"),     # R = EDGE + 1
-    (ScalarSet([Fraction(EDGE - 2, 3), Fraction(-1, 3), 2]), "_int64_bits"),
-    (ScalarSet(map(F_EDGE, [0, 1, 2, 3, 6, 3037000492])), "_int64_bits"),
-    (ScalarSet(map(F_PAST, [0, 1, 2, 3, 6, 4294967290])), "_python_bits"),
+@pytest.mark.parametrize("T", [
+    ScalarSet([1 - EDGE, -6, 0, 2, 3, EDGE - 2]),    # R = EDGE
+    ScalarSet([-EDGE, -6, 0, 2, 3, EDGE - 2]),       # R = EDGE + 1
+    ScalarSet([Fraction(EDGE - 2, 3), Fraction(-1, 3), 2]),
+    ScalarSet(map(F_EDGE, [0, 1, 2, 3, 6, 3037000492])),   # q = P
+    ScalarSet(map(F_PAST, [0, 1, 2, 3, 6, 4294967290])),   # q > P
 ])
-def test_key_route_at_the_int64_bound(T, route, monkeypatch):
-    # keys near +-EDGE**2 take the int64 route exactly while R * R <= 2**63
-    taken = []
-    for name in ("_int64_bits", "_python_bits"):
-        real = getattr(explorer, name)
-        monkeypatch.setattr(explorer, name, lambda *a, name=name, real=real:
-                            taken.append(name) or real(*a))
+def test_keys_near_the_int64_bound(T):
+    # keys near +-EDGE**2, and over F_q on either side of P, give the
+    # oracle's bits and the search on the oracle's bits
+    ts, R = _key_base(T)
     for m in (1, 2):
-        taken.clear()
+        _assert_bits_match_oracle(ts, R, T.domain, m - (0 in ts))
         found = _search_exhaustive(T, m, 5000)
-        assert taken == [route]
-        with monkeypatch.context() as mp:
-            mp.setattr(explorer, "_int64_bits", _python_bits)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(explorer, "_quotient_bits", ref_quotient_bits)
             assert found == _search_exhaustive(T, m, 5000)
         _check_pair(CoverResult(*found[:3], Fraction(found[2], len(T)), found[3]),
                     T, m)
@@ -181,26 +195,26 @@ def test_hash_prime_is_the_largest_whose_square_fits_int64():
     assert not any(map(is_prime, range(P + 1, EDGE + 1)))
 
 
-def _spy_recount(monkeypatch):
-    """The number of entries of each exact recount after a hash pass."""
-    recounted, real = [], explorer._count_keys
-    monkeypatch.setattr(explorer, "_count_keys", lambda keys, at, *a:
-                        recounted.append(len(keys)) or real(keys, at, *a))
-    return recounted
+def _spy_split(monkeypatch):
+    """The number of entries of each split of runs by exact key."""
+    split, real = [], explorer._split
+    monkeypatch.setattr(explorer, "_split", lambda at, *a:
+                        split.append(len(at)) or real(at, *a))
+    return split
 
 
 def test_recount_drops_quotients_that_share_a_key_mod_p(monkeypatch):
     # 2/1 and (2 + P)/1 share the key 2 mod P, and 1/2 and 1/(2 + P) the
-    # key of 1/2: at need 2 their runs name them, though each lies in one
-    # row; the recount keeps only 1, which lies in all three rows
+    # key of 1/2: at need 2 their runs can hold two quotients, though each
+    # lies in one row; the split keeps only 1, which lies in all three rows
     T = ScalarSet([1, 2, 2 + P])
     ts, R = _key_base(T)
-    recounted = _spy_recount(monkeypatch)
-    keys, images = _int64_bits(ts, R, T.domain, 2)
-    assert recounted == [9]
+    split = _spy_split(monkeypatch)
+    first, images = _assert_bits_match_oracle(ts, R, T.domain, 2)
+    assert split == [9]
+    assert first.tolist() == [0] and images == [{0: 0}, {0: 1}, {0: 2}]
+    keys = [_key(ts[a % 3], ts[a // 3], R, T.domain) for a in first.tolist()]
     assert _key_set(keys, R, T.domain).sorted() == [1]
-    assert images == [{0: 0}, {0: 1}, {0: 2}]
-    assert (keys, images) == _python_bits(ts, R, T.domain, 2)
 
 
 @pytest.mark.parametrize("T, recount", [
@@ -210,18 +224,37 @@ def test_recount_drops_quotients_that_share_a_key_mod_p(monkeypatch):
     (ScalarSet(map(F_EDGE, [1, 2, 3, 3037000492])), False),  # M = q, exact
 ])
 def test_keys_mod_p_are_exact_below_the_bound(T, recount, monkeypatch):
-    # the hash pass counts alone while distinct quotients of items below R
-    # differ mod M; past that its runs are counted again on exact keys
+    # the hash alone gives the bits while distinct quotients of items below
+    # R differ mod M; past that its runs are split by exact key
     ts, R = _key_base(T)
-    recounted = _spy_recount(monkeypatch)
+    split = _spy_split(monkeypatch)
     for m in (2, 3):
-        found = _int64_bits(ts, R, T.domain, m)
-        assert found == _python_bits(ts, R, T.domain, m)
-        assert bool(recounted) == recount
-    # need 1 keeps every entry and keys each one exactly, with no hash pass
-    recounted.clear()
-    assert _int64_bits(ts, R, T.domain, 1) == _python_bits(ts, R, T.domain, 1)
-    assert recounted == [len(ts) ** 2]
+        _assert_bits_match_oracle(ts, R, T.domain, m)
+        assert bool(split) == recount
+    # need 1 keeps every entry, but splits only the runs of two or more:
+    # a single entry is one quotient, and the len(ts) entries of 1 are one
+    # run, so fewer than all entries are keyed exactly
+    split.clear()
+    _assert_bits_match_oracle(ts, R, T.domain, 1)
+    assert bool(split) == recount
+    assert all(len(ts) <= k < len(ts) ** 2 for k in split)
+
+
+def test_scan_over_f_q_past_p_matches_oracle_bits(capsys, monkeypatch):
+    # q > P: each entry is hashed as its exact key mod P, and the runs that
+    # can hold two quotients are split; the row is the one the search
+    # gives on the oracle's bits
+    q = 3037004501
+    assert q > P and is_prime(q)
+    argv = ["conjecture-scan", "--family", "subgroup", "--q", str(q),
+            "--t", "500", "--min-factor-size", "2"]
+    split = _spy_split(monkeypatch)
+    assert main(argv) == 0
+    row = capsys.readouterr().out
+    assert split and row.splitlines()[1].split(",")[1:3] == ["500", "500"]
+    monkeypatch.setattr(explorer, "_quotient_bits", ref_quotient_bits)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == row
 
 
 def test_scan_builds_one_target_per_instance(monkeypatch):
@@ -280,12 +313,11 @@ def test_retired_cutoff_config_key_is_ignored(capsys, tmp_path):
 
 
 def _refuse_keys(monkeypatch):
-    """Make either key route fail the test if it runs."""
+    """Make the quotient keys fail the test if they are built."""
     def refuse(*args):
         raise AssertionError("quotient keys built")
 
-    for route in ("_int64_bits", "_python_bits"):
-        monkeypatch.setattr(explorer, route, refuse)
+    monkeypatch.setattr(explorer, "_quotient_bits", refuse)
 
 
 def test_cover_search_refused_above_pair_cap(monkeypatch):
@@ -293,8 +325,6 @@ def test_cover_search_refused_above_pair_cap(monkeypatch):
     primes = [p for p in range(2, 420) if is_prime(p)][:80]
     query = CoverQuery(A=ScalarSet(primes))
     assert len(query.T) == 3240 and 3240 ** 2 > PAIR_CAP
-    # R = 409**2 + 2: a T this size under the cap takes the int64 route
-    assert _key_base(query.T)[1] ** 2 <= 2 ** 63
     _refuse_keys(monkeypatch)
     with pytest.raises(ValueError, match=f"cover search needs {3240 ** 2} pair "
                                          f"evaluations, above the cap {PAIR_CAP}"):
@@ -302,7 +332,7 @@ def test_cover_search_refused_above_pair_cap(monkeypatch):
 
 
 def test_cover_search_refusal_exits_2(capsys, monkeypatch):
-    # items up to about 10**12 put R * R past 2**63: the Python route
+    # items up to about 10**12, past the bound where keys mod P are exact
     _refuse_keys(monkeypatch)
     code = main(["conjecture-scan", "--family", "random-integer", "--count", "1",
                  "--size-min", "80", "--size-max", "80", "--hi", "1000000",
@@ -342,7 +372,8 @@ def test_quotient_keys_give_zero_no_row():
     assert T.sorted() == [0, 2]
     # R = 3: 0/2 = 0/1 is keyed 0*3 + 1, and 2/2 = 1/1 is keyed 1*3 + 1
     assert _key_base(T) == ([0, 2], 3)
-    assert _quotient_keys([0, 2], 3, T.domain) == [None, [1, 4]]
+    assert [_key(s, 2, 3, T.domain) for s in (0, 2)] == [1, 4]
+    assert ref_quotient_keys([0, 2], 3, T.domain) == [None, [1, 4]]
     assert _quotients_from_keys(T) == [0, 1]
 
 
