@@ -29,7 +29,6 @@ from fractions import Fraction
 from .explorer import conjecture_scan
 from .ffharness import (
     FfInput,
-    _check_coverage_pairs,
     coverage_check,
     run_field_pipeline,
     subgroup_ggp,
@@ -50,7 +49,14 @@ from .progressions import (
     parse_gap_spec,
     parse_ggp_spec,
 )
-from .setalg import PointSet2, ScalarSet, format_scalar_set, parse_scalar_set, productset
+from .setalg import (
+    PointSet2,
+    ScalarSet,
+    _check_pair_budget,
+    format_scalar_set,
+    parse_scalar_set,
+    productset,
+)
 
 __all__ = ["entry", "main"]
 
@@ -363,7 +369,7 @@ def cmd_verify_ff(args) -> int:
     if args.full_plane:
         F = PrimeField(q)
         # refuse before building the q**2 - 1 points
-        _check_coverage_pairs((q * q - 1) ** 2)
+        _check_pair_budget(q * q - 1, q * q - 1, "coverage scan")
         E = _full_plane(F)
         rep = coverage_check(E, E, q)
         _write(args, rep)

@@ -32,7 +32,7 @@ from .numeric import (
     power_ratio_decimal,
 )
 from .progressions import GapSpec, GgpSpec, enumerate_ggp
-from .setalg import PAIR_CAP, PointSet2, ScalarSet, dot_product_set, productset
+from .setalg import PointSet2, ScalarSet, _check_pair_budget, dot_product_set, productset
 
 __all__ = [
     "CoverageReport",
@@ -109,12 +109,6 @@ def _coverage(E: PointSet2, F: PointSet2, dots: ScalarSet,
     return hypothesis, len(dots) - (0 in dots.lat[0])
 
 
-def _check_coverage_pairs(pairs: int) -> None:
-    if pairs > PAIR_CAP:
-        raise PreconditionError(
-            f"coverage scan needs {pairs} pairs, above the cap {PAIR_CAP}")
-
-
 def coverage_check(E: PointSet2, F: PointSet2, q: int) -> CoverageReport:
     """Does the dot-product set of E and F reach every unit of F_q?
 
@@ -126,7 +120,7 @@ def coverage_check(E: PointSet2, F: PointSet2, q: int) -> CoverageReport:
         raise PreconditionError(f"{q} is not prime")
     if E.domain != q or F.domain != q:
         raise PreconditionError(f"E and F must live in F_{q}")
-    _check_coverage_pairs(len(E) * len(F))
+    _check_pair_budget(len(E), len(F), "coverage scan")
     hypothesis, covered = _coverage(E, F, dot_product_set(E, F), q)
     return CoverageReport(q=q, e_size=len(E), f_size=len(F),
                           hypothesis_ok=hypothesis, covered_size=covered,

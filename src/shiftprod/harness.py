@@ -4,9 +4,9 @@ Given a finite set A and a generalized geometric progression G of
 comparable size, the pipeline measures how much of the shifted product set
 AA+1 escapes G.  The route:
 
-  * normalize G by its first element g1, so the progression starts at 1;
-  * read the square part B = {g in G' : g*g in G'} off the exponents and
-    bound it from below by the product of the half lengths;
+  * read the square part B = {g in G/g1 : g*g in G/g1}, for g1 the first
+    element of G, off G's own exponents less r0 and bound it from below
+    by the product of the half lengths;
   * lift A and B to planar point sets E = g1*F and F = {(b, b*a)} whose
     dot-product set factors exactly as g1 * BB * (AA+1);
   * verify that factorization against BB * (g1*(AA+1)): g1 scales the
@@ -20,10 +20,11 @@ AA+1 escapes G.  The route:
     sets formed and compared.  The pair caps of G*(AA+1) and G*G refuse
     on the realized size of G, before its powers are built, and their bit
     caps right after, before any pairwise work;
-  * read |GG| and the size of the even part of G off the exponents, each
-    as the size of a progression of exponents (R + R, and the vectors with
-    even coordinates), folded mod ord(g0) over F_q, with no power or
-    product set built;
+  * read properness, |GG| and the size of the even part of G off the
+    exponents, each as the size of a progression of exponents (R, R + R,
+    and the vectors with even coordinates), folded mod ord(g0) over F_q,
+    with no power or product set built; a size is the same for G and
+    G/g1, whose exponents are G's shifted by -r0;
   * read off |C| / |A|**(1-delta) to fixed digits.
 
 Every check is exact; measured stand-ins for asymptotic constants are
@@ -47,7 +48,6 @@ from .numeric import (
     scalar_pow,
 )
 from .progressions import (
-    GapSpec,
     GgpSpec,
     degeneracy_ratio,
     enumerate_ggp,
@@ -84,7 +84,6 @@ __all__ = [
     "dot_identity_check",
     "exceptional_set",
     "first_element",
-    "normalize",
     "run_main_pipeline",
     "square_part",
     "square_part_bound_check",
@@ -182,22 +181,18 @@ class MainReport(Report):
 
 
 def first_element(G: GgpSpec):
-    """g0 ** r0, the anchor the progression is normalized by."""
+    """g1 = g0 ** r0, the first element of the progression."""
     return scalar_pow(G.g0, G.exponents.r0)
 
 
-def normalize(G: GgpSpec) -> GgpSpec:
-    """Same progression divided by its first element: r0 becomes 0."""
-    R = G.exponents
-    return GgpSpec(G.g0, GapSpec(0, R.generators, R.lengths))
-
-
-def square_part(Gn: GgpSpec) -> ScalarSet:
-    """B = {g in Gn : g*g in Gn}, read off the exponents: g0**k is in B
-    exactly when 2k (mod ord(g0) over F_q) is an exponent of Gn."""
-    res, n = Gn.residues, Gn.order
-    return ggp_powers(Gn, [k for k in res
-                           if (2 * k if n is None else 2 * k % n) in res])
+def square_part(G: GgpSpec) -> ScalarSet:
+    """B = {g in G/g1 : g*g in G/g1} for g1 = first_element(G), read off
+    G's cached exponents less r0, the exponents of G/g1: g0**k is in B
+    exactly when k and 2k (mod ord(g0) over F_q) are among them."""
+    r0, n = G.exponents.r0, G.order
+    ks = ({k - r0 for k in G.residues} if n is None
+          else {(k - r0) % n for k in G.residues})
+    return ggp_powers(G, [k for k in ks if (2 * k if n is None else 2 * k % n) in ks])
 
 
 def square_part_bound_check(G: GgpSpec, B: ScalarSet) -> Tuple[int, bool]:
@@ -286,22 +281,22 @@ def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, eps: Fraction,
     for X in (AA1, Gset):
         _check_lattice_bits(Gset, X, "productset")
     g1 = first_element(G)
-    Gn = normalize(G)
-    B = square_part(Gn)
+    B = square_part(G)
     bb_bound, bb_ok = square_part_bound_check(G, B)
-    proper = is_proper(Gn)
+    # each size below is that of a set of exponents, so G and G/g1 share it
+    proper = is_proper(G)
     constants["proper"] = "true" if proper else "false"
     constants["claim_bb"] = "pass" if bb_ok else "fail"
     # the exponent vectors with every coordinate even
-    R, n = Gn.exponents, Gn.order
-    constants["b_even_size"] = str(gap_size(R.r0, [2 * r for r in R.generators],
-                                            [(l + 1) // 2 for l in R.lengths], n))
+    R = G.exponents
+    constants["b_even_size"] = str(gap_size(0, [2 * r for r in R.generators],
+                                            [(l + 1) // 2 for l in R.lengths], G.order))
 
     E, F = build_point_sets(A, B, g1, skew=skew_e)
     if len(A) >= 2 and len(B) >= 2:
-        constants["ef_non_collinear"] = (
-            "pass" if not collinear(E) and (E is F or not collinear(F))
-            else "fail")
+        # E is the image of F under g1*(x, y), or (g1*x, y) with skew_e, an
+        # invertible linear map, so the two are collinear together
+        constants["ef_non_collinear"] = "fail" if collinear(F) else "pass"
     else:
         constants["ef_non_collinear"] = "skipped"
 
@@ -320,7 +315,7 @@ def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, eps: Fraction,
     G_inter = productset(Gset, inter)
     constants["decomposition"] = (
         "pass" if decomposition_holds(Gset, AA1, inter, C) else "fail")
-    gg = sum_size(Gn)
+    gg = sum_size(G)
     constants["gg_over_g"] = str(Fraction(gg, len(Gset)))
     constants["g_inter_le_gg"] = "pass" if len(G_inter) <= gg else "fail"
 

@@ -23,7 +23,6 @@ from shiftprod.harness import (
     PipelineInput,
     dot_identity_check,
     first_element,
-    normalize,
     run_main_pipeline,
     square_part,
     square_part_bound_check,
@@ -59,14 +58,14 @@ def test_acceptance_1_dot_identity(capsys):
     for _ in range(100):
         A = make_int_set(rng, rng.randint(2, 12), hi=60)
         G = make_proper_ggp(rng)
-        B = square_part(normalize(G))
+        B = square_part(G)
         _, _, good = dot_identity_check(A, B, first_element(G))
         ok = ok and good
     for _ in range(100):
         G = make_proper_field_ggp(rng)
         F = PrimeField(G.domain)
         A = ScalarSet(F(v) for v in rng.sample(range(G.domain), rng.randint(2, 12)))
-        B = square_part(normalize(G))
+        B = square_part(G)
         _, _, good = dot_identity_check(A, B, first_element(G))
         ok = ok and good
     _report(capsys, 1, "dot products factor exactly as g1*BB*(AA+1)",
@@ -80,7 +79,7 @@ def test_acceptance_2_square_part_bound(capsys):
     specs = [make_proper_ggp(rng) for _ in range(60)]
     specs += [make_proper_field_ggp(rng) for _ in range(40)]
     for G in specs:
-        B = square_part(normalize(G))
+        B = square_part(G)
         bound, good = square_part_bound_check(G, B)
         ok = ok and good and len(B) >= bound
     _report(capsys, 2, "square part reaches the half-length product bound",

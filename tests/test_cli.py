@@ -943,7 +943,8 @@ def test_verify_ff_full_plane_refused_before_building(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     n = (1009 ** 2 - 1) ** 2
-    assert err == f"error: coverage scan needs {n} pairs, above the cap 10000000\n"
+    assert err == (f"error: coverage scan needs {n} pair evaluations, "
+                   "above the cap 10000000\n")
 
 
 FULL_ORDER_ARGS = ("--A", "{2, 3, 5}", "--G", "ggp 2; gap 0;1;3",

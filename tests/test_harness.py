@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_int_set, make_proper_ggp
-from reference import lattice_item, reference_main_report
-from shiftprod import harness
+from reference import _pow, _progression, _red, lattice_item, reference_main_report
+from shiftprod import harness, progressions
 from shiftprod.cli import main
 from shiftprod.ffharness import FfInput, run_field_pipeline
 from shiftprod.harness import (
@@ -23,7 +23,6 @@ from shiftprod.harness import (
     dot_identity_check,
     exceptional_set,
     first_element,
-    normalize,
     run_main_pipeline,
     square_part,
     square_part_bound_check,
@@ -41,6 +40,7 @@ from shiftprod.numeric import (
     DomainMismatchError,
     PrimeField,
     PrimeFieldElement,
+    multiplicative_order,
 )
 from shiftprod.setalg import (
     Point2,
@@ -58,12 +58,11 @@ from shiftprod.setalg import (
 )
 
 
-def test_first_element_and_normalize():
+def test_first_element_and_square_part_of_g_over_g1():
+    # G = {2, 4, 8} and G/g1 = {1, 2, 4}, whose square part is {1, 2}
     G = GgpSpec(2, GapSpec(1, (1,), (3,)))
     assert first_element(G) == 2
-    Gn = normalize(G)
-    assert Gn.exponents.r0 == 0
-    assert enumerate_ggp(Gn).sorted() == [1, 2, 4]
+    assert square_part(G).sorted() == [1, 2]
     assert first_element(GgpSpec(2, GapSpec(-2, (1,), (3,)))) == Fraction(1, 4)
 
 
@@ -76,13 +75,49 @@ def test_square_part_known():
 
 def test_square_part_against_definition(rng):
     for _ in range(15):
-        Gn = normalize(make_proper_ggp(rng))
-        elems = set(enumerate_ggp(Gn))
-        B = square_part(Gn)
+        G = make_proper_ggp(rng)
+        g1 = first_element(G)
+        elems = {Fraction(g) / g1 for g in enumerate_ggp(G)}
+        B = square_part(G)
         assert set(B) == {g for g in elems if g * g in elems}
-        bound, ok = square_part_bound_check(Gn, B)
+        bound, ok = square_part_bound_check(G, B)
         assert len(B) >= bound
         assert ok
+
+
+@st.composite
+def _shifted_ggp(draw):
+    """A GGP of one or two generators, over Q with r0 < 0, over F_q with
+    r0 < 0 or r0 >= ord(g0)."""
+    q = draw(st.sampled_from([None, 5, 7, 13, 31, 61]))
+    d = draw(st.integers(1, 2))
+    gens = draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d))
+    lens = draw(st.lists(st.integers(3, 5), min_size=d, max_size=d))
+    if q is None:
+        g0 = draw(st.builds(Fraction, st.integers(1, 6), st.integers(1, 6))
+                  .filter(lambda g: g != 1))
+        r0 = draw(st.integers(-12, -1))
+    else:
+        g0 = PrimeFieldElement(draw(st.integers(2, q - 1)), q)
+        n = multiplicative_order(g0)
+        r0 = draw(st.one_of(st.integers(-3 * n, -1), st.integers(n, 3 * n)))
+    return GgpSpec(g0, GapSpec(r0, gens, lens))
+
+
+@settings(max_examples=200)
+@given(_shifted_ggp())
+@example(GgpSpec(PrimeFieldElement(2, 7), GapSpec(5, (1,), (3,))))
+@example(GgpSpec(Fraction(2, 3), GapSpec(-4, (1, 3), (3, 4))))
+def test_square_part_is_that_of_g_over_g1(G):
+    # square_part reads B off G's exponents less r0; here G/g1 is
+    # enumerated literally from the exponent vectors
+    q = None if G.order is None else G.domain
+    g0 = G.g0 if q is None else G.g0.residue
+    _, _, offsets, _ = _progression(g0, G.exponents, q)
+    Gn = {_pow(g0, k, q) for k in offsets}
+    B = square_part(G)
+    got = set(B) if q is None else {x.residue for x in B}
+    assert got == {g for g in Gn if _red(g * g, q) in Gn}
 
 
 def test_point_set_lift_shapes():
@@ -178,6 +213,21 @@ def test_point_sets_stay_on_the_lattice():
                     held.__get__(S)
 
 
+@pytest.mark.parametrize("skew", [False, True])
+@settings(max_examples=150)
+@given(_lift_case().filter(
+    lambda c: (c[2].residue if isinstance(c[2], PrimeFieldElement) else c[2]) != 0))
+@example(([1, 2], [1, 2], 3, False, None))
+@example(([PrimeFieldElement(v, 7) for v in (1, 3)], [PrimeFieldElement(v, 7) for v in (2, 5)],
+          PrimeFieldElement(4, 7), False, 7))
+def test_lift_keeps_collinearity(skew, case):
+    # E is F under g1*(x, y), or (g1*x, y) with skew, an invertible linear
+    # map for g1 != 0, so the pipelines test F alone
+    A, B, g1, _, _ = case
+    E, F = build_point_sets(ScalarSet(A), ScalarSet(B), g1, skew=skew)
+    assert collinear(E) == collinear(F)
+
+
 def test_dot_identity_exact():
     A = ScalarSet([1, 2])
     B = ScalarSet([1, 2, 4])
@@ -220,7 +270,6 @@ def test_field_progression_stages_build_no_field_elements(monkeypatch):
     q = 100003
     F = PrimeField(q)
     G = GgpSpec(F(2), GapSpec(3, (1, 40), (5, 6)))
-    Gn = normalize(G)
     # 1*7+1 = 2**3 and 3*5+1 = 2**4 lie in G; 2*2+1 = 5 does not
     A = ScalarSet(map(F, [1, 2, 3, 5, 7, 11]))
     AA1 = shift(productset(A, A), 1)
@@ -232,15 +281,30 @@ def test_field_progression_stages_build_no_field_elements(monkeypatch):
         init(self, value, modulus)
 
     monkeypatch.setattr(PrimeFieldElement, "__init__", counted)
-    Gset, B, C = enumerate_ggp(G), square_part(Gn), exceptional_set(AA1, G)
+    Gset, B, C = enumerate_ggp(G), square_part(G), exceptional_set(AA1, G)
     assert built == []
     monkeypatch.undo()
-    ks = Gn.exponents.residues
+    # the exponents of G/g1
+    ks = {k - 3 for k in G.exponents.residues}
     assert set(Gset) == {F(pow(2, 3 + k, q)) for k in ks}
     L = {pow(2, k, q) for k in ks}
     assert set(B) == {F(g) for g in L if g * g % q in L}
     assert set(C) == set(AA1) - set(Gset)
     assert F(8) not in C and F(16) not in C and F(5) in C
+
+
+def test_field_pipeline_computes_the_order_once(monkeypatch):
+    # ord(g0) is G.order, cached on the one spec the run builds
+    calls = []
+    order = progressions.multiplicative_order
+    monkeypatch.setattr(progressions, "multiplicative_order",
+                        lambda g: calls.append(g) or order(g))
+    F = PrimeField(1009)
+    G = GgpSpec(F(11), GapSpec(2, (1, 5), (3, 4)))
+    rep = run_field_pipeline(FfInput(q=1009, A=ScalarSet(map(F, [2, 3, 5])), G=G,
+                                     epsilon=Fraction(1, 100), delta=Fraction(1, 10)))
+    assert rep.identity_ok
+    assert calls == [F(11)]
 
 
 def test_pipeline_end_to_end():
@@ -563,7 +627,7 @@ def test_passing_run_forms_no_product_with_all_of_g(monkeypatch, A, G):
 
 def _identity_parts(A, G):
     AA = productset(A, A)
-    B = square_part(normalize(G))
+    B = square_part(G)
     g1 = first_element(G)
     return AA, shift(AA, 1), B, productset(B, B), g1
 

@@ -379,8 +379,11 @@ def test_sum_size_matches_value_oracle(spec):
     assert realized_size(spec) == len(ref_values(spec))
 
 
-def _literal(G, even_only=False):
+def _literal(G, even_only=False, divided=False):
+    """The values of G, or of G/g1 when divided, from every exponent
+    vector, or from the vectors with even coordinates when even_only."""
     R = G.exponents
+    r0 = 0 if divided else R.r0
     if isinstance(G.g0, PrimeFieldElement):
         g, q = G.g0.residue, G.g0.modulus
 
@@ -389,7 +392,7 @@ def _literal(G, even_only=False):
     else:
         def power(k):
             return Fraction(G.g0) ** k
-    return {power(R.r0 + sum(x * r for x, r in zip(v, R.generators)))
+    return {power(r0 + sum(x * r for x, r in zip(v, R.generators)))
             for v in itertools.product(*(range(l) for l in R.lengths))
             if not even_only or all(x % 2 == 0 for x in v)}
 
@@ -399,7 +402,9 @@ def _check_against_literal(G, probes):
     assert set(enumerate_ggp(G)) == L
     assert realized_size(G) == len(L)
     assert is_proper(G) == (len(L) == G.formal_length)
-    assert set(square_part(G)) == {g for g in L if g * g in L}
+    # the paper's B, the square part of G/g1
+    Ln = _literal(G, divided=True)
+    assert set(square_part(G)) == {g for g in Ln if g * g in Ln}
     R = G.exponents
     assert gap_size(R.r0, [2 * r for r in R.generators], [(l + 1) // 2 for l in R.lengths],
                     G.order) == len(_literal(G, even_only=True))
