@@ -47,10 +47,18 @@ pivot set below it cannot beat the best hit; a pivot dropped below a
 prefix is not tried again further down.  The walk stops when the hit is
 |T|.
 
+A pair has |B| >= min_factor_size = m, and each b of B lies in the rows
+of the m pivots or more of C, at least need = m - [0 in T] of them
+nonzero, so each b takes a bit.  Fewer than m bits therefore prove there
+is no pair, and the search answers so right after the runs are counted,
+before any bit is numbered or any image, mask or walk is built.
+
 search_budget counts walk nodes.  The exhaustive flag marks exact rows: it
-is true exactly when the walk finishes within the budget.  A T whose
-|T|**2 quotient keys exceed PAIR_CAP is refused before any key is built.
-Scalars are built only for the returned factors.
+is true exactly when the walk finishes within the budget.  An early answer
+is exact too: with fewer than m bits no pivot keeps m of them, so the walk
+would visit no node.  A T whose |T|**2 quotient keys exceed PAIR_CAP is
+refused before any key is built.  Scalars are built only for the returned
+factors.
 """
 
 from __future__ import annotations
@@ -161,11 +169,15 @@ def _quotient_bits(ts: List[int], R: int, domain, need: int):
     order of first occurrence, row by row.  Each entry is hashed
     s * t^-1 mod M in int64 and the words sorted once; a run of equal
     hashes is one quotient where the hash is exact, and elsewhere a run of
-    at least ``need`` entries is split by exact key once it holds two."""
+    at least ``need`` entries is split by exact key once it holds two.
+
+    ``images`` is None when fewer than m = need + [0 in ts] quotients are
+    kept: a pair has |B| >= m, and each b of B lies in the need nonzero
+    rows of C at least, so each takes a bit, and there is no pair."""
     n, t = len(ts), [x for x in ts if x]
     if not t:
-        # T = {0}: no quotient, and the pivot 0 holds none
-        return np.empty(0, dtype=np.int64), [None]
+        # T = {0}: no quotient, so no pair
+        return np.empty(0, dtype=np.int64), None
     if domain == RATIONAL_DOMAIN:
         M = P
         # a pivot +-M has no inverse mod M; only a pivot of size at least
@@ -220,6 +232,9 @@ def _quotient_bits(ts: List[int], R: int, domain, need: int):
         words = np.concatenate((words[~moved], at))
         first = np.concatenate((first[~split], firsts))
         size = np.concatenate((size[~split], sizes))
+    if len(first) < need + (0 in ts):
+        # fewer than m kept quotients: no B of m quotients, so no pair
+        return np.sort(first), None
     # bits in order of first occurrence, and the kept entries as
     # index << w | bit, in flat order
     order = first.argsort()
@@ -271,6 +286,9 @@ def _search_exhaustive(T: ScalarSet, m: int, budget: int):
     # fewer than m rows lies in no B and takes no bit; the pivot 0, if
     # any, holds every quotient
     first, images = _quotient_bits(ts, R, T.domain, m - (0 in ts))
+    if images is None:
+        # the walk would keep no pivot and visit no node
+        return ScalarSet(), ScalarSet(), 0, True
     images = [dict.fromkeys(range(len(first)), j) if img is None else img
               for j, img in enumerate(images)]
     masks = [_mask(img) for img in images]

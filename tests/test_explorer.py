@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import make_int_set
 from reference import (
@@ -141,11 +141,15 @@ def test_quotient_key_rows_decode_to_quotients(T):
 
 
 def _assert_bits_match_oracle(ts, R, domain, need):
-    """``_quotient_bits`` keeps the oracle's quotients on the same bits
-    with the same images, and ``_key`` gives the oracle's key of each
-    bit's first entry."""
+    """``_quotient_bits`` keeps the oracle's quotients on the same bits,
+    ``_key`` gives the oracle's key of each bit's first entry, and the
+    images are the oracle's, or None exactly when fewer than
+    m = need + [0 in ts] quotients are kept."""
     first, images = _quotient_bits(ts, R, domain, need)
-    assert (first.tolist(), images) == ref_quotient_bits(ts, R, domain, need)
+    ref_first, ref_images = ref_quotient_bits(ts, R, domain, need)
+    assert first.tolist() == ref_first
+    assert (images is None) == (len(ref_first) < need + (0 in ts))
+    assert images is None or images == ref_images
     rows, n = ref_quotient_keys(ts, R, domain), len(ts)
     for a in first.tolist():
         assert _key(ts[a % n], ts[a // n], R, domain) == rows[a // n][a % n]
@@ -157,13 +161,15 @@ def _assert_bits_match_oracle(ts, R, domain, need):
 def test_int64_route_matches_python_route(T, m):
     # the int64 hash and its split keep the quotients of the Python-int
     # oracle, any R and q, on the same bits with the same images, and the
-    # search returns what it returns on the oracle's bits
+    # search returns what it returns on the oracle's bits, which never
+    # answer early: the same pair, hit and exhaustive flag at every budget
     ts, R = _key_base(T)
     _assert_bits_match_oracle(ts, R, T.domain, m - (0 in ts))
-    found = _search_exhaustive(T, m, 5000)
+    budgets = (1, 2, 3, CoverQuery.search_budget)
+    found = [_search_exhaustive(T, m, b) for b in budgets]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(explorer, "_quotient_bits", ref_quotient_bits)
-        assert found == _search_exhaustive(T, m, 5000)
+        assert found == [_search_exhaustive(T, m, b) for b in budgets]
 
 
 F_EDGE, F_PAST = PrimeField(3037000493), PrimeField(4294967291)
@@ -206,15 +212,20 @@ def _spy_split(monkeypatch):
 def test_recount_drops_quotients_that_share_a_key_mod_p(monkeypatch):
     # 2/1 and (2 + P)/1 share the key 2 mod P, and 1/2 and 1/(2 + P) the
     # key of 1/2: at need 2 their runs can hold two quotients, though each
-    # lies in one row; the split keeps only 1, which lies in all three rows
+    # lies in one row; the split keeps only 1, which lies in all three
+    # rows, and one quotient is no B of two, so no images are built
     T = ScalarSet([1, 2, 2 + P])
     ts, R = _key_base(T)
     split = _spy_split(monkeypatch)
     first, images = _assert_bits_match_oracle(ts, R, T.domain, 2)
     assert split == [9]
-    assert first.tolist() == [0] and images == [{0: 0}, {0: 1}, {0: 2}]
+    assert first.tolist() == [0] and images is None
     keys = [_key(ts[a % 3], ts[a // 3], R, T.domain) for a in first.tolist()]
     assert _key_set(keys, R, T.domain).sorted() == [1]
+    # at need 1 every quotient is kept, and the split keeps 2 and (2 + P)
+    # on bits of their own, with the oracle's images
+    first, images = _assert_bits_match_oracle(ts, R, T.domain, 1)
+    assert len(first) == 7 and images is not None
 
 
 @pytest.mark.parametrize("T, recount", [
@@ -238,6 +249,39 @@ def test_keys_mod_p_are_exact_below_the_bound(T, recount, monkeypatch):
     _assert_bits_match_oracle(ts, R, T.domain, 1)
     assert bool(split) == recount
     assert all(len(ts) <= k < len(ts) ** 2 for k in split)
+
+
+@st.composite
+def _product_targets(draw):
+    """Sets T of at most 10 items holding a product B*C with noise, over
+    Q with negatives and 0 among the items, or over F_q."""
+    kind = draw(st.sampled_from(["int", "fraction", 5, 11, 101]))
+    if kind == "int":
+        elem = st.integers(-5, 5)
+    elif kind == "fraction":
+        elem = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    else:
+        elem = st.integers(0, kind - 1).map(PrimeField(kind))
+    B, C, noise = (draw(st.lists(elem, min_size=lo, max_size=3))
+                   for lo in (1, 1, 0))
+    T = ScalarSet([b * c for b in B for c in C] + noise)
+    assume(len(T) <= 10)
+    return T
+
+
+@settings(max_examples=200, deadline=None)
+@given(_product_targets(), st.integers(1, 4))
+def test_a_pair_keeps_at_least_m_quotients(T, m):
+    # each b of a pair's B lies in m - [0 in T] nonzero rows, so a pair
+    # keeps |B| >= m quotients; with fewer the search answers no pair,
+    # exactly, whatever the budget
+    ts, R = _key_base(T)
+    first, images = _quotient_bits(ts, R, T.domain, m - (0 in ts))
+    assert (images is None) == (len(first) < m)
+    if ref_cover_maximal(T.elems, m) > 0:
+        assert len(first) >= m
+    if images is None:
+        assert _search_exhaustive(T, m, 1) == (ScalarSet(), ScalarSet(), 0, True)
 
 
 def test_scan_over_f_q_past_p_matches_oracle_bits(capsys, monkeypatch):
@@ -479,6 +523,19 @@ def test_two_element_sets_have_no_cover(elems):
     _check_pair(res, T, 2)
     [row] = conjecture_scan([("a", A)], min_factor_size=2)
     assert (row.coverage_fraction, row.tension_flag) == (0, False)
+
+
+def test_no_pair_builds_no_image_or_mask(monkeypatch):
+    # T = {5, 11, 26}: at m = 2 only the quotient 1 lies in two rows, so
+    # the search answers no pair before any image or mask is built
+    calls = []
+    for name in ("_images", "_mask"):
+        monkeypatch.setattr(explorer, name, lambda *a, name=name,
+                            real=getattr(explorer, name):
+                            calls.append(name) or real(*a))
+    [row] = conjecture_scan([("a", ScalarSet([2, 5]))], min_factor_size=2)
+    assert calls == []
+    assert (row.aa1_size, row.hit_count, row.exhaustive) == (3, 0, True)
 
 
 def test_search_multiplies_no_elements(monkeypatch):
