@@ -11,8 +11,8 @@ from .numeric import (
 )
 from .setalg import Point2, PointSet2, ScalarSet
 from .progressions import GapSpec, GgpSpec
-from .harness import HarnessConfig, MainReport, PipelineInput, run_main_pipeline
-from .ffharness import FfInput, FfReport, run_field_pipeline, subgroup_ggp
+from .harness import HarnessConfig, PipelineInput, Report, run_main_pipeline
+from .ffharness import FfInput, run_field_pipeline, subgroup_ggp
 from .explorer import CoverQuery, CoverResult, conjecture_scan, search_bc
 
 __version__ = "0.1.0"
@@ -22,17 +22,16 @@ __all__ = [
     "CoverResult",
     "DomainMismatchError",
     "FfInput",
-    "FfReport",
     "GapSpec",
     "GgpSpec",
     "HarnessConfig",
-    "MainReport",
     "ParseError",
     "PipelineInput",
     "Point2",
     "PointSet2",
     "PrimeField",
     "PrimeFieldElement",
+    "Report",
     "Scalar",
     "ScalarSet",
     "conjecture_scan",

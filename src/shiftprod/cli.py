@@ -278,10 +278,14 @@ def _write(args, rows, default_format="json"):
     default_format).
 
     A row is a report dataclass or a plain dict; its keys, in order, are
-    the JSON keys and the CSV header.  JSON writes one row as an object
+    the JSON keys and the CSV header.  A dataclass row leaves out its None
+    fields, which only a rational Report has: q and the six field
+    readouts.  No other row holds a None (ScanRow, CoverageReport, and
+    the dict rows of prop-gp and gen).  JSON writes one row as an object
     and a list as an array, with Fractions as "p/q" text.
     """
-    dicts = [r if isinstance(r, dict) else dataclasses.asdict(r)
+    dicts = [r if isinstance(r, dict) else
+             {k: v for k, v in dataclasses.asdict(r).items() if v is not None}
              for r in (rows if isinstance(rows, list) else [rows])]
     if (args.format or default_format) == "csv":
         buf = io.StringIO()
@@ -344,7 +348,7 @@ def cmd_verify_main(args) -> int:
         AG = G or auto_progression(A)
         rep = run_main_pipeline(PipelineInput(A=A, G=AG, delta=delta, config=hcfg))
         reports.append(rep)
-        if not rep.structural_ok() or not rep.corollary1_ok:
+        if rep.finding() or not rep.corollary1_ok:
             findings.append((A, AG, rep))
 
     _write(args, reports[0] if len(reports) == 1 else reports)

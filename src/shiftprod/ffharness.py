@@ -37,7 +37,6 @@ from .setalg import PointSet2, ScalarSet, _check_pair_budget, dot_product_set, p
 __all__ = [
     "CoverageReport",
     "FfInput",
-    "FfReport",
     "coverage_check",
     "run_field_pipeline",
     "subgroup_ggp",
@@ -52,42 +51,6 @@ class FfInput:
     epsilon: Fraction
     delta: Fraction
     skew_e: bool = False
-
-
-@dataclass(frozen=True)
-class FfReport(Report):
-    """One prime-field pipeline run."""
-
-    q: int
-    a_size: int
-    aa_size: int
-    g_formal_len: int
-    g_realized_size: int
-    b_size: int
-    e_size: int
-    pi_size: int
-    c_size: int
-    epsilon: str
-    delta: str
-    claim_bb_bound: int
-    identity_ok: bool
-    corollary1_ok: bool
-    cond1_ok: bool
-    cond1_margin: str
-    cond2_ok: bool
-    cond2_margin: str
-    coverage_ok: bool
-    q_delta_bound: bool
-    bound_ratio: str
-    constants: dict
-
-    def finding(self) -> bool:
-        """True when a guaranteed property measured false on this run."""
-        if not self.structural_ok():
-            return True
-        if self.constants.get("coverage_hypothesis") == "holds" and not self.coverage_ok:
-            return True
-        return False
 
 
 @dataclass(frozen=True)
@@ -153,7 +116,7 @@ def subgroup_ggp(q: int, t: int) -> Tuple[ScalarSet, GgpSpec]:
     return enumerate_ggp(G), G
 
 
-def run_field_pipeline(inp: FfInput) -> FfReport:
+def run_field_pipeline(inp: FfInput) -> Report:
     q, A, G = inp.q, inp.A, inp.G
     eps, delta = Fraction(inp.epsilon), Fraction(inp.delta)
     if not is_prime(q):
@@ -180,7 +143,7 @@ def run_field_pipeline(inp: FfInput) -> FfReport:
     constants["coverage_hypothesis"] = "holds" if hypothesis else "fails"
     constants["pi_over_e_pow"] = power_ratio_decimal(
         len(Pi), max(1, len(E)), 1 - eps, DECIMAL_DIGITS)
-    return FfReport(
+    return Report(
         q=q,
         **shared,
         cond1_ok=compare_power(len(A) * aa, q, Fraction(3, 2) + eps) >= 0,

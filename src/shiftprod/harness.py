@@ -75,7 +75,6 @@ from .setalg import (
 
 __all__ = [
     "HarnessConfig",
-    "MainReport",
     "PipelineInput",
     "PreconditionError",
     "Report",
@@ -141,28 +140,18 @@ class PipelineInput:
     config: HarnessConfig = field(default_factory=HarnessConfig)
 
 
+@dataclass(frozen=True, kw_only=True)
 class Report:
-    """Structural checks shared by the pipeline reports.
+    """One pipeline run, over Q or over F_q.
 
-    Subclasses are frozen dataclasses whose field order is the output
-    order; the command line's one writer turns them into JSON or CSV.
+    The field order is the output order.  q and the six field readouts
+    (cond1_ok through q_delta_bound) are None on a rational run and set on
+    a field run.  The command line's one writer leaves None fields out of
+    the row it writes, so a rational row has 15 keys and a field row 22;
+    no other row it writes holds a None.
     """
 
-    def structural_ok(self) -> bool:
-        """All exactness checks a correct run must satisfy.  The square
-        part bound only counts against proper progressions."""
-        claim = self.constants.get("claim_bb")
-        proper = self.constants.get("proper") == "true"
-        return (self.identity_ok
-                and self.constants.get("decomposition") == "pass"
-                and not (proper and claim == "fail")
-                and self.constants.get("g_bb_inclusion") != "fail")
-
-
-@dataclass(frozen=True)
-class MainReport(Report):
-    """One rational pipeline run."""
-
+    q: int | None = None
     a_size: int
     aa_size: int
     g_formal_len: int
@@ -176,8 +165,33 @@ class MainReport(Report):
     claim_bb_bound: int
     identity_ok: bool
     corollary1_ok: bool
+    cond1_ok: bool | None = None
+    cond1_margin: str | None = None
+    cond2_ok: bool | None = None
+    cond2_margin: str | None = None
+    coverage_ok: bool | None = None
+    q_delta_bound: bool | None = None
     bound_ratio: str
     constants: dict
+
+    def structural_ok(self) -> bool:
+        """All exactness checks a correct run must satisfy.  The square
+        part bound only counts against proper progressions."""
+        claim = self.constants.get("claim_bb")
+        proper = self.constants.get("proper") == "true"
+        return (self.identity_ok
+                and self.constants.get("decomposition") == "pass"
+                and not (proper and claim == "fail")
+                and self.constants.get("g_bb_inclusion") != "fail")
+
+    def finding(self) -> bool:
+        """True when a guaranteed property measured false on this run: a
+        structural check failed, or, over F_q, the dot-product set misses
+        part of F_q* where the coverage hypothesis holds.  An empty C is a
+        finding only over Q, where verify-main adds it from corollary1_ok."""
+        return (not self.structural_ok()
+                or (self.constants.get("coverage_hypothesis") == "holds"
+                    and not self.coverage_ok))
 
 
 def first_element(G: GgpSpec):
@@ -337,7 +351,7 @@ def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, eps: Fraction,
     return shared, E, F, Pi
 
 
-def run_main_pipeline(inp: PipelineInput) -> MainReport:
+def run_main_pipeline(inp: PipelineInput) -> Report:
     A, G, delta, cfg = inp.A, inp.G, Fraction(inp.delta), inp.config
     if len(A) < 2:
         raise PreconditionError("need |A| >= 2")
@@ -369,7 +383,7 @@ def run_main_pipeline(inp: PipelineInput) -> MainReport:
     shared, E, _, Pi = _run_core(A, AA, G, eps, delta, cfg.skew_e, constants)
     constants["pi_over_e_pow"] = power_ratio_decimal(
         len(Pi), max(1, len(E)), 1 - eps, DECIMAL_DIGITS)
-    return MainReport(
+    return Report(
         **shared,
         bound_ratio=power_ratio_decimal(shared["c_size"], len(A), 1 - delta,
                                         DECIMAL_DIGITS),

@@ -39,8 +39,7 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
 
-from shiftprod.ffharness import FfReport
-from shiftprod.harness import DECIMAL_DIGITS, READOUT_DEGREE_CAP, MainReport
+from shiftprod.harness import DECIMAL_DIGITS, READOUT_DEGREE_CAP, Report
 from shiftprod.numeric import (
     RATIONAL_DOMAIN,
     PreconditionError,
@@ -191,8 +190,8 @@ def _core(A, g0, R, q, eps, delta, skew_e, constants):
     return shared, E, F, Pi
 
 
-def reference_main_report(A_values, G, delta, config) -> MainReport:
-    """The MainReport of ``run_main_pipeline`` for rational A and G,
+def reference_main_report(A_values, G, delta, config) -> Report:
+    """The Report of ``run_main_pipeline`` for rational A and G,
     computed element by element; raises PreconditionError where the
     pipeline refuses."""
     A = {Fraction(a) for a in A_values}
@@ -218,15 +217,15 @@ def reference_main_report(A_values, G, delta, config) -> MainReport:
         raise PreconditionError("degenerate progression")
 
     shared, _, _, _ = _core(A, g0, R, None, delta / 3, delta, config.skew_e, constants)
-    return MainReport(
+    return Report(
         **shared,
         bound_ratio=ref_power_ratio_decimal(shared["c_size"], len(A), 1 - delta),
         constants=constants,
     )
 
 
-def reference_ff_report(q, A_values, G, epsilon, delta, skew_e) -> FfReport:
-    """The FfReport of ``run_field_pipeline`` for A (ints, read mod q) and
+def reference_ff_report(q, A_values, G, epsilon, delta, skew_e) -> Report:
+    """The Report of ``run_field_pipeline`` for A (ints, read mod q) and
     G over F_q, computed element by element, for inputs the pipeline
     accepts."""
     A = {a % q for a in A_values}
@@ -237,7 +236,7 @@ def reference_ff_report(q, A_values, G, epsilon, delta, skew_e) -> FfReport:
     hypothesis = len(E) == len(F) and len(E) ** 2 > q ** 3
     constants["coverage_hypothesis"] = "holds" if hypothesis else "fails"
     a_aa, aa, c = len(A) * shared["aa_size"], shared["aa_size"], shared["c_size"]
-    return FfReport(
+    return Report(
         q=q,
         **shared,
         cond1_ok=_power_sign(a_aa, q, Fraction(3, 2) + eps) >= 0,

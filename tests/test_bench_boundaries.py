@@ -2,11 +2,14 @@
 wraps named functions of the program, and the workloads' checks recompute
 sizes on elements.  Each must keep working, or the benchmark breaks."""
 
+from fractions import Fraction
 from pathlib import Path
 
 from shiftprod.ffharness import FfInput, run_field_pipeline, subgroup_ggp
+from shiftprod.harness import PipelineInput, run_main_pipeline
 from shiftprod.numeric import PrimeField
-from shiftprod.setalg import productset, shift
+from shiftprod.progressions import GapSpec, GgpSpec
+from shiftprod.setalg import ScalarSet, productset, shift
 
 BENCH = str(Path(__file__).resolve().parent.parent / "bench")
 
@@ -34,3 +37,16 @@ def test_workload_checks_agree_with_the_field_pipeline(monkeypatch):
     assert PrimeField(q)(0) in aa1
     assert workloads._literal_sizes(A, G) == (rep.b_size, rep.c_size) == (4, 4)
     assert workloads._check_pipeline(rep, A, G, q) == []
+
+
+def test_workload_checks_agree_with_the_rational_pipeline(monkeypatch):
+    # a proper 2-D progression with a non-integer base, as rational-verify
+    # draws them
+    monkeypatch.syspath_prepend(BENCH)
+    import workloads
+
+    A = ScalarSet([1, 2, 3, 5])
+    G = GgpSpec(Fraction(3, 2), GapSpec(1, (1, 5), (3, 3)))
+    rep = run_main_pipeline(PipelineInput(A=A, G=G, delta=workloads.DELTA))
+    assert workloads._literal_sizes(A, G) == (rep.b_size, rep.c_size) == (4, 10)
+    assert workloads._check_pipeline(rep, A, G) == []

@@ -984,6 +984,25 @@ def test_verify_ff_finding_exit(capsys):
     assert not run_field_pipeline(inp).finding()
 
 
+# An empty exceptional set contradicts Corollary 1 over Q, so verify-main
+# exits 1 on it.  Over F_q the corollary needs cond1 and cond2, which a
+# small q need not meet, so verify-ff judges only the structural checks
+# and the coverage bound, and exits 0 here.
+def test_empty_exceptional_set_is_a_finding_only_over_q(capsys):
+    code, out, err = run_cli(capsys, "verify-main", "--A", "{0, 1}", "--delta", "1/2")
+    assert code == 1
+    assert json.loads(out)["c_size"] == 0
+    assert err == "finding: empty exceptional set for A={0, 1} G=ggp 2; gap 0;1;3\n"
+    code, out, err = run_cli(capsys, "verify-ff", "--q", "7", "--A", "{1, 2}",
+                             "--G", "ggp 3; gap 0;1;6", "--epsilon", "1",
+                             "--delta", "1/2")
+    assert code == 0
+    assert err == ""
+    rep = harness.Report(**json.loads(out))
+    assert rep.c_size == 0 and not rep.corollary1_ok
+    assert rep.structural_ok() and not rep.finding()
+
+
 # An empty --G is progression text like any other, from the flag or the
 # config; verify-main once ran the automatic progression on it
 @pytest.mark.parametrize("source", ["flag", "config"])
