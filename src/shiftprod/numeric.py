@@ -5,7 +5,7 @@ A scalar is either a rational number (a plain ``int`` or a
 ``Z/qZ``, a :class:`PrimeFieldElement`: a value, as every kernel runs on the
 residues.  Which domain a raw value joins is decided in one place,
 :func:`lift`; every set constructor and every scalar combined with a set
-goes through it.  No floats enter any computation; decimal readouts of
+goes through it.  No float decides any result; decimal readouts of
 irrational power ratios come from integer root extraction.
 
 Primality is deterministic Miller-Rabin on the first 13 prime bases, exact
@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import gcd
+from math import gcd, log2
 from types import MappingProxyType
 from typing import Mapping, Optional, Tuple, Union
 
@@ -380,38 +380,38 @@ def parse_scalar(text: str, field: Optional[PrimeField] = None) -> Scalar:
 # ---------------------------------------------------------------------------
 # exact integer helpers for power comparisons and decimal readouts
 
-def nth_root_floor(x: int, k: int) -> int:
-    """floor(x ** (1/k)) for x >= 0, k >= 1, by integer Newton iteration
-    from above.
+def _root_start(x: int, k: int, d: int) -> int:
+    """About (x/d) ** (1/k) for x >= d, as a 53-bit mantissa and a shift."""
+    e, f = divmod(max(log2(x) - log2(d), 0.0) / k, 1)
+    return int(2 ** (f + 53)) << int(e) >> 53
 
-    Roots below 2**9 are read off bit by bit.  Newton starts every other
-    root from a seed: the root of x >> (k*s), with s half the root's bit
-    length, plus one and shifted left by s.  That is above the root by a
-    factor below 1 + 2**(1-s).  Where 2**s is well above k, Newton takes
-    two or three steps per doubling of precision; where it is not, as at
-    the lowest levels for k in the thousands, the first steps crawl by
-    about 1 - 1/k, for up to about k * 2**(1-s) steps.
+
+def nth_root_floor(x: int, k: int, d: int = 1) -> int:
+    """floor((x/d) ** (1/k)) for x >= 0, k >= 1, d >= 1.
+
+    A float picks the start, :func:`_root_start`; exact integer steps decide
+    the result, so a float error only changes how many run.  Roots below
+    about 2**40, whose start is at most about 1 off, step to the floor by
+    +-1 on the exact test d * r**k <= x.  Larger roots take Newton steps
+    r -> ((k-1)*r + x // (d * r**(k-1))) // k, d folded into each divisor
+    as x // (d*m) == (x // d) // m.  By the mean inequality one step from
+    any r >= 1 lands at or above the floor; later steps fall to it and stop.
     """
-    if x < 0 or k < 1:
-        raise ValueError("need x >= 0 and k >= 1")
-    if x < 2 or k == 1:
-        return x
-    bits = (x.bit_length() - 1) // k + 1  # x < 2**(k*bits)
-    if bits <= 9:
-        r = 0
-        for i in reversed(range(bits)):
-            if (r | (1 << i)) ** k <= x:
-                r |= 1 << i
+    if x < 0 or k < 1 or d < 1:
+        raise ValueError("need x >= 0, k >= 1 and d >= 1")
+    if x < d or k == 1:
+        return x // d
+    r = _root_start(x, k, d)
+    if x.bit_length() - d.bit_length() < 40 * k:
+        while d * r ** k > x:
+            r -= 1
+        while d * (r + 1) ** k <= x:
+            r += 1
         return r
-    s = bits // 2
-    r = (nth_root_floor(x >> (k * s), k) + 1) << s
-    # r >= the root here, and from above a step that does not shrink r
-    # leaves r ** k <= x, so r is the floor
-    while True:
-        nr = ((k - 1) * r + x // r ** (k - 1)) // k
-        if nr >= r:
-            return r
+    r = ((k - 1) * r + x // (d * r ** (k - 1))) // k
+    while (nr := ((k - 1) * r + x // (d * r ** (k - 1))) // k) < r:
         r = nr
+    return r
 
 
 def compare_power(x: int, base: int, exp: Fraction) -> int:
@@ -429,16 +429,16 @@ def compare_power(x: int, base: int, exp: Fraction) -> int:
 def power_ratio_decimal(num: int, base: int, exp: Fraction, digits: int = 20) -> str:
     """num / base**exp as a decimal string with `digits` fractional digits.
 
-    Exact integer arithmetic throughout: the value is floor-rounded at the
-    last digit, so repeated runs are byte identical.
+    For exp = a/b, the floor of the b-th root of num**b * 10**(digits*b)
+    over base**a, by :func:`nth_root_floor` with base**a folded into its
+    steps, so that quotient is never formed; values below about
+    2**40 / 10**digits take its +-1 route.  No float decides a digit.
     """
     if num < 0 or base < 1 or digits < 1:
         raise ValueError("need num >= 0, base >= 1, digits >= 1")
     exp = Fraction(exp)
     if exp < 0:
         raise ValueError("need exp >= 0")
-    d = exp.denominator
-    # num**d * 10**(digits*d), with the power of 2 in 10 as one shift
-    scaled = ((num * 5 ** digits) ** d << (digits * d)) // base ** exp.numerator
-    r = nth_root_floor(scaled, d)
+    b = exp.denominator
+    r = nth_root_floor((num * 5 ** digits) ** b << (digits * b), b, base ** exp.numerator)
     return f"{r // 10 ** digits}.{r % 10 ** digits:0{digits}d}"

@@ -8,9 +8,10 @@ powers of its base, B from a literal ``g*g in Gn``, Pi from the double loop
 over the point sets, C as AA+1 minus G and the decomposition of G*(AA+1)
 from literal products.  No shiftprod set type, kernel or membership test is
 used.  The decimal strings come from ``ref_power_ratio_decimal``, the same
-formula on ``ref_nth_root_floor``: integer Newton from 2**ceil(bits/k)
-down to the floor, one step at a time, without the seeded start of
-``numeric.nth_root_floor``.
+formula on ``ref_nth_root_floor``: it divides by base**a first and takes
+integer Newton steps from 2**ceil(bits/k) down to the floor, without the
+start read off logs, the +-1 steps below 2**40 or the divisor folded into
+each step of ``numeric.nth_root_floor``.
 
 The cover search's oracles live here too.  Both return the most hits
 |B*C| over pairs with B inside T, C inside the quotients T/T = {s/t : s, t

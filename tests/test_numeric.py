@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from reference import ref_nth_root_floor, ref_power_ratio_decimal
 from shiftprod import numeric
+from shiftprod.harness import READOUT_DEGREE_CAP
 from shiftprod.numeric import (
     MR_EXACT_BELOW,
     DomainMismatchError,
@@ -251,35 +252,80 @@ def test_nth_root_floor():
         f = nth_root_floor(x, k)
         assert f ** k <= x < (f + 1) ** k
         assert nth_root_floor(r ** k, k) == r
+    for x, k, d in ((5, 2, 0), (5, 2, -3), (-1, 2, 1), (5, 0, 1)):
+        with pytest.raises(ValueError):
+            nth_root_floor(x, k, d)
 
 
-# nth_root_floor reads roots below 2**9 off bit by bit and seeds the rest
-# from the root of the top bits; every r**k - 1, r**k, r**k + 1 is a floor
-# boundary
+# nth_root_floor steps roots below about 2**40 by +-1 from a start read
+# off logs and takes Newton steps, with the divisor folded in, above; every
+# d*r**k - 1, d*r**k, d*r**k + 1 is a floor boundary
 @st.composite
 def _root_cases(draw):
     k = draw(st.integers(1, 200))
     bits = draw(st.integers(0, 10000 // k))
     r = draw(st.integers(0, 2 ** bits))
-    x = draw(st.one_of(st.integers(-1, 1).map(lambda c: max(0, r ** k + c)),
-                       st.integers(0, 2 ** (k * bits + 1))))
-    return x, k
+    d = draw(st.one_of(st.just(1), st.integers(1, 2 ** 64),
+                       st.integers(1, 2 ** (k * bits + 1))))
+    x = draw(st.one_of(st.integers(-1, 1).map(lambda c: max(0, d * r ** k + c)),
+                       st.integers(0, d * 2 ** (k * bits + 1))))
+    return x, k, d
+
+
+def _is_floor_root(r, x, k, d):
+    return d * r ** k <= x < d * (r + 1) ** k
 
 
 @settings(max_examples=400)
 @given(_root_cases())
 def test_nth_root_floor_matches_reference(case):
-    x, k = case
-    r = nth_root_floor(x, k)
-    assert r ** k <= x < (r + 1) ** k
-    assert r == ref_nth_root_floor(x, k)
+    x, k, d = case
+    r = nth_root_floor(x, k, d)
+    assert _is_floor_root(r, x, k, d)
+    assert r == ref_nth_root_floor(x // d, k)
+    if d == 1:
+        assert nth_root_floor(x, k) == r
+
+
+_BOUNDARY_ROOTS = (1, 2, 3, 21, 2 ** 40 - 1, 2 ** 40, 2 ** 40 + 1, 2 ** 52,
+                   2 ** 53 + 1, 2 ** 1100 + 7)
 
 
 @pytest.mark.parametrize("k", [3, 9, 10, 11, 100, 200])
 def test_nth_root_floor_at_route_boundaries(k):
-    for r in (1, 2, 2 ** 9 - 1, 2 ** 9, 2 ** 9 + 1, 2 ** 10, 2 ** 64 + 1, 3 ** 50):
-        for x in (r ** k - 1, r ** k, r ** k + 1):
-            assert nth_root_floor(x, k) == ref_nth_root_floor(x, k)
+    # the +-1 route ends at 2**40, the float start's mantissa at 2**53
+    for r in _BOUNDARY_ROOTS:
+        for d in (1, 3, 2 ** 61 - 1):
+            for x in (d * r ** k - 1, d * r ** k, d * r ** k + 1):
+                assert nth_root_floor(x, k, d) == (r if x >= d * r ** k else r - 1)
+
+
+@pytest.mark.parametrize("k", [1000, 4096, 9999, 10000])
+def test_nth_root_floor_certified_up_to_the_degree_cap(k):
+    assert k <= READOUT_DEGREE_CAP
+    rng = random.Random(k)
+    for r in (1, 2, 3, 21, rng.randint(4, 1000)):
+        for d in (1, 3, 2 ** 61 - 1, rng.randint(1, 2 ** 200)):
+            lo = d * r ** k
+            for x in (lo - 1, lo, lo + 1, rng.randint(lo, d * (r + 1) ** k - 1)):
+                assert _is_floor_root(nth_root_floor(x, k, d), x, k, d)
+
+
+# roots on both sides of the +-1 route, kept small below it, where a start
+# of 1 walks up one at a time
+@settings(max_examples=150)
+@given(st.integers(1, 6),
+       st.one_of(st.integers(0, 2 ** 12), st.integers(2 ** 40 + 1, 2 ** 300)),
+       st.sampled_from([1, 3, 2 ** 61 - 1]), st.integers(-1, 1))
+def test_nth_root_floor_does_not_depend_on_its_start(k, r, d, c):
+    x = max(0, d * r ** k + c)
+    want = nth_root_floor(x, k, d)
+    assert _is_floor_root(want, x, k, d)
+    bits = (x.bit_length() - d.bit_length()) // k + 1  # 2**bits > the root
+    for start in (1, want, 2 ** bits):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numeric, "_root_start", lambda *_: start)
+            assert nth_root_floor(x, k, d) == want
 
 
 # the readout exponents of the field and rational pipelines at the bench's
@@ -310,3 +356,16 @@ def test_power_ratio_decimal():
     d5 = power_ratio_decimal(2, 3, Fraction(1, 2), digits=5)
     d20 = power_ratio_decimal(2, 3, Fraction(1, 2), digits=20)
     assert d20.startswith(d5[:-1])
+
+
+def test_power_ratio_decimal_near_the_degree_cap():
+    # 2**35 over (2**50)**(9999/10000), its value read before base**a was
+    # folded into the root's Newton steps
+    assert (power_ratio_decimal(2 ** 35, 2 ** 50, Fraction(9999, 10000))
+            == "0.00003062352748136910")
+    # the reference root crawls at this degree, so check the floor itself
+    for exp in (Fraction(1, 10000), Fraction(9999, 10000), Fraction(20001, 10000)):
+        a, b = exp.numerator, exp.denominator
+        for num, base in ((1, 2), (7, 3), (2500, 101)):
+            r = int(power_ratio_decimal(num, base, exp).replace(".", ""))
+            assert _is_floor_root(r, num ** b * 10 ** (20 * b), b, base ** a)
