@@ -11,8 +11,8 @@ from .numeric import (
 )
 from .setalg import Point2, PointSet2, ScalarSet
 from .progressions import GapSpec, GgpSpec
-from .harness import HarnessConfig, PipelineInput, Report, run_main_pipeline
-from .ffharness import FfInput, run_field_pipeline, subgroup_ggp
+from .harness import HarnessConfig, PipelineInput, Report, run_pipeline
+from .ffharness import subgroup_ggp
 from .explorer import CoverQuery, CoverResult, conjecture_scan, search_bc
 
 __version__ = "0.1.0"
@@ -21,7 +21,6 @@ __all__ = [
     "CoverQuery",
     "CoverResult",
     "DomainMismatchError",
-    "FfInput",
     "GapSpec",
     "GgpSpec",
     "HarnessConfig",
@@ -35,8 +34,7 @@ __all__ = [
     "Scalar",
     "ScalarSet",
     "conjecture_scan",
-    "run_field_pipeline",
-    "run_main_pipeline",
+    "run_pipeline",
     "search_bc",
     "subgroup_ggp",
     "__version__",

@@ -27,18 +27,8 @@ import sys
 from fractions import Fraction
 
 from .explorer import conjecture_scan
-from .ffharness import (
-    FfInput,
-    coverage_check,
-    run_field_pipeline,
-    subgroup_ggp,
-)
-from .harness import (
-    HarnessConfig,
-    PipelineInput,
-    PreconditionError,
-    run_main_pipeline,
-)
+from .ffharness import coverage_check, subgroup_ggp
+from .harness import HarnessConfig, PipelineInput, PreconditionError, run_pipeline
 from .numeric import ParseError, PrimeField
 from .progressions import (
     GapSpec,
@@ -326,7 +316,7 @@ def _refuse_skew_at_one(skew_e, G):
 
 def cmd_verify_main(args) -> int:
     hcfg = HarnessConfig(**_given(args, "size_match_factor", "degeneracy_threshold",
-                                  "on_size_mismatch", "skew_e"))
+                                  "on_size_mismatch"))
     delta = _need(args, "delta", "verify-main needs --delta")
     if args.A is not None:
         sets = [parse_scalar_set(args.A)]
@@ -341,12 +331,13 @@ def cmd_verify_main(args) -> int:
         rng = random.Random(_pick(args, "seed", 0))
         sets = [ScalarSet(rng.sample(values, size)) for _ in range(count)]
     G = parse_ggp_spec(args.G) if args.G is not None else None
-    _refuse_skew_at_one(hcfg.skew_e, G)
+    _refuse_skew_at_one(args.skew_e, G)
 
     reports, findings = [], []
     for A in sets:
         AG = G or auto_progression(A)
-        rep = run_main_pipeline(PipelineInput(A=A, G=AG, delta=delta, config=hcfg))
+        rep = run_pipeline(PipelineInput(A=A, G=AG, delta=delta, config=hcfg,
+                                         **_given(args, "skew_e")))
         reports.append(rep)
         if rep.finding() or not rep.corollary1_ok:
             findings.append((A, AG, rep))
@@ -391,7 +382,7 @@ def cmd_verify_ff(args) -> int:
     else:
         _usage("verify-ff needs --subgroup-t or both --A and --G")
 
-    rep = run_field_pipeline(FfInput(q=q, A=A, G=G, epsilon=eps, delta=delta,
+    rep = run_pipeline(PipelineInput(q=q, A=A, G=G, epsilon=eps, delta=delta,
                                      **_given(args, "skew_e")))
     _write(args, rep)
     if rep.finding():

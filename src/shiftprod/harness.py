@@ -1,4 +1,4 @@
-"""End-to-end pipeline over the rationals.
+"""The pipeline, over the rationals and over F_q.
 
 Given a finite set A and a generalized geometric progression G of
 comparable size, the pipeline measures how much of the shifted product set
@@ -25,7 +25,19 @@ AA+1 escapes G.  The route:
     and the vectors with even coordinates), folded mod ord(g0) over F_q,
     with no power or product set built; a size is the same for G and
     G/g1, whose exponents are G's shifted by -r0;
-  * read off |C| / |A|**(1-delta) to fixed digits.
+  * read off |C| / |A|**(1-delta) over Q, |C| / q**delta over F_q, to
+    fixed digits.
+
+Over Q epsilon is delta/3, and |G| must match |AA| within a factor and G
+must not be degenerate.  Over F_q the asymptotic hypotheses are read off
+readouts too: |A||AA| against q**(3/2 + eps) and |AA| against
+q**(1 - delta).  Each readout prints floor(10**20 * v) for an exact ratio
+v, and each flag is read off its own readout: v >= 1 exactly when that
+root is at least 10**20, which gives cond1_ok and q_delta_bound.
+cond2_ok is v <= 1, and there v = 1 cannot happen: with 1 - delta = a/b
+in lowest terms, |AA|**b = q**a would make |AA| a power q**m of the prime
+q with m*b = a, and no integer m has 0 < m*b < b.  So cond2_ok is v < 1.
+The coverage hypothesis |E| = |F| > q**(3/2) is len(E)**2 > q**3.
 
 Every check is exact; measured stand-ins for asymptotic constants are
 reported as rational or fixed-digit decimal strings in the constants
@@ -42,6 +54,7 @@ from typing import Tuple
 from .numeric import (
     RATIONAL_DOMAIN,
     PreconditionError,
+    is_prime,
     join_domains,
     lift,
     power_ratio_decimal,
@@ -83,7 +96,7 @@ __all__ = [
     "dot_identity_check",
     "exceptional_set",
     "first_element",
-    "run_main_pipeline",
+    "run_pipeline",
     "square_part",
     "square_part_bound_check",
 ]
@@ -109,21 +122,17 @@ def require_readout_degree(exponents: dict) -> None:
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """Policy knobs of the rational pipeline.
+    """The three gates of a rational run.
 
     size_match_factor bounds |G| / |AA| from both sides,
     degeneracy_threshold caps the degeneracy ratio of G, and
     on_size_mismatch picks reject (error) or warn (run anyway, ledger the
-    ratio).  skew_e switches the point-set lift to the variant that scales
-    only the first coordinate of E, which breaks the exact factorization
-    whenever g1 != 1 and is kept for comparison runs; the field pipeline
-    takes the same switch as FfInput.skew_e.
+    ratio).  A run over F_q refuses any config but the default.
     """
 
     size_match_factor: Fraction = Fraction(2)
     degeneracy_threshold: Fraction = Fraction(1)
     on_size_mismatch: str = "reject"
-    skew_e: bool = False
 
     def __post_init__(self):
         if self.on_size_mismatch not in ("reject", "warn"):
@@ -134,10 +143,21 @@ class HarnessConfig:
 
 @dataclass(frozen=True)
 class PipelineInput:
+    """A run over Q when q is None, else over F_q for a prime q.
+
+    epsilon is given over F_q and refused over Q, where it is delta/3.
+    skew_e switches the point-set lift to the variant that scales only the
+    first coordinate of E, which breaks the exact factorization whenever
+    g1 != 1 and is kept for comparison runs.
+    """
+
     A: ScalarSet
     G: GgpSpec
     delta: Fraction
     config: HarnessConfig = field(default_factory=HarnessConfig)
+    q: int | None = None
+    epsilon: Fraction | None = None
+    skew_e: bool = False
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -277,18 +297,70 @@ def decomposition_holds(Gset: ScalarSet, AA1: ScalarSet, inter: ScalarSet,
     return parts == AA1 or productset(Gset, AA1) == productset(Gset, parts)
 
 
-def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, eps: Fraction,
-              delta: Fraction, skew_e: bool, constants: dict):
-    """The mode-independent middle of both pipelines; AA = A*A.
+def _coverage(E: PointSet2, F: PointSet2, dots: ScalarSet,
+              q: int) -> Tuple[bool, int]:
+    """The hypothesis |E| = |F| > q**(3/2), as len(E)**2 > q**3, and the
+    number of units of F_q that the dot-product set reaches."""
+    return len(E) == len(F) and len(E) ** 2 > q ** 3, len(dots) - (0 in dots.lat[0])
 
-    Returns the report fields both pipelines share, then E, F and their
-    dot-product set Pi.
-    """
+
+def run_pipeline(inp: PipelineInput) -> Report:
+    """One run over Q (inp.q is None) or over F_q; see the module docstring."""
+    A, G, q, delta, cfg = inp.A, inp.G, inp.q, Fraction(inp.delta), inp.config
+    if q is None:
+        if len(A) < 2:
+            raise PreconditionError("need |A| >= 2")
+        if A.domain != RATIONAL_DOMAIN or G.domain != RATIONAL_DOMAIN:
+            raise PreconditionError("this pipeline runs over the rationals")
+        if inp.epsilon is not None:
+            raise PreconditionError("epsilon is delta/3 over the rationals and is not given")
+        eps = delta / 3
+        degrees = {"1 - delta/3": 1 - eps}
+    else:
+        if not is_prime(q):
+            raise PreconditionError(f"{q} is not prime")
+        if len(A) < 2:
+            raise PreconditionError("need |A| >= 2")
+        if A.domain != q or G.domain != q:
+            raise PreconditionError(f"A and G must live in F_{q}")
+        if cfg != HarnessConfig():
+            raise PreconditionError("the config gates apply over the rationals only")
+        if inp.epsilon is None:
+            raise PreconditionError("a run over F_q needs epsilon")
+        eps = Fraction(inp.epsilon)
+        if eps <= 0:
+            raise PreconditionError("epsilon must be positive")
+        if eps > 1:
+            raise PreconditionError("epsilon must be at most 1")
+        degrees = {"3/2 + epsilon": Fraction(3, 2) + eps, "1 - epsilon": 1 - eps,
+                   "delta": delta}
+    if not (0 < delta < 1):
+        raise PreconditionError("delta must lie strictly between 0 and 1")
+    require_readout_degree({**degrees, "1 - delta": 1 - delta})
+
+    constants = {}
+    AA = productset(A, A)
+    size = realized_size(G)
+    if q is None:
+        ratio = Fraction(size, len(AA))
+        constants["size_match_ratio"] = str(ratio)
+        if max(ratio, 1 / ratio) > cfg.size_match_factor:
+            if cfg.on_size_mismatch == "reject":
+                raise PreconditionError(
+                    f"|G| = {size} vs |AA| = {len(AA)} is outside factor "
+                    f"{cfg.size_match_factor}")
+            constants["size_match"] = "warn"
+        degeneracy = degeneracy_ratio(G)
+        constants["degeneracy_ratio"] = str(degeneracy)
+        if degeneracy > cfg.degeneracy_threshold:
+            raise PreconditionError(
+                f"degenerate progression: ratio {degeneracy} above "
+                f"threshold {cfg.degeneracy_threshold}")
+
     AA1 = shift(AA, 1)
     # G*(AA+1) and G*G are refused as productset would refuse them, the
     # pairs before G's powers are built and the bits (before g1 = g0**r0)
     # after; every product of G with a part of AA+1 falls under the first
-    size = realized_size(G)
     for n in (len(AA1), size):
         _check_pair_budget(size, n, "productset")
     Gset = enumerate_ggp(G)
@@ -306,7 +378,7 @@ def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, eps: Fraction,
     constants["b_even_size"] = str(gap_size(0, [2 * r for r in R.generators],
                                             [(l + 1) // 2 for l in R.lengths], G.order))
 
-    E, F = build_point_sets(A, B, g1, skew=skew_e)
+    E, F = build_point_sets(A, B, g1, skew=inp.skew_e)
     if len(A) >= 2 and len(B) >= 2:
         # E is the image of F under g1*(x, y), or (g1*x, y) with skew_e, an
         # invertible linear map, so the two are collinear together
@@ -333,7 +405,25 @@ def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, eps: Fraction,
     constants["gg_over_g"] = str(Fraction(gg, len(Gset)))
     constants["g_inter_le_gg"] = "pass" if len(G_inter) <= gg else "fail"
 
-    shared = dict(
+    if q is None:
+        readouts = dict(bound_ratio=power_ratio_decimal(len(C), len(A), 1 - delta,
+                                                        DECIMAL_DIGITS))
+    else:
+        hypothesis, covered = _coverage(E, F, Pi, q)
+        constants["coverage_hypothesis"] = "holds" if hypothesis else "fails"
+        cond1 = power_ratio_decimal(len(A) * len(AA), q, Fraction(3, 2) + eps,
+                                    DECIMAL_DIGITS)
+        cond2 = power_ratio_decimal(len(AA), q, 1 - delta, DECIMAL_DIGITS)
+        bound = power_ratio_decimal(len(C), q, delta, DECIMAL_DIGITS)
+        # each flag off its own readout, floor(10**20 * v) / 10**20 >= 1
+        # exactly when v >= 1; cond2's v is never 1 (module docstring)
+        readouts = dict(q=q, cond1_ok=Fraction(cond1) >= 1, cond1_margin=cond1,
+                        cond2_ok=Fraction(cond2) < 1, cond2_margin=cond2,
+                        coverage_ok=covered == q - 1,
+                        q_delta_bound=Fraction(bound) >= 1, bound_ratio=bound)
+    constants["pi_over_e_pow"] = power_ratio_decimal(
+        len(Pi), max(1, len(E)), 1 - eps, DECIMAL_DIGITS)
+    return Report(
         a_size=len(A),
         aa_size=len(AA),
         g_formal_len=G.formal_length,
@@ -347,45 +437,11 @@ def _run_core(A: ScalarSet, AA: ScalarSet, G: GgpSpec, eps: Fraction,
         claim_bb_bound=bb_bound,
         identity_ok=Pi == rhs,
         corollary1_ok=len(C) >= 1,
-    )
-    return shared, E, F, Pi
-
-
-def run_main_pipeline(inp: PipelineInput) -> Report:
-    A, G, delta, cfg = inp.A, inp.G, Fraction(inp.delta), inp.config
-    if len(A) < 2:
-        raise PreconditionError("need |A| >= 2")
-    if A.domain != RATIONAL_DOMAIN or G.domain != RATIONAL_DOMAIN:
-        raise PreconditionError("this pipeline runs over the rationals")
-    if not (0 < delta < 1):
-        raise PreconditionError("delta must lie strictly between 0 and 1")
-    eps = delta / 3
-    require_readout_degree({"1 - delta/3": 1 - eps, "1 - delta": 1 - delta})
-
-    constants = {}
-    AA = productset(A, A)
-    g_realized = realized_size(G)
-    ratio = Fraction(g_realized, len(AA))
-    constants["size_match_ratio"] = str(ratio)
-    if max(ratio, 1 / ratio) > cfg.size_match_factor:
-        if cfg.on_size_mismatch == "reject":
-            raise PreconditionError(
-                f"|G| = {g_realized} vs |AA| = {len(AA)} is outside factor "
-                f"{cfg.size_match_factor}")
-        constants["size_match"] = "warn"
-    degeneracy = degeneracy_ratio(G)
-    constants["degeneracy_ratio"] = str(degeneracy)
-    if degeneracy > cfg.degeneracy_threshold:
-        raise PreconditionError(
-            f"degenerate progression: ratio {degeneracy} above "
-            f"threshold {cfg.degeneracy_threshold}")
-
-    shared, E, _, Pi = _run_core(A, AA, G, eps, delta, cfg.skew_e, constants)
-    constants["pi_over_e_pow"] = power_ratio_decimal(
-        len(Pi), max(1, len(E)), 1 - eps, DECIMAL_DIGITS)
-    return Report(
-        **shared,
-        bound_ratio=power_ratio_decimal(shared["c_size"], len(A), 1 - delta,
-                                        DECIMAL_DIGITS),
+        **readouts,
         constants=constants,
     )
+
+
+# The benchmark still calls the pipeline by this name; ROADMAP item 1a
+# deletes it with the next benchmark change.
+run_main_pipeline = run_pipeline

@@ -36,7 +36,6 @@ __all__ = [
     "PrimeFieldElement",
     "RATIONAL_DOMAIN",
     "Scalar",
-    "compare_power",
     "factor",
     "format_scalar",
     "is_prime",
@@ -378,7 +377,7 @@ def parse_scalar(text: str, field: Optional[PrimeField] = None) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# exact integer helpers for power comparisons and decimal readouts
+# exact integer roots for the decimal readouts
 
 def _root_start(x: int, k: int, d: int) -> int:
     """About (x/d) ** (1/k) for x >= d, as a 53-bit mantissa and a shift."""
@@ -412,18 +411,6 @@ def nth_root_floor(x: int, k: int, d: int = 1) -> int:
     while (nr := ((k - 1) * r + x // (d * r ** (k - 1))) // k) < r:
         r = nr
     return r
-
-
-def compare_power(x: int, base: int, exp: Fraction) -> int:
-    """Exact sign of x - base**exp via cross powers; exp >= 0 rational."""
-    if x < 0 or base < 1:
-        raise ValueError("need x >= 0 and base >= 1")
-    exp = Fraction(exp)
-    if exp < 0:
-        raise ValueError("need exp >= 0")
-    lhs = x ** exp.denominator
-    rhs = base ** exp.numerator
-    return (lhs > rhs) - (lhs < rhs)
 
 
 def power_ratio_decimal(num: int, base: int, exp: Fraction, digits: int = 20) -> str:

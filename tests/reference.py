@@ -7,8 +7,11 @@ reduced mod q, so no element operator is used.  G comes from
 powers of its base, B from a literal ``g*g in Gn``, Pi from the double loop
 over the point sets, C as AA+1 minus G and the decomposition of G*(AA+1)
 from literal products.  No shiftprod set type, kernel or membership test is
-used.  The decimal strings come from ``ref_power_ratio_decimal``, the same
-formula on ``ref_nth_root_floor``: it divides by base**a first and takes
+used.  The field flags cond1_ok, cond2_ok and q_delta_bound come from
+``compare_power``, the exact sign of x - base**exp by cross powers, where
+the pipeline reads them off its own readouts.  The decimal strings come
+from ``ref_power_ratio_decimal``, the same formula on
+``ref_nth_root_floor``: it divides by base**a first and takes
 integer Newton steps from 2**ceil(bits/k) down to the floor, without the
 start read off logs, the +-1 steps below 2**40 or the divisor folded into
 each step of ``numeric.nth_root_floor``.
@@ -84,8 +87,13 @@ def _floor_log2(n: int) -> int:
     return k
 
 
-def _power_sign(x: int, base: int, exp: Fraction) -> int:
-    """The sign of x - base**exp, by cross powers."""
+def compare_power(x: int, base: int, exp: Fraction) -> int:
+    """The exact sign of x - base**exp, by cross powers; exp >= 0 rational."""
+    if x < 0 or base < 1:
+        raise ValueError("need x >= 0 and base >= 1")
+    exp = Fraction(exp)
+    if exp < 0:
+        raise ValueError("need exp >= 0")
     lhs, rhs = x ** exp.denominator, base ** exp.numerator
     return (lhs > rhs) - (lhs < rhs)
 
@@ -191,8 +199,8 @@ def _core(A, g0, R, q, eps, delta, skew_e, constants):
     return shared, E, F, Pi
 
 
-def reference_main_report(A_values, G, delta, config) -> Report:
-    """The Report of ``run_main_pipeline`` for rational A and G,
+def reference_main_report(A_values, G, delta, config, skew_e=False) -> Report:
+    """The Report of ``run_pipeline`` for rational A and G,
     computed element by element; raises PreconditionError where the
     pipeline refuses."""
     A = {Fraction(a) for a in A_values}
@@ -217,7 +225,7 @@ def reference_main_report(A_values, G, delta, config) -> Report:
     if degeneracy > config.degeneracy_threshold:
         raise PreconditionError("degenerate progression")
 
-    shared, _, _, _ = _core(A, g0, R, None, delta / 3, delta, config.skew_e, constants)
+    shared, _, _, _ = _core(A, g0, R, None, delta / 3, delta, skew_e, constants)
     return Report(
         **shared,
         bound_ratio=ref_power_ratio_decimal(shared["c_size"], len(A), 1 - delta),
@@ -226,7 +234,7 @@ def reference_main_report(A_values, G, delta, config) -> Report:
 
 
 def reference_ff_report(q, A_values, G, epsilon, delta, skew_e) -> Report:
-    """The Report of ``run_field_pipeline`` for A (ints, read mod q) and
+    """The Report of ``run_pipeline`` for A (ints, read mod q) and
     G over F_q, computed element by element, for inputs the pipeline
     accepts."""
     A = {a % q for a in A_values}
@@ -240,12 +248,12 @@ def reference_ff_report(q, A_values, G, epsilon, delta, skew_e) -> Report:
     return Report(
         q=q,
         **shared,
-        cond1_ok=_power_sign(a_aa, q, Fraction(3, 2) + eps) >= 0,
+        cond1_ok=compare_power(a_aa, q, Fraction(3, 2) + eps) >= 0,
         cond1_margin=ref_power_ratio_decimal(a_aa, q, Fraction(3, 2) + eps),
-        cond2_ok=_power_sign(aa, q, 1 - delta) <= 0,
+        cond2_ok=compare_power(aa, q, 1 - delta) <= 0,
         cond2_margin=ref_power_ratio_decimal(aa, q, 1 - delta),
         coverage_ok=Pi >= set(range(1, q)),
-        q_delta_bound=_power_sign(c, q, delta) >= 0,
+        q_delta_bound=compare_power(c, q, delta) >= 0,
         bound_ratio=ref_power_ratio_decimal(c, q, delta),
         constants=constants,
     )

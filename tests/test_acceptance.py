@@ -18,12 +18,12 @@ from conftest import (
 from shiftprod.cli import auto_progression
 from reference import _progression, lattice_item, ref_cover_maximal, ref_cover_pairs
 from shiftprod.explorer import CoverQuery, conjecture_scan, search_bc
-from shiftprod.ffharness import FfInput, coverage_check, run_field_pipeline, subgroup_ggp
+from shiftprod.ffharness import coverage_check, subgroup_ggp
 from shiftprod.harness import (
     PipelineInput,
     dot_identity_check,
     first_element,
-    run_main_pipeline,
+    run_pipeline,
     square_part,
     square_part_bound_check,
 )
@@ -115,7 +115,7 @@ def test_acceptance_4_exceptional_set_nonempty(capsys):
     for _ in range(50):
         A = make_int_set(rng, rng.randint(2, 8), hi=50)
         G = auto_progression(A)
-        rep = run_main_pipeline(PipelineInput(A=A, G=G, delta=Fraction(1, 3)))
+        rep = run_pipeline(PipelineInput(A=A, G=G, delta=Fraction(1, 3)))
         ok = ok and rep.corollary1_ok and rep.structural_ok()
     _report(capsys, 4, "shifted products always escape a size-matched progression",
             ok, time.perf_counter() - t0, 10.0)
@@ -143,8 +143,8 @@ def test_acceptance_5_coverage_bound(capsys):
 def test_acceptance_6_subgroup_instance(capsys):
     t0 = time.perf_counter()
     A, G = subgroup_ggp(101, 50)
-    rep = run_field_pipeline(
-        FfInput(q=101, A=A, G=G, epsilon=Fraction(1, 100), delta=Fraction(1, 10))
+    rep = run_pipeline(
+        PipelineInput(q=101, A=A, G=G, epsilon=Fraction(1, 100), delta=Fraction(1, 10))
     )
     ok = (
         (rep.a_size * rep.aa_size) ** 2 >= 101 ** 3

@@ -10,9 +10,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from shiftprod import cli, ffharness, harness, progressions, setalg
+from shiftprod import cli, harness, progressions, setalg
 from shiftprod.cli import FLAGS, MODES, _dest, build_parser, main
-from shiftprod.ffharness import FfInput, run_field_pipeline
+from shiftprod.harness import PipelineInput, run_pipeline
 from shiftprod.numeric import PrimeField, PrimeFieldElement, multiplicative_order
 from shiftprod.progressions import parse_ggp_spec
 from shiftprod.setalg import parse_scalar_set
@@ -844,7 +844,7 @@ def test_readout_degree_above_cap_exits_2(capsys, monkeypatch, tmp_path, argv, k
     def ran(*args):
         raise AssertionError("readout ran")
 
-    monkeypatch.setattr(ffharness, "power_ratio_decimal", ran)
+    monkeypatch.setattr(harness, "productset", ran)
     monkeypatch.setattr(harness, "power_ratio_decimal", ran)
     expected = (2, "", f"error: readout exponent {exponent}, above "
                        f"READOUT_DEGREE_CAP = {harness.READOUT_DEGREE_CAP}\n")
@@ -977,11 +977,11 @@ def test_verify_ff_finding_exit(capsys):
     assert json.loads(out)["identity_ok"] is False
     assert err == "finding: q=5 A={1, 4} G=ggp 2 mod 5; gap 1;1;4\n"
     F5 = PrimeField(5)
-    inp = FfInput(q=5, A=parse_scalar_set("{1, 4}", F5),
-                  G=parse_ggp_spec("ggp 2; gap 1;1;4", F5),
-                  epsilon=Fraction(1, 6), delta=Fraction(1, 2))
-    assert run_field_pipeline(dataclasses.replace(inp, skew_e=True)).finding()
-    assert not run_field_pipeline(inp).finding()
+    inp = PipelineInput(q=5, A=parse_scalar_set("{1, 4}", F5),
+                        G=parse_ggp_spec("ggp 2; gap 1;1;4", F5),
+                        epsilon=Fraction(1, 6), delta=Fraction(1, 2))
+    assert run_pipeline(dataclasses.replace(inp, skew_e=True)).finding()
+    assert not run_pipeline(inp).finding()
 
 
 # An empty exceptional set contradicts Corollary 1 over Q, so verify-main

@@ -10,16 +10,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import reference_ff_report
-from shiftprod import ffharness
+from shiftprod import harness
 from shiftprod.cli import main
-from shiftprod.ffharness import (
-    CoverageReport,
-    FfInput,
-    coverage_check,
-    run_field_pipeline,
-    subgroup_ggp,
+from shiftprod.ffharness import CoverageReport, coverage_check, subgroup_ggp
+from shiftprod.harness import (
+    READOUT_DEGREE_CAP,
+    HarnessConfig,
+    PipelineInput,
+    PreconditionError,
+    Report,
+    exceptional_set,
+    run_pipeline,
 )
-from shiftprod.harness import READOUT_DEGREE_CAP, PreconditionError, Report, exceptional_set
 from shiftprod.numeric import PrimeField, PrimeFieldElement, is_prime, multiplicative_order
 from shiftprod import progressions, setalg
 from shiftprod.progressions import GapSpec, GgpSpec, enumerate_ggp, realized_size
@@ -79,8 +81,8 @@ def test_field_pipeline_small():
     F5 = PrimeField(5)
     A = ScalarSet([F5(1), F5(4)])
     G = GgpSpec(F5(2), GapSpec(0, (1,), (4,)))
-    rep = run_field_pipeline(
-        FfInput(q=5, A=A, G=G, epsilon=Fraction(1, 6), delta=Fraction(1, 2))
+    rep = run_pipeline(
+        PipelineInput(q=5, A=A, G=G, epsilon=Fraction(1, 6), delta=Fraction(1, 2))
     )
     assert rep.a_size == 2
     assert rep.aa_size == 2
@@ -104,7 +106,7 @@ def test_field_pipeline_small():
 def test_field_pipeline_realized_size_of_non_proper_g():
     F7 = PrimeField(7)
     G = GgpSpec(F7(2), GapSpec(0, (1,), (4,)))
-    rep = run_field_pipeline(FfInput(q=7, A=ScalarSet([F7(1), F7(3)]), G=G,
+    rep = run_pipeline(PipelineInput(q=7, A=ScalarSet([F7(1), F7(3)]), G=G,
                                      epsilon=Fraction(1, 6), delta=Fraction(1, 2)))
     assert rep.g_formal_len == 4
     assert rep.g_realized_size == realized_size(G) == 3
@@ -118,15 +120,15 @@ def test_field_pipeline_computes_each_order_once(monkeypatch):
     F = PrimeField(101)
     A = ScalarSet(F(v) for v in (2, 3, 5, 7, 11, 13, 17, 19))
     G = GgpSpec(F(2), GapSpec(1, (1, 7), (5, 5)))
-    run_field_pipeline(FfInput(q=101, A=A, G=G, epsilon=Fraction(1, 100),
+    run_pipeline(PipelineInput(q=101, A=A, G=G, epsilon=Fraction(1, 100),
                                delta=Fraction(1, 10)))
     assert 1 <= len(calls) <= 2
 
 
 def test_field_pipeline_subgroup_run():
     S, G = subgroup_ggp(101, 50)
-    rep = run_field_pipeline(
-        FfInput(q=101, A=S, G=G, epsilon=Fraction(1, 100), delta=Fraction(1, 10))
+    rep = run_pipeline(
+        PipelineInput(q=101, A=S, G=G, epsilon=Fraction(1, 100), delta=Fraction(1, 10))
     )
     assert rep.a_size == 50
     assert rep.aa_size == 50
@@ -155,16 +157,16 @@ def test_subgroup_run_splits_its_point_set_once(monkeypatch):
     monkeypatch.setattr(setalg, "_directions",
                         lambda items, q: calls.append(len(items)) or directions(items, q))
     S, G = subgroup_ggp(1009, 16)
-    rep = run_field_pipeline(
-        FfInput(q=1009, A=S, G=G, epsilon=Fraction(1, 100), delta=Fraction(1, 10)))
+    rep = run_pipeline(
+        PipelineInput(q=1009, A=S, G=G, epsilon=Fraction(1, 100), delta=Fraction(1, 10)))
     assert rep.identity_ok and rep.e_size == 256
     assert calls == [256]
 
 
 def test_field_report_serialization(capsys):
     S, G = subgroup_ggp(13, 4)
-    rep = run_field_pipeline(
-        FfInput(q=13, A=S, G=G, epsilon=Fraction(1, 6), delta=Fraction(1, 3))
+    rep = run_pipeline(
+        PipelineInput(q=13, A=S, G=G, epsilon=Fraction(1, 6), delta=Fraction(1, 3))
     )
     argv = ["verify-ff", "--q", "13", "--subgroup-t", "4",
             "--epsilon", "1/6", "--delta", "1/3"]
@@ -183,32 +185,57 @@ def test_field_pipeline_preconditions():
     A = ScalarSet([F5(1), F5(4)])
     G = GgpSpec(F5(2), GapSpec(0, (1,), (4,)))
     with pytest.raises(PreconditionError):
-        run_field_pipeline(FfInput(q=6, A=A, G=G, epsilon=Fraction(1, 6), delta=Fraction(1, 2)))
+        run_pipeline(PipelineInput(q=6, A=A, G=G, epsilon=Fraction(1, 6), delta=Fraction(1, 2)))
     with pytest.raises(PreconditionError):
-        run_field_pipeline(
-            FfInput(q=5, A=ScalarSet([F5(1)]), G=G, epsilon=Fraction(1, 6), delta=Fraction(1, 2))
+        run_pipeline(
+            PipelineInput(q=5, A=ScalarSet([F5(1)]), G=G, epsilon=Fraction(1, 6), delta=Fraction(1, 2))
         )
     with pytest.raises(PreconditionError):
-        run_field_pipeline(
-            FfInput(q=7, A=A, G=G, epsilon=Fraction(1, 6), delta=Fraction(1, 2))
+        run_pipeline(
+            PipelineInput(q=7, A=A, G=G, epsilon=Fraction(1, 6), delta=Fraction(1, 2))
         )
     with pytest.raises(PreconditionError):
-        run_field_pipeline(FfInput(q=5, A=A, G=G, epsilon=Fraction(0), delta=Fraction(1, 2)))
+        run_pipeline(PipelineInput(q=5, A=A, G=G, epsilon=Fraction(0), delta=Fraction(1, 2)))
     with pytest.raises(PreconditionError):
-        run_field_pipeline(FfInput(q=5, A=A, G=G, epsilon=Fraction(1, 6), delta=Fraction(1)))
+        run_pipeline(PipelineInput(q=5, A=A, G=G, epsilon=Fraction(1, 6), delta=Fraction(1)))
     # q**(1 - epsilon) in the ledger needs epsilon <= 1
     with pytest.raises(PreconditionError, match="epsilon"):
-        run_field_pipeline(FfInput(q=5, A=A, G=G, epsilon=Fraction(2), delta=Fraction(1, 2)))
-    assert run_field_pipeline(
-        FfInput(q=5, A=A, G=G, epsilon=Fraction(1), delta=Fraction(1, 2))).identity_ok
+        run_pipeline(PipelineInput(q=5, A=A, G=G, epsilon=Fraction(2), delta=Fraction(1, 2)))
+    assert run_pipeline(
+        PipelineInput(q=5, A=A, G=G, epsilon=Fraction(1), delta=Fraction(1, 2))).identity_ok
+
+
+def test_field_run_refuses_a_config_and_keeps_its_precheck_order():
+    F5 = PrimeField(5)
+    A = ScalarSet([F5(1), F5(4)])
+    G = GgpSpec(F5(2), GapSpec(0, (1,), (4,)))
+    inp = PipelineInput(q=5, A=A, G=G, epsilon=Fraction(1, 6), delta=Fraction(1, 2))
+    # the config's gates are the rational run's, so none is silently ignored
+    for cfg in (HarnessConfig(on_size_mismatch="warn"),
+                HarnessConfig(size_match_factor=Fraction(3)),
+                HarnessConfig(degeneracy_threshold=Fraction(2))):
+        with pytest.raises(PreconditionError, match="over the rationals only"):
+            run_pipeline(dataclasses.replace(inp, config=cfg))
+    assert run_pipeline(dataclasses.replace(inp, config=HarnessConfig())).identity_ok
+    with pytest.raises(PreconditionError, match="needs epsilon"):
+        run_pipeline(dataclasses.replace(inp, epsilon=None))
+    # the first failing precheck wins: q prime, then |A| >= 2, then the domain
+    one = ScalarSet([F5(1)])
+    with pytest.raises(PreconditionError, match="^6 is not prime$"):
+        run_pipeline(dataclasses.replace(inp, q=6, A=one, config=HarnessConfig(
+            on_size_mismatch="warn")))
+    with pytest.raises(PreconditionError, match=r"^need \|A\| >= 2$"):
+        run_pipeline(dataclasses.replace(inp, q=7, A=one, epsilon=None))
+    with pytest.raises(PreconditionError, match="^A and G must live in F_7$"):
+        run_pipeline(dataclasses.replace(inp, q=7, epsilon=Fraction(0)))
 
 
 def test_field_pipeline_refuses_readout_degree_above_cap(monkeypatch):
     def ran(*args):
         raise AssertionError("pipeline work ran")
 
-    monkeypatch.setattr(ffharness, "_run_core", ran)
-    monkeypatch.setattr(ffharness, "power_ratio_decimal", ran)
+    monkeypatch.setattr(harness, "productset", ran)
+    monkeypatch.setattr(harness, "power_ratio_decimal", ran)
     F5 = PrimeField(5)
     A = ScalarSet([F5(1), F5(4)])
     G = GgpSpec(F5(2), GapSpec(0, (1,), (4,)))
@@ -224,9 +251,9 @@ def test_field_pipeline_refuses_readout_degree_above_cap(monkeypatch):
                        (Fraction(1, 2), Fraction(1, cap + 1)),
                        (Fraction(1, 2), Fraction(cap, cap + 1))):
         with pytest.raises(PreconditionError, match=f"READOUT_DEGREE_CAP = {cap}"):
-            run_field_pipeline(FfInput(q=5, A=A, G=G, epsilon=eps, delta=delta))
+            run_pipeline(PipelineInput(q=5, A=A, G=G, epsilon=eps, delta=delta))
     with pytest.raises(AssertionError, match="pipeline work ran"):
-        run_field_pipeline(FfInput(q=5, A=A, G=G, epsilon=Fraction(1, cap),
+        run_pipeline(PipelineInput(q=5, A=A, G=G, epsilon=Fraction(1, cap),
                                    delta=Fraction(1, cap)))
 
 
@@ -273,8 +300,8 @@ def test_coverage_check_preconditions():
 
 def test_skew_lift_breaks_field_identity():
     S, G = subgroup_ggp(13, 4)
-    rep = run_field_pipeline(
-        FfInput(
+    rep = run_pipeline(
+        PipelineInput(
             q=13,
             A=S,
             G=G,
@@ -290,8 +317,8 @@ def test_skew_lift_breaks_field_identity():
 
 def test_finding_flag_on_coverage_gap():
     S, G = subgroup_ggp(101, 50)
-    rep = run_field_pipeline(
-        FfInput(q=101, A=S, G=G, epsilon=Fraction(1, 100), delta=Fraction(1, 10))
+    rep = run_pipeline(
+        PipelineInput(q=101, A=S, G=G, epsilon=Fraction(1, 100), delta=Fraction(1, 10))
     )
     forced = dataclasses.replace(rep, coverage_ok=False)
     assert forced.finding()
@@ -324,7 +351,7 @@ def _field_pipeline_case(draw):
 @given(_field_pipeline_case())
 def test_field_report_matches_reference(case):
     q, A, G, eps, delta, skew_e = case
-    inp = FfInput(q=q, A=ScalarSet(PrimeFieldElement(a, q) for a in A), G=G,
-                  epsilon=eps, delta=delta, skew_e=skew_e)
+    inp = PipelineInput(q=q, A=ScalarSet(PrimeFieldElement(a, q) for a in A), G=G,
+                        epsilon=eps, delta=delta, skew_e=skew_e)
     expected = reference_ff_report(q, A, G, eps, delta, skew_e)
-    assert dataclasses.asdict(run_field_pipeline(inp)) == dataclasses.asdict(expected)
+    assert dataclasses.asdict(run_pipeline(inp)) == dataclasses.asdict(expected)

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,7 +12,6 @@ from conftest import make_int_set, make_proper_ggp
 from reference import _pow, _progression, _red, lattice_item, reference_main_report
 from shiftprod import harness, progressions
 from shiftprod.cli import main
-from shiftprod.ffharness import FfInput, run_field_pipeline
 from shiftprod.harness import (
     READOUT_DEGREE_CAP,
     HarnessConfig,
@@ -23,7 +23,7 @@ from shiftprod.harness import (
     dot_identity_check,
     exceptional_set,
     first_element,
-    run_main_pipeline,
+    run_pipeline,
     square_part,
     square_part_bound_check,
 )
@@ -301,7 +301,7 @@ def test_field_pipeline_computes_the_order_once(monkeypatch):
                         lambda g: calls.append(g) or order(g))
     F = PrimeField(1009)
     G = GgpSpec(F(11), GapSpec(2, (1, 5), (3, 4)))
-    rep = run_field_pipeline(FfInput(q=1009, A=ScalarSet(map(F, [2, 3, 5])), G=G,
+    rep = run_pipeline(PipelineInput(q=1009, A=ScalarSet(map(F, [2, 3, 5])), G=G,
                                      epsilon=Fraction(1, 100), delta=Fraction(1, 10)))
     assert rep.identity_ok
     assert calls == [F(11)]
@@ -310,7 +310,7 @@ def test_field_pipeline_computes_the_order_once(monkeypatch):
 def test_pipeline_end_to_end():
     A = ScalarSet([1, 2])
     G = GgpSpec(2, GapSpec(1, (1,), (3,)))
-    rep = run_main_pipeline(PipelineInput(A=A, G=G, delta=Fraction(1, 2)))
+    rep = run_pipeline(PipelineInput(A=A, G=G, delta=Fraction(1, 2)))
     assert rep.a_size == 2
     assert rep.aa_size == 3
     assert rep.g_formal_len == 3
@@ -337,7 +337,7 @@ def test_pipeline_end_to_end():
 def test_report_serialization(capsys):
     A = ScalarSet([1, 2])
     G = GgpSpec(2, GapSpec(1, (1,), (3,)))
-    rep = run_main_pipeline(PipelineInput(A=A, G=G, delta=Fraction(1, 2)))
+    rep = run_pipeline(PipelineInput(A=A, G=G, delta=Fraction(1, 2)))
     argv = ["verify-main", "--A", "{1, 2}", "--G", "ggp 2; gap 1;1;3",
             "--delta", "1/2"]
     assert main(argv) == 0
@@ -356,10 +356,29 @@ def test_pipeline_preconditions():
     A = ScalarSet([1, 2])
     G = GgpSpec(2, GapSpec(1, (1,), (3,)))
     with pytest.raises(PreconditionError):
-        run_main_pipeline(PipelineInput(A=ScalarSet([1]), G=G, delta=Fraction(1, 2)))
+        run_pipeline(PipelineInput(A=ScalarSet([1]), G=G, delta=Fraction(1, 2)))
     for bad_delta in (Fraction(0), Fraction(1), Fraction(3, 2)):
         with pytest.raises(PreconditionError):
-            run_main_pipeline(PipelineInput(A=A, G=G, delta=bad_delta))
+            run_pipeline(PipelineInput(A=A, G=G, delta=bad_delta))
+
+
+def test_rational_run_refuses_epsilon_and_keeps_its_precheck_order():
+    A = ScalarSet([1, 2])
+    G = GgpSpec(2, GapSpec(1, (1,), (3,)))
+    inp = PipelineInput(A=A, G=G, delta=Fraction(1, 2))
+    # epsilon is delta/3 over Q, so even that value is refused
+    for eps in (Fraction(1, 6), Fraction(1, 100)):
+        with pytest.raises(PreconditionError, match="epsilon is delta/3"):
+            run_pipeline(dataclasses.replace(inp, epsilon=eps))
+    # the first failing precheck wins: |A| >= 2, then the domain, then epsilon
+    F5 = PrimeField(5)
+    with pytest.raises(PreconditionError, match=r"^need \|A\| >= 2$"):
+        run_pipeline(dataclasses.replace(inp, A=ScalarSet([F5(1)]), epsilon=Fraction(1, 6)))
+    with pytest.raises(PreconditionError, match="^this pipeline runs over the rationals$"):
+        run_pipeline(dataclasses.replace(inp, A=ScalarSet([F5(1), F5(2)]),
+                                         epsilon=Fraction(1, 6), delta=Fraction(2)))
+    with pytest.raises(PreconditionError, match="epsilon is delta/3"):
+        run_pipeline(dataclasses.replace(inp, epsilon=Fraction(1, 6), delta=Fraction(2)))
 
 
 def test_pipeline_refuses_readout_degree_above_cap(monkeypatch):
@@ -376,19 +395,19 @@ def test_pipeline_refuses_readout_degree_above_cap(monkeypatch):
                   Fraction(1, 10 ** 10)):
         assert (delta / 3).denominator > cap
         with pytest.raises(PreconditionError, match=f"READOUT_DEGREE_CAP = {cap}"):
-            run_main_pipeline(PipelineInput(A=A, G=G, delta=delta))
+            run_pipeline(PipelineInput(A=A, G=G, delta=delta))
         with pytest.raises(PreconditionError):
             reference_main_report([1, 2], G, delta, HarnessConfig())
     with pytest.raises(AssertionError, match="pipeline work ran"):
-        run_main_pipeline(PipelineInput(A=A, G=G, delta=Fraction(1, cap // 3)))
+        run_pipeline(PipelineInput(A=A, G=G, delta=Fraction(1, cap // 3)))
 
 
 def test_size_mismatch_policy():
     A = ScalarSet([1, 2])
     Gbig = GgpSpec(2, GapSpec(0, (1,), (9,)))
     with pytest.raises(PreconditionError):
-        run_main_pipeline(PipelineInput(A=A, G=Gbig, delta=Fraction(1, 2)))
-    rep = run_main_pipeline(
+        run_pipeline(PipelineInput(A=A, G=Gbig, delta=Fraction(1, 2)))
+    rep = run_pipeline(
         PipelineInput(
             A=A,
             G=Gbig,
@@ -406,7 +425,7 @@ def test_degeneracy_rejection():
     A = ScalarSet([1, 2])
     thin = GgpSpec(2, GapSpec(0, (1,), (3,)))
     with pytest.raises(PreconditionError):
-        run_main_pipeline(
+        run_pipeline(
             PipelineInput(
                 A=A,
                 G=thin,
@@ -414,7 +433,7 @@ def test_degeneracy_rejection():
                 config=HarnessConfig(degeneracy_threshold=Fraction(1, 2)),
             )
         )
-    rep = run_main_pipeline(PipelineInput(A=A, G=thin, delta=Fraction(1, 2)))
+    rep = run_pipeline(PipelineInput(A=A, G=thin, delta=Fraction(1, 2)))
     assert rep.constants["degeneracy_ratio"] == "1"
 
 
@@ -428,7 +447,7 @@ def test_pipeline_random_instances(rng):
             delta=Fraction(1, 3),
             config=HarnessConfig(on_size_mismatch="warn"),
         )
-        rep = run_main_pipeline(inp)
+        rep = run_pipeline(inp)
         assert rep.identity_ok
         assert rep.structural_ok()
         AA1 = shift(productset(A, A), 1)
@@ -452,23 +471,22 @@ def _pipeline_case(draw):
                   tuple(draw(st.integers(3, 4)) for _ in range(d)))
     G = GgpSpec(draw(st.sampled_from(REFERENCE_BASES)), gap)
     delta = draw(st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(9, 10)]))
-    cfg = HarnessConfig(on_size_mismatch=draw(st.sampled_from(["warn", "warn", "reject"])),
-                        skew_e=draw(st.booleans()))
-    return A, G, delta, cfg
+    cfg = HarnessConfig(on_size_mismatch=draw(st.sampled_from(["warn", "warn", "reject"])))
+    return A, G, delta, cfg, draw(st.booleans())
 
 
 @settings(max_examples=100)
 @given(_pipeline_case())
 def test_main_report_matches_reference(case):
-    A, G, delta, cfg = case
-    inp = PipelineInput(A=ScalarSet(A), G=G, delta=delta, config=cfg)
+    A, G, delta, cfg, skew_e = case
+    inp = PipelineInput(A=ScalarSet(A), G=G, delta=delta, config=cfg, skew_e=skew_e)
     try:
-        expected = reference_main_report(A, G, delta, cfg)
+        expected = reference_main_report(A, G, delta, cfg, skew_e)
     except PreconditionError:
         with pytest.raises(PreconditionError):
-            run_main_pipeline(inp)
+            run_pipeline(inp)
         return
-    assert dataclasses.asdict(run_main_pipeline(inp)) == dataclasses.asdict(expected)
+    assert dataclasses.asdict(run_pipeline(inp)) == dataclasses.asdict(expected)
 
 
 @st.composite
@@ -613,9 +631,9 @@ def test_passing_run_forms_no_product_with_all_of_g(monkeypatch, A, G):
     monkeypatch.setattr(harness, "productset",
                         lambda X, Y: formed.append((X, Y)) or real(X, Y))
     if G.domain == RATIONAL_DOMAIN:
-        rep = run_main_pipeline(PipelineInput(A=A, G=G, delta=Fraction(1, 3)))
+        rep = run_pipeline(PipelineInput(A=A, G=G, delta=Fraction(1, 3)))
     else:
-        rep = run_field_pipeline(FfInput(q=101, A=A, G=G, epsilon=Fraction(1, 100),
+        rep = run_pipeline(PipelineInput(q=101, A=A, G=G, epsilon=Fraction(1, 100),
                                          delta=Fraction(1, 10)))
     assert rep.structural_ok() and rep.constants["decomposition"] == "pass"
     assert (Gset, inter) in formed
@@ -645,13 +663,23 @@ def test_identity_right_side_matches_scaled_product(G, data):
         elem = st.integers(0, q - 1).map(lambda r: PrimeFieldElement(r, q))
     A = ScalarSet(data.draw(st.sets(elem, min_size=2, max_size=5)))
     skew = data.draw(st.booleans())
-    AA, AA1, B, BB, g1 = _identity_parts(A, G)
+    _, AA1, B, BB, g1 = _identity_parts(A, G)
     scaled = scale(productset(BB, AA1), g1)
     lhs, rhs, ok = dot_identity_check(A, B, g1, skew=skew)
     assert rhs == scaled and ok == (lhs == scaled)
-    shared, _, _, Pi = harness._run_core(A, AA, G, Fraction(1, 3), Fraction(1, 2),
-                                         skew, {})
-    assert Pi == lhs and shared["identity_ok"] == (Pi == scaled)
+    # over Q the size match only warns, and every draw's degeneracy ratio,
+    # d / floor(log2(formal length)) with lengths of at least 3, is at most 1
+    inp = (PipelineInput(A=A, G=G, delta=Fraction(1, 2), skew_e=skew,
+                         config=HarnessConfig(on_size_mismatch="warn"))
+           if q == RATIONAL_DOMAIN else
+           PipelineInput(q=q, A=A, G=G, epsilon=Fraction(1, 3), delta=Fraction(1, 2),
+                         skew_e=skew))
+    dots, real = [], harness.dot_product_set
+    with mock.patch.object(harness, "dot_product_set",
+                           lambda E, F: dots.append(real(E, F)) or dots[-1]):
+        rep = run_pipeline(inp)
+    (Pi,) = dots
+    assert Pi == lhs and rep.identity_ok == (Pi == scaled)
 
 
 def _bits(X, Y):

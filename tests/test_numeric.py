@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import ref_nth_root_floor, ref_power_ratio_decimal
+from reference import compare_power, ref_nth_root_floor, ref_power_ratio_decimal
 from shiftprod import numeric
 from shiftprod.harness import READOUT_DEGREE_CAP
 from shiftprod.numeric import (
@@ -17,7 +17,6 @@ from shiftprod.numeric import (
     PrimeField,
     PrimeFieldElement,
     _require_prime,
-    compare_power,
     factor,
     format_scalar,
     is_prime,
@@ -344,6 +343,41 @@ def test_compare_power():
     assert compare_power(50, 101, Fraction(9, 10)) < 0
     assert compare_power(8, 2, Fraction(3)) == 0
     assert compare_power(3, 9, Fraction(1, 2)) == 0
+
+
+FLAG_PRIMES = [p for p in range(2, 200) if is_prime(p)] + [100003, 1000003]
+
+
+@st.composite
+def _readout_case(draw):
+    """(num, prime q, exp) with num near q**exp, where the flags turn, or
+    anywhere up to q**3."""
+    q = draw(st.sampled_from(FLAG_PRIMES))
+    exp = draw(st.fractions(min_value=0, max_value=3, max_denominator=60))
+    near = ref_nth_root_floor(q ** exp.numerator, exp.denominator)
+    num = draw(st.one_of(st.integers(max(0, near - 2), near + 2), st.integers(0, q ** 3)))
+    return num, q, exp
+
+
+# The field pipeline reads cond1_ok and q_delta_bound (v >= 1) and cond2_ok
+# (v <= 1, exponent 1 - delta in (0, 1)) off the readout of v = num / q**exp
+@settings(max_examples=300)
+@given(_readout_case())
+def test_flags_read_off_readouts_match_the_oracle(case):
+    num, q, exp = case
+    v = Fraction(power_ratio_decimal(num, q, exp))
+    assert (v >= 1) == (compare_power(num, q, exp) >= 0)
+    if 0 < exp < 1:
+        assert (v < 1) == (compare_power(num, q, exp) <= 0)
+
+
+def test_strict_read_needs_a_prime_base():
+    # num = base**exp exactly reads 1 and so fails v < 1 though v <= 1 holds;
+    # a prime q and an exponent in (0, 1) leave no such num
+    for num, base, exp in ((8, 4, Fraction(3, 2)), (2, 4, Fraction(1, 2))):
+        assert compare_power(num, base, exp) == 0
+        assert power_ratio_decimal(num, base, exp) == "1.00000000000000000000"
+        assert not Fraction(power_ratio_decimal(num, base, exp)) < 1
 
 
 def test_power_ratio_decimal():
