@@ -56,9 +56,7 @@ from .numeric import (
     PreconditionError,
     is_prime,
     join_domains,
-    lift,
     power_ratio_decimal,
-    scalar_pow,
 )
 from .progressions import (
     GgpSpec,
@@ -79,7 +77,6 @@ from .setalg import (
     collinear,
     dot_product_set,
     productset,
-    scale,
     set_intersect,
     set_minus,
     set_union,
@@ -95,7 +92,6 @@ __all__ = [
     "decomposition_holds",
     "dot_identity_check",
     "exceptional_set",
-    "first_element",
     "run_pipeline",
     "square_part",
     "square_part_bound_check",
@@ -214,15 +210,10 @@ class Report:
                     and not self.coverage_ok))
 
 
-def first_element(G: GgpSpec):
-    """g1 = g0 ** r0, the first element of the progression."""
-    return scalar_pow(G.g0, G.exponents.r0)
-
-
 def square_part(G: GgpSpec) -> ScalarSet:
-    """B = {g in G/g1 : g*g in G/g1} for g1 = first_element(G), read off
-    G's cached exponents less r0, the exponents of G/g1: g0**k is in B
-    exactly when k and 2k (mod ord(g0) over F_q) are among them."""
+    """B = {g in G/g1 : g*g in G/g1} for g1 = g0**r0, the first element of
+    G, read off G's cached exponents less r0, the exponents of G/g1: g0**k
+    is in B exactly when k and 2k (mod ord(g0) over F_q) are among them."""
     r0, n = G.exponents.r0, G.order
     ks = ({k - r0 for k in G.residues} if n is None
           else {(k - r0) % n for k in G.residues})
@@ -238,29 +229,29 @@ def square_part_bound_check(G: GgpSpec, B: ScalarSet) -> Tuple[int, bool]:
     return bound, ok
 
 
-def build_point_sets(A: ScalarSet, B: ScalarSet, g1,
+def build_point_sets(A: ScalarSet, B: ScalarSet, G1: ScalarSet,
                      skew: bool = False) -> Tuple[PointSet2, PointSet2]:
-    """Lift (A, B, g1) to the planar pair (E, F).
+    """Lift A, B and G1 = {g1} to the planar pair (E, F).
 
     F = {(b, b*a)} and E = g1 * F, so every dot product expands to
     g1 * b * b' * (a*a' + 1).  With skew=True only the first coordinate of
     E is scaled; the products then expand to b * b' * (g1 + a*a') instead.
-    Both are built on the int lattices of A and B: over Q, F is
-    {(b * da, b * a)} over da * db and E scales it by g1 = gn / gd.  When
-    g1 = 1, with or without skew, E is F, and F is returned twice.
+    Both are built on the int lattices of A, B and G1, which share a
+    domain: over Q, F is {(b * da, b * a)} over da * db and E scales it by
+    g1 = gn / gd; over F_q gn is g1's residue.  When g1 = 1, with or
+    without skew, E is F, and F is returned twice.
     """
-    (g1,), domain = lift([g1], join_domains(A.domain, B.domain))
-    (na, da), (nb, db) = A.lat, B.lat
+    domain = join_domains(join_domains(A.domain, B.domain), G1.domain)
+    (na, da), (nb, db), ((gn,), gd) = A.lat, B.lat, G1.lat
     if domain != RATIONAL_DOMAIN:
         # residues, each reduced once as it is made
-        q, g = domain, g1.residue
+        q = domain
         F = [(b, b * a % q) for b in nb for a in na]
         Fset = PointSet2._canonical(F, q, q)
-        if g == 1:
+        if gn == 1:
             return Fset, Fset
-        E = [(g * x % q, y if skew else g * y % q) for x, y in F]
+        E = [(gn * x % q, y if skew else gn * y % q) for x, y in F]
         return PointSet2._canonical(E, q, q), Fset
-    gn, gd = g1.numerator, g1.denominator
     F = [(b * da, b * a) for b in nb for a in na]
     Fset = PointSet2.from_lattice(F, da * db, domain)
     if gn == gd == 1:
@@ -269,13 +260,14 @@ def build_point_sets(A: ScalarSet, B: ScalarSet, g1,
     return PointSet2.from_lattice(E, gd * da * db, domain), Fset
 
 
-def dot_identity_check(A: ScalarSet, B: ScalarSet, g1,
+def dot_identity_check(A: ScalarSet, B: ScalarSet, G1: ScalarSet,
                        skew: bool = False) -> Tuple[ScalarSet, ScalarSet, bool]:
-    """Both sides of the factorization, computed independently."""
-    E, F = build_point_sets(A, B, g1, skew=skew)
+    """Both sides of the factorization for G1 = {g1}, computed
+    independently: E.F, and BB * (AA+1) * G1."""
+    E, F = build_point_sets(A, B, G1, skew=skew)
     lhs = dot_product_set(E, F)
     AA1 = shift(productset(A, A), 1)
-    rhs = productset(productset(B, B), scale(AA1, g1))
+    rhs = productset(productset(B, B), productset(AA1, G1))
     return lhs, rhs, lhs == rhs
 
 
@@ -359,14 +351,14 @@ def run_pipeline(inp: PipelineInput) -> Report:
 
     AA1 = shift(AA, 1)
     # G*(AA+1) and G*G are refused as productset would refuse them, the
-    # pairs before G's powers are built and the bits (before g1 = g0**r0)
-    # after; every product of G with a part of AA+1 falls under the first
+    # pairs before G's powers are built and the bits after, before G1 is;
+    # every product of G with a part of AA+1 falls under the first
     for n in (len(AA1), size):
         _check_pair_budget(size, n, "productset")
     Gset = enumerate_ggp(G)
     for X in (AA1, Gset):
         _check_lattice_bits(Gset, X, "productset")
-    g1 = first_element(G)
+    G1 = ggp_powers(G, [G.exponents.r0])
     B = square_part(G)
     bb_bound, bb_ok = square_part_bound_check(G, B)
     # each size below is that of a set of exponents, so G and G/g1 share it
@@ -378,7 +370,7 @@ def run_pipeline(inp: PipelineInput) -> Report:
     constants["b_even_size"] = str(gap_size(0, [2 * r for r in R.generators],
                                             [(l + 1) // 2 for l in R.lengths], G.order))
 
-    E, F = build_point_sets(A, B, g1, skew=inp.skew_e)
+    E, F = build_point_sets(A, B, G1, skew=inp.skew_e)
     if len(A) >= 2 and len(B) >= 2:
         # E is the image of F under g1*(x, y), or (g1*x, y) with skew_e, an
         # invertible linear map, so the two are collinear together
@@ -388,11 +380,11 @@ def run_pipeline(inp: PipelineInput) -> Report:
 
     Pi = dot_product_set(E, F)
     BB = productset(B, B)
-    rhs = productset(BB, scale(AA1, g1))
+    rhs = productset(BB, productset(AA1, G1))
 
     if proper:
         constants["g_bb_inclusion"] = (
-            "fail" if set_minus(scale(BB, g1), Gset) else "pass")
+            "fail" if set_minus(productset(BB, G1), Gset) else "pass")
     else:
         constants["g_bb_inclusion"] = "skipped"
 

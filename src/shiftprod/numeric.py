@@ -45,8 +45,6 @@ __all__ = [
     "nth_root_floor",
     "parse_scalar",
     "power_ratio_decimal",
-    "scalar_is_zero",
-    "scalar_pow",
 ]
 
 
@@ -255,23 +253,6 @@ def join_domains(a, b):
     if b is None or a == b:
         return a
     raise DomainMismatchError(f"cannot mix domains {a!r} and {b!r}")
-
-
-def scalar_is_zero(x: Scalar) -> bool:
-    if isinstance(x, PrimeFieldElement):
-        return x.residue == 0
-    return x == 0
-
-
-def scalar_pow(g: Scalar, k: int) -> Scalar:
-    """g**k for integer k of either sign, exactly."""
-    if scalar_is_zero(g) and k < 0:
-        raise ZeroDivisionError("0 to a negative power")
-    if isinstance(g, PrimeFieldElement):
-        return PrimeFieldElement(pow(g.residue, k, g.modulus), g.modulus)
-    if isinstance(g, int) and k >= 0:
-        return g ** k
-    return as_rational(Fraction(g) ** k)
 
 
 def as_rational(x) -> Union[int, Fraction]:

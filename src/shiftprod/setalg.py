@@ -1,5 +1,5 @@
-"""Finite set arithmetic: sum sets, product sets, shifts, scalings and
-dot-product sets of planar point sets, all exact.
+"""Finite set arithmetic: sum sets, product sets, shifts and dot-product
+sets of planar point sets, all exact.
 
 Pairwise operations enumerate O(|A||B|) combinations under PAIR_CAP, and
 rational ones, the dot-product set included, under LATTICE_BIT_CAP
@@ -30,8 +30,8 @@ tried before grouping, and blocks of max(4q, 2**16) pairs go on from the
 rows after them until every residue is seen.
 
 Both set types take their elements through :func:`numeric.lift`, the only
-place the domain rule lives, and so do the scalars of ``shift`` and
-``scale``, which join the domain of their set.
+place the domain rule lives, and so does the scalar of ``shift``, which
+joins the domain of its set.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .numeric import (
     join_domains,
     lift,
     parse_scalar,
-    scalar_is_zero,
 )
 
 __all__ = [
@@ -69,7 +68,6 @@ __all__ = [
     "format_scalar_set",
     "parse_scalar_set",
     "productset",
-    "scale",
     "set_intersect",
     "set_minus",
     "set_union",
@@ -247,14 +245,6 @@ def productset(A: ScalarSet, B: ScalarSet) -> ScalarSet:
 
 def shift(A: ScalarSet, c: Scalar) -> ScalarSet:
     return sumset(A, ScalarSet(lift([c], A.domain)[0])) if len(A) else A
-
-
-def scale(A: ScalarSet, s: Scalar) -> ScalarSet:
-    if len(A):
-        (s,), _ = lift([s], A.domain)
-    if scalar_is_zero(s):
-        raise ValueError("scaling by zero collapses the set")
-    return productset(A, ScalarSet([s])) if len(A) else A
 
 
 def set_minus(A: ScalarSet, B: ScalarSet) -> ScalarSet:

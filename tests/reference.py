@@ -33,7 +33,7 @@ vector, and ``ref_sum_size`` counts their self sums (GAP) or self products
 ``lattice_item`` turns one scalar into the int lattice item (n, d) that
 ``ggp_membership`` reads, by way of a one-element ScalarSet, and
 ``ref_ggp_powers`` is the per-power route to ``progressions.ggp_powers``:
-one ``scalar_pow`` per exponent, lifted into a ScalarSet.
+one ``_pow`` per exponent, lifted into a ScalarSet.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from shiftprod.numeric import (
     PreconditionError,
     PrimeFieldElement,
     as_rational,
-    scalar_pow,
 )
 from shiftprod.progressions import GgpSpec
 from shiftprod.setalg import ScalarSet
@@ -376,7 +375,10 @@ def lattice_item(x):
 
 def ref_ggp_powers(G, ks) -> ScalarSet:
     """{g0**k : k in ks}, one exact power per exponent."""
-    return ScalarSet(scalar_pow(G.g0, k) for k in ks)
+    if G.order is None:
+        return ScalarSet(_pow(G.g0, k, None) for k in ks)
+    q = G.domain
+    return ScalarSet(PrimeFieldElement(_pow(G.g0.residue, k, q), q) for k in ks)
 
 
 def ref_values(spec) -> set:

@@ -22,7 +22,6 @@ from shiftprod.ffharness import coverage_check, subgroup_ggp
 from shiftprod.harness import (
     PipelineInput,
     dot_identity_check,
-    first_element,
     run_pipeline,
     square_part,
     square_part_bound_check,
@@ -31,6 +30,7 @@ from shiftprod.numeric import PrimeField
 from shiftprod.progressions import (
     enumerate_ggp,
     ggp_membership,
+    ggp_powers,
 )
 from shiftprod.setalg import (
     Point2,
@@ -59,14 +59,14 @@ def test_acceptance_1_dot_identity(capsys):
         A = make_int_set(rng, rng.randint(2, 12), hi=60)
         G = make_proper_ggp(rng)
         B = square_part(G)
-        _, _, good = dot_identity_check(A, B, first_element(G))
+        _, _, good = dot_identity_check(A, B, ggp_powers(G, [G.exponents.r0]))
         ok = ok and good
     for _ in range(100):
         G = make_proper_field_ggp(rng)
         F = PrimeField(G.domain)
         A = ScalarSet(F(v) for v in rng.sample(range(G.domain), rng.randint(2, 12)))
         B = square_part(G)
-        _, _, good = dot_identity_check(A, B, first_element(G))
+        _, _, good = dot_identity_check(A, B, ggp_powers(G, [G.exponents.r0]))
         ok = ok and good
     _report(capsys, 1, "dot products factor exactly as g1*BB*(AA+1)",
             ok, time.perf_counter() - t0, 10.0)

@@ -154,8 +154,8 @@ def test_build_point_sets_is_canonical(q, skew, unit_g1, data):
         g1 = 1
     else:
         g1 = data.draw(RATIONAL.filter(bool) if q is None else st.integers(2, q - 1))
-    E, F = build_point_sets(_scalars(A, q), _scalars(B, q),
-                            g1 if q is None else PrimeFieldElement(g1, q), skew=skew)
+    G1 = ScalarSet([g1 if q is None else PrimeFieldElement(g1, q)])
+    E, F = build_point_sets(_scalars(A, q), _scalars(B, q), G1, skew=skew)
     refE, refF = _lift(A, B, g1, q, skew)
     _check(F, _points(refF, q))
     _check(E, _points(refE, q))

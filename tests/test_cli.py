@@ -787,7 +787,7 @@ def test_rational_powers_above_bit_cap_exit_2(capsys, monkeypatch):
     def built(*_):
         raise AssertionError("g1 was built")
 
-    monkeypatch.setattr(harness, "first_element", built)
+    monkeypatch.setattr(harness, "ggp_powers", built)
     code, out, err = run_cli(capsys, "verify-main", "--A", "{1, 2}",
                              "--G", "ggp 3/2; gap 400000000;1;3", "--delta", "1/2")
     assert (code, out) == (2, "")

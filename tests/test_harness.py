@@ -22,7 +22,6 @@ from shiftprod.harness import (
     decomposition_holds,
     dot_identity_check,
     exceptional_set,
-    first_element,
     run_pipeline,
     square_part,
     square_part_bound_check,
@@ -33,6 +32,7 @@ from shiftprod.progressions import (
     enumerate_ggp,
     gap_size,
     ggp_membership,
+    ggp_powers,
     realized_size,
 )
 from shiftprod.numeric import (
@@ -40,6 +40,7 @@ from shiftprod.numeric import (
     DomainMismatchError,
     PrimeField,
     PrimeFieldElement,
+    lift,
     multiplicative_order,
 )
 from shiftprod.setalg import (
@@ -50,7 +51,6 @@ from shiftprod.setalg import (
     collinear,
     dot_product_set,
     productset,
-    scale,
     set_intersect,
     set_minus,
     set_union,
@@ -61,9 +61,10 @@ from shiftprod.setalg import (
 def test_first_element_and_square_part_of_g_over_g1():
     # G = {2, 4, 8} and G/g1 = {1, 2, 4}, whose square part is {1, 2}
     G = GgpSpec(2, GapSpec(1, (1,), (3,)))
-    assert first_element(G) == 2
+    assert ggp_powers(G, [G.exponents.r0]).sorted() == [2]
     assert square_part(G).sorted() == [1, 2]
-    assert first_element(GgpSpec(2, GapSpec(-2, (1,), (3,)))) == Fraction(1, 4)
+    G = GgpSpec(2, GapSpec(-2, (1,), (3,)))
+    assert ggp_powers(G, [G.exponents.r0]).sorted() == [Fraction(1, 4)]
 
 
 def test_square_part_known():
@@ -76,7 +77,7 @@ def test_square_part_known():
 def test_square_part_against_definition(rng):
     for _ in range(15):
         G = make_proper_ggp(rng)
-        g1 = first_element(G)
+        (g1,) = ggp_powers(G, [G.exponents.r0])
         elems = {Fraction(g) / g1 for g in enumerate_ggp(G)}
         B = square_part(G)
         assert set(B) == {g for g in elems if g * g in elems}
@@ -123,7 +124,7 @@ def test_square_part_is_that_of_g_over_g1(G):
 def test_point_set_lift_shapes():
     A = ScalarSet([1, 2])
     B = ScalarSet([1, 2, 4])
-    E, F = build_point_sets(A, B, 3)
+    E, F = build_point_sets(A, B, ScalarSet([3]))
     assert len(F) == 6
     assert all((3 * p.x, 3 * p.y) in E.elems for p in F)
 
@@ -155,7 +156,7 @@ def _lift_case(draw):
         g1 = elem.filter(lambda x: x != 0)
     else:
         elem = st.integers(0, q - 1).map(lambda r: PrimeFieldElement(r, q))
-        # a bare int g1 joins the field of A and B
+        # a bare int g1 joins the field of A and B through lift
         g1 = st.one_of(elem, st.integers(1, q - 1))
     A, B = (draw(st.lists(elem, max_size=5)) for _ in range(2))
     return A, B, draw(g1), draw(st.booleans()), q
@@ -170,11 +171,27 @@ def _typed_points(P):
 def test_point_set_lift_matches_element_formulas(case):
     A, B, g1, skew, q = case
     A, B = ScalarSet(A), ScalarSet(B)
-    lattice = build_point_sets(A, B, g1, skew=skew)
+    G1 = ScalarSet(lift([g1], q)[0])
+    lattice = build_point_sets(A, B, G1, skew=skew)
     for got, want in zip(lattice, _lift_on_elements(A, B, g1, skew, q)):
         assert got == want and hash(got) == hash(want)
         assert got.domain == want.domain
         assert _typed_points(got) == _typed_points(want)
+
+
+def test_point_sets_refuse_g1_from_another_domain():
+    # G1 = {g1} must lie over the domain of A and B, as the pipeline's
+    # G1 = {g0**r0} lies over G's
+    F7, F11 = PrimeField(7), PrimeField(11)
+    A, B = ScalarSet([F7(1), F7(2)]), ScalarSet([F7(1), F7(4)])
+    for G1 in (ScalarSet([1]), ScalarSet([Fraction(1, 2)]), ScalarSet([F11(3)])):
+        for skew in (False, True):
+            with pytest.raises(DomainMismatchError):
+                build_point_sets(A, B, G1, skew=skew)
+            with pytest.raises(DomainMismatchError):
+                dot_identity_check(A, B, G1, skew=skew)
+    with pytest.raises(DomainMismatchError):
+        build_point_sets(ScalarSet([1, 2]), ScalarSet([1, 3]), ScalarSet([F7(3)]))
 
 
 @pytest.mark.parametrize("skew", [False, True])
@@ -189,7 +206,7 @@ def test_point_sets_are_one_object_when_g1_is_one(skew):
         (ScalarSet([F7(1), F7(2), F7(6)]), ScalarSet([F7(1), F7(4)]), F7(1), 7),
         (ScalarSet([F7(1), F7(2), F7(6)]), ScalarSet([F7(1), F7(4)]), 8, 7),
     ]:
-        E, F = build_point_sets(A, B, one, skew=skew)
+        E, F = build_point_sets(A, B, ScalarSet(lift([one], q)[0]), skew=skew)
         assert E is F
         assert (E, F) == _lift_on_elements(A, B, one, skew, q)
 
@@ -205,10 +222,11 @@ def test_point_sets_stay_on_the_lattice():
         (ScalarSet([F7(1), F7(2), F7(6)]), ScalarSet([F7(1), F7(4)]), F7(3)),
     ]:
         for skew in (False, True):
-            E, F = build_point_sets(A, B, g1, skew=skew)
+            G1 = ScalarSet([g1])
+            E, F = build_point_sets(A, B, G1, skew=skew)
             assert not collinear(E) and not collinear(F)
             dots = dot_product_set(E, F)
-            for S in (A, B, E, F, dots):
+            for S in (A, B, G1, E, F, dots):
                 with pytest.raises(AttributeError):
                     held.__get__(S)
 
@@ -223,18 +241,19 @@ def test_point_sets_stay_on_the_lattice():
 def test_lift_keeps_collinearity(skew, case):
     # E is F under g1*(x, y), or (g1*x, y) with skew, an invertible linear
     # map for g1 != 0, so the pipelines test F alone
-    A, B, g1, _, _ = case
-    E, F = build_point_sets(ScalarSet(A), ScalarSet(B), g1, skew=skew)
+    A, B, g1, _, q = case
+    E, F = build_point_sets(ScalarSet(A), ScalarSet(B), ScalarSet(lift([g1], q)[0]),
+                            skew=skew)
     assert collinear(E) == collinear(F)
 
 
 def test_dot_identity_exact():
     A = ScalarSet([1, 2])
     B = ScalarSet([1, 2, 4])
-    lhs, rhs, ok = dot_identity_check(A, B, 1)
+    lhs, rhs, ok = dot_identity_check(A, B, ScalarSet([1]))
     assert ok
     assert lhs.sorted() == [2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 40, 48, 80]
-    _, _, ok3 = dot_identity_check(A, B, 3)
+    _, _, ok3 = dot_identity_check(A, B, ScalarSet([3]))
     assert ok3
 
 
@@ -242,11 +261,11 @@ def test_skew_lift_changes_the_product():
     # scaling only the first coordinate shifts by g1 instead of 1
     A = ScalarSet([1, 2])
     B = ScalarSet([1, 2, 4])
-    lhs, _, ok = dot_identity_check(A, B, 3, skew=True)
+    lhs, _, ok = dot_identity_check(A, B, ScalarSet([3]), skew=True)
     assert not ok
     AA_g1 = shift(productset(A, A), 3)
     assert lhs == productset(productset(B, B), AA_g1)
-    _, _, ok1 = dot_identity_check(A, B, 1, skew=True)
+    _, _, ok1 = dot_identity_check(A, B, ScalarSet([1]), skew=True)
     assert ok1
 
 
@@ -648,8 +667,7 @@ def test_passing_run_forms_no_product_with_all_of_g(monkeypatch, A, G):
 def _identity_parts(A, G):
     AA = productset(A, A)
     B = square_part(G)
-    g1 = first_element(G)
-    return AA, shift(AA, 1), B, productset(B, B), g1
+    return AA, shift(AA, 1), B, productset(B, B), ggp_powers(G, [G.exponents.r0])
 
 
 @settings(max_examples=150)
@@ -663,9 +681,9 @@ def test_identity_right_side_matches_scaled_product(G, data):
         elem = st.integers(0, q - 1).map(lambda r: PrimeFieldElement(r, q))
     A = ScalarSet(data.draw(st.sets(elem, min_size=2, max_size=5)))
     skew = data.draw(st.booleans())
-    _, AA1, B, BB, g1 = _identity_parts(A, G)
-    scaled = scale(productset(BB, AA1), g1)
-    lhs, rhs, ok = dot_identity_check(A, B, g1, skew=skew)
+    _, AA1, B, BB, G1 = _identity_parts(A, G)
+    scaled = productset(productset(BB, AA1), G1)
+    lhs, rhs, ok = dot_identity_check(A, B, G1, skew=skew)
     assert rhs == scaled and ok == (lhs == scaled)
     # over Q the size match only warns, and every draw's degeneracy ratio,
     # d / floor(log2(formal length)) with lengths of at least 3, is at most 1
@@ -708,12 +726,12 @@ def test_identity_right_side_caps_never_refuse_first(A, g0, r0, dims):
     every earlier check, as in the examples, for the old formation too."""
     A = ScalarSet(A)
     G = GgpSpec(g0, GapSpec(r0, tuple(g for g, _ in dims), tuple(l for _, l in dims)))
-    AA, AA1, B, BB, g1 = _identity_parts(A, G)
-    Gset, one = enumerate_ggp(G), ScalarSet([g1])
-    E, F = build_point_sets(A, B, g1)
+    AA, AA1, B, BB, G1 = _identity_parts(A, G)
+    Gset = enumerate_ggp(G)
+    E, F = build_point_sets(A, B, G1)
     before = [(A, A), (AA, ScalarSet([1])), (Gset, AA1), (Gset, Gset), (E, F), (B, B)]
-    new = [(AA1, one), (BB, scale(AA1, g1))]
-    old = [(BB, AA1), (productset(BB, AA1), one)]
+    new = [(AA1, G1), (BB, productset(AA1, G1))]
+    old = [(BB, AA1), (productset(BB, AA1), G1)]
     for checks in (new, old):
         assert (max(len(X) * len(Y) for X, Y in checks)
                 <= max(len(X) * len(Y) for X, Y in before))

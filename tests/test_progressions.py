@@ -452,3 +452,33 @@ def test_rational_powers_match_per_power_route(g0, ks):
     G = GgpSpec(g0, GapSpec(0, (1,), (3,)))
     got, want = ggp_powers(G, ks), ref_ggp_powers(G, ks)
     assert (got.lat, got.domain) == (want.lat, want.domain)
+
+
+@st.composite
+def _first_power_case(draw):
+    """A GGP whose r0 has either sign: over Q for a base p/r, over F_q
+    also past ord(g0)."""
+    q = draw(st.sampled_from([None, 5, 7, 13, 101, 2 ** 31 - 1]))
+    if q is None:
+        g0 = draw(st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
+                  .filter(lambda g: g != 1))
+        r0 = draw(st.integers(-40, 40))
+    else:
+        g0 = PrimeFieldElement(draw(st.integers(2, q - 1)), q)
+        n = multiplicative_order(g0)
+        r0 = draw(st.one_of(st.integers(-3 * n, 3 * n), st.integers(-10 ** 12, 10 ** 12)))
+    return GgpSpec(g0, GapSpec(r0, (draw(st.integers(-3, 3)),), (3,)))
+
+
+@settings(max_examples=200)
+@given(_first_power_case())
+@example(GgpSpec(Fraction(2, 3), GapSpec(-2, (1,), (5,))))
+@example(GgpSpec(PrimeFieldElement(3, 101), GapSpec(7, (2,), (5,))))
+@example(GgpSpec(PrimeFieldElement(2, 7), GapSpec(-4, (1,), (3,))))
+def test_first_power_is_g0_to_the_r0(G):
+    # the pipeline's G1 = {g1} for g1 = g0**r0, the first element of G,
+    # against one reference power
+    r0 = G.exponents.r0
+    got, want = ggp_powers(G, [r0]), ref_ggp_powers(G, [r0])
+    assert (got.lat, got.domain) == (want.lat, want.domain)
+    assert len(got) == 1 and got.domain == G.domain

@@ -31,7 +31,6 @@ from shiftprod.setalg import (
     format_scalar_set,
     parse_scalar_set,
     productset,
-    scale,
     set_intersect,
     set_minus,
     set_union,
@@ -80,10 +79,9 @@ def test_field_sumset_productset():
 def test_shift_scale():
     a = ScalarSet([1, 2, 3])
     assert shift(a, 1).sorted() == [2, 3, 4]
-    assert scale(a, Fraction(1, 2)).sorted() == [Fraction(1, 2), 1, Fraction(3, 2)]
+    assert (productset(a, ScalarSet([Fraction(1, 2)])).sorted()
+            == [Fraction(1, 2), 1, Fraction(3, 2)])
     assert len(shift(ScalarSet([]), 5)) == 0
-    with pytest.raises(ValueError):
-        scale(a, 0)
 
 
 def test_set_operations():
@@ -366,7 +364,7 @@ def test_skewed_lift_takes_the_grouped_kernel(data):
         B = ScalarSet(data.draw(NONZERO_SMALL) * 3 ** i
                       for i in range(data.draw(st.integers(6, 8))))
         g1 = data.draw(NONZERO_SMALL.filter(lambda x: x != 1))
-    E, G = harness.build_point_sets(A, B, g1, skew=True)
+    E, G = harness.build_point_sets(A, B, ScalarSet([g1]), skew=True)
     dots, grouped = _grouped_path_taken(E, G)
     assert grouped
     assert dots == _element_loop(E, G)
@@ -379,7 +377,7 @@ def test_small_field_lift_takes_the_grouped_kernel(n):
     # about 4 * n**2 grouped products, which fit a quarter of them from n = 5
     F = PrimeField(2 ** 31 - 1)
     A, B = (ScalarSet(F(c * 7 ** i) for i in range(n)) for c in (3, 5))
-    E, G = harness.build_point_sets(A, B, F(11))
+    E, G = harness.build_point_sets(A, B, ScalarSet([F(11)]))
     assert len(E) * len(G) == n ** 4 <= 2 ** 12
     dots, grouped = _grouped_path_taken(E, G)
     assert grouped
@@ -583,7 +581,7 @@ def test_random_algebra_laws():
         assert productset(xs, ys) == productset(ys, xs)
         c = rng.randint(1, 5)
         assert shift(shift(xs, c), -c) == xs
-        assert scale(scale(xs, c), Fraction(1, c)) == xs
+        assert productset(productset(xs, ScalarSet([c])), ScalarSet([Fraction(1, c)])) == xs
 
 
 # The domain rule as the set constructors spelled it out before it moved
@@ -669,16 +667,15 @@ def test_lift_explicit_cases():
         PointSet2([Point2(F7(1), F7(2)), Point2(F11(1), F11(2))])
     with pytest.raises(DomainMismatchError):
         PointSet2([Point2(F7(1), 2), Point2(Fraction(1, 2), 3)])
-    # the scalar of shift and scale joins the domain of its set
+    # the scalar of shift joins the domain of its set, and a singleton
+    # factor must share it
     assert shift(ScalarSet([F7(1)]), 8) == ScalarSet([F7(2)])
     with pytest.raises(DomainMismatchError):
         shift(ScalarSet([1]), F7(1))
     with pytest.raises(DomainMismatchError):
-        scale(ScalarSet([F7(1)]), Fraction(1, 2))
+        productset(ScalarSet([F7(1)]), ScalarSet([Fraction(1, 2)]))
     with pytest.raises(TypeError):
         shift(ScalarSet([1]), True)
-    with pytest.raises(ValueError):
-        scale(ScalarSet([F7(1)]), 7)
 
 
 # Rational sets are stored as integer numerators over one denominator; every
@@ -728,7 +725,7 @@ def _set_operations_match_plain_sets(xs, ys, c, s, probes, domain="Q"):
         (sumset(A, B), [a + b for a in xs for b in ys]),
         (productset(A, B), [a * b for a in xs for b in ys]),
         (shift(A, c), [a + c for a in xs]),
-        (scale(A, s), [a * s for a in xs]),
+        (productset(A, ScalarSet([s])), [a * s for a in xs]),
         (set_minus(A, B), set(xs) - set(ys)),
         (set_intersect(A, B), set(xs) & set(ys)),
         (set_union(A, B), set(xs) | set(ys)),
