@@ -333,20 +333,15 @@ def cmd_verify_main(args) -> int:
     G = parse_ggp_spec(args.G) if args.G is not None else None
     _refuse_skew_at_one(args.skew_e, G)
 
-    reports, findings = [], []
-    for A in sets:
-        AG = G or auto_progression(A)
-        rep = run_pipeline(PipelineInput(A=A, G=AG, delta=delta, config=hcfg,
-                                         **_given(args, "skew_e")))
-        reports.append(rep)
-        if rep.finding() or not rep.corollary1_ok:
-            findings.append((A, AG, rep))
-
+    runs = [(A, G or auto_progression(A)) for A in sets]
+    reports = [run_pipeline(PipelineInput(A=A, G=AG, delta=delta, config=hcfg,
+                                          **_given(args, "skew_e"))) for A, AG in runs]
     _write(args, reports[0] if len(reports) == 1 else reports)
-    for A, G, rep in findings:
+    findings = [(A, AG, rep) for (A, AG), rep in zip(runs, reports) if rep.finding()]
+    for A, AG, rep in findings:
         kind = "empty exceptional set" if rep.c_size == 0 else "structural check failed"
         print(f"finding: {kind} for A={format_scalar_set(A)} "
-              f"G={format_ggp_spec(G)}", file=sys.stderr)
+              f"G={format_ggp_spec(AG)}", file=sys.stderr)
     return 1 if findings else 0
 
 
@@ -368,7 +363,7 @@ def cmd_verify_ff(args) -> int:
         E = _full_plane(F)
         rep = coverage_check(E, E, q)
         _write(args, rep)
-        return 1 if rep.hypothesis_ok and not rep.full else 0
+        return 1 if rep.finding() else 0
 
     eps = _need(args, "epsilon", "verify-ff needs --epsilon")
     delta = _need(args, "delta", "verify-ff needs --delta")

@@ -38,13 +38,16 @@ class CoverageReport:
     covered_size: int
     full: bool
 
+    def finding(self) -> bool:
+        """The coverage bound measured false; verify-ff --full-plane exits 1 on it."""
+        return self.hypothesis_ok and not self.full
+
 
 def coverage_check(E: PointSet2, F: PointSet2, q: int) -> CoverageReport:
     """Does the dot-product set of E and F reach every unit of F_q?
 
     hypothesis_ok records the exact comparison |E| = |F| > q**(3/2), as
-    len(E)**2 > q**3; when it holds and full is false, the run is a
-    reportable finding.
+    len(E)**2 > q**3; when it holds and full is false, finding() is true.
     """
     if not is_prime(q):
         raise PreconditionError(f"{q} is not prime")

@@ -41,7 +41,8 @@ The coverage hypothesis |E| = |F| > q**(3/2) is len(E)**2 > q**3.
 
 Every check is exact; measured stand-ins for asymptotic constants are
 reported as rational or fixed-digit decimal strings in the constants
-ledger of the report.
+ledger of the report, and Report.finding() alone reads a run's verdict
+off the checks, the empty C of Corollary 1 over Q included.
 """
 
 from __future__ import annotations
@@ -90,7 +91,6 @@ __all__ = [
     "Report",
     "build_point_sets",
     "decomposition_holds",
-    "dot_identity_check",
     "exceptional_set",
     "run_pipeline",
     "square_part",
@@ -135,6 +135,8 @@ class HarnessConfig:
             raise ValueError("on_size_mismatch must be 'reject' or 'warn'")
         if self.size_match_factor < 1:
             raise ValueError("size_match_factor must be at least 1")
+        if self.degeneracy_threshold <= 0:
+            raise ValueError("degeneracy_threshold must be positive")
 
 
 @dataclass(frozen=True)
@@ -202,10 +204,11 @@ class Report:
 
     def finding(self) -> bool:
         """True when a guaranteed property measured false on this run: a
-        structural check failed, or, over F_q, the dot-product set misses
-        part of F_q* where the coverage hypothesis holds.  An empty C is a
-        finding only over Q, where verify-main adds it from corollary1_ok."""
+        structural check failed; over Q, C is empty, against Corollary 1;
+        over F_q, the dot-product set misses part of F_q* where the
+        coverage hypothesis holds.  Both commands exit 1 on it alone."""
         return (not self.structural_ok()
+                or (self.q is None and not self.corollary1_ok)
                 or (self.constants.get("coverage_hypothesis") == "holds"
                     and not self.coverage_ok))
 
@@ -258,17 +261,6 @@ def build_point_sets(A: ScalarSet, B: ScalarSet, G1: ScalarSet,
         return Fset, Fset
     E = [(gn * x, (gd if skew else gn) * y) for x, y in F]
     return PointSet2.from_lattice(E, gd * da * db, domain), Fset
-
-
-def dot_identity_check(A: ScalarSet, B: ScalarSet, G1: ScalarSet,
-                       skew: bool = False) -> Tuple[ScalarSet, ScalarSet, bool]:
-    """Both sides of the factorization for G1 = {g1}, computed
-    independently: E.F, and BB * (AA+1) * G1."""
-    E, F = build_point_sets(A, B, G1, skew=skew)
-    lhs = dot_product_set(E, F)
-    AA1 = shift(productset(A, A), 1)
-    rhs = productset(productset(B, B), productset(AA1, G1))
-    return lhs, rhs, lhs == rhs
 
 
 def exceptional_set(AA1: ScalarSet, G: GgpSpec) -> ScalarSet:
@@ -371,7 +363,7 @@ def run_pipeline(inp: PipelineInput) -> Report:
                                             [(l + 1) // 2 for l in R.lengths], G.order))
 
     E, F = build_point_sets(A, B, G1, skew=inp.skew_e)
-    if len(A) >= 2 and len(B) >= 2:
+    if len(B) >= 2:
         # E is the image of F under g1*(x, y), or (g1*x, y) with skew_e, an
         # invertible linear map, so the two are collinear together
         constants["ef_non_collinear"] = "fail" if collinear(F) else "pass"

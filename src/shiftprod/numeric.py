@@ -80,7 +80,7 @@ RHO_STEP_CAP = 2 ** 20
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin on the first 13 prime bases.
 
-    Exact below MR_EXACT_BELOW; an n above it with no factor among the
+    Exact below MR_EXACT_BELOW; an n at or above it with no factor among the
     bases raises PreconditionError instead of risking a wrong answer.
     """
     if n < 2:
@@ -90,7 +90,7 @@ def is_prime(n: int) -> bool:
             return n == p
     if n >= MR_EXACT_BELOW:
         raise PreconditionError(
-            f"{n} is above the deterministic primality bound {MR_EXACT_BELOW}")
+            f"{n} is at or above the deterministic primality bound {MR_EXACT_BELOW}")
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
     for a in _MR_BASES:

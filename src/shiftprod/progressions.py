@@ -106,8 +106,12 @@ class GapSpec:
     order = None  # a GAP's values are its exponents, never folded
 
     def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(int(g) for g in self.generators))
-        object.__setattr__(self, "lengths", tuple(int(l) for l in self.lengths))
+        object.__setattr__(self, "generators", tuple(self.generators))
+        object.__setattr__(self, "lengths", tuple(self.lengths))
+        # a float would be truncated and a bool read as 0 or 1, so both are refused
+        bad = [x for x in (self.r0, *self.generators, *self.lengths) if type(x) is not int]
+        if bad:
+            raise ValueError(f"r0, generators and lengths must be ints, got {bad[0]!r}")
         if len(self.generators) < 1:
             raise ValueError("dimension must be at least 1")
         if len(self.generators) != len(self.lengths):
@@ -155,6 +159,8 @@ class GgpSpec:
             if self.g0.residue in (0, 1 % self.g0.modulus):
                 raise ValueError("field base must be nonzero and != 1")
         else:
+            if type(self.g0) not in (int, Fraction):  # no float's binary value, no bool
+                raise ValueError(f"rational base must be an int or a Fraction, got {self.g0!r}")
             g = as_rational(self.g0)
             if g <= 0 or g == 1:
                 raise ValueError("rational base must be positive and != 1")

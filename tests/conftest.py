@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from shiftprod.harness import build_point_sets
 from shiftprod.numeric import PrimeFieldElement
 from shiftprod.progressions import GapSpec, GgpSpec, is_proper
-from shiftprod.setalg import ScalarSet
+from shiftprod.setalg import ScalarSet, dot_product_set, productset, shift
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -63,6 +64,15 @@ def make_proper_field_ggp(rng: random.Random, d: int = None, tries: int = 4000) 
         if is_proper(spec):
             return spec
     raise AssertionError("no proper field progression found")
+
+
+def identity_sides(A: ScalarSet, B: ScalarSet, G1: ScalarSet, skew: bool = False):
+    """Both sides of the factorization E.F = g1 * BB * (AA+1) for G1 = {g1},
+    formed independently of run_pipeline: E.F from the lifted point sets,
+    and BB * ((AA+1) * G1) from the product sets."""
+    E, F = build_point_sets(A, B, G1, skew=skew)
+    AA1 = shift(productset(A, A), 1)
+    return dot_product_set(E, F), productset(productset(B, B), productset(AA1, G1))
 
 
 @pytest.fixture

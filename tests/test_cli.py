@@ -8,14 +8,17 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from test_ffharness import _field_pipeline_case
+from test_harness import _pipeline_case
 from shiftprod import cli, harness, progressions, setalg
 from shiftprod.cli import FLAGS, MODES, _dest, build_parser, main
-from shiftprod.harness import PipelineInput, run_pipeline
+from shiftprod.ffharness import CoverageReport
+from shiftprod.harness import HarnessConfig, PipelineInput, Report, run_pipeline
 from shiftprod.numeric import PrimeField, PrimeFieldElement, multiplicative_order
-from shiftprod.progressions import parse_ggp_spec
-from shiftprod.setalg import parse_scalar_set
+from shiftprod.progressions import GapSpec, GgpSpec, format_gap_spec, parse_ggp_spec
+from shiftprod.setalg import ScalarSet, format_scalar_set, parse_scalar_set
 
 
 def run_cli(capsys, *argv):
@@ -984,14 +987,15 @@ def test_verify_ff_finding_exit(capsys):
     assert not run_pipeline(inp).finding()
 
 
-# An empty exceptional set contradicts Corollary 1 over Q, so verify-main
-# exits 1 on it.  Over F_q the corollary needs cond1 and cond2, which a
-# small q need not meet, so verify-ff judges only the structural checks
-# and the coverage bound, and exits 0 here.
+# An empty exceptional set contradicts Corollary 1 over Q, so Report.finding()
+# is true and verify-main exits 1 on it.  Over F_q the corollary needs cond1
+# and cond2, which a small q need not meet, so finding() judges only the
+# structural checks and the coverage bound, and verify-ff exits 0 here.
 def test_empty_exceptional_set_is_a_finding_only_over_q(capsys):
     code, out, err = run_cli(capsys, "verify-main", "--A", "{0, 1}", "--delta", "1/2")
     assert code == 1
     assert json.loads(out)["c_size"] == 0
+    assert Report(**json.loads(out)).finding()
     assert err == "finding: empty exceptional set for A={0, 1} G=ggp 2; gap 0;1;3\n"
     code, out, err = run_cli(capsys, "verify-ff", "--q", "7", "--A", "{1, 2}",
                              "--G", "ggp 3; gap 0;1;6", "--epsilon", "1",
@@ -1050,3 +1054,70 @@ def test_skew_e_refused_wherever_g1_is_one(capsys, tmp_path, argv):
     cfg.write_text(json.dumps({"skew_e": True}))
     assert run_cli(capsys, *argv, "--skew-e") == SKEW_AT_ONE
     assert run_cli(capsys, *argv, "--config", str(cfg)) == SKEW_AT_ONE
+
+
+def test_degeneracy_threshold_at_zero_exits_2(capsys):
+    # every degeneracy ratio is positive, so the threshold is refused
+    # before any progression is judged against it
+    assert run_cli(capsys, "verify-main", "--A", "{1, 2}", "--G", "ggp 2; gap 1;1;3",
+                   "--delta", "1/2", "--degeneracy-threshold", "0") == (
+        2, "", "error: degeneracy_threshold must be positive\n")
+
+
+@pytest.mark.parametrize("full", [True, False])
+def test_full_plane_exits_on_its_finding(capsys, monkeypatch, full):
+    # the full plane always covers F_q*, so a miss is forced on the report
+    real = cli.coverage_check
+    monkeypatch.setattr(cli, "coverage_check",
+                        lambda E, F, q: dataclasses.replace(real(E, F, q), full=full))
+    code, out, err = run_cli(capsys, "verify-ff", "--q", "5", "--full-plane")
+    rep = CoverageReport(**json.loads(out))
+    assert rep.hypothesis_ok and rep.finding() == (not full)
+    assert (code, err) == (int(rep.finding()), "")
+
+
+def _check_exit_on_finding(capsys, argv, inp):
+    """The command exits 2 where run_pipeline refuses inp, else writes its
+    report and exits 1 exactly when the report's finding() is true, with one
+    finding line on stderr."""
+    r0, n = inp.G.exponents.r0, inp.G.order
+    if inp.skew_e and (r0 % n if n else r0) == 0:
+        # a command refuses --skew-e where g1 = 1, before the pipeline runs
+        assert run_cli(capsys, *argv, "--skew-e") == SKEW_AT_ONE
+        return
+    code, out, err = run_cli(capsys, *argv, *(["--skew-e"] if inp.skew_e else []))
+    try:
+        rep = run_pipeline(inp)
+    except ValueError:
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        return
+    assert Report(**json.loads(out)) == rep
+    assert code == (1 if rep.finding() else 0)
+    assert err.startswith("finding: ") == rep.finding() and err.count("\n") == code
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_pipeline_case())
+# C = (AA+1) \ G is empty: {1, 2} lies in {1, 2, 4}
+@example(([0, 1], GgpSpec(2, GapSpec(0, (1,), (3,))), Fraction(1, 2), HarnessConfig(),
+          False))
+def test_verify_main_exits_on_finding_alone(capsys, case):
+    A, G, delta, cfg, skew_e = case
+    A = ScalarSet(A)
+    argv = ("verify-main", "--A", format_scalar_set(A), "--G",
+            f"ggp {G.g0}; {format_gap_spec(G.exponents)}", "--delta", str(delta),
+            "--on-size-mismatch", cfg.on_size_mismatch)
+    _check_exit_on_finding(capsys, argv, PipelineInput(A=A, G=G, delta=delta, config=cfg,
+                                                       skew_e=skew_e))
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_field_pipeline_case())
+def test_verify_ff_exits_on_finding_alone(capsys, case):
+    q, A, G, eps, delta, skew_e = case
+    argv = ("verify-ff", "--q", str(q), "--A", "{" + ", ".join(map(str, sorted(A))) + "}",
+            "--G", f"ggp {G.g0.residue}; {format_gap_spec(G.exponents)}",
+            "--epsilon", str(eps), "--delta", str(delta))
+    inp = PipelineInput(q=q, A=ScalarSet(PrimeFieldElement(a, q) for a in A), G=G,
+                        epsilon=eps, delta=delta, skew_e=skew_e)
+    _check_exit_on_finding(capsys, argv, inp)

@@ -265,6 +265,14 @@ def test_coverage_check_full_plane():
     )
 
 
+@pytest.mark.parametrize("hypothesis_ok,full", [(True, True), (True, False),
+                                                  (False, True), (False, False)])
+def test_coverage_finding_rule(hypothesis_ok, full):
+    cov = CoverageReport(q=5, e_size=3, f_size=3, hypothesis_ok=hypothesis_ok,
+                         covered_size=4 if full else 3, full=full)
+    assert cov.finding() == (hypothesis_ok and not full)
+
+
 def test_coverage_random_when_hypothesis_holds():
     rng = random.Random(3)
     for q in (5, 7):

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import make_int_set, make_proper_ggp
+from conftest import identity_sides, make_int_set, make_proper_ggp
 from reference import _pow, _progression, _red, lattice_item, reference_main_report
 from shiftprod import harness, progressions
 from shiftprod.cli import main
@@ -20,7 +20,6 @@ from shiftprod.harness import (
     Report,
     build_point_sets,
     decomposition_holds,
-    dot_identity_check,
     exceptional_set,
     run_pipeline,
     square_part,
@@ -188,8 +187,6 @@ def test_point_sets_refuse_g1_from_another_domain():
         for skew in (False, True):
             with pytest.raises(DomainMismatchError):
                 build_point_sets(A, B, G1, skew=skew)
-            with pytest.raises(DomainMismatchError):
-                dot_identity_check(A, B, G1, skew=skew)
     with pytest.raises(DomainMismatchError):
         build_point_sets(ScalarSet([1, 2]), ScalarSet([1, 3]), ScalarSet([F7(3)]))
 
@@ -250,23 +247,23 @@ def test_lift_keeps_collinearity(skew, case):
 def test_dot_identity_exact():
     A = ScalarSet([1, 2])
     B = ScalarSet([1, 2, 4])
-    lhs, rhs, ok = dot_identity_check(A, B, ScalarSet([1]))
-    assert ok
+    lhs, rhs = identity_sides(A, B, ScalarSet([1]))
+    assert lhs == rhs
     assert lhs.sorted() == [2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 40, 48, 80]
-    _, _, ok3 = dot_identity_check(A, B, ScalarSet([3]))
-    assert ok3
+    lhs3, rhs3 = identity_sides(A, B, ScalarSet([3]))
+    assert lhs3 == rhs3
 
 
 def test_skew_lift_changes_the_product():
     # scaling only the first coordinate shifts by g1 instead of 1
     A = ScalarSet([1, 2])
     B = ScalarSet([1, 2, 4])
-    lhs, _, ok = dot_identity_check(A, B, ScalarSet([3]), skew=True)
-    assert not ok
+    lhs, rhs = identity_sides(A, B, ScalarSet([3]), skew=True)
+    assert lhs != rhs
     AA_g1 = shift(productset(A, A), 3)
     assert lhs == productset(productset(B, B), AA_g1)
-    _, _, ok1 = dot_identity_check(A, B, ScalarSet([1]), skew=True)
-    assert ok1
+    lhs1, rhs1 = identity_sides(A, B, ScalarSet([1]), skew=True)
+    assert lhs1 == rhs1
 
 
 def test_exceptional_set_known():
@@ -454,6 +451,15 @@ def test_degeneracy_rejection():
         )
     rep = run_pipeline(PipelineInput(A=A, G=thin, delta=Fraction(1, 2)))
     assert rep.constants["degeneracy_ratio"] == "1"
+
+
+@pytest.mark.parametrize("threshold", [Fraction(0), Fraction(-1, 2)])
+def test_degeneracy_threshold_must_be_positive(threshold):
+    # every degeneracy ratio is positive, so such a threshold would refuse
+    # every progression
+    with pytest.raises(ValueError, match="degeneracy_threshold must be positive"):
+        HarnessConfig(degeneracy_threshold=threshold)
+    assert HarnessConfig(degeneracy_threshold=Fraction(1, 100)).degeneracy_threshold > 0
 
 
 def test_pipeline_random_instances(rng):
@@ -683,8 +689,8 @@ def test_identity_right_side_matches_scaled_product(G, data):
     skew = data.draw(st.booleans())
     _, AA1, B, BB, G1 = _identity_parts(A, G)
     scaled = productset(productset(BB, AA1), G1)
-    lhs, rhs, ok = dot_identity_check(A, B, G1, skew=skew)
-    assert rhs == scaled and ok == (lhs == scaled)
+    lhs, rhs = identity_sides(A, B, G1, skew=skew)
+    assert rhs == scaled
     # over Q the size match only warns, and every draw's degeneracy ratio,
     # d / floor(log2(formal length)) with lengths of at least 3, is at most 1
     inp = (PipelineInput(A=A, G=G, delta=Fraction(1, 2), skew_e=skew,

@@ -66,6 +66,11 @@ def test_is_prime_refuses_above_its_bound():
         n += 2
     with pytest.raises(PreconditionError, match="primality bound"):
         is_prime(n)
+    # the bound itself has no factor among the bases, and is refused too
+    with pytest.raises(PreconditionError,
+                       match=f"^{MR_EXACT_BELOW} is at or above the deterministic "
+                             f"primality bound {MR_EXACT_BELOW}$"):
+        is_prime(MR_EXACT_BELOW)
     assert not is_prime(MR_EXACT_BELOW * 2)
 
 

@@ -65,6 +65,27 @@ def test_ggp_spec_validation():
     assert GgpSpec(Fraction(1, 2), R).domain == "Q"
 
 
+@pytest.mark.parametrize("build", [
+    lambda: GapSpec(0.5, (1,), (3,)),
+    lambda: GapSpec(0, (1.5,), (3,)),
+    lambda: GapSpec(0, (1,), (3.9,)),
+    lambda: GapSpec(0, (1,), (3.0,)),
+    lambda: GapSpec(True, (1,), (3,)),
+    lambda: GapSpec(0, (True,), (3,)),
+    lambda: GapSpec(0, (1,), (Fraction(3),)),
+    lambda: GgpSpec(0.1, GapSpec(0, (1,), (3,))),
+    lambda: GgpSpec(2.0, GapSpec(0, (1,), (3,))),
+    lambda: GgpSpec(True, GapSpec(0, (1,), (3,))),
+], ids=["float r0", "float generator", "float length", "integral float length",
+        "bool r0", "bool generator", "Fraction length", "float base",
+        "integral float base", "bool base"])
+def test_specs_refuse_inexact_numbers(build):
+    # a float would be truncated or read at its binary value and a bool as
+    # 0 or 1, so each is refused, as lift refuses them in a set
+    with pytest.raises(ValueError, match="must be"):
+        build()
+
+
 def test_enumerate_gap_known():
     R = GapSpec(1, (2, 3), (3, 3))
     assert ScalarSet(R.residues).sorted() == [1, 3, 4, 5, 6, 7, 8, 9, 11]
